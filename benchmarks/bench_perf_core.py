@@ -389,6 +389,21 @@ def bench_memmap(
     return row
 
 
+def _affinity() -> Optional[List[int]]:
+    """This process's CPU affinity mask, sorted (``None`` where unsupported)."""
+
+    if not hasattr(os, "sched_getaffinity"):
+        return None
+    return sorted(os.sched_getaffinity(0))
+
+
+def _pin(cpus: Optional[List[int]]) -> None:
+    """Restrict this process — and every pool it forks — to ``cpus``."""
+
+    if cpus is not None:
+        os.sched_setaffinity(0, cpus)
+
+
 def bench_parallel(
     num_vertices: int,
     seed: int,
@@ -406,6 +421,11 @@ def bench_parallel(
     provably the same work.  Cached sessions are released between
     configurations so each worker count forks a fresh pool and no idle
     pool competes for cores with the measured one.
+
+    Each rung is pinned (``os.sched_setaffinity``) to the first
+    ``workers`` CPUs of the host's affinity mask, and the row records the
+    CPUs it actually ran on: a rung asking for more workers than the host
+    has CPUs measures oversubscription, not scaling, and the row says so.
     """
 
     graph = erdos_renyi_gnm(num_vertices, 4 * num_vertices, seed=seed)
@@ -446,42 +466,50 @@ def bench_parallel(
 
     rows: List[Dict[str, object]] = []
     reference = None
-    for workers in worker_counts:
-        best_mem = (float("inf"),) * 2
-        best_map = (float("inf"),) * 2
-        for _ in range(repeats):
-            initial, out, greedy_s, one_k_s = run_in_memory(workers)
-            best_mem = (min(best_mem[0], greedy_s), min(best_mem[1], one_k_s))
-            initial_m, out_m, greedy_s, one_k_s = run_memmap(workers)
-            best_map = (min(best_map[0], greedy_s), min(best_map[1], one_k_s))
-        if (initial, out) != (initial_m, out_m):
-            raise AssertionError(
-                f"in-memory/memmap parallel mismatch at workers={workers}"
+    host_cpus = _affinity()
+    try:
+        for workers in worker_counts:
+            cpus = host_cpus[:workers] if host_cpus is not None else None
+            _pin(cpus)
+            best_mem = (float("inf"),) * 2
+            best_map = (float("inf"),) * 2
+            for _ in range(repeats):
+                initial, out, greedy_s, one_k_s = run_in_memory(workers)
+                best_mem = (min(best_mem[0], greedy_s), min(best_mem[1], one_k_s))
+                initial_m, out_m, greedy_s, one_k_s = run_memmap(workers)
+                best_map = (min(best_map[0], greedy_s), min(best_map[1], one_k_s))
+            if (initial, out) != (initial_m, out_m):
+                raise AssertionError(
+                    f"in-memory/memmap parallel mismatch at workers={workers}"
+                )
+            if reference is None:
+                reference = (initial, out)
+            elif (initial, out) != reference:
+                raise AssertionError(
+                    f"parallel result diverges from serial at workers={workers}"
+                )
+            rows.append(
+                {
+                    "n": graph.num_vertices,
+                    "edges": graph.num_edges,
+                    "backend": "parallel",
+                    "model": "gnm",
+                    "workers": workers,
+                    "cpu_affinity": cpus,
+                    "cores": len(cpus) if cpus is not None else os.cpu_count(),
+                    "greedy_seconds": best_mem[0],
+                    "one_k_swap_seconds": best_mem[1],
+                    "combined_seconds": best_mem[0] + best_mem[1],
+                    "memmap_greedy_seconds": best_map[0],
+                    "memmap_one_k_swap_seconds": best_map[1],
+                    "memmap_combined_seconds": best_map[0] + best_map[1],
+                    "greedy_size": len(reference[0]),
+                    "one_k_size": len(reference[1][0]),
+                    "one_k_rounds": len(reference[1][1]),
+                }
             )
-        if reference is None:
-            reference = (initial, out)
-        elif (initial, out) != reference:
-            raise AssertionError(
-                f"parallel result diverges from serial at workers={workers}"
-            )
-        rows.append(
-            {
-                "n": graph.num_vertices,
-                "edges": graph.num_edges,
-                "backend": "parallel",
-                "model": "gnm",
-                "workers": workers,
-                "greedy_seconds": best_mem[0],
-                "one_k_swap_seconds": best_mem[1],
-                "combined_seconds": best_mem[0] + best_mem[1],
-                "memmap_greedy_seconds": best_map[0],
-                "memmap_one_k_swap_seconds": best_map[1],
-                "memmap_combined_seconds": best_map[0] + best_map[1],
-                "greedy_size": len(reference[0]),
-                "one_k_size": len(reference[1][0]),
-                "one_k_rounds": len(reference[1][1]),
-            }
-        )
+    finally:
+        _pin(host_cpus)
     text_path.unlink()
     binary_path.unlink()
     return rows
@@ -492,9 +520,11 @@ def compute_parallel_curve(
 ) -> Dict[str, Dict[str, Dict[str, float]]]:
     """Speedup-vs-workers curves (serial-time / N-worker-time) per size.
 
-    The committed curve is the regression guard for the parallel layer:
-    a PR that erodes the 4-worker combined speedup shows up as a smaller
-    ratio in the diff of ``BENCH_core.json``.
+    The serial baseline is the ``workers == 1`` rung — the same one-k
+    engine the sharded rungs run, pinned to one CPU — so a ratio is
+    parallel scaling, not an algorithm difference.  ``cores`` records the
+    CPUs each rung actually had: ratios past the host's CPU count measure
+    oversubscription.
     """
 
     by_size: Dict[int, List[Dict[str, object]]] = {}
@@ -506,9 +536,14 @@ def compute_parallel_curve(
         base = next((r for r in size_rows if r["workers"] == 1), None)
         if base is None:
             continue
-        curve: Dict[str, Dict[str, float]] = {"in_memory": {}, "memmap": {}}
+        curve: Dict[str, Dict[str, float]] = {
+            "in_memory": {},
+            "memmap": {},
+            "cores": {},
+        }
         for row in sorted(size_rows, key=lambda r: int(r["workers"])):
             w = str(row["workers"])
+            curve["cores"][w] = row["cores"]
             curve["in_memory"][w] = round(
                 float(base["combined_seconds"])
                 / max(float(row["combined_seconds"]), 1e-12),
@@ -785,6 +820,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             "parallel_sizes": parallel_sizes,
             "worker_counts": worker_counts,
             "host_cpu_count": os.cpu_count(),
+            "host_cpu_affinity": _affinity(),
         },
         "results": rows,
         "speedups_numpy_over_python": speedups,

@@ -13,7 +13,17 @@ interchangeable executions:
   the edge data streams through in block-sized ndarray fragments, charged
   to ``IOStats`` exactly like the record-streaming reference.
 
-Every full-graph O(n)/O(E) sweep is an ndarray operation:
+Algorithm 2 (one-k) has one vectorized implementation,
+:func:`one_k_records`, over a *record-major* CSR (:class:`RecordCSR`):
+the zero-copy sections of a ``SEXTCSR1`` memmap, or an in-memory graph
+gathered into scan order once.  Its pre-swap scan runs as conflict-free
+waves, its post-swap scan as vectorized base labelling plus a sparse event
+loop, and its count/sum/blocker arrays are maintained at O(changed) per
+round.  The parallel layer runs the same function with a sharded
+labelling sweep.  Only text adjacency files keep the block-batched
+one-k, the one execution that holds O(n) state with the edges on disk.
+
+Elsewhere every full-graph O(n)/O(E) sweep is an ndarray operation:
 
 * the greedy exclusion writes are fancy-indexed stores into a ``uint8``
   state bitmap;
@@ -25,27 +35,28 @@ Every full-graph O(n)/O(E) sweep is an ndarray operation:
   ``(anchor, member)`` ISN index instead of probing per-vertex dicts;
 * pointer counts, swap commits (P→IS, R→N) and set sizes are mask
   operations;
-* the 0↔1 post-swap scan keeps incremental ``count`` / ``sum`` / ``min``
-  / ``blocker`` arrays so each scanned vertex costs O(1), with a fancy
-  neighbour update only when a vertex changes state class.  The batched
-  execution rebuilds the entries of the current chunk's vertices from the
-  live state instead — mathematically the same values, since the
-  incremental updates exist precisely to keep the arrays consistent with
-  the live state.
+* the two-k 0↔1 post-swap scan keeps incremental ``count`` / ``sum`` /
+  ``min`` / ``blocker`` arrays so each scanned vertex costs O(1), with a
+  fancy neighbour update only when a vertex changes state class.  The
+  batched execution rebuilds the entries of the current chunk's vertices
+  from the live state instead — mathematically the same values, since
+  the incremental updates exist precisely to keep the arrays consistent
+  with the live state.
 
-Only the per-round swap-conflict resolution — which the paper defines
-through the scan order's right of preemption and is therefore inherently
-sequential — stays a scalar loop, and that loop runs over the (usually
+The two-k swap-conflict resolution — which the paper defines through the
+scan order's right of preemption — stays a scalar loop over the (usually
 small) pre-filtered "A" candidate subset instead of all n vertices.
 
-Both executions produce results bit-identical to the ``python`` reference
-backend, including the per-round telemetry and the ``IOStats`` counters.
-The property tests in ``tests/test_kernel_backends.py`` and
-``tests/test_semi_external.py`` enforce this on randomized graphs.
+Every execution produces results bit-identical to the ``python``
+reference backend, including the per-round telemetry and the ``IOStats``
+counters.  The property tests in ``tests/test_kernel_backends.py``,
+``tests/test_semi_external.py`` and ``tests/test_one_k_engine.py``
+enforce this on randomized graphs.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import heapq
 import itertools
@@ -350,6 +361,681 @@ class _TwoKRound:
         return process
 
 
+# ----------------------------------------------------------------------
+# Record-major one-k engine (Algorithm 2 over a scan-ordered CSR).
+# ----------------------------------------------------------------------
+#: Candidate window of the one-k pre-swap wave: the bounded chunk in which
+#: the segment cut is searched, so a cut near the front stays cheap.
+_WAVE_WINDOW = 8192
+
+
+class RecordCSR:
+    """Record-major CSR of a scan source.
+
+    ``order[i]`` is the vertex id of the ``i``-th record in scan order,
+    ``pos`` its inverse, and ``indptr``/``indices`` the concatenated
+    neighbour lists in record order (``indices`` keeps the on-disk uint32
+    of a memmap — the kernels are dtype-agnostic).
+    """
+
+    __slots__ = ("num_vertices", "order", "pos", "indptr", "indices")
+
+    def __init__(self, num_vertices: int, order, indptr, indices) -> None:
+        self.num_vertices = int(num_vertices)
+        self.order = order
+        self.indptr = indptr
+        self.indices = indices
+        self.pos = np.empty(self.num_vertices, dtype=np.int64)
+        self.pos[order] = np.arange(order.size, dtype=np.int64)
+
+    def close(self) -> None:
+        """Nothing to release: the arrays are plain ndarrays or mappings."""
+
+
+def record_csr(source) -> Optional[RecordCSR]:
+    """The record-major CSR of ``source``, or ``None`` for streamed files.
+
+    A ``SEXTCSR1`` memmap is record-major on disk, so its sections are
+    used as zero-copy views; an in-memory graph is gathered into scan
+    order once, into plain ndarrays.  Text adjacency files return
+    ``None``: their block-batched scan is the only execution that keeps
+    the edge list on disk with O(n) resident state.
+    """
+
+    if isinstance(source, InMemoryAdjacencyScan):
+        offsets, targets = source.graph.csr_arrays()
+        offsets = np.asarray(offsets, dtype=np.int64)
+        targets = np.asarray(targets, dtype=np.int64)
+        order = source.order_array()
+        lens = offsets[order + 1] - offsets[order]
+        indptr = np.zeros(order.size + 1, dtype=np.int64)
+        np.cumsum(lens, out=indptr[1:])
+        gather = np.arange(int(indptr[-1]), dtype=np.int64) + np.repeat(
+            offsets[order] - indptr[:-1], lens
+        )
+        return RecordCSR(source.num_vertices, order, indptr, targets[gather])
+    if hasattr(source, "csr_views"):
+        order, indptr, indices = source.csr_views()
+        return RecordCSR(
+            source.num_vertices,
+            np.asarray(order, dtype=np.int64),
+            np.asarray(indptr, dtype=np.int64),
+            indices,
+        )
+    return None
+
+
+def label_records(indptr, indices, state):
+    """IS-neighbour count and id sum of every record of a CSR slice.
+
+    ``indptr`` holds the slice's record offsets into ``indices``.  Where
+    the count is one, the sum *is* the unique IS neighbour (Algorithm 2
+    lines 1-3).  The parallel pool runs this over each worker's record
+    range; :func:`label_vertices` runs it over the whole CSR.
+    """
+
+    is_slot = state[indices] == _IS
+    src_sel = _local_sources(indptr.size - 1, np.diff(indptr))[is_slot]
+    cnt = np.bincount(src_sel, minlength=indptr.size - 1).astype(np.int64)
+    nbr_sum = _int_bincount(src_sel, indices[is_slot], indptr.size - 1)
+    return cnt, nbr_sum
+
+
+def label_vertices(csr, state):
+    """Per-vertex :func:`label_records` over the whole CSR, in process."""
+
+    cnt_rec, sum_rec = label_records(csr.indptr, csr.indices, state)
+    cnt = np.empty(csr.num_vertices, dtype=np.int64)
+    nbr_sum = np.empty(csr.num_vertices, dtype=np.int64)
+    cnt[csr.order] = cnt_rec
+    nbr_sum[csr.order] = sum_rec
+    return cnt, nbr_sum
+
+
+def _scatter_neighbors(csr, recs, values=None):
+    """Per-vertex sums over the concatenated neighbour lists of ``recs``.
+
+    Returns the length-``num_vertices`` int64 array ``out`` with
+    ``out[u] = sum over k with u adjacent to record recs[k] of values[k]``
+    (``values`` defaults to all ones).  The weighted bincount goes through
+    float64, which is exact for these small integer weights and
+    vertex-id-bounded sums.
+    """
+
+    indptr = csr.indptr
+    lens = indptr[recs + 1] - indptr[recs]
+    nbrs = csr.indices[_ragged_slot_indices(indptr[recs], lens)]
+    if values is None:
+        return np.bincount(nbrs, minlength=csr.num_vertices).astype(
+            np.int64, copy=False
+        )
+    return _int_bincount(
+        nbrs, np.repeat(values, lens).astype(np.float64), csr.num_vertices
+    )
+
+
+def _scatter_cnt_sum(csr, recs, values):
+    """Count and weighted-sum scatters of one record set, one gather.
+
+    Returns ``(cnt_inc, sum_inc)`` — the per-vertex neighbour-count and
+    neighbour-``values``-sum increments contributed by ``recs`` — sharing
+    a single ragged gather of the neighbour lists (the two quantities are
+    always applied together when IS membership changes).
+    """
+
+    indptr = csr.indptr
+    lens = indptr[recs + 1] - indptr[recs]
+    nbrs = csr.indices[_ragged_slot_indices(indptr[recs], lens)]
+    cnt_inc = np.bincount(nbrs, minlength=csr.num_vertices).astype(
+        np.int64, copy=False
+    )
+    sum_inc = _int_bincount(
+        nbrs, np.repeat(values, lens).astype(np.float64), csr.num_vertices
+    )
+    return cnt_inc, sum_inc
+
+
+def _fold_completion(rounds: List[RoundStats], gain: int) -> None:
+    """Credit the final completion's 0-1 swaps to the last round, in place."""
+
+    if gain and rounds:
+        last = rounds[-1]
+        rounds[-1] = dataclasses.replace(
+            last,
+            gained=last.gained + gain,
+            zero_one_swaps=last.zero_one_swaps + gain,
+            is_size_after=last.is_size_after + gain,
+        )
+
+
+def one_k_records(
+    csr,
+    state,
+    label,
+    initial_set: FrozenSet[int],
+    max_rounds: Optional[int],
+    resume: Optional[dict],
+    on_round,
+    *,
+    charge_scan,
+    fingerprint=_fingerprint,
+) -> Tuple[FrozenSet[int], Tuple[RoundStats, ...], bool]:
+    """Algorithm 2 over a record-major CSR — the one vectorized one-k.
+
+    * the pre-swap scan runs as conflict-free waves
+      (:func:`_one_k_preswap_wave`);
+    * the post-swap scan is vectorized base labelling plus a sparse event
+      loop (:func:`_one_k_post`);
+    * the count/sum/blocker arrays are labelled once per pass and then
+      maintained by exact integer delta scatters over the vertices that
+      changed class, so a round costs work proportional to what changed
+      rather than one O(E) sweep.
+
+    ``state`` is the uint8 per-vertex state array the pass mutates and
+    ``label()`` returns ``(cnt, nbr_sum)`` — the per-vertex IS-neighbour
+    count and id sum for the current ``state``.  In process that is
+    :func:`label_vertices`; the parallel layer shards the same sweep over
+    its worker pool.  ``charge_scan()`` charges one logical sequential
+    scan at every point the paper's algorithm scans the file, and
+    ``fingerprint(state, isn)`` encodes the oscillation guard (the python
+    reference hashes a different canonical encoding).  Sets, round
+    telemetry, snapshots and modeled ``IOStats`` are bit-identical to the
+    python reference.
+    """
+
+    n = csr.num_vertices
+    pos = csr.pos
+    order = csr.order
+
+    if resume is None:
+        state[:] = _NON
+        if initial_set:
+            state[
+                np.fromiter(initial_set, dtype=np.int64, count=len(initial_set))
+            ] = _IS
+        isn = np.full(n, -1, dtype=np.int64)
+
+        # Labelling (lines 1-3).
+        cnt, nbr_sum = label()
+        a_mask = (state != _IS) & (cnt == 1)
+        state[a_mask] = _ADJ
+        isn[a_mask] = nbr_sum[a_mask]
+        charge_scan()
+
+        rounds: List[RoundStats] = []
+        initial_size = len(initial_set)
+        current_size = initial_size
+        can_swap = True
+        oscillation = False
+        history = {fingerprint(state, isn)} if max_rounds is None else None
+    else:
+        # Restore the loop exactly where an ``on_round`` snapshot was
+        # taken; the labelling scan already happened before it.
+        state[:] = np.asarray(resume["state"], dtype=np.uint8)
+        isn = np.asarray(resume["isn"], dtype=np.int64)
+        rounds = decode_rounds(resume["rounds"])
+        initial_size = int(resume["initial_size"])
+        current_size = int(resume["current_size"])
+        can_swap = bool(resume["can_swap"])
+        oscillation = bool(resume["oscillation"])
+        history = decode_history(resume["history"])
+        # Rebuild the count/sum arrays for the restored state (round
+        # boundaries only ever hold IS / A / N states).
+        cnt, nbr_sum = label()
+
+    # ``isadj[u]`` = number of neighbours of ``u`` whose state is IS or A
+    # — the post-swap ``blocker`` base.  It is seeded once from the
+    # labelling and then maintained by exact integer deltas.
+    isadj = cnt.copy()
+    adj_verts = np.flatnonzero(state == _ADJ)
+    if adj_verts.size:
+        isadj += _scatter_neighbors(csr, pos[adj_verts])
+
+    def _snapshot() -> dict:
+        return {
+            "pass": "one_k_swap",
+            "initial_size": initial_size,
+            "state": state.tolist(),
+            "isn": isn.tolist(),
+            "rounds": encode_rounds(rounds),
+            "current_size": current_size,
+            "can_swap": can_swap,
+            "oscillation": oscillation,
+            "history": encode_history(history),
+        }
+
+    member_pos = np.full(n, -1, dtype=np.int64)
+
+    while (
+        not oscillation
+        and can_swap
+        and (max_rounds is None or len(rounds) < max_rounds)
+    ):
+        can_swap = False
+
+        # |ISN^-1(w)| for every IS vertex w, as one bincount.
+        adj_mask = state == _ADJ
+        pointer_count = np.bincount(
+            isn[adj_mask & (isn >= 0)], minlength=n
+        ).astype(np.int64)
+
+        con_recs, pro_recs, def_recs, ret_verts = _one_k_preswap_wave(
+            csr, state, isn, pointer_count, member_pos
+        )
+        charge_scan()
+
+        # Swap phase (lines 15-19).
+        retro = state == _RET
+        state[state == _PRO] = _IS
+        state[retro] = _NON
+        one_k_swaps = int(retro.sum())
+        can_swap = one_k_swaps > 0
+
+        # Exact incremental maintenance of the post-swap base arrays:
+        # promoted candidates (A -> P -> IS) join the set, retreating
+        # anchors (IS -> R -> N) leave it, and every candidate that
+        # stopped blocking (A -> C, the defensive A -> N, and the
+        # anchors) drops out of the IS|A neighbour counts.
+        if pro_recs.size:
+            pro_cnt, pro_sum = _scatter_cnt_sum(csr, pro_recs, order[pro_recs])
+            cnt += pro_cnt
+            nbr_sum += pro_sum
+        if ret_verts.size:
+            ret_recs = pos[ret_verts]
+            ret_cnt, ret_sum = _scatter_cnt_sum(csr, ret_recs, ret_verts)
+            cnt -= ret_cnt
+            nbr_sum -= ret_sum
+            isadj -= ret_cnt
+        if con_recs.size:
+            isadj -= _scatter_neighbors(csr, con_recs)
+        if def_recs.size:
+            isadj -= _scatter_neighbors(csr, def_recs)
+
+        zero_one_swaps = _one_k_post(csr, state, isn, cnt, nbr_sum, isadj)
+        charge_scan()
+
+        new_size = int((state == _IS).sum())
+        rounds.append(
+            RoundStats(
+                round_index=len(rounds) + 1,
+                gained=new_size - current_size,
+                one_k_swaps=one_k_swaps,
+                two_k_swaps=0,
+                zero_one_swaps=zero_one_swaps,
+                is_size_after=new_size,
+            )
+        )
+        current_size = new_size
+
+        if history is not None and can_swap:
+            digest = fingerprint(state, isn)
+            if digest in history:
+                oscillation = True
+            else:
+                history.add(digest)
+        if on_round is not None:
+            on_round(_snapshot())
+
+    _fold_completion(rounds, _completion(csr, state, cnt))
+    charge_scan()
+
+    independent_set = frozenset(np.flatnonzero(state == _IS).tolist())
+    return independent_set, tuple(rounds), oscillation
+
+
+def _one_k_preswap_wave(csr, state, isn, pointer_count, member_pos):
+    """Algorithm 2 lines 7-14 as conflict-free vectorized prefixes.
+
+    A candidate's serial decision reads only (a) the PRO flags and
+    same-anchor-A membership of its neighbours, (b) its anchor's state and
+    pointer count.  Every state that can change mid-scan belongs to
+    *candidates* (A vertices) or their anchors, so the whole scan factors
+    over the candidate-candidate adjacency:
+
+    * ``partner0`` (same-anchor A neighbours at round start) and the
+      earlier-candidate dependency edges are computed once per round from
+      a single ragged gather;
+    * the scan is cut into segments at each candidate whose ``prev``
+      (nearest earlier candidate-neighbour) falls inside the current
+      segment — within a segment no member observes another, so its
+      case-(i) flags and partner corrections follow exactly from the
+      recorded outcomes of earlier segments along the dependency edges
+      (no per-window re-gather of neighbour state at all);
+    * the remaining coupling runs through shared anchors only and resolves
+      as a vectorized fold over each same-anchor group: before a group's
+      first promotion the anchor's pointer count has been decremented only
+      by the group's earlier case-(i) members, and after the first
+      promotion the anchor is RETROGRADE so every later non-case-(i)
+      member promotes unconditionally — the first promotion index per
+      group is a segmented minimum.
+
+    Returns ``(con_recs, pro_recs, def_recs, ret_verts)`` — the records of
+    candidates that became C, became P, were defensively dropped to N, and
+    the vertex ids of anchors that retreated — the exact transition sets
+    the caller scatters into the incrementally maintained count/sum/blocker
+    arrays.
+    """
+
+    order = csr.order
+    indptr = csr.indptr
+    indices = csr.indices
+    empty = np.empty(0, dtype=np.int64)
+    con_out: List[np.ndarray] = []
+    pro_out: List[np.ndarray] = []
+    ret_out: List[np.ndarray] = []
+    def_recs = empty
+    cand_rec = np.flatnonzero(state[order] == _ADJ)
+    if cand_rec.size == 0:
+        return empty, empty, empty, empty
+    cand = order[cand_rec]
+    anchors_all = isn[cand]
+    negative = anchors_all < 0
+    if negative.any():  # pragma: no cover - defensive, like the reference guard
+        state[cand[negative]] = _NON
+        def_recs = cand_rec[negative]
+        keep = ~negative
+        cand = cand[keep]
+        cand_rec = cand_rec[keep]
+        anchors_all = anchors_all[keep]
+
+    total = cand.size
+    # One ragged gather of every candidate's neighbour list for the whole
+    # round.
+    lens_all = indptr[cand_rec + 1] - indptr[cand_rec]
+    nbrs_all = indices[_ragged_slot_indices(indptr[cand_rec], lens_all)]
+    src_all = _local_sources(total, lens_all)
+
+    # Candidate index of every neighbour (-1 = not a candidate), through
+    # the n-sized scratch.
+    member_pos[cand] = np.arange(total, dtype=np.int64)
+    nbr_ci = member_pos[nbrs_all]
+    member_pos[cand] = -1
+
+    # Candidate-candidate edges carry all mid-scan interaction: the
+    # same-anchor ones define partner0 (adjacent partners at round start —
+    # every A vertex is a candidate), and the earlier-pointing ones are the
+    # dependency edges outcomes propagate along.
+    cc = np.flatnonzero(nbr_ci >= 0)
+    e_src = src_all[cc]
+    e_ci = nbr_ci[cc]
+    e_same = anchors_all[e_ci] == anchors_all[e_src]
+    partner0 = np.bincount(e_src[e_same], minlength=total)
+    earlier = e_ci < e_src
+    d_src = e_src[earlier]
+    d_from = e_ci[earlier]
+    d_same = e_same[earlier]
+    # prev[j]: the latest earlier candidate-neighbour of j (or -1); d_src
+    # is nondecreasing, so each j's dependencies are contiguous.
+    prev = np.full(total, -1, dtype=np.int64)
+    if d_src.size:
+        d_new = np.empty(d_src.size, dtype=bool)
+        d_new[0] = True
+        np.not_equal(d_src[1:], d_src[:-1], out=d_new[1:])
+        d_starts = np.flatnonzero(d_new)
+        prev[d_src[d_starts]] = np.maximum.reduceat(d_from, d_starts)
+
+    out_pro = np.zeros(total, dtype=bool)
+    out_gone = np.zeros(total, dtype=bool)  # left A this round (P or C)
+
+    s = 0
+    while s < total:
+        # Find the segment end: the first candidate whose nearest earlier
+        # candidate-neighbour falls inside [s, ...).  Scanned in bounded
+        # chunks so a cut near the front stays cheap.
+        cut = total
+        lo = s + 1
+        hi = min(s + _WAVE_WINDOW, total)
+        while lo < total:
+            rel = prev[lo:hi] >= s
+            pos_hit = int(np.argmax(rel)) if rel.size else 0
+            if rel.size and rel[pos_hit]:
+                cut = lo + pos_hit
+                break
+            if hi == total:
+                break
+            lo = hi
+            hi = min(hi + _WAVE_WINDOW, total)
+        m = cut - s
+        seg = slice(s, cut)
+        cands_p = cand[seg]
+        anchors_p = anchors_all[seg]
+        w_rec = cand_rec[seg]
+
+        # Case-(i) flags and partner corrections from the recorded outcomes
+        # of earlier segments, along the dependency edges.
+        e0, e1 = np.searchsorted(d_src, (s, cut))
+        if e1 > e0:
+            tj = d_src[e0:e1] - s
+            ti = d_from[e0:e1]
+            case_i = np.bincount(tj[out_pro[ti]], minlength=m) > 0
+            gone_edge = out_gone[ti] & d_same[e0:e1]
+            adjacent_partners = partner0[seg] - np.bincount(
+                tj[gone_edge], minlength=m
+            )
+        else:
+            case_i = np.zeros(m, dtype=bool)
+            adjacent_partners = partner0[seg]
+
+        # Same-anchor group fold.  Within a group (scan order), only
+        # case-(i) members decrement the pointer before the first
+        # promotion, so the serial promotion condition at in-group position
+        # j is pc0 - (case-i count before j) - 1 - adj > 0; from the first
+        # promotion on, the anchor is RETROGRADE and every later
+        # non-case-(i) member promotes too.
+        perm = np.argsort(anchors_p, kind="stable")
+        a_sorted = anchors_p[perm]
+        new_seg = np.empty(m, dtype=bool)
+        new_seg[0] = True
+        np.not_equal(a_sorted[1:], a_sorted[:-1], out=new_seg[1:])
+        seg_start = np.flatnonzero(new_seg)
+        gid = np.cumsum(new_seg) - 1
+        seg_anchor = a_sorted[seg_start]
+        case_s = case_i[perm]
+        adj_s = adjacent_partners[perm]
+        pc0 = pointer_count[seg_anchor]
+        seg_state = state[seg_anchor]
+        seg_is = seg_state == _IS
+        anchor_is = seg_is[gid]
+        anchor_ret = (seg_state == _RET)[gid]
+        cum = np.cumsum(case_s.astype(np.int64))
+        c_excl = cum - case_s - (cum[seg_start] - case_s[seg_start])[gid]
+        iota_m = np.arange(m, dtype=np.int64)
+        cond = (~case_s) & anchor_is & ((pc0[gid] - c_excl - 1 - adj_s) > 0)
+        first_fire = np.minimum.reduceat(np.where(cond, iota_m, m), seg_start)
+        fired_s = (~case_s) & (
+            (anchor_is & (iota_m >= first_fire[gid])) | anchor_ret
+        )
+        fired = np.empty(m, dtype=bool)
+        fired[perm] = fired_s
+
+        state[cands_p[case_i]] = _CON
+        state[cands_p[fired]] = _PRO
+        ret_anchors = seg_anchor[seg_is & (first_fire < m)]
+        state[ret_anchors] = _RET
+        # Group anchors are pairwise distinct, so the fancy in-place
+        # decrement cannot collide.
+        pointer_count[seg_anchor] -= np.add.reduceat(
+            (case_s | fired_s).astype(np.int64), seg_start
+        )
+        out_pro[seg] = fired
+        out_gone[seg] = fired | case_i
+        if case_i.any():
+            con_out.append(w_rec[case_i])
+        if fired.any():
+            pro_out.append(w_rec[fired])
+        if ret_anchors.size:
+            ret_out.append(ret_anchors)
+
+        s = cut
+
+    def _cat(parts: List[np.ndarray]) -> np.ndarray:
+        return np.concatenate(parts) if parts else empty
+
+    return _cat(con_out), _cat(pro_out), def_recs, _cat(ret_out)
+
+
+def _one_k_post(csr, state, isn, cnt, nbr_sum, isadj) -> int:
+    """Algorithm 2 lines 20-28 via base labelling + sparse event loop.
+
+    ``cnt`` / ``nbr_sum`` / ``isadj`` are the incrementally maintained
+    post-swap base arrays (bit-identical to what a fresh labelling sweep
+    would produce).  A scanned vertex deviates from its vectorized A/N
+    labelling only if an *insertion* reached it first — and insertions
+    start exclusively at zero-count vertices.  The event loop walks those
+    seeds (plus everything an insertion touches) in scan order,
+    maintaining the exact live count/sum/blocker values the serial loop
+    would see.  On return the three arrays have been advanced to the
+    round's final state, ready for the next round.  Returns the number of
+    0-1 swaps.
+    """
+
+    blocker = isadj
+    order = csr.order
+    pos = csr.pos
+    indptr = csr.indptr
+    indices = csr.indices
+
+    order_state = state[order]
+    scanned_rec = np.flatnonzero(order_state != _IS)
+    if scanned_rec.size == 0:
+        return 0
+    scanned = order[scanned_rec]
+    was_adj = order_state[scanned_rec] == _ADJ
+    base_cnt = cnt[scanned]
+    becomes_adj = base_cnt == 1
+
+    # delta0: the blocker change each scanned vertex would contribute if it
+    # followed its base labelling (A adds one, leaving A removes one).
+    # Unscanned (IS) vertices contribute zero.
+    delta0 = np.zeros(csr.num_vertices, dtype=np.int64)
+    delta0[scanned] = becomes_adj.astype(np.int64) - was_adj.astype(np.int64)
+
+    # Insertion seeds: zero-count scanned vertices, with their blocker value
+    # at their own scan position assuming every earlier neighbour follows
+    # the base labelling.
+    seed_rec = scanned_rec[base_cnt == 0]
+    blocker0 = {}
+    if seed_rec.size:
+        seed_lens = indptr[seed_rec + 1] - indptr[seed_rec]
+        seed_nbrs = indices[_ragged_slot_indices(indptr[seed_rec], seed_lens)]
+        earlier = pos[seed_nbrs] < np.repeat(seed_rec, seed_lens)
+        seed_src = _local_sources(seed_rec.size, seed_lens)
+        base_corr = _int_bincount(
+            seed_src[earlier],
+            delta0[seed_nbrs[earlier]].astype(np.float64),
+            seed_rec.size,
+        )
+        blocker0 = dict(
+            zip(seed_rec.tolist(), (blocker[order[seed_rec]] + base_corr).tolist())
+        )
+
+    # Base labelling, vectorized (the event loop overrides deviations).
+    state[scanned] = np.where(becomes_adj, _ADJ, _NON).astype(np.uint8)
+    isn[scanned] = np.where(becomes_adj, nbr_sum[scanned], -1)
+
+    heap = seed_rec.tolist()  # ascending, already a valid heap
+    seeds = set(heap)
+    done = set()
+    extra_cnt: dict = {}
+    extra_sum: dict = {}
+    corr: dict = {}
+    inserted_recs: List[int] = []
+    while heap:
+        rec = heapq.heappop(heap)
+        if rec in done:
+            continue
+        done.add(rec)
+        v = int(order[rec])
+        extra = extra_cnt.get(rec, 0)
+        live_cnt = int(cnt[v]) + extra
+        if live_cnt == 1:
+            state[v] = _ADJ
+            isn[v] = int(nbr_sum[v]) + extra_sum.get(rec, 0)
+            blocks = 1
+        else:
+            state[v] = _NON
+            isn[v] = -1
+            blocks = 0
+            if rec in seeds and extra == 0 and blocker0[rec] + corr.get(rec, 0) == 0:
+                # 0-1 swap: no live neighbour is IS or A.
+                state[v] = _IS
+                inserted_recs.append(rec)
+                blocks = 1
+                nbrs = indices[indptr[rec] : indptr[rec + 1]]
+                for w_rec in pos[nbrs].tolist():
+                    if w_rec > rec:
+                        extra_cnt[w_rec] = extra_cnt.get(w_rec, 0) + 1
+                        extra_sum[w_rec] = extra_sum.get(w_rec, 0) + v
+                        heapq.heappush(heap, w_rec)
+        deviation = blocks - (1 if int(cnt[v]) == 1 else 0)
+        if deviation:
+            # Fold the deviation into delta0 as well: after the loop
+            # delta0[v] is exactly (blocks final - blocked before), the
+            # vertex's true IS|A-membership change this scan.
+            delta0[v] += deviation
+            nbrs = indices[indptr[rec] : indptr[rec + 1]]
+            for w_rec in pos[nbrs].tolist():
+                if w_rec > rec:
+                    corr[w_rec] = corr.get(w_rec, 0) + deviation
+
+    # Advance the maintained arrays to the round's final state: the
+    # inserted vertices join the IS set, and every vertex whose IS|A
+    # membership changed adjusts its neighbours' blocker base.
+    if inserted_recs:
+        recs = np.asarray(inserted_recs, dtype=np.int64)
+        ins_cnt, ins_sum = _scatter_cnt_sum(csr, recs, order[recs])
+        cnt += ins_cnt
+        nbr_sum += ins_sum
+    changed = np.flatnonzero(delta0)
+    if changed.size:
+        isadj += _scatter_neighbors(csr, pos[changed], delta0[changed])
+    return len(inserted_recs)
+
+
+def _completion(csr, state, cnt) -> int:
+    """Final 0-1 maximalization sweep, decomposed around contention.
+
+    ``cnt`` is the per-vertex IS-neighbour count of ``state``.  A
+    zero-count vertex is inserted by the serial sweep iff none of its
+    *earlier-scanned* zero-count vertices were inserted before it — greedy
+    MIS over the candidate-induced subgraph in scan order.  Candidates
+    with no earlier candidate neighbour at all are committed vectorized;
+    only the (typically few) contested ones run through the scalar fold.
+    Returns the number of inserted vertices.
+    """
+
+    order = csr.order
+    pos = csr.pos
+    indptr = csr.indptr
+    cand_rec = np.flatnonzero((state[order] != _IS) & (cnt[order] == 0))
+    if cand_rec.size == 0:
+        return 0
+    verts = order[cand_rec]
+    lens = indptr[cand_rec + 1] - indptr[cand_rec]
+    nbrs = csr.indices[_ragged_slot_indices(indptr[cand_rec], lens)]
+    src = _local_sources(cand_rec.size, lens)
+    in_cand = np.zeros(csr.num_vertices, dtype=bool)
+    in_cand[verts] = True
+    earlier = in_cand[nbrs] & (pos[nbrs] < cand_rec[src])
+    contested = np.bincount(src[earlier], minlength=cand_rec.size) > 0
+    inserted = np.zeros(csr.num_vertices, dtype=bool)
+    free = verts[~contested]
+    state[free] = _IS
+    inserted[free] = True
+    gain = int(free.size)
+    if contested.any():
+        e_nbrs = nbrs[earlier]
+        e_src = src[earlier]
+        bounds = np.searchsorted(e_src, np.arange(cand_rec.size + 1, dtype=np.int64))
+        for i in np.flatnonzero(contested).tolist():
+            if not inserted[e_nbrs[bounds[i] : bounds[i + 1]]].any():
+                v = int(verts[i])
+                state[v] = _IS
+                inserted[v] = True
+                gain += 1
+    return gain
+
+
 class NumpyBackend(KernelBackend):
     """Vectorized kernels over in-memory CSR arrays or block-batched scans."""
 
@@ -475,15 +1161,34 @@ class NumpyBackend(KernelBackend):
         resume: Optional[dict] = None,
         on_round=None,
     ) -> Tuple[FrozenSet[int], Tuple[RoundStats, ...], bool]:
-        in_memory = isinstance(source, InMemoryAdjacencyScan)
+        csr = record_csr(source)
+        if csr is None:
+            return self._one_k_batched(
+                source, initial_set, max_rounds, resume, on_round
+            )
+        state = np.empty(csr.num_vertices, dtype=np.uint8)
+        return one_k_records(
+            csr,
+            state,
+            lambda: label_vertices(csr, state),
+            initial_set,
+            max_rounds,
+            resume,
+            on_round,
+            charge_scan=source.charge_scan,
+        )
+
+    def _one_k_batched(self, source, initial_set, max_rounds, resume, on_round):
+        """Algorithm 2 over block-batched chunks of a streamed file.
+
+        The pre-swap scan is a scalar loop over the pre-filtered "A"
+        candidates (earlier vertices preempt later ones), and the post-swap
+        scan rebuilds the current chunk's count/sum/blocker entries from
+        the live state — the values the incremental updates of
+        :func:`one_k_records` keep, by construction.
+        """
+
         n = source.num_vertices
-
-        if in_memory:
-            graph = source.graph
-            offsets, targets = graph.csr_arrays()
-            edge_src = graph.edge_sources_array()
-            order = source.order_array()
-
         if resume is None:
             state = np.full(n, _NON, dtype=np.uint8)
             if initial_set:
@@ -492,32 +1197,18 @@ class NumpyBackend(KernelBackend):
                 ] = _IS
             isn = np.full(n, -1, dtype=np.int64)
 
-            if in_memory:
-                # Lines 1-3 (vectorized): count the IS neighbours of every
-                # vertex with one bincount over the CSR slots; where the count
-                # is exactly one, the weighted sum of IS neighbour ids is that
-                # neighbour.
-                is_slot = state[targets] == _IS
-                src_sel = edge_src[is_slot]
-                cnt = np.bincount(src_sel, minlength=n)
-                nbr_sum = _int_bincount(src_sel, targets[is_slot], n)
-                a_mask = (state != _IS) & (cnt == 1)
-                state[a_mask] = _ADJ
-                isn[a_mask] = nbr_sum[a_mask]
-                source.stats.record_scan()
-            else:
-                # Same labelling, one block-batched chunk at a time.
-                for verts, local_offsets, tgts in source.scan_batches():
-                    lens = local_offsets[1:] - local_offsets[:-1]
-                    local_src = _local_sources(verts.size, lens)
-                    is_slot = state[tgts] == _IS
-                    src_sel = local_src[is_slot]
-                    cnt = np.bincount(src_sel, minlength=verts.size)
-                    nbr_sum = _int_bincount(src_sel, tgts[is_slot], verts.size)
-                    a_mask = (state[verts] != _IS) & (cnt == 1)
-                    adjacent = verts[a_mask]
-                    state[adjacent] = _ADJ
-                    isn[adjacent] = nbr_sum[a_mask]
+            # Lines 1-3, one block-batched chunk at a time.
+            for verts, local_offsets, tgts in source.scan_batches():
+                lens = local_offsets[1:] - local_offsets[:-1]
+                local_src = _local_sources(verts.size, lens)
+                is_slot = state[tgts] == _IS
+                src_sel = local_src[is_slot]
+                cnt = np.bincount(src_sel, minlength=verts.size)
+                nbr_sum = _int_bincount(src_sel, tgts[is_slot], verts.size)
+                a_mask = (state[verts] != _IS) & (cnt == 1)
+                adjacent = verts[a_mask]
+                state[adjacent] = _ADJ
+                isn[adjacent] = nbr_sum[a_mask]
 
             rounds: List[RoundStats] = []
             initial_size = len(initial_set)
@@ -526,8 +1217,6 @@ class NumpyBackend(KernelBackend):
             oscillation = False
             history = {_fingerprint(state, isn)} if max_rounds is None else None
         else:
-            # Restore the loop exactly where an ``on_round`` snapshot was
-            # taken; the labelling scan already happened before it.
             state = np.asarray(resume["state"], dtype=np.uint8)
             isn = np.asarray(resume["isn"], dtype=np.int64)
             rounds = decode_rounds(resume["rounds"])
@@ -564,28 +1253,17 @@ class NumpyBackend(KernelBackend):
                 np.int64
             )
 
-            # ----------------------------------------------------------
-            # Pre-swap scan (lines 7-14).  The conflict resolution is
-            # sequential (earlier vertices preempt later ones), so this
-            # loop is scalar — but only over the pre-filtered "A"
-            # candidates, and each candidate's neighbourhood checks are
-            # single vectorized compares on a zero-copy CSR slice.  No
-            # other "A" vertex is mutated by a candidate's processing, so
-            # the pre-filter stays exact for the whole sweep.
-            # ----------------------------------------------------------
+            # Pre-swap scan (lines 7-14).  No other "A" vertex is mutated
+            # by a candidate's processing, so the pre-filter stays exact
+            # for the whole sweep.
             process = self._one_k_processor(state, isn, pointer_count)
-            if in_memory:
-                for v in order[state[order] == _ADJ].tolist():
-                    process(v, targets[offsets[v] : offsets[v + 1]])
-                source.stats.record_scan()
-            else:
-                for verts, local_offsets, tgts in source.scan_batches():
-                    vertex_list = verts.tolist()
-                    offset_list = local_offsets.tolist()
-                    for i in np.flatnonzero(state[verts] == _ADJ).tolist():
-                        process(
-                            vertex_list[i], tgts[offset_list[i] : offset_list[i + 1]]
-                        )
+            for verts, local_offsets, tgts in source.scan_batches():
+                vertex_list = verts.tolist()
+                offset_list = local_offsets.tolist()
+                for i in np.flatnonzero(state[verts] == _ADJ).tolist():
+                    process(
+                        vertex_list[i], tgts[offset_list[i] : offset_list[i + 1]]
+                    )
 
             # Swap phase (lines 15-19), fully vectorized.
             retro = state == _RET
@@ -594,86 +1272,47 @@ class NumpyBackend(KernelBackend):
             one_k_swaps = int(retro.sum())
             can_swap = one_k_swaps > 0
 
-            # ----------------------------------------------------------
-            # Post-swap scan (lines 20-28).  The base IS-neighbour counts
-            # and id-sums come from vectorized bincounts; the scan itself
-            # then costs O(1) per vertex, updating the incremental arrays
-            # with one fancy store only when a vertex changes class.
-            # `blocker` counts neighbours whose state blocks a 0-1 swap
-            # (IS or A — P and R cannot exist after the swap phase).  The
-            # batched execution rebuilds the current chunk's entries from
-            # the live state instead — the same values by construction.
-            # ----------------------------------------------------------
-            if in_memory:
-                is_slot = state[targets] == _IS
-                src_sel = edge_src[is_slot]
-                cnt = np.bincount(src_sel, minlength=n).astype(np.int64)
-                nbr_sum = _int_bincount(src_sel, targets[is_slot], n)
-                blocker_slot = is_slot | (state[targets] == _ADJ)
-                blocker = np.bincount(edge_src[blocker_slot], minlength=n).astype(
-                    np.int64
+            # Post-swap scan (lines 20-28).  `blocker` counts neighbours
+            # whose state blocks a 0-1 swap (IS or A — P and R cannot
+            # exist after the swap phase); the scan costs O(1) per vertex
+            # plus one fancy store when a vertex changes class.
+            cnt = np.zeros(n, dtype=np.int64)
+            nbr_sum = np.zeros(n, dtype=np.int64)
+            blocker = np.zeros(n, dtype=np.int64)
+            for verts, local_offsets, tgts in source.scan_batches():
+                lens = local_offsets[1:] - local_offsets[:-1]
+                local_src = _local_sources(verts.size, lens)
+                is_slot = state[tgts] == _IS
+                src_sel = local_src[is_slot]
+                cnt[verts] = np.bincount(src_sel, minlength=verts.size)
+                nbr_sum[verts] = _int_bincount(src_sel, tgts[is_slot], verts.size)
+                blocker[verts] = np.bincount(
+                    local_src[is_slot | (state[tgts] == _ADJ)],
+                    minlength=verts.size,
                 )
-
-                for v in order[state[order] != _IS].tolist():
+                vertex_list = verts.tolist()
+                offset_list = local_offsets.tolist()
+                for i in np.flatnonzero(state[verts] != _IS).tolist():
+                    v = vertex_list[i]
                     old = state[v]
                     if cnt[v] == 1:
                         state[v] = _ADJ
                         isn[v] = nbr_sum[v]
                         if old != _ADJ:
-                            blocker[targets[offsets[v] : offsets[v + 1]]] += 1
+                            blocker[tgts[offset_list[i] : offset_list[i + 1]]] += 1
                     else:
                         state[v] = _NON
                         isn[v] = -1
                         if old == _ADJ:
-                            blocker[targets[offsets[v] : offsets[v + 1]]] -= 1
+                            blocker[tgts[offset_list[i] : offset_list[i + 1]]] -= 1
                         if blocker[v] == 0:
                             # 0-1 swap: no neighbour is IS or A.
                             state[v] = _IS
                             zero_one_swaps += 1
-                            nbrs = targets[offsets[v] : offsets[v + 1]]
+                            nbrs = tgts[offset_list[i] : offset_list[i + 1]]
                             cnt[nbrs] += 1
                             nbr_sum[nbrs] += v
                             blocker[nbrs] += 1
-                source.stats.record_scan()
-            else:
-                cnt = np.zeros(n, dtype=np.int64)
-                nbr_sum = np.zeros(n, dtype=np.int64)
-                blocker = np.zeros(n, dtype=np.int64)
-                for verts, local_offsets, tgts in source.scan_batches():
-                    lens = local_offsets[1:] - local_offsets[:-1]
-                    local_src = _local_sources(verts.size, lens)
-                    is_slot = state[tgts] == _IS
-                    src_sel = local_src[is_slot]
-                    cnt[verts] = np.bincount(src_sel, minlength=verts.size)
-                    nbr_sum[verts] = _int_bincount(src_sel, tgts[is_slot], verts.size)
-                    blocker[verts] = np.bincount(
-                        local_src[is_slot | (state[tgts] == _ADJ)],
-                        minlength=verts.size,
-                    )
-                    vertex_list = verts.tolist()
-                    offset_list = local_offsets.tolist()
-                    # Mirror of the in-memory post-swap body above, with
-                    # neighbour slices taken from the batch fragment.
-                    for i in np.flatnonzero(state[verts] != _IS).tolist():
-                        v = vertex_list[i]
-                        old = state[v]
-                        if cnt[v] == 1:
-                            state[v] = _ADJ
-                            isn[v] = nbr_sum[v]
-                            if old != _ADJ:
-                                blocker[tgts[offset_list[i] : offset_list[i + 1]]] += 1
-                        else:
-                            state[v] = _NON
-                            isn[v] = -1
-                            if old == _ADJ:
-                                blocker[tgts[offset_list[i] : offset_list[i + 1]]] -= 1
-                            if blocker[v] == 0:
-                                state[v] = _IS
-                                zero_one_swaps += 1
-                                nbrs = tgts[offset_list[i] : offset_list[i + 1]]
-                                cnt[nbrs] += 1
-                                nbr_sum[nbrs] += v
-                                blocker[nbrs] += 1
 
             new_size = int((state == _IS).sum())
             rounds.append(
@@ -697,28 +1336,17 @@ class NumpyBackend(KernelBackend):
             if on_round is not None:
                 on_round(_snapshot())
 
-        completion_gain = self._completion_pass(source, state)
-        if completion_gain and rounds:
-            last = rounds[-1]
-            rounds[-1] = RoundStats(
-                round_index=last.round_index,
-                gained=last.gained + completion_gain,
-                one_k_swaps=last.one_k_swaps,
-                two_k_swaps=last.two_k_swaps,
-                zero_one_swaps=last.zero_one_swaps + completion_gain,
-                is_size_after=last.is_size_after + completion_gain,
-            )
+        _fold_completion(rounds, self._completion_pass(source, state))
 
         independent_set = frozenset(np.flatnonzero(state == _IS).tolist())
         return independent_set, tuple(rounds), oscillation
 
     @staticmethod
     def _one_k_processor(state, isn, pointer_count):
-        """Per-candidate closure for Algorithm 2 lines 7-14.
+        """Per-candidate closure for Algorithm 2 lines 7-14 (batched scan).
 
-        Shared by the in-memory and block-batched pre-swap scans; the hot
-        arrays are closure variables, so calling it costs the same as the
-        inlined loop body.
+        The hot arrays are closure variables, so calling it costs the same
+        as the inlined loop body.
         """
 
         def process(v, nbrs) -> None:
@@ -1033,18 +1661,7 @@ class NumpyBackend(KernelBackend):
             if on_round is not None:
                 on_round(_snapshot())
 
-        completion_gain = self._completion_pass(source, state)
-        if completion_gain and rounds:
-            last = rounds[-1]
-            rounds[-1] = RoundStats(
-                round_index=last.round_index,
-                gained=last.gained + completion_gain,
-                one_k_swaps=last.one_k_swaps,
-                two_k_swaps=last.two_k_swaps,
-                zero_one_swaps=last.zero_one_swaps + completion_gain,
-                is_size_after=last.is_size_after + completion_gain,
-                sc_vertices=last.sc_vertices,
-            )
+        _fold_completion(rounds, self._completion_pass(source, state))
 
         independent_set = frozenset(np.flatnonzero(state == _IS).tolist())
         return independent_set, tuple(rounds), max_sc_vertices, oscillation
@@ -1056,32 +1673,19 @@ class NumpyBackend(KernelBackend):
     def _completion_pass(source, state) -> int:
         """Insert every vertex with no IS neighbour, in scan order.
 
-        The IS-neighbour counts start from one vectorized bincount; a
-        vertex whose count is positive can never become insertable (the
-        set only grows), so the scalar pass touches only the zero-count
-        candidates and bumps its neighbours' counts on each insertion.
+        Sources with a record-major CSR run the vectorized
+        :func:`_completion`.  A streamed file rebuilds each chunk's
+        IS-neighbour counts from the live state; a vertex whose count is
+        positive can never become insertable (the set only grows), so the
+        scalar loop touches only the zero-count candidates and bumps its
+        neighbours' counts on each insertion.
         """
 
-        if isinstance(source, InMemoryAdjacencyScan):
-            graph = source.graph
-            offsets, targets = graph.csr_arrays()
-            edge_src = graph.edge_sources_array()
-            order = source.order_array()
-            n = graph.num_vertices
-
-            cnt = np.bincount(edge_src[state[targets] == _IS], minlength=n).astype(
-                np.int64
-            )
-            completion_gain = 0
-            order_state = state[order]
-            for v in order[(order_state != _IS) & (cnt[order] == 0)].tolist():
-                if cnt[v] != 0:
-                    continue
-                state[v] = _IS
-                cnt[targets[offsets[v] : offsets[v + 1]]] += 1
-                completion_gain += 1
-            source.stats.record_scan()
-            return completion_gain
+        csr = record_csr(source)
+        if csr is not None:
+            gain = _completion(csr, state, label_vertices(csr, state)[0])
+            source.charge_scan()
+            return gain
 
         n = source.num_vertices
         cnt = np.zeros(n, dtype=np.int64)

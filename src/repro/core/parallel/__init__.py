@@ -4,10 +4,12 @@
 use: given the serial kernel backend resolved for a run and the
 requested worker count, it returns either the kernel unchanged
 (``workers <= 1`` — byte-for-byte the existing serial path) or a
-:class:`~repro.core.parallel.passes.ParallelKernel` that executes the
-same passes with the O(E) sweeps sharded across forked worker processes
-over a shared record-major CSR (see :mod:`repro.core.parallel.csr` and
-:mod:`repro.core.parallel.pool`).
+:class:`~repro.core.parallel.passes.ParallelKernel`.  That wrapper shards
+exactly two O(E) sweeps across forked worker processes over a shared
+record-major CSR (see :mod:`repro.core.parallel.csr` and
+:mod:`repro.core.parallel.pool`): the greedy pass and the one-k
+IS-neighbour labelling.  The one-k rounds run the numpy backend's engine
+in the parent, and two-k runs the serial kernel at every worker count.
 
 Parallel execution is deterministic and bit-identical to the serial
 backends by construction — sets, rounds, oscillation fingerprints,

@@ -29,10 +29,11 @@ charging the semi-external scan schedule through the sources'
 from __future__ import annotations
 
 from multiprocessing import shared_memory
-from typing import List, Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.core.kernels.numpy_backend import RecordCSR, record_csr
 from repro.errors import SolverError
 from repro.storage import format as fmt
 from repro.storage.adjacency_file import AdjacencyFileReader
@@ -56,10 +57,12 @@ class SharedCSR:
 
     ``order`` (int64, one entry per record), ``pos`` (int64 per vertex id,
     the inverse permutation), ``indptr`` (int64, records + 1) and
-    ``indices`` (int64 for in-memory graphs, the on-disk uint32 for file
-    sources — the kernels are dtype-agnostic).  The arrays live either in
-    shared-memory segments owned by this object or in a file mapping
-    (memmap artifacts), so forked workers read them without copies.
+    ``indices`` (int64 for in-memory graphs, uint32 for text files — the
+    kernels are dtype-agnostic).  The arrays live in shared-memory
+    segments owned by this object, so forked workers read them without
+    copies.  Memmap artifacts need none of this: their
+    :class:`~repro.core.kernels.numpy_backend.RecordCSR` views are shared
+    by the file mapping itself.
     """
 
     def __init__(self, num_vertices: int) -> None:
@@ -81,39 +84,15 @@ class SharedCSR:
 
     @classmethod
     def from_in_memory(cls, source: InMemoryAdjacencyScan) -> "SharedCSR":
-        """Gather the graph's id-major CSR into record order (shared)."""
+        """Publish the graph's record-major CSR (:func:`record_csr`) shared."""
 
-        graph = source.graph
-        offsets, targets = graph.csr_arrays()
-        if not isinstance(offsets, np.ndarray):
-            raise SolverError(
-                "parallel execution requires the numpy graph build"
-            )
-        order = source.order_array()
-        csr = cls(graph.num_vertices)
-        lens = offsets[order + 1] - offsets[order]
-        csr.order = _shared_array(order.shape, np.int64, csr._segments)
-        csr.order[:] = order
-        csr.indptr = _shared_array((order.size + 1,), np.int64, csr._segments)
-        csr.indptr[0] = 0
-        np.cumsum(lens, out=csr.indptr[1:])
-        total = int(csr.indptr[-1])
-        csr.indices = _shared_array((total,), np.int64, csr._segments)
-        gather = np.arange(total, dtype=np.int64) + np.repeat(
-            offsets[order] - csr.indptr[:-1], lens
-        )
-        csr.indices[:] = targets[gather]
-        return csr._finish()
-
-    @classmethod
-    def from_memmap(cls, source: MemmapAdjacencySource) -> "SharedCSR":
-        """Zero-copy views over an already record-major SEXTCSR1 mapping."""
-
-        order, indptr, indices = source.csr_views()
-        csr = cls(source.num_vertices)
-        csr.order = np.asarray(order, dtype=np.int64)
-        csr.indptr = np.asarray(indptr, dtype=np.int64)
-        csr.indices = indices
+        gathered = record_csr(source)
+        csr = cls(gathered.num_vertices)
+        for name in ("order", "indptr", "indices"):
+            array = getattr(gathered, name)
+            shared = _shared_array(array.shape, array.dtype, csr._segments)
+            shared[:] = array
+            setattr(csr, name, shared)
         return csr._finish()
 
     @classmethod
@@ -225,7 +204,7 @@ def plan_text_stripes(
     return stripes
 
 
-def materialize_csr(source) -> Tuple[SharedCSR, bool]:
+def materialize_csr(source) -> Tuple[Union[SharedCSR, RecordCSR], bool]:
     """Build the record-major CSR for ``source``.
 
     Returns ``(csr, charged)`` where ``charged`` reports whether the
@@ -238,7 +217,8 @@ def materialize_csr(source) -> Tuple[SharedCSR, bool]:
     if isinstance(source, InMemoryAdjacencyScan):
         return SharedCSR.from_in_memory(source), False
     if isinstance(source, MemmapAdjacencySource):
-        return SharedCSR.from_memmap(source), False
+        # Already record-major on disk: every process maps it at zero copy.
+        return record_csr(source), False
     if isinstance(source, AdjacencyFileReader):
         return SharedCSR.from_text_serial(source), True
     raise SolverError(

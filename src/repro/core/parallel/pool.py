@@ -7,12 +7,13 @@ segments stay shared, memmap pages stay shared, and nothing is pickled.
 Each worker owns a contiguous record range balanced by CSR slot count and
 serves commands over a pipe:
 
-``label1`` / ``post1`` / ``label2`` / ``post2`` / ``cnt_is``
-    The O(E) bincount sweeps of the swap passes, computed over the
-    worker's slot range and scattered into the shared per-vertex arrays.
-    The scatter targets (``order[r0:r1]``) are disjoint across workers,
-    so no reduction is needed and the merged arrays are deterministic —
-    bit-identical to the serial backend's full-graph bincounts.
+``label1``
+    The one-k IS-neighbour labelling
+    (:func:`~repro.core.kernels.numpy_backend.label_records`) over the
+    worker's record range, scattered into the shared per-vertex
+    ``cnt``/``nbr_sum`` arrays.  The scatter targets (``order[r0:r1]``)
+    are disjoint across workers, so no reduction is needed and the merged
+    arrays are bit-identical to the in-process full-graph labelling.
 ``greedy_init`` / ``greedy_wave``
     Wave-iterated greedy: the shared ``state`` array holds the decided
     flags (0 undecided / 1 in / 2 out) and each wave decides every local
@@ -42,41 +43,13 @@ from typing import List, Optional
 import numpy as np
 
 from repro.core.kernels.base import contribute_metrics, metrics_enabled
+from repro.core.kernels.numpy_backend import _ragged_slot_indices, label_records
 from repro.errors import SolverError
 from repro.obs.metrics import MetricsRegistry
 from repro.storage import format as fmt
 from repro.storage.io_stats import IOStats
 
-from repro.core.states import VertexState as S
-
-_IS = int(S.IS)
-_ADJ = int(S.ADJACENT)
-
 __all__ = ["ParallelPool"]
-
-
-def _int_bincount(values, weights, minlength: int):
-    """Weighted bincount cast back to int64 (weights are small exact ints)."""
-
-    return np.bincount(values, weights=weights, minlength=minlength).astype(np.int64)
-
-
-def _record_min(values, local_offsets, sentinel: int):
-    """Per-record minimum of ``values`` segmented by ``local_offsets``."""
-
-    extended = np.append(values, sentinel)
-    return np.minimum.reduceat(extended, local_offsets[:-1])
-
-
-def _ragged_slots(starts, lens):
-    """CSR slot indices of the concatenated slices ``[s_k, s_k + l_k)``."""
-
-    total = int(lens.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    reps = np.repeat(np.arange(starts.size, dtype=np.int64), lens)
-    local = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(lens) - lens, lens)
-    return starts[reps] + local
 
 
 class _SpanCharger:
@@ -146,8 +119,6 @@ class ParallelPool:
         self.state = _shared_array((n,), np.uint8, self._segments)
         self.cnt = _shared_array((n,), np.int64, self._segments)
         self.nbr_sum = _shared_array((n,), np.int64, self._segments)
-        self.blocker = _shared_array((n,), np.int64, self._segments)
-        self.nbr_min = _shared_array((n,), np.int64, self._segments)
 
         # Record ranges balanced by slot count, so the O(E) sweeps split
         # evenly even when the degree distribution is skewed (PLRG).
@@ -231,6 +202,12 @@ class ParallelPool:
         if snapshot["series"]:
             contribute_metrics(snapshot)
 
+    def label_is(self):
+        """Sharded one-k labelling of the shared ``state``: ``(cnt, nbr_sum)``."""
+
+        self.broadcast("label1")
+        return self.cnt, self.nbr_sum
+
     def greedy_run(self) -> None:
         """Drive greedy waves over the shared decided array to the fixpoint."""
 
@@ -268,8 +245,6 @@ class ParallelPool:
         self.state = None
         self.cnt = None
         self.nbr_sum = None
-        self.blocker = None
-        self.nbr_min = None
         for segment in self._segments:
             try:
                 segment.close()
@@ -291,8 +266,6 @@ class _Worker:
         self.state = pool.state
         self.cnt = pool.cnt
         self.nbr_sum = pool.nbr_sum
-        self.blocker = pool.blocker
-        self.nbr_min = pool.nbr_min
         self.text_plan = pool._text_plan
         self.r0, self.r1 = pool.ranges[rank]
         indptr = self.csr.indptr
@@ -303,68 +276,13 @@ class _Worker:
         self.local_offsets = np.concatenate(
             ([0], np.cumsum(self.lens, dtype=np.int64))
         )
-        self._local_src = None
         self._pending = None
 
-    @property
-    def local_src(self):
-        if self._local_src is None:
-            self._local_src = np.repeat(
-                np.arange(self.r1 - self.r0, dtype=np.int64), self.lens
-            )
-        return self._local_src
-
-    def _slots(self):
-        return self.csr.indices[self.s0 : self.s1]
-
-    # -- swap-pass bincount sweeps -------------------------------------
     def label1(self, _payload) -> None:
-        m = self.r1 - self.r0
-        tgts = self._slots()
-        is_slot = self.state[tgts] == _IS
-        src_sel = self.local_src[is_slot]
-        self.cnt[self.verts] = np.bincount(src_sel, minlength=m)
-        self.nbr_sum[self.verts] = _int_bincount(src_sel, tgts[is_slot], m)
-
-    def post1(self, _payload) -> None:
-        m = self.r1 - self.r0
-        tgts = self._slots()
-        tstate = self.state[tgts]
-        is_slot = tstate == _IS
-        src_sel = self.local_src[is_slot]
-        self.cnt[self.verts] = np.bincount(src_sel, minlength=m)
-        self.nbr_sum[self.verts] = _int_bincount(src_sel, tgts[is_slot], m)
-        self.blocker[self.verts] = np.bincount(
-            self.local_src[is_slot | (tstate == _ADJ)], minlength=m
-        )
-
-    def label2(self, _payload) -> None:
-        m = self.r1 - self.r0
-        n = self.csr.num_vertices
-        tgts = self._slots()
-        is_slot = self.state[tgts] == _IS
-        src_sel = self.local_src[is_slot]
-        local_cnt = np.bincount(src_sel, minlength=m)
-        self.cnt[self.verts] = local_cnt
-        self.nbr_sum[self.verts] = _int_bincount(src_sel, tgts[is_slot], m)
-        local_min = _record_min(np.where(is_slot, tgts, n), self.local_offsets, n)
-        self.nbr_min[self.verts] = np.where(local_cnt >= 1, local_min, n)
-
-    def post2(self, payload) -> None:
-        self.label2(payload)
-        m = self.r1 - self.r0
-        tgts = self._slots()
-        tstate = self.state[tgts]
-        self.blocker[self.verts] = np.bincount(
-            self.local_src[(tstate == _IS) | (tstate == _ADJ)], minlength=m
-        )
-
-    def cnt_is(self, _payload) -> None:
-        m = self.r1 - self.r0
-        tgts = self._slots()
-        self.cnt[self.verts] = np.bincount(
-            self.local_src[self.state[tgts] == _IS], minlength=m
-        )
+        tgts = self.csr.indices[self.s0 : self.s1]
+        cnt, nbr_sum = label_records(self.local_offsets, tgts, self.state)
+        self.cnt[self.verts] = cnt
+        self.nbr_sum[self.verts] = nbr_sum
 
     # -- wave-iterated greedy ------------------------------------------
     _GREEDY_CHUNK = 8192
@@ -410,7 +328,7 @@ class _Worker:
             if m == 0:
                 continue
             lens = indptr[chunk + 1] - indptr[chunk]
-            nbrs = indices[_ragged_slots(indptr[chunk], lens)]
+            nbrs = indices[_ragged_slot_indices(indptr[chunk], lens)]
             src = np.repeat(np.arange(m, dtype=np.int64), lens)
             nrec = pos[nbrs]
             ndec = decided[nbrs]
@@ -524,10 +442,6 @@ def _worker_main(pool: ParallelPool, rank: int, conn) -> None:
     worker = _Worker(pool, rank)
     handlers = {
         "label1": worker.label1,
-        "post1": worker.post1,
-        "label2": worker.label2,
-        "post2": worker.post2,
-        "cnt_is": worker.cnt_is,
         "greedy_init": worker.greedy_init,
         "greedy_wave": worker.greedy_wave,
         "fill_text": worker.fill_text,

@@ -77,8 +77,9 @@ def add_execution_arguments(parser, include_memory_limit: bool = False) -> None:
         type=int,
         default=1,
         help="worker processes per solver pass; 1 (default) runs the serial "
-        "path unchanged, >1 shards the O(E) sweeps over forked workers on "
-        "a shared CSR with bit-identical results (requires numpy)",
+        "path unchanged, >1 shards the greedy pass and the one-k labelling "
+        "sweep over forked workers on a shared CSR with bit-identical "
+        "results (two-k stays serial; requires numpy)",
     )
     if include_memory_limit:
         parser.add_argument(
