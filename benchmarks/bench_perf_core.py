@@ -13,9 +13,10 @@ guard** (the same engine run with the metrics registry + span tracer
 active vs. plain, reported as ``obs_overhead_pct``; the instrumented
 run must stay within noise) — on PLRG graphs for both kernel
 backends — plus the **binary CSR artifact** rows (``backend: memmap``):
-one-time convert cost, text-parse vs. zero-parse startup, and the
-memmap-backed greedy pass, with text-vs-memmap parity asserted on sets,
-rounds and modeled ``IOStats`` — and
+one-time convert cost, text-parse vs. zero-parse startup, the
+memmap-backed greedy pass and the serial memmap two-k pass to
+convergence, with text-vs-memmap parity asserted on sets, rounds and
+modeled ``IOStats`` — and
 writes the measurements, plus the numpy-over-python speedups, to
 ``BENCH_core.json`` at the repository root.  This file is the perf
 trajectory of the project: every PR runs at least the ``--smoke``
@@ -310,9 +311,11 @@ def bench_memmap(
     "Startup" is open + scan order: the work between pointing a solver at
     an on-disk graph and holding the vertex processing order.  For the
     text format that is a full record parse; for the artifact it is a
-    64-byte header read plus mapping the order section.  With ``parity``
-    the memmap greedy pass is asserted bit-identical (set, rounds,
-    modeled ``IOStats``) to the text-reader pass over the same graph.
+    64-byte header read plus mapping the order section.  The row also
+    times the serial numpy two-k pass to convergence over the artifact
+    (from the greedy set), pinned to one CPU.  With ``parity`` the memmap
+    greedy and two-k passes are asserted bit-identical (set, rounds,
+    modeled ``IOStats``) to the text-reader passes over the same graph.
     """
 
     graph = plrg_graph_with_vertex_count(num_vertices, beta, seed=seed)
@@ -348,6 +351,23 @@ def bench_memmap(
     memmap_result = memmap_greedy()
     memmap_greedy_seconds = _best_of(repeats, memmap_greedy)
 
+    def memmap_two_k():
+        with MemmapAdjacencySource(str(binary_path), stats=IOStats()) as source:
+            return two_k_swap(
+                source, initial=memmap_result, max_rounds=None, backend="numpy"
+            )
+
+    # The serial two-k pass to convergence, pinned to one CPU so the row
+    # measures the kernel, not the host's spare cores.
+    host_cpus = _affinity()
+    two_k_cpus = host_cpus[:1] if host_cpus is not None else None
+    _pin(two_k_cpus)
+    try:
+        memmap_two_k_result = memmap_two_k()
+        memmap_two_k_seconds = _best_of(repeats, memmap_two_k)
+    finally:
+        _pin(host_cpus)
+
     row: Dict[str, object] = {
         "n": header.num_vertices,
         "edges": header.num_edges,
@@ -362,6 +382,10 @@ def bench_memmap(
         ),
         "memmap_greedy_seconds": memmap_greedy_seconds,
         "memmap_greedy_size": memmap_result.size,
+        "memmap_two_k_swap_seconds": memmap_two_k_seconds,
+        "memmap_two_k_size": memmap_two_k_result.size,
+        "memmap_two_k_rounds": memmap_two_k_result.num_rounds,
+        "cpu_affinity": two_k_cpus,
     }
 
     if parity:
@@ -373,16 +397,32 @@ def bench_memmap(
             finally:
                 reader.close()
 
+        def text_two_k():
+            reader = AdjacencyFileReader(str(text_path), stats=IOStats())
+            try:
+                return two_k_swap(
+                    reader, initial=memmap_result, max_rounds=None, backend="numpy"
+                )
+            finally:
+                reader.close()
+
         text_result = text_greedy()
         row["text_greedy_seconds"] = _best_of(repeats, text_greedy)
-        if (
-            text_result.independent_set != memmap_result.independent_set
-            or text_result.rounds != memmap_result.rounds
-            or text_result.io.as_dict() != memmap_result.io.as_dict()
+        # The block-batched text two-k is the slow path; one run checks it.
+        text_two_k_result = text_two_k()
+        row["text_two_k_swap_seconds"] = text_two_k_result.elapsed_seconds
+        for name, text_out, memmap_out in (
+            ("greedy", text_result, memmap_result),
+            ("two-k", text_two_k_result, memmap_two_k_result),
         ):
-            raise AssertionError(
-                f"memmap/text greedy mismatch at n={header.num_vertices}"
-            )
+            if (
+                text_out.independent_set != memmap_out.independent_set
+                or text_out.rounds != memmap_out.rounds
+                or text_out.io.as_dict() != memmap_out.io.as_dict()
+            ):
+                raise AssertionError(
+                    f"memmap/text {name} mismatch at n={header.num_vertices}"
+                )
 
     text_path.unlink()
     binary_path.unlink()
@@ -764,7 +804,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                 f"startup {row['memmap_startup_seconds']:.4f}s "
                 f"vs text {row['text_startup_seconds']:.4f}s "
                 f"({row['memmap_startup_speedup']}x)  "
-                f"greedy {row['memmap_greedy_seconds']:.4f}s"
+                f"greedy {row['memmap_greedy_seconds']:.4f}s  "
+                f"two_k {row['memmap_two_k_swap_seconds']:.4f}s"
             )
 
         for size in parallel_sizes:
@@ -800,7 +841,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         "(block-batched file path) + in-memory comparator (local search, "
         "DynamicUpdate) timings per kernel backend on PLRG graphs, plus "
         "binary CSR artifact rows (backend: memmap — convert cost, "
-        "text-parse vs. zero-parse startup, memmap greedy) and intra-job "
+        "text-parse vs. zero-parse startup, memmap greedy, memmap two-k to "
+        "convergence pinned to one CPU) and intra-job "
         "parallel rows (backend: parallel — greedy + one-k-swap to "
         "convergence over sharded shared-CSR workers, in-memory and "
         "memmap-backed, per worker count); "

@@ -13,15 +13,26 @@ interchangeable executions:
   the edge data streams through in block-sized ndarray fragments, charged
   to ``IOStats`` exactly like the record-streaming reference.
 
-Algorithm 2 (one-k) has one vectorized implementation,
-:func:`one_k_records`, over a *record-major* CSR (:class:`RecordCSR`):
-the zero-copy sections of a ``SEXTCSR1`` memmap, or an in-memory graph
-gathered into scan order once.  Its pre-swap scan runs as conflict-free
-waves, its post-swap scan as vectorized base labelling plus a sparse event
-loop, and its count/sum/blocker arrays are maintained at O(changed) per
-round.  The parallel layer runs the same function with a sharded
-labelling sweep.  Only text adjacency files keep the block-batched
-one-k, the one execution that holds O(n) state with the edges on disk.
+Each swap algorithm has one vectorized implementation over a
+*record-major* CSR (:class:`RecordCSR`): the zero-copy sections of a
+``SEXTCSR1`` memmap, or an in-memory graph gathered into scan order once.
+
+* Algorithm 2 (one-k), :func:`one_k_records`: the pre-swap scan runs as
+  conflict-free waves.  The parallel layer runs the same function with a
+  sharded labelling sweep.
+* Algorithms 3-4 (two-k), :func:`two_k_records`: the pre-swap scan
+  decides every candidate's no-op verdict with vectorized round-start
+  compares and runs Algorithm 4's body only on the candidates that may
+  act — those that can fire at round start and those an earlier event
+  reached through a neighbour or a shared anchor.
+
+Both post-swap scans are vectorized base labelling plus a sparse event
+loop (:func:`_post_swap`, one or two anchors), and their count/sum/blocker
+arrays are maintained at O(changed) per round.  Only text adjacency files
+keep block-batched one-k and two-k, the one execution that holds O(n)
+state with the edges on disk: there the candidate bodies run as a scalar
+loop over each chunk's "A" vertices, and the post-swap entries of each
+chunk are rebuilt from the live state.
 
 Elsewhere every full-graph O(n)/O(E) sweep is an ndarray operation:
 
@@ -30,28 +41,18 @@ Elsewhere every full-graph O(n)/O(E) sweep is an ndarray operation:
 * "A"-vertex labelling (the count of IS neighbours per vertex) is one
   ``np.bincount`` over the CSR edge slots, and the identity of a unique
   IS neighbour falls out of a weighted bincount (the sum of IS neighbour
-  ids *is* the neighbour when the count is one);
+  ids *is* the neighbour when the count is one; with two, the smaller id
+  is a segmented minimum);
 * the two-k-swap partner search joins candidates against a lexsorted
   ``(anchor, member)`` ISN index instead of probing per-vertex dicts;
 * pointer counts, swap commits (P→IS, R→N) and set sizes are mask
-  operations;
-* the two-k 0↔1 post-swap scan keeps incremental ``count`` / ``sum`` /
-  ``min`` / ``blocker`` arrays so each scanned vertex costs O(1), with a
-  fancy neighbour update only when a vertex changes state class.  The
-  batched execution rebuilds the entries of the current chunk's vertices
-  from the live state instead — mathematically the same values, since
-  the incremental updates exist precisely to keep the arrays consistent
-  with the live state.
-
-The two-k swap-conflict resolution — which the paper defines through the
-scan order's right of preemption — stays a scalar loop over the (usually
-small) pre-filtered "A" candidate subset instead of all n vertices.
+  operations.
 
 Every execution produces results bit-identical to the ``python``
 reference backend, including the per-round telemetry and the ``IOStats``
 counters.  The property tests in ``tests/test_kernel_backends.py``,
-``tests/test_semi_external.py`` and ``tests/test_one_k_engine.py``
-enforce this on randomized graphs.
+``tests/test_semi_external.py``, ``tests/test_one_k_engine.py`` and
+``tests/test_two_k_engine.py`` enforce this on randomized graphs.
 """
 
 from __future__ import annotations
@@ -93,12 +94,6 @@ _RET = int(S.RETROGRADE)
 #: skipped in bulk instead of paying one Python iteration each.
 _GREEDY_CHUNK = 8192
 
-#: Partner lists at most this long are filtered with the reference's
-#: scalar checks — ndarray ufuncs only pay off once the candidate list is
-#: long enough to amortise their per-call overhead.
-_JOIN_SCALAR_CUTOFF = 16
-
-
 def _fingerprint(*arrays) -> bytes:
     """Digest of the solver state used by the oscillation guard."""
 
@@ -132,10 +127,31 @@ def _local_sources(num_records: int, lens):
     return np.repeat(np.arange(num_records, dtype=np.int64), lens)
 
 
+def _partner_mask(state, isn1, isn2, partners, v, w1, w2):
+    """Algorithm 4 line 2's partner predicate, bar the neighbour check.
+
+    ``partners`` is an array of ``members(w1) + members(w2)`` entries;
+    ``v``/``w1``/``w2`` are the scanned candidate and its anchors, as
+    scalars or as arrays aligned with ``partners``.  A partner qualifies
+    when it is another "A" vertex whose IS neighbours lie inside
+    ``{w1, w2}``.  The scalar candidate body and the vectorized round-start
+    join both filter with this one predicate.
+    """
+
+    p1 = isn1[partners]
+    p2 = isn2[partners]
+    return (
+        (partners != v)
+        & (state[partners] == _ADJ)
+        & ((p1 == w1) | (p1 == w2))
+        & ((p2 < 0) | (p2 == w1) | (p2 == w2))
+    )
+
+
 class _TwoKRound:
     """Per-round context of the two-k pre-swap scan.
 
-    Shared by the in-memory and block-batched executions.  The round
+    Shared by the record-major and block-batched executions.  The round
     bookkeeping the reference builds with per-vertex dict appends — the
     ``ISN`` membership lists and the single-anchor pointer counts — is
     built here as one lexsorted ``(anchor, member)`` join, and the partner
@@ -154,10 +170,12 @@ class _TwoKRound:
         "protected",
         "one_k_swaps",
         "two_k_swaps",
-        "max_sc_vertices",
         "mem_sorted",
         "mem_starts",
         "single_count",
+        "join_vertex",
+        "join_partner",
+        "joinable",
     )
 
     def __init__(
@@ -179,7 +197,6 @@ class _TwoKRound:
         self.protected: Set[int] = set()
         self.one_k_swaps = 0
         self.two_k_swaps = 0
-        self.max_sc_vertices = 0
 
         # The membership join: every "A" vertex contributes the pairs
         # (anchor, vertex) for its one or two IS anchors; sorting by
@@ -201,12 +218,51 @@ class _TwoKRound:
             isn1[adj_idx[~has_second]], minlength=num_vertices
         ).astype(np.int64)
 
+        # The round-start partner join (Algorithm 4 line 2, bar the
+        # neighbour check) of every two-anchor candidate whose anchors are
+        # both IS, expanded at once: pairs (join_vertex, join_partner).
+        # Candidates only leave "A" and anchors only leave IS during a
+        # round, so a join empty here is empty at the candidate's scan
+        # position too, and its body skips the join (``joinable``).
+        pair = adj_idx[has_second]
+        w1 = first_anchor[has_second]
+        w2 = second_anchor[has_second]
+        both_is = (state[w1] == _IS) & (state[w2] == _IS)
+        pair, w1, w2 = pair[both_is], w1[both_is], w2[both_is]
+        start1 = self.mem_starts[w1]
+        len1 = self.mem_starts[w1 + 1] - start1
+        start2 = self.mem_starts[w2]
+        lens = np.minimum(len1 + self.mem_starts[w2 + 1] - start2, max_partner_checks)
+        src = _local_sources(pair.size, lens)
+        rank = np.arange(src.size, dtype=np.int64) - np.repeat(
+            np.cumsum(lens) - lens, lens
+        )
+        len1 = len1[src]
+        partners = self.mem_sorted[
+            np.where(rank < len1, start1[src] + rank, start2[src] + rank - len1)
+        ]
+        keep = _partner_mask(state, isn1, isn2, partners, pair[src], w1[src], w2[src])
+        self.join_vertex = pair[src[keep]]
+        self.join_partner = partners[keep]
+        self.joinable = np.zeros(num_vertices, dtype=bool)
+        self.joinable[self.join_vertex] = True
+
+    def members(self, anchor: int):
+        """The "A" vertices having ``anchor`` among their IS neighbours."""
+
+        return self.mem_sorted[self.mem_starts[anchor] : self.mem_starts[anchor + 1]]
+
     def processor(self):
         """Build the per-candidate closure running Algorithm 4.
 
         Everything hot is captured as a closure variable (not an attribute
         lookup), matching the cost profile of a fully inlined loop; only
         the rare counter updates go through ``self``.
+
+        The closure returns ``None`` when the candidate changed nothing,
+        and otherwise the tuple of vertices it moved out of state "A"
+        (empty when it only recorded swap candidates) — the events the
+        record-major scan turns into hazards for later candidates.
         """
 
         ctx = self
@@ -218,11 +274,10 @@ class _TwoKRound:
         max_partner_checks = self.max_partner_checks
         protected = self.protected
         single_count = self.single_count
-        mem_sorted = self.mem_sorted
-        mem_starts = self.mem_starts
-
-        def members(anchor: int):
-            return mem_sorted[mem_starts[anchor] : mem_starts[anchor + 1]]
+        members = self.members
+        joinable = self.joinable
+        # Neighbour marks for the join's adjacency filter, cleared after use.
+        marked = np.zeros(state.size, dtype=bool)
 
         def leaves_adjacent(vertex: int) -> None:
             if isn2[vertex] < 0 and isn1[vertex] >= 0:
@@ -234,68 +289,43 @@ class _TwoKRound:
             neighborhood = source.neighbors(vertex)
             return not any(u in protected for u in neighborhood)
 
-        def process(v: int, nbrs) -> None:
+        def process(v: int, nbrs):
             """Algorithm 4 for one scanned "A" candidate with neighbours ``nbrs``."""
 
             w1 = int(isn1[v])
             w2 = int(isn2[v])
             nstate = state[nbrs]
             neighbor_set = None
+            recorded = False
 
             # Algorithm 4 line 1-2: record swap candidates via the join.
-            # Short partner lists are filtered with the reference's scalar
-            # checks, long ones with vectorized compares — identical
-            # outcomes, different constant factors.
-            if w2 >= 0 and state[w1] == _IS and state[w2] == _IS:
-                key = frozenset((w1, w2))
-                first_members = members(w1)
-                second_members = members(w2)
-                total = first_members.size + second_members.size
-                if 0 < total <= _JOIN_SCALAR_CUTOFF:
-                    neighbor_set = set(nbrs.tolist())
-                    checked = 0
-                    for partner in first_members.tolist() + second_members.tolist():
-                        if checked >= max_partner_checks:
-                            break
-                        checked += 1
-                        if partner == v or partner in neighbor_set:
-                            continue
-                        if state[partner] != _ADJ:
-                            continue
-                        p1 = isn1[partner]
-                        p2 = isn2[partner]
-                        if p1 != w1 and p1 != w2:
-                            continue
-                        if p2 >= 0 and p2 != w1 and p2 != w2:
-                            continue
+            if joinable[v] and state[w1] == _IS and state[w2] == _IS:
+                partners = np.concatenate((members(w1), members(w2)))
+                partners = partners[:max_partner_checks]
+                partners = partners[
+                    _partner_mask(state, isn1, isn2, partners, v, w1, w2)
+                ]
+                if partners.size:
+                    marked[nbrs] = True
+                    partners = partners[~marked[partners]]
+                    marked[nbrs] = False
+                if partners.size:
+                    key = frozenset((w1, w2))
+                    for partner in partners.tolist():
                         sc.add(key, (v, partner))
-                elif total:
-                    partners = np.concatenate((first_members, second_members))
-                    if partners.size > max_partner_checks:
-                        partners = partners[:max_partner_checks]
-                    keep = (partners != v) & (state[partners] == _ADJ)
-                    p1 = isn1[partners]
-                    p2 = isn2[partners]
-                    keep &= (p1 == w1) | (p1 == w2)
-                    keep &= (p2 < 0) | (p2 == w1) | (p2 == w2)
-                    if keep.any():
-                        keep &= ~np.isin(partners, nbrs)
-                        for partner in partners[keep].tolist():
-                            sc.add(key, (v, partner))
-                ctx.max_sc_vertices = max(ctx.max_sc_vertices, sc.peak_vertices)
+                    recorded = True
 
             # Algorithm 4 line 3-4: conflict with an earlier P vertex.
             if (nstate == _PRO).any():
                 state[v] = _CON
                 leaves_adjacent(v)
-                return
+                return (v,)
 
             # Algorithm 4 line 5-8: complete a 2-3 swap skeleton.
             if w2 >= 0:
                 candidate_keys = [frozenset((w1, w2))]
             else:
                 candidate_keys = list(sc.keys_for_anchor(w1))
-            promoted = False
             for key in candidate_keys:
                 kl, kh = sorted(key)
                 if state[kl] != _IS or state[kh] != _IS:
@@ -331,32 +361,28 @@ class _TwoKRound:
                     state[kh] = _RET
                     sc.free(key)
                     ctx.two_k_swaps += 1
-                    promoted = True
-                    break
-                if promoted:
-                    break
-            if promoted:
-                return
+                    return (v, first_v, second_v)
 
             # Algorithm 4 line 9-10: fall back to a 1-2 swap skeleton.
-            if w2 < 0:
-                if state[w1] == _IS:
-                    adjacent_partners = int(
-                        ((nstate == _ADJ) & (isn1[nbrs] == w1) & (isn2[nbrs] < 0)).sum()
-                    )
-                    if single_count[w1] - 1 - adjacent_partners > 0:
-                        state[v] = _PRO
-                        protected.add(v)
-                        state[w1] = _RET
-                        leaves_adjacent(v)
-                        ctx.one_k_swaps += 1
-                        return
+            if w2 < 0 and state[w1] == _IS:
+                adjacent_partners = int(
+                    ((nstate == _ADJ) & (isn1[nbrs] == w1) & (isn2[nbrs] < 0)).sum()
+                )
+                if single_count[w1] - 1 - adjacent_partners > 0:
+                    state[v] = _PRO
+                    protected.add(v)
+                    state[w1] = _RET
+                    leaves_adjacent(v)
+                    ctx.one_k_swaps += 1
+                    return (v,)
 
             # Algorithm 4 line 11-12: all IS neighbours already retrograde.
             if state[w1] == _RET and (w2 < 0 or state[w2] == _RET):
                 state[v] = _PRO
                 protected.add(v)
                 leaves_adjacent(v)
+                return (v,)
+            return () if recorded else None
 
         return process
 
@@ -416,11 +442,13 @@ def record_csr(source) -> Optional[RecordCSR]:
         return RecordCSR(source.num_vertices, order, indptr, targets[gather])
     if hasattr(source, "csr_views"):
         order, indptr, indices = source.csr_views()
+        # Plain ndarray views: slicing the np.memmap subclass costs a
+        # Python-level __getitem__/__array_finalize__ per call.
         return RecordCSR(
             source.num_vertices,
             np.asarray(order, dtype=np.int64),
             np.asarray(indptr, dtype=np.int64),
-            indices,
+            np.asarray(indices),
         )
     return None
 
@@ -495,17 +523,135 @@ def _scatter_cnt_sum(csr, recs, values):
     return cnt_inc, sum_inc
 
 
-def _fold_completion(rounds: List[RoundStats], gain: int) -> None:
-    """Credit the final completion's 0-1 swaps to the last round, in place."""
+class _SwapRounds:
+    """Round-loop bookkeeping shared by the swap passes.
 
-    if gain and rounds:
-        last = rounds[-1]
-        rounds[-1] = dataclasses.replace(
-            last,
-            gained=last.gained + gain,
-            zero_one_swaps=last.zero_one_swaps + gain,
-            is_size_after=last.is_size_after + gain,
+    Holds what every pass snapshots besides its per-vertex arrays — the
+    round telemetry, set sizes, the can-swap flag, ``max_sc_vertices``
+    (two-k) and the oscillation guard's fingerprint history — and builds
+    the ``on_round`` snapshot in the python reference's key order.
+    ``arrays`` maps the snapshot names of the per-vertex arrays (``state``
+    first) to the live ndarrays; on resume they are restored in place.
+    """
+
+    def __init__(
+        self,
+        pass_name: str,
+        arrays: Dict[str, np.ndarray],
+        initial_set: FrozenSet[int],
+        max_rounds: Optional[int],
+        resume: Optional[dict],
+        fingerprint=_fingerprint,
+    ) -> None:
+        self.pass_name = pass_name
+        self.arrays = arrays
+        self.max_rounds = max_rounds
+        self.fingerprint = fingerprint
+        self.two_k = pass_name == "two_k_swap"
+        state = arrays["state"]
+        if resume is None:
+            state[:] = _NON
+            if initial_set:
+                state[
+                    np.fromiter(initial_set, dtype=np.int64, count=len(initial_set))
+                ] = _IS
+            for name, array in arrays.items():
+                if name != "state":
+                    array[:] = -1
+            self.rounds: List[RoundStats] = []
+            self.initial_size = len(initial_set)
+            self.current_size = self.initial_size
+            self.can_swap = True
+            self.max_sc_vertices = 0
+            self.oscillation = False
+            self.history = None
+        else:
+            # Restore the loop exactly where an ``on_round`` snapshot was
+            # taken; the labelling scan already happened before it.
+            for name, array in arrays.items():
+                array[:] = np.asarray(resume[name], dtype=array.dtype)
+            self.rounds = decode_rounds(resume["rounds"])
+            self.initial_size = int(resume["initial_size"])
+            self.current_size = int(resume["current_size"])
+            self.can_swap = bool(resume["can_swap"])
+            self.max_sc_vertices = int(resume.get("max_sc_vertices", 0))
+            self.oscillation = bool(resume["oscillation"])
+            self.history = decode_history(resume["history"])
+
+    def labelled(self) -> None:
+        """Seed the guard's history once the labelling scan is done."""
+
+        if self.max_rounds is None:
+            self.history = {self.fingerprint(*self.arrays.values())}
+
+    def running(self) -> bool:
+        return (
+            not self.oscillation
+            and self.can_swap
+            and (self.max_rounds is None or len(self.rounds) < self.max_rounds)
         )
+
+    def end_round(self, on_round, **swaps) -> None:
+        """Append the round's telemetry, run the guard, hand out a snapshot."""
+
+        state = self.arrays["state"]
+        new_size = int((state == _IS).sum())
+        self.rounds.append(
+            RoundStats(
+                round_index=len(self.rounds) + 1,
+                gained=new_size - self.current_size,
+                is_size_after=new_size,
+                **swaps,
+            )
+        )
+        self.current_size = new_size
+        if self.history is not None and self.can_swap:
+            digest = self.fingerprint(*self.arrays.values())
+            if digest in self.history:
+                self.oscillation = True
+            else:
+                self.history.add(digest)
+        if on_round is not None:
+            on_round(self.snapshot())
+
+    def snapshot(self) -> dict:
+        snapshot = {"pass": self.pass_name, "initial_size": self.initial_size}
+        for name, array in self.arrays.items():
+            snapshot[name] = array.tolist()
+        snapshot.update(
+            rounds=encode_rounds(self.rounds),
+            current_size=self.current_size,
+            can_swap=self.can_swap,
+        )
+        if self.two_k:
+            snapshot["max_sc_vertices"] = self.max_sc_vertices
+        snapshot.update(
+            oscillation=self.oscillation, history=encode_history(self.history)
+        )
+        return snapshot
+
+    def result(self, gain: int):
+        """The pass result, crediting the final completion's ``gain`` 0-1
+        swaps to the last round."""
+
+        if gain and self.rounds:
+            last = self.rounds[-1]
+            self.rounds[-1] = dataclasses.replace(
+                last,
+                gained=last.gained + gain,
+                zero_one_swaps=last.zero_one_swaps + gain,
+                is_size_after=last.is_size_after + gain,
+            )
+        state = self.arrays["state"]
+        independent_set = frozenset(np.flatnonzero(state == _IS).tolist())
+        if self.two_k:
+            return (
+                independent_set,
+                tuple(self.rounds),
+                self.max_sc_vertices,
+                self.oscillation,
+            )
+        return independent_set, tuple(self.rounds), self.oscillation
 
 
 def one_k_records(
@@ -525,7 +671,7 @@ def one_k_records(
     * the pre-swap scan runs as conflict-free waves
       (:func:`_one_k_preswap_wave`);
     * the post-swap scan is vectorized base labelling plus a sparse event
-      loop (:func:`_one_k_post`);
+      loop (:func:`_post_swap`);
     * the count/sum/blocker arrays are labelled once per pass and then
       maintained by exact integer delta scatters over the vertices that
       changed class, so a round costs work proportional to what changed
@@ -546,42 +692,25 @@ def one_k_records(
     n = csr.num_vertices
     pos = csr.pos
     order = csr.order
+    isn = np.empty(n, dtype=np.int64)
+    loop = _SwapRounds(
+        "one_k_swap",
+        {"state": state, "isn": isn},
+        initial_set,
+        max_rounds,
+        resume,
+        fingerprint,
+    )
 
+    # Labelling (lines 1-3); on resume it rebuilds the count/sum arrays
+    # for the restored state (round boundaries only hold IS / A / N).
+    cnt, nbr_sum = label()
     if resume is None:
-        state[:] = _NON
-        if initial_set:
-            state[
-                np.fromiter(initial_set, dtype=np.int64, count=len(initial_set))
-            ] = _IS
-        isn = np.full(n, -1, dtype=np.int64)
-
-        # Labelling (lines 1-3).
-        cnt, nbr_sum = label()
         a_mask = (state != _IS) & (cnt == 1)
         state[a_mask] = _ADJ
         isn[a_mask] = nbr_sum[a_mask]
         charge_scan()
-
-        rounds: List[RoundStats] = []
-        initial_size = len(initial_set)
-        current_size = initial_size
-        can_swap = True
-        oscillation = False
-        history = {fingerprint(state, isn)} if max_rounds is None else None
-    else:
-        # Restore the loop exactly where an ``on_round`` snapshot was
-        # taken; the labelling scan already happened before it.
-        state[:] = np.asarray(resume["state"], dtype=np.uint8)
-        isn = np.asarray(resume["isn"], dtype=np.int64)
-        rounds = decode_rounds(resume["rounds"])
-        initial_size = int(resume["initial_size"])
-        current_size = int(resume["current_size"])
-        can_swap = bool(resume["can_swap"])
-        oscillation = bool(resume["oscillation"])
-        history = decode_history(resume["history"])
-        # Rebuild the count/sum arrays for the restored state (round
-        # boundaries only ever hold IS / A / N states).
-        cnt, nbr_sum = label()
+        loop.labelled()
 
     # ``isadj[u]`` = number of neighbours of ``u`` whose state is IS or A
     # — the post-swap ``blocker`` base.  It is seeded once from the
@@ -591,28 +720,9 @@ def one_k_records(
     if adj_verts.size:
         isadj += _scatter_neighbors(csr, pos[adj_verts])
 
-    def _snapshot() -> dict:
-        return {
-            "pass": "one_k_swap",
-            "initial_size": initial_size,
-            "state": state.tolist(),
-            "isn": isn.tolist(),
-            "rounds": encode_rounds(rounds),
-            "current_size": current_size,
-            "can_swap": can_swap,
-            "oscillation": oscillation,
-            "history": encode_history(history),
-        }
-
     member_pos = np.full(n, -1, dtype=np.int64)
 
-    while (
-        not oscillation
-        and can_swap
-        and (max_rounds is None or len(rounds) < max_rounds)
-    ):
-        can_swap = False
-
+    while loop.running():
         # |ISN^-1(w)| for every IS vertex w, as one bincount.
         adj_mask = state == _ADJ
         pointer_count = np.bincount(
@@ -629,7 +739,7 @@ def one_k_records(
         state[state == _PRO] = _IS
         state[retro] = _NON
         one_k_swaps = int(retro.sum())
-        can_swap = one_k_swaps > 0
+        loop.can_swap = one_k_swaps > 0
 
         # Exact incremental maintenance of the post-swap base arrays:
         # promoted candidates (A -> P -> IS) join the set, retreating
@@ -651,36 +761,18 @@ def one_k_records(
         if def_recs.size:
             isadj -= _scatter_neighbors(csr, def_recs)
 
-        zero_one_swaps = _one_k_post(csr, state, isn, cnt, nbr_sum, isadj)
+        zero_one_swaps = _post_swap(csr, state, isn, cnt, nbr_sum, isadj)
         charge_scan()
-
-        new_size = int((state == _IS).sum())
-        rounds.append(
-            RoundStats(
-                round_index=len(rounds) + 1,
-                gained=new_size - current_size,
-                one_k_swaps=one_k_swaps,
-                two_k_swaps=0,
-                zero_one_swaps=zero_one_swaps,
-                is_size_after=new_size,
-            )
+        loop.end_round(
+            on_round,
+            one_k_swaps=one_k_swaps,
+            two_k_swaps=0,
+            zero_one_swaps=zero_one_swaps,
         )
-        current_size = new_size
 
-        if history is not None and can_swap:
-            digest = fingerprint(state, isn)
-            if digest in history:
-                oscillation = True
-            else:
-                history.add(digest)
-        if on_round is not None:
-            on_round(_snapshot())
-
-    _fold_completion(rounds, _completion(csr, state, cnt))
+    gain = _completion(csr, state, cnt)
     charge_scan()
-
-    independent_set = frozenset(np.flatnonzero(state == _IS).tolist())
-    return independent_set, tuple(rounds), oscillation
+    return loop.result(gain)
 
 
 def _one_k_preswap_wave(csr, state, isn, pointer_count, member_pos):
@@ -874,21 +966,26 @@ def _one_k_preswap_wave(csr, state, isn, pointer_count, member_pos):
     return _cat(con_out), _cat(pro_out), def_recs, _cat(ret_out)
 
 
-def _one_k_post(csr, state, isn, cnt, nbr_sum, isadj) -> int:
-    """Algorithm 2 lines 20-28 via base labelling + sparse event loop.
+def _post_swap(csr, state, isn, cnt, nbr_sum, isadj, isn2=None) -> int:
+    """The post-swap scan via base labelling + sparse event loop.
 
-    ``cnt`` / ``nbr_sum`` / ``isadj`` are the incrementally maintained
-    post-swap base arrays (bit-identical to what a fresh labelling sweep
-    would produce).  A scanned vertex deviates from its vectorized A/N
-    labelling only if an *insertion* reached it first — and insertions
-    start exclusively at zero-count vertices.  The event loop walks those
-    seeds (plus everything an insertion touches) in scan order,
-    maintaining the exact live count/sum/blocker values the serial loop
-    would see.  On return the three arrays have been advanced to the
-    round's final state, ready for the next round.  Returns the number of
-    0-1 swaps.
+    Algorithm 2 lines 20-28 when ``isn2`` is ``None`` (a vertex is "A"
+    with exactly one IS neighbour), Algorithm 3 lines 15-23 otherwise (one
+    or two IS neighbours; ``isn``/``isn2`` take the smaller and the larger
+    id).  ``cnt`` / ``nbr_sum`` / ``isadj`` are the incrementally
+    maintained post-swap base arrays (bit-identical to what a fresh
+    labelling sweep would produce).  A scanned vertex deviates from its
+    vectorized A/N labelling only if an *insertion* reached it first — and
+    insertions start exclusively at zero-count vertices.  The event loop
+    walks those seeds (plus everything an insertion touches) in scan
+    order, maintaining the exact live count/sum/min/blocker values the
+    serial loop would see.  On return the three arrays have been advanced
+    to the round's final state, ready for the next round.  Returns the
+    number of 0-1 swaps.
     """
 
+    two = isn2 is not None
+    max_cnt = 2 if two else 1
     blocker = isadj
     order = csr.order
     pos = csr.pos
@@ -902,7 +999,7 @@ def _one_k_post(csr, state, isn, cnt, nbr_sum, isadj) -> int:
     scanned = order[scanned_rec]
     was_adj = order_state[scanned_rec] == _ADJ
     base_cnt = cnt[scanned]
-    becomes_adj = base_cnt == 1
+    becomes_adj = (base_cnt >= 1) & (base_cnt <= max_cnt)
 
     # delta0: the blocker change each scanned vertex would contribute if it
     # followed its base labelling (A adds one, leaving A removes one).
@@ -930,14 +1027,24 @@ def _one_k_post(csr, state, isn, cnt, nbr_sum, isadj) -> int:
         )
 
     # Base labelling, vectorized (the event loop overrides deviations).
+    # With two anchors the pair splits into its minimum and sum - minimum.
     state[scanned] = np.where(becomes_adj, _ADJ, _NON).astype(np.uint8)
-    isn[scanned] = np.where(becomes_adj, nbr_sum[scanned], -1)
+    isn[scanned] = np.where(base_cnt == 1, nbr_sum[scanned], -1)
+    if two:
+        isn2[scanned] = -1
+        pair_rec = scanned_rec[base_cnt == 2]
+        if pair_rec.size:
+            pair = order[pair_rec]
+            low = _is_min(csr, pair_rec, state)
+            isn[pair] = low
+            isn2[pair] = nbr_sum[pair] - low
 
     heap = seed_rec.tolist()  # ascending, already a valid heap
     seeds = set(heap)
     done = set()
     extra_cnt: dict = {}
     extra_sum: dict = {}
+    extra_min: dict = {}
     corr: dict = {}
     inserted_recs: List[int] = []
     while heap:
@@ -947,14 +1054,28 @@ def _one_k_post(csr, state, isn, cnt, nbr_sum, isadj) -> int:
         done.add(rec)
         v = int(order[rec])
         extra = extra_cnt.get(rec, 0)
-        live_cnt = int(cnt[v]) + extra
-        if live_cnt == 1:
+        base = int(cnt[v])
+        live_cnt = base + extra
+        if 1 <= live_cnt <= max_cnt:
             state[v] = _ADJ
-            isn[v] = int(nbr_sum[v]) + extra_sum.get(rec, 0)
+            total = int(nbr_sum[v]) + extra_sum.get(rec, 0)
+            if live_cnt == 1:
+                isn[v] = total
+                if two:
+                    isn2[v] = -1
+            else:
+                # Reached by an insertion, so extra >= 1 and base <= 1.
+                low = extra_min[rec]
+                if base == 1:
+                    low = min(low, int(nbr_sum[v]))
+                isn[v] = low
+                isn2[v] = total - low
             blocks = 1
         else:
             state[v] = _NON
             isn[v] = -1
+            if two:
+                isn2[v] = -1
             blocks = 0
             if rec in seeds and extra == 0 and blocker0[rec] + corr.get(rec, 0) == 0:
                 # 0-1 swap: no live neighbour is IS or A.
@@ -966,8 +1087,10 @@ def _one_k_post(csr, state, isn, cnt, nbr_sum, isadj) -> int:
                     if w_rec > rec:
                         extra_cnt[w_rec] = extra_cnt.get(w_rec, 0) + 1
                         extra_sum[w_rec] = extra_sum.get(w_rec, 0) + v
+                        if two:
+                            extra_min[w_rec] = min(extra_min.get(w_rec, v), v)
                         heapq.heappush(heap, w_rec)
-        deviation = blocks - (1 if int(cnt[v]) == 1 else 0)
+        deviation = blocks - (1 if 1 <= base <= max_cnt else 0)
         if deviation:
             # Fold the deviation into delta0 as well: after the loop
             # delta0[v] is exactly (blocks final - blocked before), the
@@ -990,6 +1113,15 @@ def _one_k_post(csr, state, isn, cnt, nbr_sum, isadj) -> int:
     if changed.size:
         isadj += _scatter_neighbors(csr, pos[changed], delta0[changed])
     return len(inserted_recs)
+
+
+def _is_min(csr, recs, state):
+    """Smallest IS neighbour of each record in ``recs`` (each has one)."""
+
+    lens = csr.indptr[recs + 1] - csr.indptr[recs]
+    nbrs = csr.indices[_ragged_slot_indices(csr.indptr[recs], lens)]
+    values = np.where(state[nbrs] == _IS, nbrs, csr.num_vertices).astype(np.int64)
+    return np.minimum.reduceat(values, np.cumsum(lens) - lens)
 
 
 def _completion(csr, state, cnt) -> int:
@@ -1034,6 +1166,341 @@ def _completion(csr, state, cnt) -> int:
                 inserted[v] = True
                 gain += 1
     return gain
+
+
+# ----------------------------------------------------------------------
+# Record-major two-k engine (Algorithms 3-4 over a scan-ordered CSR).
+# ----------------------------------------------------------------------
+def two_k_records(
+    csr,
+    source,
+    initial_set: FrozenSet[int],
+    max_rounds: Optional[int],
+    max_pairs_per_key: int,
+    max_partner_checks: int,
+    resume: Optional[dict],
+    on_round,
+) -> Tuple[FrozenSet[int], Tuple[RoundStats, ...], int, bool]:
+    """Algorithms 3-4 over a record-major CSR — the one vectorized two-k.
+
+    * the pre-swap scan decides every candidate's no-op verdict with
+      vectorized round-start compares and runs Algorithm 4's body only on
+      the candidates that may act (:func:`_two_k_preswap`);
+    * the post-swap scan is the one-k engine's base labelling plus sparse
+      event loop, with one or two anchors (:func:`_post_swap`);
+    * the count/sum/blocker arrays are maintained at O(changed) per round.
+
+    ``source`` serves the random lookups of the 2-3 skeleton
+    re-verification and the modeled sequential-scan charges.  Sets, round
+    telemetry, ``max_sc_vertices``, snapshots and modeled ``IOStats`` are
+    bit-identical to the python reference.
+    """
+
+    n = csr.num_vertices
+    pos = csr.pos
+    state = np.empty(n, dtype=np.uint8)
+    # ISN as a sorted pair per vertex (-1 = absent): isn1 < isn2.
+    isn1 = np.empty(n, dtype=np.int64)
+    isn2 = np.empty(n, dtype=np.int64)
+    loop = _SwapRounds(
+        "two_k_swap",
+        {"state": state, "isn1": isn1, "isn2": isn2},
+        initial_set,
+        max_rounds,
+        resume,
+    )
+
+    cnt, nbr_sum = label_vertices(csr, state)
+    if resume is None:
+        # Lines 1-3: one or two IS neighbours make a vertex "A".
+        a_mask = (state != _IS) & (cnt >= 1) & (cnt <= 2)
+        state[a_mask] = _ADJ
+        one = a_mask & (cnt == 1)
+        isn1[one] = nbr_sum[one]
+        pair = np.flatnonzero(a_mask & (cnt == 2))
+        if pair.size:
+            low = _is_min(csr, pos[pair], state)
+            isn1[pair] = low
+            isn2[pair] = nbr_sum[pair] - low
+        source.charge_scan()
+        loop.labelled()
+
+    # ``isadj[u]`` = number of neighbours of ``u`` whose state is IS or A
+    # — the post-swap ``blocker`` base, maintained by exact deltas.
+    isadj = cnt.copy()
+    adj_verts = np.flatnonzero(state == _ADJ)
+    if adj_verts.size:
+        isadj += _scatter_neighbors(csr, pos[adj_verts])
+
+    while loop.running():
+        sc = SwapCandidateStore(max_pairs_per_key=max_pairs_per_key)
+        round_ctx = _TwoKRound(n, state, isn1, isn2, sc, source, max_partner_checks)
+        _two_k_preswap(csr, round_ctx)
+        source.charge_scan()
+        loop.max_sc_vertices = max(loop.max_sc_vertices, sc.peak_vertices)
+
+        # Swap phase (Algorithm 3 lines 10-14) and the exact incremental
+        # maintenance of the post-swap base arrays: promoted candidates
+        # (A -> P -> IS) join the set, retreating anchors (IS -> R -> N)
+        # leave it, and conflicting candidates (A -> C) stop blocking.
+        pro = np.flatnonzero(state == _PRO)
+        ret = np.flatnonzero(state == _RET)
+        con = np.flatnonzero(state == _CON)
+        state[pro] = _IS
+        state[ret] = _NON
+        loop.can_swap = ret.size > 0
+        if pro.size:
+            pro_cnt, pro_sum = _scatter_cnt_sum(csr, pos[pro], pro)
+            cnt += pro_cnt
+            nbr_sum += pro_sum
+        if ret.size:
+            ret_cnt, ret_sum = _scatter_cnt_sum(csr, pos[ret], ret)
+            cnt -= ret_cnt
+            nbr_sum -= ret_sum
+            isadj -= ret_cnt
+        if con.size:
+            isadj -= _scatter_neighbors(csr, pos[con])
+
+        zero_one_swaps = _post_swap(csr, state, isn1, cnt, nbr_sum, isadj, isn2)
+        source.charge_scan()
+        loop.end_round(
+            on_round,
+            one_k_swaps=round_ctx.one_k_swaps,
+            two_k_swaps=round_ctx.two_k_swaps,
+            zero_one_swaps=zero_one_swaps,
+            sc_vertices=sc.peak_vertices,
+        )
+
+    gain = _completion(csr, state, cnt)
+    source.charge_scan()
+    return loop.result(gain)
+
+
+def _two_k_preswap(csr, ctx: _TwoKRound) -> None:
+    """Algorithm 4's pre-swap scan, running its body only where it may act.
+
+    At round start nothing is P or R and the swap-candidate store is
+    empty, so an "A" candidate can act in only two ways, each decided for
+    all candidates at once with one ragged gather:
+
+    * **1-2 fire** — a single anchor ``w1`` with
+      ``single_count[w1] - 1 - adjacent_partners > 0``;
+    * **SC add** — two anchors and a non-empty partner join:
+      ``members(w1) + members(w2)`` truncated to ``max_partner_checks``,
+      filtered by :func:`_partner_mask`, minus the candidate's neighbours.
+
+    Everything else a candidate reads — neighbour P flags, anchor states,
+    ``single_count``, partner states, swap-candidate keys and the
+    protected set of the 2-3 re-verification — changes only through an
+    earlier write to one of its neighbours, or to one of its anchors or a
+    member sharing that anchor.  So the scan walks a scan-ordered heap
+    seeded with the candidates that may act; after each body that acts it
+    pushes the later neighbours of every candidate the body moved out of
+    "A", and the later members of every anchor it touched (the
+    candidate's own anchors, which cover its swap-candidate key and its
+    retreats, and the anchors of every candidate it moved).  Every other
+    candidate is a provable no-op, so the serial outcome is reproduced
+    exactly, including the store's key order and the random lookups.
+    """
+
+    state = ctx.state
+    isn1 = ctx.isn1
+    isn2 = ctx.isn2
+    order = csr.order
+    pos = csr.pos
+    indptr = csr.indptr
+    indices = csr.indices
+    n = csr.num_vertices
+
+    cand_rec = np.flatnonzero(state[order] == _ADJ)
+    if cand_rec.size == 0:
+        return
+    cand = order[cand_rec]
+    a1 = isn1[cand]
+    a2 = isn2[cand]
+    anchored_is = state[a1] == _IS
+    seeds = [np.empty(0, dtype=np.int64)]
+
+    # 1-2 fire.  Without at least one other single-anchor member there is
+    # nothing to swap in, so only those candidates need their neighbours.
+    single_count = ctx.single_count
+    idx = np.flatnonzero((a2 < 0) & anchored_is & (single_count[a1] >= 2))
+    if idx.size:
+        recs = cand_rec[idx]
+        lens = indptr[recs + 1] - indptr[recs]
+        nbrs = indices[_ragged_slot_indices(indptr[recs], lens)]
+        src = _local_sources(idx.size, lens)
+        hit = (
+            (state[nbrs] == _ADJ)
+            & (isn1[nbrs] == a1[idx][src])
+            & (isn2[nbrs] < 0)
+        )
+        partners = np.bincount(src[hit], minlength=idx.size)
+        seeds.append(recs[single_count[a1[idx]] - 1 - partners > 0])
+
+    # SC add: the round-start join minus each candidate's neighbours, as a
+    # sort-based join of (candidate, partner) against (candidate,
+    # neighbour) keys.
+    joined = ctx.join_vertex
+    if joined.size:
+        cands = np.unique(joined)
+        recs = pos[cands]
+        lens = indptr[recs + 1] - indptr[recs]
+        nbr_keys = np.repeat(cands, lens) * n + indices[
+            _ragged_slot_indices(indptr[recs], lens)
+        ]
+        nbr_keys.sort()
+        keys = joined * n + ctx.join_partner
+        at = np.searchsorted(nbr_keys, keys)
+        adjacent = at < nbr_keys.size
+        adjacent[adjacent] = nbr_keys[at[adjacent]] == keys[adjacent]
+        seeds.append(pos[np.unique(joined[~adjacent])])
+
+    heap = np.unique(np.concatenate(seeds)).tolist()  # ascending: a valid heap
+    if not heap:
+        return
+    is_cand = np.zeros(n, dtype=bool)
+    is_cand[cand_rec] = True
+    queued = np.zeros(n, dtype=bool)
+    queued[heap] = True
+    pushed_anchors: Set[int] = set()
+    members = ctx.members
+    process = ctx.processor()
+
+    last = -1
+    while heap:
+        rec = heapq.heappop(heap)
+        if rec == last:  # a duplicate push pops right after the original
+            continue
+        last = rec
+        v = int(order[rec])
+        if state[v] != _ADJ:
+            continue
+        moved = process(v, indices[indptr[rec] : indptr[rec + 1]])
+        if moved is None:
+            continue
+        # Hazards: later members of every touched anchor (a member set is
+        # pushed once — a later cursor only ever wants a subset of it) and
+        # later neighbours of every candidate that left "A".
+        later = []
+        for x in (v, *moved):
+            for anchor in (int(isn1[x]), int(isn2[x])):
+                if anchor >= 0 and anchor not in pushed_anchors:
+                    pushed_anchors.add(anchor)
+                    later.append(pos[members(anchor)])
+        for x in moved:
+            x_rec = pos[x]
+            later.append(pos[indices[indptr[x_rec] : indptr[x_rec + 1]]])
+        if not later:
+            continue
+        recs = np.concatenate(later)
+        recs = recs[(recs > rec) & is_cand[recs]]
+        recs = recs[~queued[recs]]
+        if recs.size:
+            queued[recs] = True
+            for hazard in recs.tolist():
+                heapq.heappush(heap, hazard)
+
+
+def _label_batched(source, state, isn, isn2=None) -> None:
+    """The labelling scan (lines 1-3) over block-batched chunks.
+
+    One IS neighbour makes a vertex "A" (two-k: one or two, with ``isn2``
+    the larger id).  With neighbour lists in arbitrary record order the
+    smaller of two ids comes from a per-record minimum, the larger from
+    the id sum.
+    """
+
+    n = source.num_vertices
+    max_cnt = 1 if isn2 is None else 2
+    for verts, local_offsets, tgts in source.scan_batches():
+        lens = local_offsets[1:] - local_offsets[:-1]
+        local_src = _local_sources(verts.size, lens)
+        is_slot = state[tgts] == _IS
+        src_sel = local_src[is_slot]
+        cnt = np.bincount(src_sel, minlength=verts.size)
+        nbr_sum = _int_bincount(src_sel, tgts[is_slot], verts.size)
+        a_mask = (state[verts] != _IS) & (cnt >= 1) & (cnt <= max_cnt)
+        state[verts[a_mask]] = _ADJ
+        one_mask = a_mask & (cnt == 1)
+        isn[verts[one_mask]] = nbr_sum[one_mask]
+        if isn2 is not None:
+            two_mask = a_mask & (cnt == 2)
+            low = _record_min(np.where(is_slot, tgts, n), local_offsets, n)[two_mask]
+            isn[verts[two_mask]] = low
+            isn2[verts[two_mask]] = nbr_sum[two_mask] - low
+
+
+def _post_swap_batched(source, state, isn, isn2=None) -> int:
+    """The post-swap scan over block-batched chunks of a streamed file.
+
+    Algorithm 2 lines 20-28, or Algorithm 3 lines 15-23 when ``isn2`` is
+    given (see :func:`_post_swap`).  Each chunk's count / sum / min /
+    ``blocker`` entries are rebuilt from the live state — ``blocker``
+    counts neighbours whose state blocks a 0-1 swap (IS or A: P and R
+    cannot exist after the swap phase) — so each scanned vertex costs
+    O(1) plus one fancy update when it changes class.  Returns the number
+    of 0-1 swaps.
+    """
+
+    two = isn2 is not None
+    max_cnt = 2 if two else 1
+    n = source.num_vertices
+    cnt = np.zeros(n, dtype=np.int64)
+    nbr_sum = np.zeros(n, dtype=np.int64)
+    nbr_min = np.full(n, n, dtype=np.int64)  # n acts as +infinity
+    blocker = np.zeros(n, dtype=np.int64)
+    zero_one_swaps = 0
+    for verts, local_offsets, tgts in source.scan_batches():
+        lens = local_offsets[1:] - local_offsets[:-1]
+        local_src = _local_sources(verts.size, lens)
+        is_slot = state[tgts] == _IS
+        src_sel = local_src[is_slot]
+        local_cnt = np.bincount(src_sel, minlength=verts.size)
+        cnt[verts] = local_cnt
+        nbr_sum[verts] = _int_bincount(src_sel, tgts[is_slot], verts.size)
+        if two:
+            local_min = _record_min(np.where(is_slot, tgts, n), local_offsets, n)
+            nbr_min[verts] = np.where(local_cnt >= 1, local_min, n)
+        blocker[verts] = np.bincount(
+            local_src[is_slot | (state[tgts] == _ADJ)], minlength=verts.size
+        )
+        vertex_list = verts.tolist()
+        offset_list = local_offsets.tolist()
+        for i in np.flatnonzero(state[verts] != _IS).tolist():
+            v = vertex_list[i]
+            old = state[v]
+            c = cnt[v]
+            if 1 <= c <= max_cnt:
+                state[v] = _ADJ
+                if c == 1:
+                    isn[v] = nbr_sum[v]
+                    if two:
+                        isn2[v] = -1
+                else:
+                    low = nbr_min[v]
+                    isn[v] = low
+                    isn2[v] = nbr_sum[v] - low
+                if old != _ADJ:
+                    blocker[tgts[offset_list[i] : offset_list[i + 1]]] += 1
+            else:
+                state[v] = _NON
+                isn[v] = -1
+                if two:
+                    isn2[v] = -1
+                if old == _ADJ:
+                    blocker[tgts[offset_list[i] : offset_list[i + 1]]] -= 1
+                if blocker[v] == 0:
+                    # 0-1 swap: no neighbour is IS or A.
+                    state[v] = _IS
+                    zero_one_swaps += 1
+                    nbrs = tgts[offset_list[i] : offset_list[i + 1]]
+                    cnt[nbrs] += 1
+                    nbr_sum[nbrs] += v
+                    if two:
+                        nbr_min[nbrs] = np.minimum(nbr_min[nbrs], v)
+                    blocker[nbrs] += 1
+    return zero_one_swaps
 
 
 class NumpyBackend(KernelBackend):
@@ -1189,64 +1656,16 @@ class NumpyBackend(KernelBackend):
         """
 
         n = source.num_vertices
+        state = np.empty(n, dtype=np.uint8)
+        isn = np.empty(n, dtype=np.int64)
+        loop = _SwapRounds(
+            "one_k_swap", {"state": state, "isn": isn}, initial_set, max_rounds, resume
+        )
         if resume is None:
-            state = np.full(n, _NON, dtype=np.uint8)
-            if initial_set:
-                state[
-                    np.fromiter(initial_set, dtype=np.int64, count=len(initial_set))
-                ] = _IS
-            isn = np.full(n, -1, dtype=np.int64)
+            _label_batched(source, state, isn)  # lines 1-3
+            loop.labelled()
 
-            # Lines 1-3, one block-batched chunk at a time.
-            for verts, local_offsets, tgts in source.scan_batches():
-                lens = local_offsets[1:] - local_offsets[:-1]
-                local_src = _local_sources(verts.size, lens)
-                is_slot = state[tgts] == _IS
-                src_sel = local_src[is_slot]
-                cnt = np.bincount(src_sel, minlength=verts.size)
-                nbr_sum = _int_bincount(src_sel, tgts[is_slot], verts.size)
-                a_mask = (state[verts] != _IS) & (cnt == 1)
-                adjacent = verts[a_mask]
-                state[adjacent] = _ADJ
-                isn[adjacent] = nbr_sum[a_mask]
-
-            rounds: List[RoundStats] = []
-            initial_size = len(initial_set)
-            current_size = initial_size
-            can_swap = True
-            oscillation = False
-            history = {_fingerprint(state, isn)} if max_rounds is None else None
-        else:
-            state = np.asarray(resume["state"], dtype=np.uint8)
-            isn = np.asarray(resume["isn"], dtype=np.int64)
-            rounds = decode_rounds(resume["rounds"])
-            initial_size = int(resume["initial_size"])
-            current_size = int(resume["current_size"])
-            can_swap = bool(resume["can_swap"])
-            oscillation = bool(resume["oscillation"])
-            history = decode_history(resume["history"])
-
-        def _snapshot() -> dict:
-            return {
-                "pass": "one_k_swap",
-                "initial_size": initial_size,
-                "state": state.tolist(),
-                "isn": isn.tolist(),
-                "rounds": encode_rounds(rounds),
-                "current_size": current_size,
-                "can_swap": can_swap,
-                "oscillation": oscillation,
-                "history": encode_history(history),
-            }
-
-        while (
-            not oscillation
-            and can_swap
-            and (max_rounds is None or len(rounds) < max_rounds)
-        ):
-            can_swap = False
-            zero_one_swaps = 0
-
+        while loop.running():
             # |ISN^-1(w)| for every IS vertex w, as one bincount.
             adj_mask = state == _ADJ
             pointer_count = np.bincount(isn[adj_mask & (isn >= 0)], minlength=n).astype(
@@ -1270,76 +1689,17 @@ class NumpyBackend(KernelBackend):
             state[state == _PRO] = _IS
             state[retro] = _NON
             one_k_swaps = int(retro.sum())
-            can_swap = one_k_swaps > 0
+            loop.can_swap = one_k_swaps > 0
 
-            # Post-swap scan (lines 20-28).  `blocker` counts neighbours
-            # whose state blocks a 0-1 swap (IS or A — P and R cannot
-            # exist after the swap phase); the scan costs O(1) per vertex
-            # plus one fancy store when a vertex changes class.
-            cnt = np.zeros(n, dtype=np.int64)
-            nbr_sum = np.zeros(n, dtype=np.int64)
-            blocker = np.zeros(n, dtype=np.int64)
-            for verts, local_offsets, tgts in source.scan_batches():
-                lens = local_offsets[1:] - local_offsets[:-1]
-                local_src = _local_sources(verts.size, lens)
-                is_slot = state[tgts] == _IS
-                src_sel = local_src[is_slot]
-                cnt[verts] = np.bincount(src_sel, minlength=verts.size)
-                nbr_sum[verts] = _int_bincount(src_sel, tgts[is_slot], verts.size)
-                blocker[verts] = np.bincount(
-                    local_src[is_slot | (state[tgts] == _ADJ)],
-                    minlength=verts.size,
-                )
-                vertex_list = verts.tolist()
-                offset_list = local_offsets.tolist()
-                for i in np.flatnonzero(state[verts] != _IS).tolist():
-                    v = vertex_list[i]
-                    old = state[v]
-                    if cnt[v] == 1:
-                        state[v] = _ADJ
-                        isn[v] = nbr_sum[v]
-                        if old != _ADJ:
-                            blocker[tgts[offset_list[i] : offset_list[i + 1]]] += 1
-                    else:
-                        state[v] = _NON
-                        isn[v] = -1
-                        if old == _ADJ:
-                            blocker[tgts[offset_list[i] : offset_list[i + 1]]] -= 1
-                        if blocker[v] == 0:
-                            # 0-1 swap: no neighbour is IS or A.
-                            state[v] = _IS
-                            zero_one_swaps += 1
-                            nbrs = tgts[offset_list[i] : offset_list[i + 1]]
-                            cnt[nbrs] += 1
-                            nbr_sum[nbrs] += v
-                            blocker[nbrs] += 1
-
-            new_size = int((state == _IS).sum())
-            rounds.append(
-                RoundStats(
-                    round_index=len(rounds) + 1,
-                    gained=new_size - current_size,
-                    one_k_swaps=one_k_swaps,
-                    two_k_swaps=0,
-                    zero_one_swaps=zero_one_swaps,
-                    is_size_after=new_size,
-                )
+            zero_one_swaps = _post_swap_batched(source, state, isn)  # lines 20-28
+            loop.end_round(
+                on_round,
+                one_k_swaps=one_k_swaps,
+                two_k_swaps=0,
+                zero_one_swaps=zero_one_swaps,
             )
-            current_size = new_size
 
-            if history is not None and can_swap:
-                fingerprint = _fingerprint(state, isn)
-                if fingerprint in history:
-                    oscillation = True
-                else:
-                    history.add(fingerprint)
-            if on_round is not None:
-                on_round(_snapshot())
-
-        _fold_completion(rounds, self._completion_pass(source, state))
-
-        independent_set = frozenset(np.flatnonzero(state == _IS).tolist())
-        return independent_set, tuple(rounds), oscillation
+        return loop.result(self._completion_pass(source, state))
 
     @staticmethod
     def _one_k_processor(state, isn, pointer_count):
@@ -1392,279 +1752,98 @@ class NumpyBackend(KernelBackend):
         resume: Optional[dict] = None,
         on_round=None,
     ) -> Tuple[FrozenSet[int], Tuple[RoundStats, ...], int, bool]:
-        in_memory = isinstance(source, InMemoryAdjacencyScan)
+        csr = record_csr(source)
+        if csr is not None:
+            return two_k_records(
+                csr,
+                source,
+                initial_set,
+                max_rounds,
+                max_pairs_per_key,
+                max_partner_checks,
+                resume,
+                on_round,
+            )
+        return self._two_k_batched(
+            source,
+            initial_set,
+            max_rounds,
+            max_pairs_per_key,
+            max_partner_checks,
+            resume,
+            on_round,
+        )
+
+    def _two_k_batched(
+        self,
+        source,
+        initial_set,
+        max_rounds,
+        max_pairs_per_key,
+        max_partner_checks,
+        resume,
+        on_round,
+    ):
+        """Algorithms 3-4 over block-batched chunks of a streamed file.
+
+        The pre-swap scan runs Algorithm 4's body on every "A" candidate
+        of each chunk, and the post-swap scan rebuilds the current chunk's
+        count/sum/min/blocker entries from the live state — the values the
+        event loop of :func:`two_k_records` tracks, by construction.
+        """
+
         n = source.num_vertices
-
-        if in_memory:
-            graph = source.graph
-            offsets, targets = graph.csr_arrays()
-            edge_src = graph.edge_sources_array()
-            order = source.order_array()
-
+        state = np.empty(n, dtype=np.uint8)
+        isn1 = np.empty(n, dtype=np.int64)
+        isn2 = np.empty(n, dtype=np.int64)
+        loop = _SwapRounds(
+            "two_k_swap",
+            {"state": state, "isn1": isn1, "isn2": isn2},
+            initial_set,
+            max_rounds,
+            resume,
+        )
         if resume is None:
-            state = np.full(n, _NON, dtype=np.uint8)
-            if initial_set:
-                state[
-                    np.fromiter(initial_set, dtype=np.int64, count=len(initial_set))
-                ] = _IS
-            # ISN as a sorted pair per vertex (-1 = absent): isn1 < isn2.
-            isn1 = np.full(n, -1, dtype=np.int64)
-            isn2 = np.full(n, -1, dtype=np.int64)
+            _label_batched(source, state, isn1, isn2)  # lines 1-3
+            loop.labelled()
 
-            if in_memory:
-                # Lines 1-3 (vectorized): per-vertex IS-neighbour count via
-                # bincount; the one-or-two neighbour ids are read off the
-                # sorted IS slot list with a searchsorted first-occurrence
-                # index.
-                is_slot = state[targets] == _IS
-                src_sel = edge_src[is_slot]
-                tgt_sel = targets[is_slot]
-                cnt = np.bincount(src_sel, minlength=n)
-                first = np.searchsorted(
-                    src_sel, np.arange(n, dtype=np.int64), side="left"
-                )
-                a_mask = (state != _IS) & (cnt >= 1) & (cnt <= 2)
-                state[a_mask] = _ADJ
-                isn1[a_mask] = tgt_sel[first[a_mask]]
-                two_mask = a_mask & (cnt == 2)
-                isn2[two_mask] = tgt_sel[first[two_mask] + 1]
-                source.stats.record_scan()
-            else:
-                # Same labelling per batch; with neighbour lists in arbitrary
-                # record order the smaller id comes from a per-record minimum,
-                # the larger from the id sum.
-                for verts, local_offsets, tgts in source.scan_batches():
-                    lens = local_offsets[1:] - local_offsets[:-1]
-                    local_src = _local_sources(verts.size, lens)
-                    is_slot = state[tgts] == _IS
-                    src_sel = local_src[is_slot]
-                    cnt = np.bincount(src_sel, minlength=verts.size)
-                    nbr_sum = _int_bincount(src_sel, tgts[is_slot], verts.size)
-                    nbr_min = _record_min(np.where(is_slot, tgts, n), local_offsets, n)
-                    a_mask = (state[verts] != _IS) & (cnt >= 1) & (cnt <= 2)
-                    state[verts[a_mask]] = _ADJ
-                    one_mask = a_mask & (cnt == 1)
-                    isn1[verts[one_mask]] = nbr_sum[one_mask]
-                    two_mask = a_mask & (cnt == 2)
-                    low = nbr_min[two_mask]
-                    isn1[verts[two_mask]] = low
-                    isn2[verts[two_mask]] = nbr_sum[two_mask] - low
-
-            rounds: List[RoundStats] = []
-            initial_size = len(initial_set)
-            current_size = initial_size
-            can_swap = True
-            max_sc_vertices = 0
-            oscillation = False
-            history = {_fingerprint(state, isn1, isn2)} if max_rounds is None else None
-        else:
-            state = np.asarray(resume["state"], dtype=np.uint8)
-            isn1 = np.asarray(resume["isn1"], dtype=np.int64)
-            isn2 = np.asarray(resume["isn2"], dtype=np.int64)
-            rounds = decode_rounds(resume["rounds"])
-            initial_size = int(resume["initial_size"])
-            current_size = int(resume["current_size"])
-            can_swap = bool(resume["can_swap"])
-            max_sc_vertices = int(resume["max_sc_vertices"])
-            oscillation = bool(resume["oscillation"])
-            history = decode_history(resume["history"])
-
-        def _snapshot() -> dict:
-            return {
-                "pass": "two_k_swap",
-                "initial_size": initial_size,
-                "state": state.tolist(),
-                "isn1": isn1.tolist(),
-                "isn2": isn2.tolist(),
-                "rounds": encode_rounds(rounds),
-                "current_size": current_size,
-                "can_swap": can_swap,
-                "max_sc_vertices": max_sc_vertices,
-                "oscillation": oscillation,
-                "history": encode_history(history),
-            }
-
-        while (
-            not oscillation
-            and can_swap
-            and (max_rounds is None or len(rounds) < max_rounds)
-        ):
-            can_swap = False
-            zero_one_swaps = 0
-
+        while loop.running():
             sc = SwapCandidateStore(max_pairs_per_key=max_pairs_per_key)
             round_ctx = _TwoKRound(
                 n, state, isn1, isn2, sc, source, max_partner_checks
             )
             process = round_ctx.processor()
 
-            # ----------------------------------------------------------
-            # Pre-swap scan (Algorithm 4).  Scalar over the "A" candidate
-            # subset: skeleton promotions can flip later candidates to P,
-            # hence the state re-check per vertex.
-            # ----------------------------------------------------------
-            if in_memory:
-                for v in order[state[order] == _ADJ].tolist():
+            # Pre-swap scan (Algorithm 4), scalar over the "A" candidates:
+            # skeleton promotions can flip later candidates to P, hence the
+            # state re-check per vertex.
+            for verts, local_offsets, tgts in source.scan_batches():
+                vertex_list = verts.tolist()
+                offset_list = local_offsets.tolist()
+                for i in np.flatnonzero(state[verts] == _ADJ).tolist():
+                    v = vertex_list[i]
                     if state[v] != _ADJ:
                         continue
-                    process(v, targets[offsets[v] : offsets[v + 1]])
-                source.stats.record_scan()
-            else:
-                for verts, local_offsets, tgts in source.scan_batches():
-                    vertex_list = verts.tolist()
-                    offset_list = local_offsets.tolist()
-                    for i in np.flatnonzero(state[verts] == _ADJ).tolist():
-                        v = vertex_list[i]
-                        if state[v] != _ADJ:
-                            continue
-                        process(v, tgts[offset_list[i] : offset_list[i + 1]])
-
-            one_k_swaps = round_ctx.one_k_swaps
-            two_k_swaps = round_ctx.two_k_swaps
-            max_sc_vertices = max(
-                max_sc_vertices, round_ctx.max_sc_vertices, sc.peak_vertices
-            )
+                    process(v, tgts[offset_list[i] : offset_list[i + 1]])
+            loop.max_sc_vertices = max(loop.max_sc_vertices, sc.peak_vertices)
 
             # Swap phase (Algorithm 3 lines 10-14), fully vectorized.
             retro = state == _RET
             state[state == _PRO] = _IS
             state[retro] = _NON
-            can_swap = bool(retro.any())
+            loop.can_swap = bool(retro.any())
 
-            # ----------------------------------------------------------
-            # Post-swap scan (Algorithm 3 lines 15-23): incremental
-            # count / sum / min arrays give the one-or-two IS neighbour
-            # identities in O(1) per scanned vertex.
-            # ----------------------------------------------------------
-            if in_memory:
-                is_slot = state[targets] == _IS
-                src_sel = edge_src[is_slot]
-                tgt_sel = targets[is_slot]
-                cnt = np.bincount(src_sel, minlength=n).astype(np.int64)
-                nbr_sum = _int_bincount(src_sel, tgt_sel, n)
-                first = np.searchsorted(
-                    src_sel, np.arange(n, dtype=np.int64), side="left"
-                )
-                nbr_min = np.full(n, n, dtype=np.int64)  # n acts as +infinity
-                has_is = cnt >= 1
-                nbr_min[has_is] = tgt_sel[first[has_is]]
-                blocker_slot = is_slot | (state[targets] == _ADJ)
-                blocker = np.bincount(edge_src[blocker_slot], minlength=n).astype(
-                    np.int64
-                )
-
-                for v in order[state[order] != _IS].tolist():
-                    old = state[v]
-                    c = cnt[v]
-                    if 1 <= c <= 2:
-                        state[v] = _ADJ
-                        if c == 1:
-                            isn1[v] = nbr_sum[v]
-                            isn2[v] = -1
-                        else:
-                            low = nbr_min[v]
-                            isn1[v] = low
-                            isn2[v] = nbr_sum[v] - low
-                        if old != _ADJ:
-                            blocker[targets[offsets[v] : offsets[v + 1]]] += 1
-                    else:
-                        state[v] = _NON
-                        isn1[v] = -1
-                        isn2[v] = -1
-                        if old == _ADJ:
-                            blocker[targets[offsets[v] : offsets[v + 1]]] -= 1
-                        if blocker[v] == 0:
-                            # 0-1 swap: no neighbour is IS or A.
-                            state[v] = _IS
-                            zero_one_swaps += 1
-                            nbrs = targets[offsets[v] : offsets[v + 1]]
-                            cnt[nbrs] += 1
-                            nbr_sum[nbrs] += v
-                            nbr_min[nbrs] = np.minimum(nbr_min[nbrs], v)
-                            blocker[nbrs] += 1
-                source.stats.record_scan()
-            else:
-                cnt = np.zeros(n, dtype=np.int64)
-                nbr_sum = np.zeros(n, dtype=np.int64)
-                nbr_min = np.full(n, n, dtype=np.int64)
-                blocker = np.zeros(n, dtype=np.int64)
-                for verts, local_offsets, tgts in source.scan_batches():
-                    lens = local_offsets[1:] - local_offsets[:-1]
-                    local_src = _local_sources(verts.size, lens)
-                    is_slot = state[tgts] == _IS
-                    src_sel = local_src[is_slot]
-                    local_cnt = np.bincount(src_sel, minlength=verts.size)
-                    cnt[verts] = local_cnt
-                    nbr_sum[verts] = _int_bincount(src_sel, tgts[is_slot], verts.size)
-                    local_min = _record_min(np.where(is_slot, tgts, n), local_offsets, n)
-                    nbr_min[verts] = n
-                    has_is = local_cnt >= 1
-                    nbr_min[verts[has_is]] = local_min[has_is]
-                    blocker[verts] = np.bincount(
-                        local_src[is_slot | (state[tgts] == _ADJ)],
-                        minlength=verts.size,
-                    )
-                    vertex_list = verts.tolist()
-                    offset_list = local_offsets.tolist()
-                    # Mirror of the in-memory post-swap body above, with
-                    # neighbour slices taken from the batch fragment.
-                    for i in np.flatnonzero(state[verts] != _IS).tolist():
-                        v = vertex_list[i]
-                        old = state[v]
-                        c = cnt[v]
-                        if 1 <= c <= 2:
-                            state[v] = _ADJ
-                            if c == 1:
-                                isn1[v] = nbr_sum[v]
-                                isn2[v] = -1
-                            else:
-                                low = nbr_min[v]
-                                isn1[v] = low
-                                isn2[v] = nbr_sum[v] - low
-                            if old != _ADJ:
-                                blocker[tgts[offset_list[i] : offset_list[i + 1]]] += 1
-                        else:
-                            state[v] = _NON
-                            isn1[v] = -1
-                            isn2[v] = -1
-                            if old == _ADJ:
-                                blocker[tgts[offset_list[i] : offset_list[i + 1]]] -= 1
-                            if blocker[v] == 0:
-                                state[v] = _IS
-                                zero_one_swaps += 1
-                                nbrs = tgts[offset_list[i] : offset_list[i + 1]]
-                                cnt[nbrs] += 1
-                                nbr_sum[nbrs] += v
-                                nbr_min[nbrs] = np.minimum(nbr_min[nbrs], v)
-                                blocker[nbrs] += 1
-
-            new_size = int((state == _IS).sum())
-            rounds.append(
-                RoundStats(
-                    round_index=len(rounds) + 1,
-                    gained=new_size - current_size,
-                    one_k_swaps=one_k_swaps,
-                    two_k_swaps=two_k_swaps,
-                    zero_one_swaps=zero_one_swaps,
-                    is_size_after=new_size,
-                    sc_vertices=sc.peak_vertices,
-                )
+            # Post-swap scan (Algorithm 3 lines 15-23).
+            zero_one_swaps = _post_swap_batched(source, state, isn1, isn2)
+            loop.end_round(
+                on_round,
+                one_k_swaps=round_ctx.one_k_swaps,
+                two_k_swaps=round_ctx.two_k_swaps,
+                zero_one_swaps=zero_one_swaps,
+                sc_vertices=sc.peak_vertices,
             )
-            current_size = new_size
 
-            if history is not None and can_swap:
-                fingerprint = _fingerprint(state, isn1, isn2)
-                if fingerprint in history:
-                    oscillation = True
-                else:
-                    history.add(fingerprint)
-            if on_round is not None:
-                on_round(_snapshot())
-
-        _fold_completion(rounds, self._completion_pass(source, state))
-
-        independent_set = frozenset(np.flatnonzero(state == _IS).tolist())
-        return independent_set, tuple(rounds), max_sc_vertices, oscillation
+        return loop.result(self._completion_pass(source, state))
 
     # ------------------------------------------------------------------
     # Shared final 0↔1 completion pass.
@@ -1673,19 +1852,12 @@ class NumpyBackend(KernelBackend):
     def _completion_pass(source, state) -> int:
         """Insert every vertex with no IS neighbour, in scan order.
 
-        Sources with a record-major CSR run the vectorized
-        :func:`_completion`.  A streamed file rebuilds each chunk's
-        IS-neighbour counts from the live state; a vertex whose count is
-        positive can never become insertable (the set only grows), so the
-        scalar loop touches only the zero-count candidates and bumps its
-        neighbours' counts on each insertion.
+        The streamed-file counterpart of :func:`_completion`: each chunk's
+        IS-neighbour counts are rebuilt from the live state; a vertex whose
+        count is positive can never become insertable (the set only
+        grows), so the scalar loop touches only the zero-count candidates
+        and bumps its neighbours' counts on each insertion.
         """
-
-        csr = record_csr(source)
-        if csr is not None:
-            gain = _completion(csr, state, label_vertices(csr, state)[0])
-            source.charge_scan()
-            return gain
 
         n = source.num_vertices
         cnt = np.zeros(n, dtype=np.int64)

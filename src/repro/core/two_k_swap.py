@@ -30,9 +30,13 @@ These lookups are rare — a handful per round in practice — and could be
 deferred to the next sequential scan in a disk-resident deployment.
 
 The round bodies are delegated to a pluggable kernel backend
-(:mod:`repro.core.kernels`); the ``numpy`` backend vectorizes the
-adjacency labelling, swap commits, post-swap refresh and completion
-sweeps, keeping only the sequential swap-conflict scan scalar.
+(:mod:`repro.core.kernels`).  The ``numpy`` backend vectorizes the
+labelling, swap commits, post-swap refresh and completion sweeps; its
+pre-swap scan decides every candidate's no-op verdict at round start with
+vectorized compares and runs Algorithm 4's scalar body only on the
+candidates that may act or that an earlier event reached — the swap
+conflicts the paper resolves through the scan order's right of
+preemption.
 """
 
 from __future__ import annotations
