@@ -15,7 +15,13 @@ array, completed-stage prefix with an embedded reduce-kernel artifact):
 * ``cached_prefix_seconds`` vs ``reencode_seconds`` — a round checkpoint
   write that splices the pre-encoded completed-stage prefix against one
   that re-encodes the whole payload, on a checkpoint whose prefix
-  dominates (the reduce artifact case).
+  dominates (the reduce artifact case);
+* the *stream-checkpoint* row — what a durable ``watch`` session pays per
+  batch: a PLRG maintainer carrying an edge overlay writes its state
+  (selection bitmap, absent ids, overlay edges) next to the spliced,
+  pre-hashed CSR base section.  ``state_bytes`` is the file minus the base
+  section; ``write_seconds`` is ``state_payload()`` plus
+  ``write_checkpoint`` per batch.
 
 Usage::
 
@@ -38,8 +44,16 @@ from typing import Dict, List, Optional
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro.dynamic.maintainer import DynamicMISMaintainer  # noqa: E402
+from repro.graphs.plrg import PLRGParameters, plrg_graph  # noqa: E402
 from repro.reporting import format_bytes, format_table, print_experiment_header  # noqa: E402
 from repro.storage.checkpoint import encode_section, write_checkpoint  # noqa: E402
+
+#: Shape of the stream row: updates per batch, 70/30 insert/delete, and
+#: how many batches build the overlay before the timed ones.
+STREAM_BATCH = 256
+STREAM_WARM_BATCHES = 20
+STREAM_TIMED_BATCHES = 10
 
 
 def _round_payload(num_vertices: int, seed: int) -> Dict[str, object]:
@@ -116,6 +130,49 @@ def measure(num_vertices: int, rounds: int = 5) -> Dict[str, object]:
     }
 
 
+def _update_batch(rng: random.Random, num_vertices: int, edges) -> tuple:
+    insertions, deletions = [], []
+    for _ in range(STREAM_BATCH):
+        if rng.random() < 0.7:
+            u, v = rng.sample(range(num_vertices), 2)
+            insertions.append((u, v))
+        else:
+            deletions.append(edges[rng.randrange(len(edges))])
+    return insertions, deletions
+
+
+def measure_stream(num_vertices: int, seed: int = 1) -> Dict[str, object]:
+    """Per-batch stream checkpoint cost of a PLRG maintainer with an overlay."""
+
+    graph = plrg_graph(PLRGParameters.from_vertex_count(num_vertices, 2.1), seed=seed)
+    edges = list(graph.iter_edges())
+    maintainer = DynamicMISMaintainer(graph, pipeline="greedy")
+    rng = random.Random(seed)
+    for _ in range(STREAM_WARM_BATCHES):
+        maintainer.apply_updates(*_update_batch(rng, num_vertices, edges))
+    offsets, targets = maintainer.base_arrays()
+    base = encode_section({"offsets": offsets, "targets": targets}, base_offset=0)
+
+    seconds = 0.0
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "stream.ck")
+        for cursor in range(STREAM_TIMED_BATCHES):
+            maintainer.apply_updates(*_update_batch(rng, num_vertices, edges))
+            started = time.perf_counter()
+            payload = {"cursor": cursor, "state": maintainer.state_payload()}
+            write_checkpoint(path, payload, sections={"base": base})
+            seconds += time.perf_counter() - started
+        checkpoint_bytes = os.path.getsize(path)
+    base_bytes = len(base.blob) + len(base.json_bytes)
+    return {
+        "num_vertices": num_vertices,
+        "overlay_size": maintainer.overlay_size,
+        "base_bytes": base_bytes,
+        "state_bytes": checkpoint_bytes - base_bytes,
+        "write_seconds": round(seconds / STREAM_TIMED_BATCHES, 6),
+    }
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true", help="tiny run for CI")
@@ -124,6 +181,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     sizes = [20_000] if args.smoke else [100_000, 1_000_000]
     rows = [measure(size) for size in sizes]
+    stream_rows = [measure_stream(size) for size in sizes]
 
     print_experiment_header(
         "Checkpoint format",
@@ -147,9 +205,30 @@ def main(argv: Optional[List[str]] = None) -> int:
             ],
         )
     )
+    print()
+    print(
+        format_table(
+            ["n", "overlay", "base bytes", "state bytes", "encode+write s/batch"],
+            [
+                [
+                    row["num_vertices"],
+                    row["overlay_size"],
+                    format_bytes(row["base_bytes"]),
+                    format_bytes(row["state_bytes"]),
+                    row["write_seconds"],
+                ]
+                for row in stream_rows
+            ],
+        )
+    )
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump({"results": rows}, handle, indent=2, sort_keys=True)
+            json.dump(
+                {"results": rows, "stream_checkpoint": stream_rows},
+                handle,
+                indent=2,
+                sort_keys=True,
+            )
         print(f"wrote {args.output}")
     return 0
 

@@ -2777,6 +2777,7 @@ def _overlay_record_inserts(m, rows) -> None:
     """
 
     added, removed = m._added, m._removed
+    cancelled = 0
     if removed:
         rem_get = removed.get
         add_get = added.get
@@ -2784,6 +2785,7 @@ def _overlay_record_inserts(m, rows) -> None:
             rem = rem_get(x)
             if rem and y in rem:
                 rem.discard(y)
+                cancelled += 1
             else:
                 s = add_get(x)
                 if s is None:
@@ -2793,6 +2795,7 @@ def _overlay_record_inserts(m, rows) -> None:
             rem = rem_get(y)
             if rem and x in rem:
                 rem.discard(x)
+                cancelled += 1
             else:
                 s = add_get(y)
                 if s is None:
@@ -2812,6 +2815,8 @@ def _overlay_record_inserts(m, rows) -> None:
                 added[y] = {x}
             else:
                 s.add(x)
+    # Each directed entry is either a fresh one (+1) or a cancellation (-1).
+    m._overlay_entries += 2 * (len(rows) - cancelled)
     m._overlay_dirty[rows.ravel()] = True
 
 
@@ -2819,6 +2824,7 @@ def _overlay_record_deletes(m, rows) -> None:
     """Record committed edge deletions in the delta overlay (mirror case)."""
 
     added, removed = m._added, m._removed
+    cancelled = 0
     if added:
         add_get = added.get
         rem_get = removed.get
@@ -2826,6 +2832,7 @@ def _overlay_record_deletes(m, rows) -> None:
             add = add_get(x)
             if add and y in add:
                 add.discard(y)
+                cancelled += 1
             else:
                 s = rem_get(x)
                 if s is None:
@@ -2835,6 +2842,7 @@ def _overlay_record_deletes(m, rows) -> None:
             add = add_get(y)
             if add and x in add:
                 add.discard(x)
+                cancelled += 1
             else:
                 s = rem_get(y)
                 if s is None:
@@ -2854,6 +2862,7 @@ def _overlay_record_deletes(m, rows) -> None:
                 removed[y] = {x}
             else:
                 s.add(x)
+    m._overlay_entries += 2 * (len(rows) - cancelled)
     m._overlay_dirty[rows.ravel()] = True
 
 

@@ -54,6 +54,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import asdict, dataclass
+from itertools import chain
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.core.kernels import WaveTelemetry, observe_pass, resolve_maintainer_backend
@@ -121,6 +122,9 @@ class DynamicMISMaintainer:
         self._base_n = 0
         self._added: Dict[int, Set[int]] = {}
         self._removed: Dict[int, Set[int]] = {}
+        #: Directed entries across both overlays, kept in step by every
+        #: path that adds or discards one (``overlay_size`` is O(1)).
+        self._overlay_entries = 0
         # Flat per-vertex state, grown on demand.
         self._capacity = 0
         self._present = self._new_bool(0)
@@ -405,6 +409,11 @@ class DynamicMISMaintainer:
                 drift = maintained != list(self._tight)
             if drift:
                 raise SolverError("the maintained tightness counters drifted")
+            if self._overlay_entries != self._count_overlay():
+                raise SolverError(
+                    f"the overlay counter drifted: {self._overlay_entries} "
+                    f"vs {self._count_overlay()} overlay entries"
+                )
         finally:
             if _np is not None and isinstance(maintained, _np.ndarray):
                 self._tight[:] = maintained
@@ -482,8 +491,10 @@ class DynamicMISMaintainer:
             removed = self._removed.get(a)
             if removed and b in removed:
                 removed.discard(b)
+                self._overlay_entries -= 1
             else:
                 self._added.setdefault(a, set()).add(b)
+                self._overlay_entries += 1
             self._overlay_dirty[a] = True
             self._degree[a] += 1
             if self._selected[b]:
@@ -503,8 +514,10 @@ class DynamicMISMaintainer:
             added = self._added.get(a)
             if added and b in added:
                 added.discard(b)
+                self._overlay_entries -= 1
             else:
                 self._removed.setdefault(a, set()).add(b)
+                self._overlay_entries += 1
             self._overlay_dirty[a] = True
             self._degree[a] -= 1
             if self._selected[b]:
@@ -535,8 +548,10 @@ class DynamicMISMaintainer:
                 added = self._added.get(a)
                 if added and b in added:
                     added.discard(b)
+                    self._overlay_entries -= 1
                 else:
                     self._removed.setdefault(a, set()).add(b)
+                    self._overlay_entries += 1
                 self._overlay_dirty[a] = True
             self._degree[u] -= 1
         self._degree[vertex] = 0
@@ -630,7 +645,12 @@ class DynamicMISMaintainer:
     # ------------------------------------------------------------------
     @property
     def overlay_size(self) -> int:
-        """Number of directed entries in the delta overlay."""
+        """Number of directed entries in the delta overlay (O(1))."""
+
+        return self._overlay_entries
+
+    def _count_overlay(self) -> int:
+        """``overlay_size`` recounted from the overlay sets themselves."""
 
         return sum(len(s) for s in self._added.values()) + sum(
             len(s) for s in self._removed.values()
@@ -651,6 +671,7 @@ class DynamicMISMaintainer:
         self._base_n = graph.num_vertices
         self._added.clear()
         self._removed.clear()
+        self._overlay_entries = 0
         if _np is not None and isinstance(self._overlay_dirty, _np.ndarray):
             self._overlay_dirty[:] = False
         else:
@@ -682,32 +703,33 @@ class DynamicMISMaintainer:
         Together with :meth:`base_arrays` this captures the full state:
         :meth:`from_state` rebuilds an identical maintainer — degrees and
         tightness are recomputed deterministically from the adjacency and
-        selection, so only flags, overlays and counters are stored.
+        selection, so only flags, overlays and counters are stored.  The
+        bulky fields are flat int arrays (ndarrays with NumPy) that the
+        checkpoint encoder packs without a per-element walk:
+
+        * ``selected_bits`` — the selection over ``[0, max_id]`` as a
+          big-endian bitmap, one signed byte per 8 vertices;
+        * ``absent`` — ids in ``[0, max_id]`` that are not in the graph;
+        * ``added`` / ``removed`` — the overlay edges as ``u0, v0, u1,
+          v1, ...`` with ``u < v``, sorted by ``(u, v)``.
         """
 
-        absent = [
-            v for v in range(self._max_id + 1)
-            if not (v < self._capacity and self._present[v])
-        ]
+        count = self._max_id + 1
+        if _np is not None and isinstance(self._selected, _np.ndarray):
+            selected_bits = _np.packbits(self._selected[:count]).view(_np.int8)
+            absent = _np.flatnonzero(~self._present[:count])
+        else:
+            selected_bits = _pack_bits(self._selected[:count])
+            absent = [v for v in range(count) if not self._present[v]]
         return {
             "pipeline": self._pipeline,
             "max_id": self._max_id,
             "num_present": self._num_present,
             "num_edges": self._num_edges,
-            "selected": self._selected_ids(),
+            "selected_bits": selected_bits,
             "absent": absent,
-            "added": sorted(
-                (u, v)
-                for u, neighbors in self._added.items()
-                for v in neighbors
-                if u < v
-            ),
-            "removed": sorted(
-                (u, v)
-                for u, neighbors in self._removed.items()
-                for v in neighbors
-                if u < v
-            ),
+            "added": _flat_overlay_edges(self._added),
+            "removed": _flat_overlay_edges(self._removed),
             "stats": asdict(self.stats),
         }
 
@@ -722,7 +744,11 @@ class DynamicMISMaintainer:
         compact_threshold: Optional[int] = None,
         journal_limit: Optional[int] = None,
     ) -> "DynamicMISMaintainer":
-        """Rebuild a maintainer from :meth:`state_payload` + CSR base."""
+        """Rebuild a maintainer from :meth:`state_payload` + CSR base.
+
+        ``payload`` may hold the fields as ndarrays (straight from
+        :meth:`state_payload`) or as the int lists a checkpoint decodes to.
+        """
 
         maintainer = cls(
             pipeline=payload["pipeline"],
@@ -734,38 +760,46 @@ class DynamicMISMaintainer:
         maintainer._base_targets = base_targets
         maintainer._base_n = len(base_offsets) - 1
         max_id = int(payload["max_id"])
+        count = max_id + 1
         maintainer._max_id = max_id
         maintainer._num_present = int(payload["num_present"])
         maintainer._num_edges = int(payload["num_edges"])
-        maintainer._grow(max_id + 1)
+        maintainer._grow(count)
+        added = _overlay_pairs(payload["added"])
+        removed = _overlay_pairs(payload["removed"])
         if _np is not None and isinstance(maintainer._present, _np.ndarray):
-            maintainer._present[: max_id + 1] = True
+            maintainer._present[:count] = True
+            maintainer._present[_np.asarray(payload["absent"], dtype=_np.int64)] = False
+            bits = _np.asarray(payload["selected_bits"], dtype=_np.int8)
+            maintainer._selected[:count] = _np.unpackbits(
+                bits.view(_np.uint8), count=count
+            ).astype(bool)
             base_n = maintainer._base_n
             if base_n and isinstance(base_offsets, _np.ndarray):
                 maintainer._degree[:base_n] = _np.diff(base_offsets)
         else:
-            for v in range(max_id + 1):
+            for v in range(count):
                 maintainer._present[v] = True
+            for v in payload["absent"]:
+                maintainer._present[v] = False
+            for v, bit in enumerate(_unpack_bits(payload["selected_bits"], count)):
+                maintainer._selected[v] = bit
             for v in range(maintainer._base_n):
                 maintainer._degree[v] = base_offsets[v + 1] - base_offsets[v]
-        for v in payload["absent"]:
-            maintainer._present[v] = False
-        for u, v in payload["added"]:
-            maintainer._added.setdefault(u, set()).add(v)
-            maintainer._added.setdefault(v, set()).add(u)
-            maintainer._overlay_dirty[u] = True
-            maintainer._overlay_dirty[v] = True
-        for u, v in payload["removed"]:
-            maintainer._removed.setdefault(u, set()).add(v)
-            maintainer._removed.setdefault(v, set()).add(u)
-            maintainer._overlay_dirty[u] = True
-            maintainer._overlay_dirty[v] = True
+        for pairs, overlay in (
+            (added, maintainer._added),
+            (removed, maintainer._removed),
+        ):
+            for u, v in pairs:
+                overlay.setdefault(u, set()).add(v)
+                overlay.setdefault(v, set()).add(u)
+                maintainer._overlay_dirty[u] = True
+                maintainer._overlay_dirty[v] = True
         for u, neighbors in maintainer._added.items():
             maintainer._degree[u] += len(neighbors)
         for u, neighbors in maintainer._removed.items():
             maintainer._degree[u] -= len(neighbors)
-        for v in payload["selected"]:
-            maintainer._selected[v] = True
+        maintainer._overlay_entries = maintainer._count_overlay()
         maintainer._recompute_tightness()
         maintainer.stats = UpdateStats(**payload["stats"])
         return maintainer
@@ -818,3 +852,60 @@ class DynamicMISMaintainer:
                 continue
             if not self._tight[vertex]:
                 self._select(vertex)
+
+
+# ----------------------------------------------------------------------
+# State payload encoding helpers
+# ----------------------------------------------------------------------
+def _flat_overlay_edges(overlay: Dict[int, Set[int]]):
+    """One overlay's undirected edges as flat ``u, v`` pairs, ``u < v``, sorted."""
+
+    if _np is None:
+        return [
+            x
+            for u, v in sorted(
+                (u, v) for u, neighbors in overlay.items() for v in neighbors if u < v
+            )
+            for x in (u, v)
+        ]
+    size = len(overlay)
+    sources = _np.fromiter(overlay.keys(), dtype=_np.int64, count=size)
+    lengths = _np.fromiter(map(len, overlay.values()), dtype=_np.int64, count=size)
+    us = _np.repeat(sources, lengths)
+    vs = _np.fromiter(
+        chain.from_iterable(overlay.values()), dtype=_np.int64, count=int(lengths.sum())
+    )
+    forward = us < vs
+    us, vs = us[forward], vs[forward]
+    order = _np.lexsort((vs, us))
+    return _np.column_stack((us[order], vs[order])).ravel()
+
+
+def _overlay_pairs(flat) -> List[Tuple[int, int]]:
+    """Inverse of :func:`_flat_overlay_edges`: flat ``u, v`` values → pairs."""
+
+    values = flat.tolist() if hasattr(flat, "tolist") else list(flat)
+    if len(values) % 2:
+        raise SolverError("overlay edge arrays must hold an even number of ids")
+    return list(zip(values[0::2], values[1::2]))
+
+
+def _pack_bits(flags) -> List[int]:
+    """Pure-python ``numpy.packbits`` (big-endian bits) as signed bytes."""
+
+    packed = []
+    for start in range(0, len(flags), 8):
+        byte = 0
+        for offset, flag in enumerate(flags[start : start + 8]):
+            if flag:
+                byte |= 0x80 >> offset
+        packed.append(byte - 256 if byte > 127 else byte)
+    return packed
+
+
+def _unpack_bits(packed, count: int) -> List[bool]:
+    """Inverse of :func:`_pack_bits`, truncated to ``count`` flags."""
+
+    return [
+        bool((packed[v >> 3] & 0xFF) & (0x80 >> (v & 7))) for v in range(count)
+    ]

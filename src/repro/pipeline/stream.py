@@ -29,10 +29,16 @@ resumed session provably continues *the same* stream — any mismatch
 raises :class:`~repro.errors.StreamError`.  Because the cursor advances
 in whole batches and every update is deterministic, a session SIGKILLed
 at any point resumes to a final set bit-identical to an uninterrupted
-run.  The immutable CSR base is pre-encoded once per compaction and
-spliced into every checkpoint verbatim, so steady-state checkpoint cost
-is proportional to the (small) overlay and selection state, not the
-graph.
+run.  The immutable CSR base is pre-encoded (and pre-hashed) once per
+compaction and spliced into every checkpoint verbatim, and the
+maintainer hands its state over as flat arrays the encoder packs without
+a per-element walk, so a steady-state checkpoint costs an n/8-byte
+selection bitmap plus the overlay, plus writing the spliced base bytes —
+no Python work proportional to the graph.
+
+The maintainer's selection-change :attr:`journal` is cleared after
+every batch, with or without a checkpoint: the session never replays
+it, so a long-running session holds at most one batch of it.
 """
 
 from __future__ import annotations
@@ -70,7 +76,9 @@ __all__ = [
 #: any change to the pinned fields or the state payload; older stream
 #: checkpoints then fail with :class:`StreamError` instead of resuming
 #: into a different stream semantics.
-STREAM_VERSION = 1
+#: Version 2 stores the selection as a bitmap and the overlay edges as
+#: flat int arrays (see ``DynamicMISMaintainer.state_payload``).
+STREAM_VERSION = 2
 
 
 def _maintainer_cls():
@@ -263,12 +271,11 @@ class StreamSession:
 
     def _encode_base(self) -> EncodedSection:
         offsets, targets = self._maintainer.base_arrays()
-        if hasattr(offsets, "tolist"):
-            offsets = offsets.tolist()
-        if hasattr(targets, "tolist"):
-            targets = targets.tolist()
+        if _np is None:
+            # Without NumPy the base is array('q'); the encoder packs lists.
+            offsets, targets = list(offsets), list(targets)
         return encode_section(
-            {"offsets": list(offsets), "targets": list(targets)}, base_offset=0
+            {"offsets": offsets, "targets": targets}, base_offset=0
         )
 
     def _write_checkpoint(self) -> None:
@@ -296,12 +303,6 @@ class StreamSession:
             self._obs.registry.inc(
                 "repro_checkpoint_writes_total", phase="batch"
             )
-        # Everything the journal recorded up to this point is now
-        # captured by the durable checkpoint (resume rebuilds selection
-        # state from the payload, never by replaying the journal), so
-        # the replayed prefix is dead weight — drop it to keep a
-        # long-running session's memory bounded by one batch.
-        del self._maintainer.journal[:]
         self._writes += 1
         if (
             self._interrupt_after is not None
@@ -437,6 +438,11 @@ class StreamSession:
                 # next compaction.
                 self._base_section = None
             self._cursor += 1
+            # The session never replays the journal (resume rebuilds the
+            # selection from the checkpoint payload), so drop this batch's
+            # entries to keep a long-running session's memory bounded by
+            # one batch, checkpointed or not.
+            del maintainer.journal[:]
             if self._checkpoint:
                 self._write_checkpoint()
             if self._progress is not None:

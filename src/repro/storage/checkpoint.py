@@ -20,6 +20,17 @@ payload keeps only a compact reference
 this shrinks round checkpoints by an order of magnitude compared to the
 version-1 JSON int lists while remaining pure-stdlib and deterministic.
 
+Payload values may also be 1-D integer or bool NumPy arrays (when NumPy
+is installed; the module itself needs only the standard library).  They
+are packed with ``min``/``max`` + ``astype(...).tobytes()`` instead of a
+per-element Python walk, into exactly the bytes the equal int list packs
+to — so a document does not depend on whether its writer held lists or
+ndarrays, and it decodes to plain int lists either way (bool arrays
+decode as 0/1 ints).  Compression uses zlib level :data:`ZLIB_LEVEL`
+(1): the arrays are mostly small-range integers where the fastest level
+gives up well under 1% of size against the default and is several times
+faster to encode.
+
 The header pins the format name and version, both section byte lengths
 and a BLAKE2b digest per section, so every failure mode is detected
 *before* any state is applied:
@@ -47,7 +58,9 @@ engine uses this for the completed-stage prefix — per-round checkpoint
 writes then only encode the loop snapshot.  A document written with
 pre-encoded sections decodes to the exact payload of one written plain
 (and is byte-identical whenever the section keys sort before the other
-array-bearing payload keys, as the engine's do).
+array-bearing payload keys, as the engine's do).  A section encoded at
+arrays offset 0 also carries the BLAKE2b state after its blob, so a
+write hashes only the bytes that follow the spliced prefix.
 """
 
 from __future__ import annotations
@@ -57,7 +70,7 @@ import json
 import os
 import zlib
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import (
@@ -65,6 +78,11 @@ from repro.errors import (
     CheckpointError,
     CheckpointVersionError,
 )
+
+try:  # pragma: no cover - exercised implicitly on every import
+    import numpy as _np
+except ImportError:  # pragma: no cover - the container ships numpy
+    _np = None
 
 __all__ = [
     "CHECKPOINT_FORMAT",
@@ -92,6 +110,10 @@ ARRAY_KEY = "__ckarray__"
 #: reference object plus compression framing would not pay for itself.
 ARRAY_MIN_LENGTH = 32
 
+#: zlib level of every packed array.  Level 1 is several times faster
+#: than the default 6 on checkpoint arrays and within 1% of its size.
+ZLIB_LEVEL = 1
+
 #: Smallest-first signed widths an array may be packed with.
 _TYPECODES: Tuple[Tuple[str, int, int], ...] = (
     ("b", -(2 ** 7), 2 ** 7 - 1),
@@ -99,6 +121,10 @@ _TYPECODES: Tuple[Tuple[str, int, int], ...] = (
     ("i", -(2 ** 31), 2 ** 31 - 1),
     ("q", -(2 ** 63), 2 ** 63 - 1),
 )
+
+
+def _hasher():
+    return hashlib.blake2b(digest_size=16)
 
 
 def _digest(payload_bytes: bytes) -> str:
@@ -113,29 +139,70 @@ def _is_int_array(value: object) -> bool:
     return all(type(item) is int for item in value)
 
 
-def _pack_array(values, blob_parts: List[bytes], offset: int) -> Tuple[dict, int]:
-    """Append ``values`` to the arrays section, return (reference, new offset)."""
+def _is_int_ndarray(value: object) -> bool:
+    """Whether ``value`` is a 1-D integer or bool ndarray."""
 
-    low, high = min(values), max(values)
+    return (
+        _np is not None
+        and isinstance(value, _np.ndarray)
+        and value.ndim == 1
+        and value.dtype.kind in "biu"
+    )
+
+
+def _typecode(low: int, high: int) -> str:
+    """The smallest signed typecode holding every value in ``[low, high]``."""
+
     for typecode, lo, hi in _TYPECODES:
         if lo <= low and high <= hi:
-            break
-    else:  # pragma: no cover - values outside int64 never reach here
-        raise CheckpointError("checkpoint array value does not fit in 64 bits")
-    packed = zlib.compress(array(typecode, values).tobytes())
+            return typecode
+    raise CheckpointError("checkpoint array value does not fit in 64 bits")
+
+
+def _append_packed(
+    raw: bytes, typecode: str, count: int, blob_parts: List[bytes], offset: int
+) -> Tuple[dict, int]:
+    packed = zlib.compress(raw, ZLIB_LEVEL)
     blob_parts.append(packed)
-    reference = {ARRAY_KEY: [offset, len(packed), typecode, len(values)]}
+    reference = {ARRAY_KEY: [offset, len(packed), typecode, count]}
     return reference, offset + len(packed)
 
 
+def _pack_array(values, blob_parts: List[bytes], offset: int) -> Tuple[dict, int]:
+    """Append ``values`` to the arrays section, return (reference, new offset)."""
+
+    typecode = _typecode(min(values), max(values))
+    return _append_packed(
+        array(typecode, values).tobytes(), typecode, len(values), blob_parts, offset
+    )
+
+
+def _pack_ndarray(values, blob_parts: List[bytes], offset: int):
+    """The ndarray counterpart of :func:`_pack_array` (same bytes, no walk).
+
+    Arrays shorter than :data:`ARRAY_MIN_LENGTH` stay inline, like short
+    lists; bool arrays pack as 0/1 ints.
+    """
+
+    if values.dtype.kind == "b":
+        values = values.view(_np.int8)
+    if values.size < ARRAY_MIN_LENGTH:
+        return values.tolist(), offset
+    typecode = _typecode(int(values.min()), int(values.max()))
+    raw = values.astype(_np.dtype(typecode), copy=False).tobytes()
+    return _append_packed(raw, typecode, int(values.size), blob_parts, offset)
+
+
 def _extract_arrays(value, blob_parts: List[bytes], offset: int):
-    """Deep-copy ``value`` with long int lists replaced by array references.
+    """Deep-copy ``value`` with long int arrays replaced by array references.
 
     Returns ``(converted value, new arrays-section offset)``.
     """
 
     if _is_int_array(value):
         return _pack_array(value, blob_parts, offset)
+    if _is_int_ndarray(value):
+        return _pack_ndarray(value, blob_parts, offset)
     if isinstance(value, (list, tuple)):
         converted = []
         for item in value:
@@ -196,12 +263,16 @@ class EncodedSection:
     ``blob`` its slice of the arrays section, and ``base_offset`` the
     arrays-section offset the references were encoded against —
     :func:`write_checkpoint` places section blobs at exactly these
-    offsets, so re-used sections splice in without re-encoding.
+    offsets, so re-used sections splice in without re-encoding.  A
+    section at offset 0 also keeps ``blob_hash``, the arrays-section
+    BLAKE2b state after its blob, which writes copy instead of
+    re-hashing the blob.
     """
 
     json_bytes: bytes
     blob: bytes
     base_offset: int
+    blob_hash: Optional[object] = field(default=None, compare=False, repr=False)
 
 
 def encode_section(value, base_offset: int = 0) -> EncodedSection:
@@ -214,10 +285,16 @@ def encode_section(value, base_offset: int = 0) -> EncodedSection:
 
     blob_parts: List[bytes] = []
     converted, _offset = _extract_arrays(value, blob_parts, base_offset)
+    blob = b"".join(blob_parts)
+    blob_hash = None
+    if base_offset == 0:
+        blob_hash = _hasher()
+        blob_hash.update(blob)
     return EncodedSection(
         json_bytes=_dump_json(converted),
-        blob=b"".join(blob_parts),
+        blob=blob,
         base_offset=base_offset,
+        blob_hash=blob_hash,
     )
 
 
@@ -269,22 +346,30 @@ def write_checkpoint(
             value_json = _dump_json(converted)
         items.append(_dump_json(key) + b":" + value_json)
     payload_bytes = b"{" + b",".join(items) + b"}"
-    arrays_blob = b"".join(blob_parts)
+
+    # Hash the arrays section part by part, resuming after a spliced
+    # leading section's pre-hashed blob instead of hashing it again.
+    arrays_hash, unhashed = _hasher(), blob_parts
+    if sections:
+        first = sections[min(sections)]
+        if first.blob_hash is not None:
+            arrays_hash, unhashed = first.blob_hash.copy(), blob_parts[1:]
+    for part in unhashed:
+        arrays_hash.update(part)
 
     header = {
-        "arrays_bytes": len(arrays_blob),
-        "arrays_checksum": _digest(arrays_blob),
+        "arrays_bytes": offset,  # the offset past the last packed array
+        "arrays_checksum": arrays_hash.hexdigest(),
         "checksum": _digest(payload_bytes),
         "format": CHECKPOINT_FORMAT,
         "payload_bytes": len(payload_bytes),
         "version": CHECKPOINT_VERSION,
     }
-    document = (
-        _dump_json(header) + b"\n" + payload_bytes + b"\n" + arrays_blob
-    )
     temp_path = f"{path}.tmp"
     with open(temp_path, "wb") as handle:
-        handle.write(document)
+        handle.writelines(
+            [_dump_json(header), b"\n", payload_bytes, b"\n", *blob_parts]
+        )
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(temp_path, path)

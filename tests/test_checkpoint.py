@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import random
 
 import pytest
+
+from repro.storage import checkpoint as checkpoint_module
 
 from repro.errors import (
     CheckpointCorruptError,
@@ -17,6 +20,7 @@ from repro.storage.checkpoint import (
     ARRAY_MIN_LENGTH,
     CHECKPOINT_FORMAT,
     CHECKPOINT_VERSION,
+    ZLIB_LEVEL,
     encode_section,
     read_checkpoint,
     write_checkpoint,
@@ -210,6 +214,115 @@ class TestBinaryArrays:
         assert read_checkpoint(path) == {"extremes": values}
 
 
+class TestNdarrayPacking:
+    """ndarray values pack into exactly the bytes of the equal int list."""
+
+    @pytest.fixture
+    def np(self):
+        return pytest.importorskip("numpy")
+
+    @staticmethod
+    def _both(tmp_path, as_list, as_array):
+        plain, packed = str(tmp_path / "list.ck"), str(tmp_path / "array.ck")
+        write_checkpoint(plain, {"values": as_list, "tag": 1})
+        write_checkpoint(packed, {"values": as_array, "tag": 1})
+        return open(plain, "rb").read(), open(packed, "rb").read(), plain
+
+    @pytest.mark.parametrize(
+        "low, high, typecode, dtype",
+        [
+            (0, 100, "b", "int64"),
+            (-128, 127, "b", "int8"),
+            (-300, 30_000, "h", "int64"),
+            (-300, 30_000, "h", "int32"),
+            (-(2 ** 31), 2 ** 31 - 1, "i", "int32"),
+            (0, 2 ** 31 - 1, "i", "uint32"),
+            (-(2 ** 40), 2 ** 62, "q", "int64"),
+        ],
+    )
+    def test_every_width_matches_the_list_bytes(
+        self, np, tmp_path, low, high, typecode, dtype
+    ):
+        rng = random.Random(low ^ high)
+        values = [low, high] + [rng.randint(low, high) for _ in range(200)]
+        plain, packed, path = self._both(
+            tmp_path, values, np.asarray(values, dtype=dtype)
+        )
+        assert plain == packed
+        header_line, _, body = plain.partition(b"\n")
+        document = json.loads(body[: json.loads(header_line)["payload_bytes"]])
+        assert document["values"]["__ckarray__"][2] == typecode
+        assert read_checkpoint(path)["values"] == values
+
+    def test_unsigned_and_negative_arrays(self, np, tmp_path):
+        for values in (
+            list(range(-64, 0)),
+            list(range(200, 256)),
+            [-(2 ** 63), 2 ** 63 - 1] * 20,
+        ):
+            dtype = np.uint8 if values[0] >= 0 else np.int64
+            plain, packed, _ = self._both(
+                tmp_path, values, np.asarray(values, dtype=dtype)
+            )
+            assert plain == packed
+        too_wide = np.full(ARRAY_MIN_LENGTH, 2 ** 63, dtype=np.uint64)
+        with pytest.raises(CheckpointError, match="64 bits"):
+            write_checkpoint(str(tmp_path / "wide.ck"), {"values": too_wide})
+
+    def test_bool_arrays_pack_as_0_1_ints(self, np, tmp_path):
+        flags = np.random.default_rng(3).random(500) < 0.3
+        plain, packed, path = self._both(
+            tmp_path, flags.astype(int).tolist(), flags
+        )
+        assert plain == packed
+        assert read_checkpoint(path)["values"] == flags.astype(int).tolist()
+
+    @pytest.mark.parametrize("length", [0, 1, ARRAY_MIN_LENGTH - 1])
+    @pytest.mark.parametrize("dtype", ["int64", "int8", "bool"])
+    def test_empty_and_short_arrays_stay_inline(self, np, tmp_path, length, dtype):
+        array = (np.arange(length) % 2).astype(dtype)
+        values = array.astype(int).tolist()
+        plain, packed, path = self._both(tmp_path, values, array)
+        assert plain == packed
+        header = json.loads(packed.partition(b"\n")[0])
+        assert header["arrays_bytes"] == 0
+        assert read_checkpoint(path)["values"] == values
+
+    def test_other_arrays_are_not_serializable(self, np, tmp_path):
+        for array in (np.arange(80).reshape(2, 40), np.linspace(0.0, 1.0, 50)):
+            with pytest.raises(CheckpointError, match="JSON-serializable"):
+                write_checkpoint(str(tmp_path / "ck"), {"values": array})
+
+    def test_arrays_inside_sections_match_list_sections(self, np):
+        value = {"offsets": np.arange(0, 400, 4), "targets": np.arange(400) % 97}
+        listed = {key: array.tolist() for key, array in value.items()}
+        assert encode_section(value) == encode_section(listed)
+
+
+class TestCompressionLevel:
+    def test_arrays_compress_at_the_module_level(self, tmp_path):
+        import zlib
+
+        assert ZLIB_LEVEL == 1
+        values = [v % 97 for v in range(5000)]
+        path = str(tmp_path / "ck")
+        write_checkpoint(path, {"values": values})
+        header_line, _, body = open(path, "rb").read().partition(b"\n")
+        blob = body[json.loads(header_line)["payload_bytes"] + 1 :]
+        raw = zlib.decompress(blob)
+        assert blob == zlib.compress(raw, ZLIB_LEVEL)
+
+    def test_files_written_at_another_level_still_read(self, tmp_path, monkeypatch):
+        # Checkpoints from writers that compressed at zlib's default level
+        # carry the same version and decode unchanged.
+        values = list(range(10_000))
+        path = str(tmp_path / "ck")
+        monkeypatch.setattr(checkpoint_module, "ZLIB_LEVEL", 6)
+        write_checkpoint(path, {"values": values})
+        monkeypatch.undo()
+        assert read_checkpoint(path) == {"values": values}
+
+
 class TestEncodedSections:
     """Pre-encoded sections splice in without re-encoding — and identically."""
 
@@ -259,3 +372,30 @@ class TestEncodedSections:
                 {"completed": []},
                 sections={"completed": section},
             )
+
+    def test_prehashed_prefix_matches_a_plain_write(self, tmp_path):
+        np = pytest.importorskip("numpy")
+        base = {"offsets": np.arange(0, 6000, 3), "targets": np.arange(6000) % 500}
+        section = encode_section(base, base_offset=0)
+        assert section.blob_hash is not None
+        assert section.blob_hash.hexdigest() == checkpoint_module._digest(
+            section.blob
+        )
+        rest = {"cursor": 4, "state": {"bits": list(range(-40, 40))}}
+        plain = str(tmp_path / "plain.ck")
+        write_checkpoint(
+            plain,
+            dict(rest, base={key: a.tolist() for key, a in base.items()}),
+        )
+        for index in range(2):  # the cached hash state is copied, never fed
+            spliced = str(tmp_path / f"spliced{index}.ck")
+            write_checkpoint(spliced, rest, sections={"base": section})
+            assert open(spliced, "rb").read() == open(plain, "rb").read()
+        unhashed = dataclasses.replace(section, blob_hash=None)
+        rehashed = str(tmp_path / "rehashed.ck")
+        write_checkpoint(rehashed, rest, sections={"base": unhashed})
+        assert open(rehashed, "rb").read() == open(plain, "rb").read()
+
+    def test_only_offset_zero_sections_carry_a_hash(self):
+        assert encode_section(self.COMPLETED, base_offset=0).blob_hash is not None
+        assert encode_section(self.COMPLETED, base_offset=64).blob_hash is None

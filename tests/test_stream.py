@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.cli import main as cli_main
 from repro.dynamic.maintainer import DynamicMISMaintainer
-from repro.errors import PipelineInterrupted, StreamError
+from repro.errors import PipelineInterrupted, SolverError, StreamError
 from repro.graphs.generators import erdos_renyi_gnm
 from repro.graphs.plrg import PLRGParameters, plrg_graph
 from repro.pipeline.stream import (
@@ -27,6 +27,7 @@ from repro.pipeline.stream import (
     load_updates,
     updates_digest,
 )
+from repro.storage.checkpoint import read_checkpoint, write_checkpoint
 from repro.validation.checks import is_independent_set
 
 
@@ -610,7 +611,6 @@ class TestStreamSession:
         graph, updates, checkpoint = stream_setup
         plain = StreamSession(graph, updates, batch_size=100)
         plain.run()
-        assert plain.maintainer.journal  # un-checkpointed sessions keep it
         durable = StreamSession(
             graph, updates, batch_size=100, checkpoint=checkpoint
         )
@@ -622,6 +622,65 @@ class TestStreamSession:
             sorted(durable.maintainer.independent_set)
             == sorted(plain.maintainer.independent_set)
         )
+
+    def test_checkpointless_sessions_keep_at_most_one_batch_of_journal(
+        self, stream_setup
+    ):
+        graph, updates, _ = stream_setup
+        session = StreamSession(graph, updates, batch_size=100)
+        maintainer = session.maintainer
+        inner = maintainer.apply_updates
+        per_batch = []
+
+        def apply_updates(*args, **kwargs):
+            # Whatever earlier batches journalled is gone before the next
+            # batch starts; only this batch's own entries accumulate.
+            assert maintainer.journal == []
+            result = inner(*args, **kwargs)
+            per_batch.append(len(maintainer.journal))
+            return result
+
+        maintainer.apply_updates = apply_updates
+        for _report in session.process():
+            assert maintainer.journal == []
+        assert len(per_batch) == session.total_batches
+        assert sum(per_batch) > 0  # the stream did change the selection
+
+    def test_version_1_stream_checkpoints_are_refused(self, stream_setup):
+        graph, updates, checkpoint = stream_setup
+        offsets, targets = graph.csr_arrays()
+        # The version-1 layout: selection as an id list, overlay as pairs.
+        write_checkpoint(
+            checkpoint,
+            {
+                "base": {"offsets": offsets.tolist(), "targets": targets.tolist()},
+                "cursor": 1,
+                "pins": {
+                    "stream_version": 1,
+                    "graph_digest": None,
+                    "updates_digest": updates_digest(updates),
+                    "update_count": len(load_updates(updates)),
+                    "batch_size": 64,
+                    "pipeline": "two_k_swap",
+                    "compact_threshold": None,
+                },
+                "state": {
+                    "pipeline": "two_k_swap",
+                    "max_id": graph.num_vertices - 1,
+                    "num_present": graph.num_vertices,
+                    "num_edges": graph.num_edges,
+                    "selected": [0, 5],
+                    "absent": [],
+                    "added": [[1, 2]],
+                    "removed": [],
+                    "stats": {},
+                },
+            },
+        )
+        with pytest.raises(StreamError, match="version 1 is not supported"):
+            StreamSession(
+                graph, updates, batch_size=64, checkpoint=checkpoint, resume=True
+            )
 
     def test_batch_reports_carry_conflict_and_wave_deltas(self, stream_setup):
         pytest.importorskip("numpy")
@@ -650,6 +709,149 @@ class TestStreamSession:
         )
         report_keys = set(reports[0].summary())
         assert {"evictions", "sub_waves", "scalar_fallbacks"} <= report_keys
+
+
+def _normalized_overlay(overlay):
+    return {u: set(neighbors) for u, neighbors in overlay.items() if neighbors}
+
+
+def _state_arrays(maintainer):
+    count = maintainer._max_id + 1
+    return {
+        name: [int(x) for x in getattr(maintainer, name)[:count]]
+        for name in ("_present", "_selected", "_degree", "_tight")
+    }
+
+
+class TestStateRoundTrip:
+    """``from_state(state_payload())`` rebuilds the maintainer exactly."""
+
+    @staticmethod
+    def _churned(backend):
+        maintainer = DynamicMISMaintainer(gnm_graph(seed=3), backend=backend)
+        base_n = maintainer.num_vertices
+        rng = random.Random(17)
+        insertions, deletions = random_stream(rng, base_n + 25, 400)
+        maintainer.apply_updates(insertions, deletions)
+        fresh = [maintainer.add_vertex() for _ in range(3)]
+        maintainer.insert_edge(fresh[0], 7)
+        maintainer.insert_edge(fresh[1], fresh[2])
+        maintainer.delete_vertex(fresh[2])
+        maintainer.delete_vertex(base_n + 3)  # created by the stream
+        maintainer.delete_vertex(11)  # a base vertex
+        maintainer.check_invariants()
+        assert maintainer._max_id > base_n
+        return maintainer
+
+    @staticmethod
+    def _assert_same(rebuilt, original):
+        assert rebuilt.independent_set == original.independent_set
+        assert _normalized_overlay(rebuilt._added) == _normalized_overlay(
+            original._added
+        )
+        assert _normalized_overlay(rebuilt._removed) == _normalized_overlay(
+            original._removed
+        )
+        assert _state_arrays(rebuilt) == _state_arrays(original)
+        assert rebuilt.overlay_size == original.overlay_size
+        assert rebuilt.num_vertices == original.num_vertices
+        assert rebuilt.num_edges == original.num_edges
+        assert rebuilt.stats == original.stats
+        rebuilt.check_invariants()
+
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    def test_round_trip_beyond_the_base(self, backend):
+        original = self._churned(backend)
+        payload = original.state_payload()
+        rebuilt = DynamicMISMaintainer.from_state(
+            payload, *original.base_arrays(), backend=backend
+        )
+        self._assert_same(rebuilt, original)
+        # The rebuilt maintainer continues the stream identically.
+        rng = random.Random(23)
+        insertions, deletions = random_stream(rng, 160, 200)
+        for maintainer in (original, rebuilt):
+            del maintainer.journal[:]
+            maintainer.apply_updates(insertions, deletions)
+            maintainer.add_vertex()
+        assert rebuilt.journal == original.journal
+        self._assert_same(rebuilt, original)
+
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    def test_round_trip_through_a_checkpoint_file(self, backend, tmp_path):
+        original = self._churned(backend)
+        path = str(tmp_path / "state.ck")
+        write_checkpoint(path, {"state": original.state_payload()})
+        decoded = read_checkpoint(path)["state"]
+        assert isinstance(decoded["selected_bits"], list)
+        rebuilt = DynamicMISMaintainer.from_state(
+            decoded, *original.base_arrays(), backend=backend
+        )
+        self._assert_same(rebuilt, original)
+
+    def test_list_state_matches_the_array_state(self, monkeypatch):
+        # Without NumPy the maintainer holds plain lists and packs the
+        # same payload values in pure Python.
+        import repro.dynamic.maintainer as maintainer_module
+
+        arrays = self._churned("python")
+        expected = {
+            key: value.tolist() if hasattr(value, "tolist") else value
+            for key, value in arrays.state_payload().items()
+        }
+        monkeypatch.setattr(maintainer_module, "_np", None)
+        lists = self._churned("python")
+        assert isinstance(lists._selected, list)
+        payload = lists.state_payload()
+        assert payload == expected
+        offsets, targets = lists.base_arrays()
+        rebuilt = DynamicMISMaintainer.from_state(
+            payload, offsets.tolist(), targets.tolist(), backend="python"
+        )
+        self._assert_same(rebuilt, lists)
+
+    def test_state_payload_layout(self):
+        maintainer = self._churned("numpy")
+        payload = maintainer.state_payload()
+        count = maintainer._max_id + 1
+        assert len(payload["selected_bits"]) == -(-count // 8)
+        for key in ("added", "removed"):
+            pairs = list(zip(*[iter(list(payload[key]))] * 2))
+            assert all(u < v for u, v in pairs)
+            assert pairs == sorted(pairs)
+            assert len(pairs) * 2 == sum(
+                len(s) for s in getattr(maintainer, f"_{key}").values()
+            )
+        absent = [int(v) for v in payload["absent"]]
+        assert absent == [
+            v for v in range(count) if not maintainer._present[v]
+        ]
+
+
+class TestOverlayCounter:
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    def test_counter_tracks_every_overlay_path(self, backend):
+        maintainer = DynamicMISMaintainer(
+            plrg_test_graph(seed=4), backend=backend, compact_threshold=150
+        )
+        rng = random.Random(41)
+        for _ in range(8):
+            insertions, deletions = random_stream(rng, 140, 90, insert_bias=0.5)
+            maintainer.apply_updates(insertions, deletions)
+            assert maintainer.overlay_size == maintainer._count_overlay()
+            maintainer.check_invariants()
+        maintainer.delete_vertex(3)
+        assert maintainer.overlay_size == maintainer._count_overlay()
+        assert maintainer.stats.compactions > 0
+        maintainer.compact()
+        assert maintainer.overlay_size == 0
+
+    def test_check_invariants_catches_a_drifted_counter(self):
+        maintainer = DynamicMISMaintainer(gnm_graph())
+        maintainer.insert_edge(0, 119)
+        maintainer._overlay_entries += 1
+        with pytest.raises(SolverError, match="overlay counter drifted"):
+            maintainer.check_invariants()
 
 
 class TestJournalRing:
