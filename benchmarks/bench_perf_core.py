@@ -59,12 +59,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro.baselines.dynamic_update import dynamic_update_mis  # noqa: E402
 from repro.baselines.local_search import local_search_mis  # noqa: E402
 from repro.core import greedy_mis, one_k_swap, solve_mis, two_k_swap  # noqa: E402
-from repro.core.kernels import available_backends, resolve_backend  # noqa: E402
-from repro.core.parallel import (  # noqa: E402
-    close_parallel_sessions,
-    parallelize_kernel,
-)
-from repro.graphs.generators import erdos_renyi_gnm  # noqa: E402
+from repro.core.kernels import available_backends  # noqa: E402
 from repro.graphs.graph import build_csr  # noqa: E402
 from repro.obs import MetricsRegistry, Observability, SpanTracer  # noqa: E402
 from repro.graphs.plrg import plrg_graph_with_vertex_count  # noqa: E402
@@ -81,11 +76,6 @@ SMOKE_SIZES = (2_000,)
 #: The binary-artifact comparison runs its own (larger) sweep: the format
 #: exists for graphs where re-parsing the text file dominates startup.
 DEFAULT_MEMMAP_SIZES = (100_000, 1_000_000, 10_000_000)
-#: The intra-job parallel rows run one large size (the speedup claim is a
-#: large-graph claim) over a worker-count ladder.
-DEFAULT_PARALLEL_SIZES = (1_000_000,)
-DEFAULT_WORKER_COUNTS = (1, 2, 4, 8)
-SMOKE_WORKER_COUNTS = (1, 2)
 
 #: Timing metrics shared by every row; speedups are computed for whichever
 #: of these a size has in both backend rows.
@@ -438,164 +428,10 @@ def _affinity() -> Optional[List[int]]:
 
 
 def _pin(cpus: Optional[List[int]]) -> None:
-    """Restrict this process — and every pool it forks — to ``cpus``."""
+    """Restrict this process to ``cpus``."""
 
     if cpus is not None:
         os.sched_setaffinity(0, cpus)
-
-
-def bench_parallel(
-    num_vertices: int,
-    seed: int,
-    repeats: int,
-    worker_counts: List[int],
-    workdir: Path,
-) -> List[Dict[str, object]]:
-    """Benchmark the intra-job parallel layer over a worker-count ladder.
-
-    One ``backend: parallel`` row per worker count, timing the full
-    greedy + one-k-swap composition (to convergence) over the shared-CSR
-    sharded passes, both in-memory and over the memory-mapped binary
-    artifact.  Every worker count's result is asserted bit-identical to
-    the serial run — the speedup curve is only meaningful if the work is
-    provably the same work.  Cached sessions are released between
-    configurations so each worker count forks a fresh pool and no idle
-    pool competes for cores with the measured one.
-
-    Each rung is pinned (``os.sched_setaffinity``) to the first
-    ``workers`` CPUs of the host's affinity mask, and the row records the
-    CPUs it actually ran on: a rung asking for more workers than the host
-    has CPUs measures oversubscription, not scaling, and the row says so.
-    """
-
-    graph = erdos_renyi_gnm(num_vertices, 4 * num_vertices, seed=seed)
-    text_path = workdir / f"gnm_{num_vertices}.adj"
-    binary_path = workdir / f"gnm_{num_vertices}.csr"
-    write_adjacency_file(graph, backing=str(text_path), stats=IOStats()).close()
-    adjacency_to_binary(str(text_path), str(binary_path))
-
-    def run_in_memory(workers: int):
-        from repro.storage.scan import as_scan_source
-
-        source = as_scan_source(graph)
-        kernel = resolve_backend("numpy", source)
-        if workers > 1:
-            kernel = parallelize_kernel(kernel, workers)
-        started = time.perf_counter()
-        initial = kernel.greedy_pass(source)
-        greedy_seconds = time.perf_counter() - started
-        started = time.perf_counter()
-        out = kernel.one_k_swap_pass(source, initial, None)
-        one_k_seconds = time.perf_counter() - started
-        close_parallel_sessions()
-        return initial, out, greedy_seconds, one_k_seconds
-
-    def run_memmap(workers: int):
-        with MemmapAdjacencySource(str(binary_path), stats=IOStats()) as source:
-            kernel = resolve_backend("numpy", source)
-            if workers > 1:
-                kernel = parallelize_kernel(kernel, workers)
-            started = time.perf_counter()
-            initial = kernel.greedy_pass(source)
-            greedy_seconds = time.perf_counter() - started
-            started = time.perf_counter()
-            out = kernel.one_k_swap_pass(source, initial, None)
-            one_k_seconds = time.perf_counter() - started
-            close_parallel_sessions()
-        return initial, out, greedy_seconds, one_k_seconds
-
-    rows: List[Dict[str, object]] = []
-    reference = None
-    host_cpus = _affinity()
-    try:
-        for workers in worker_counts:
-            cpus = host_cpus[:workers] if host_cpus is not None else None
-            _pin(cpus)
-            best_mem = (float("inf"),) * 2
-            best_map = (float("inf"),) * 2
-            for _ in range(repeats):
-                initial, out, greedy_s, one_k_s = run_in_memory(workers)
-                best_mem = (min(best_mem[0], greedy_s), min(best_mem[1], one_k_s))
-                initial_m, out_m, greedy_s, one_k_s = run_memmap(workers)
-                best_map = (min(best_map[0], greedy_s), min(best_map[1], one_k_s))
-            if (initial, out) != (initial_m, out_m):
-                raise AssertionError(
-                    f"in-memory/memmap parallel mismatch at workers={workers}"
-                )
-            if reference is None:
-                reference = (initial, out)
-            elif (initial, out) != reference:
-                raise AssertionError(
-                    f"parallel result diverges from serial at workers={workers}"
-                )
-            rows.append(
-                {
-                    "n": graph.num_vertices,
-                    "edges": graph.num_edges,
-                    "backend": "parallel",
-                    "model": "gnm",
-                    "workers": workers,
-                    "cpu_affinity": cpus,
-                    "cores": len(cpus) if cpus is not None else os.cpu_count(),
-                    "greedy_seconds": best_mem[0],
-                    "one_k_swap_seconds": best_mem[1],
-                    "combined_seconds": best_mem[0] + best_mem[1],
-                    "memmap_greedy_seconds": best_map[0],
-                    "memmap_one_k_swap_seconds": best_map[1],
-                    "memmap_combined_seconds": best_map[0] + best_map[1],
-                    "greedy_size": len(reference[0]),
-                    "one_k_size": len(reference[1][0]),
-                    "one_k_rounds": len(reference[1][1]),
-                }
-            )
-    finally:
-        _pin(host_cpus)
-    text_path.unlink()
-    binary_path.unlink()
-    return rows
-
-
-def compute_parallel_curve(
-    rows: List[Dict[str, object]],
-) -> Dict[str, Dict[str, Dict[str, float]]]:
-    """Speedup-vs-workers curves (serial-time / N-worker-time) per size.
-
-    The serial baseline is the ``workers == 1`` rung — the same one-k
-    engine the sharded rungs run, pinned to one CPU — so a ratio is
-    parallel scaling, not an algorithm difference.  ``cores`` records the
-    CPUs each rung actually had: ratios past the host's CPU count measure
-    oversubscription.
-    """
-
-    by_size: Dict[int, List[Dict[str, object]]] = {}
-    for row in rows:
-        if row.get("backend") == "parallel":
-            by_size.setdefault(int(row["n"]), []).append(row)
-    curves: Dict[str, Dict[str, Dict[str, float]]] = {}
-    for size, size_rows in sorted(by_size.items()):
-        base = next((r for r in size_rows if r["workers"] == 1), None)
-        if base is None:
-            continue
-        curve: Dict[str, Dict[str, float]] = {
-            "in_memory": {},
-            "memmap": {},
-            "cores": {},
-        }
-        for row in sorted(size_rows, key=lambda r: int(r["workers"])):
-            w = str(row["workers"])
-            curve["cores"][w] = row["cores"]
-            curve["in_memory"][w] = round(
-                float(base["combined_seconds"])
-                / max(float(row["combined_seconds"]), 1e-12),
-                2,
-            )
-            curve["memmap"][w] = round(
-                float(base["memmap_combined_seconds"])
-                / max(float(row["memmap_combined_seconds"]), 1e-12),
-                2,
-            )
-        curves[str(size)] = curve
-    return curves
 
 
 def compute_speedups(rows: List[Dict[str, object]]) -> Dict[str, Dict[str, float]]:
@@ -677,19 +513,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="assert memmap-vs-text greedy parity up to this vertex count",
     )
     parser.add_argument(
-        "--parallel-sizes",
-        default=None,
-        help="comma-separated vertex counts for the intra-job parallel rows "
-        "(default: 10^6; smoke: the smoke size); pass an empty string to "
-        "skip the parallel sweep",
-    )
-    parser.add_argument(
-        "--worker-counts",
-        default=None,
-        help="comma-separated worker-count ladder for the parallel rows "
-        "(default: 1,2,4,8; smoke: 1,2)",
-    )
-    parser.add_argument(
         "--output",
         default=str(REPO_ROOT / "BENCH_core.json"),
         help="path of the JSON report (default: BENCH_core.json at the repo root)",
@@ -704,16 +527,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             else list(SMOKE_SIZES)
         )
         repeats = args.repeats or 1
-        parallel_sizes = (
-            [int(s) for s in args.parallel_sizes.split(",") if s]
-            if args.parallel_sizes is not None
-            else list(SMOKE_SIZES)
-        )
-        worker_counts = (
-            [int(w) for w in args.worker_counts.split(",")]
-            if args.worker_counts
-            else list(SMOKE_WORKER_COUNTS)
-        )
     else:
         sizes = (
             [int(s) for s in args.sizes.split(",")]
@@ -726,16 +539,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             else list(DEFAULT_MEMMAP_SIZES)
         )
         repeats = args.repeats or 3
-        parallel_sizes = (
-            [int(s) for s in args.parallel_sizes.split(",") if s]
-            if args.parallel_sizes is not None
-            else list(DEFAULT_PARALLEL_SIZES)
-        )
-        worker_counts = (
-            [int(w) for w in args.worker_counts.split(",")]
-            if args.worker_counts
-            else list(DEFAULT_WORKER_COUNTS)
-        )
 
     rows: List[Dict[str, object]] = []
     for size in sizes:
@@ -808,33 +611,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 f"two_k {row['memmap_two_k_swap_seconds']:.4f}s"
             )
 
-        for size in parallel_sizes:
-            print(
-                f"benchmarking parallel solve n~{size:,} "
-                f"workers={worker_counts} ...",
-                flush=True,
-            )
-            # One repeat past the in-memory scale: the one-k pass runs to
-            # convergence, so a full ladder is minutes of solver time.
-            parallel_rows = bench_parallel(
-                size,
-                args.seed,
-                repeats if size <= 100_000 else 1,
-                worker_counts,
-                workdir,
-            )
-            rows.extend(parallel_rows)
-            for row in parallel_rows:
-                print(
-                    f"  n={row['n']:>9,} workers={row['workers']}: "
-                    f"greedy {row['greedy_seconds']:.3f}s  "
-                    f"one_k {row['one_k_swap_seconds']:.3f}s  "
-                    f"combined {row['combined_seconds']:.3f}s  "
-                    f"(memmap {row['memmap_combined_seconds']:.3f}s)"
-                )
-
     speedups = compute_speedups(rows)
-    parallel_curve = compute_parallel_curve(rows)
     report = {
         "benchmark": "bench_perf_core",
         "description": "CSR build + greedy + one-k-swap + two-k-swap + semi-external "
@@ -842,10 +619,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "DynamicUpdate) timings per kernel backend on PLRG graphs, plus "
         "binary CSR artifact rows (backend: memmap — convert cost, "
         "text-parse vs. zero-parse startup, memmap greedy, memmap two-k to "
-        "convergence pinned to one CPU) and intra-job "
-        "parallel rows (backend: parallel — greedy + one-k-swap to "
-        "convergence over sharded shared-CSR workers, in-memory and "
-        "memmap-backed, per worker count); "
+        "convergence pinned to one CPU); "
         "speedups are python-time / numpy-time.",
         "config": {
             "beta": args.beta,
@@ -859,14 +633,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             "comparator_python_max": args.comparator_python_max,
             "memmap_sizes": memmap_sizes,
             "memmap_parity_max": args.memmap_parity_max,
-            "parallel_sizes": parallel_sizes,
-            "worker_counts": worker_counts,
             "host_cpu_count": os.cpu_count(),
             "host_cpu_affinity": _affinity(),
         },
         "results": rows,
         "speedups_numpy_over_python": speedups,
-        "parallel_speedup_curve": parallel_curve,
     }
     output = Path(args.output)
     output.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
@@ -874,13 +645,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     for size, ratios in speedups.items():
         parts = ", ".join(f"{name} {ratio}x" for name, ratio in sorted(ratios.items()))
         print(f"  n={int(size):,}: {parts}")
-    for size, curve in parallel_curve.items():
-        parts = ", ".join(
-            f"{w}w {ratio}x" for w, ratio in sorted(
-                curve["in_memory"].items(), key=lambda kv: int(kv[0])
-            )
-        )
-        print(f"  parallel n={int(size):,} combined: {parts}")
     return 0
 
 

@@ -287,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--config",
         metavar="PATH",
         help="JSON run spec: {'pipeline': name-or-inline-spec, 'input': file, "
-        "and optional 'backend', 'workers', 'max_rounds', "
+        "and optional 'backend', 'max_rounds', "
         "'memory_limit_bytes', 'checkpoint', 'resume', "
         "'checkpoint_every_seconds'}",
     )
@@ -315,9 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
         dest="job_workers",
         type=int,
         default=2,
-        help="concurrent job worker processes (one per job; a job's own "
-        "intra-job parallelism comes from the 'workers' field of its run "
-        "spec). --workers is accepted as a legacy alias",
+        help="concurrent job worker processes (one per job; each job runs "
+        "serially). --workers is accepted as a legacy alias",
     )
     serve.add_argument(
         "--poll-interval",
@@ -859,11 +858,9 @@ def _command_run(args: argparse.Namespace) -> int:
     except (StorageError, OSError) as exc:
         print(f"cannot open input {run_spec.input!r}: {exc}", file=sys.stderr)
         return 2
-    # The run spec's backend and worker count fill the namespace slots the
-    # shared context builder reads, so resolution is identical to the
-    # other commands.
+    # The run spec's backend fills the namespace slot the shared context
+    # builder reads, so resolution is identical to the other commands.
     args.backend = run_spec.backend or "auto"
-    args.workers = run_spec.workers
     try:
         return _run_engine_command(
             run_spec.pipeline,
@@ -906,7 +903,6 @@ def _command_run_directory(args: argparse.Namespace) -> int:
             )
             return 2
         args.backend = run_spec.backend or "auto"
-        args.workers = run_spec.workers
         try:
             result = _execute_engine(
                 run_spec.pipeline,
@@ -1179,9 +1175,14 @@ def _follow_job(client: ServiceClient, job_id: str, timeout: float) -> int:
     """
 
     path = client.store.journal_path(job_id)
+    terminal_polls = []
 
     def _terminal() -> bool:
-        return client.status(job_id).is_terminal()
+        # Terminal events are journalled just after the record turns
+        # terminal, so stop one poll later to read the last event.
+        if client.status(job_id).is_terminal():
+            terminal_polls.append(True)
+        return len(terminal_polls) > 1
 
     try:
         for event in follow_journal(path, stop=_terminal, timeout_seconds=timeout):

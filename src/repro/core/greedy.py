@@ -44,7 +44,6 @@ def greedy_mis(
     order: Union[str, Sequence[int]] = "degree",
     memory_model: Optional[MemoryModel] = None,
     backend: Optional[str] = None,
-    workers: int = 1,
 ) -> MISResult:
     """Compute a maximal independent set with one sequential scan.
 
@@ -65,10 +64,6 @@ def greedy_mis(
         Kernel backend name (``"python"``, ``"numpy"`` or ``None``/
         ``"auto"`` for the process default).  File-backed sources always
         use the streaming python backend.
-    workers:
-        Number of worker processes for the scan (``1`` = the serial
-        path, byte-for-byte; ``> 1`` shards the pass over a shared CSR
-        with bit-identical results — see :mod:`repro.core.parallel`).
 
     Returns
     -------
@@ -80,10 +75,6 @@ def greedy_mis(
     model = memory_model if memory_model is not None else MemoryModel()
     num_vertices = source.num_vertices
     kernel = resolve_backend(backend, source)
-    if workers > 1:
-        from repro.core.parallel import parallelize_kernel
-
-        kernel = parallelize_kernel(kernel, workers)
 
     started = time.perf_counter()
     before = source.stats.copy()

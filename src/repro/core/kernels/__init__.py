@@ -11,7 +11,6 @@ from repro.core.kernels.base import (
     KernelBackend,
     WaveTelemetry,
     available_backends,
-    contribute_metrics,
     default_backend_name,
     get_backend,
     observe_pass,
@@ -20,7 +19,6 @@ from repro.core.kernels.base import (
     resolve_graph_backend,
     resolve_maintainer_backend,
     set_default_backend,
-    set_metrics_sink,
     set_pass_observer,
 )
 from repro.core.kernels.python_backend import PythonBackend
@@ -39,7 +37,6 @@ __all__ = [
     "SwapCandidateStore",
     "WaveTelemetry",
     "available_backends",
-    "contribute_metrics",
     "default_backend_name",
     "get_backend",
     "observe_pass",

@@ -47,19 +47,16 @@ __all__ = [
     "KernelBackend",
     "WaveTelemetry",
     "available_backends",
-    "contribute_metrics",
     "decode_rounds",
     "default_backend_name",
     "encode_rounds",
     "get_backend",
-    "metrics_enabled",
     "observe_pass",
     "register_backend",
     "resolve_backend",
     "resolve_graph_backend",
     "resolve_maintainer_backend",
     "set_default_backend",
-    "set_metrics_sink",
     "set_pass_observer",
 ]
 
@@ -78,7 +75,6 @@ BACKEND_ENV_VAR = "REPRO_KERNEL_BACKEND"
 # ---------------------------------------------------------------------------
 
 _PASS_OBSERVER: Optional[Callable[[str, str, Mapping[str, object]], None]] = None
-_METRICS_SINK: Optional[Callable[[Mapping[str, object]], None]] = None
 
 
 def set_pass_observer(
@@ -97,31 +93,6 @@ def observe_pass(pass_name: str, backend: str, **fields: object) -> None:
 
     if _PASS_OBSERVER is not None:
         _PASS_OBSERVER(pass_name, backend, fields)
-
-
-def set_metrics_sink(
-    sink: Optional[Callable[[Mapping[str, object]], None]],
-) -> Optional[Callable[[Mapping[str, object]], None]]:
-    """Install the registry-snapshot sink; returns the previous one."""
-
-    global _METRICS_SINK
-    previous = _METRICS_SINK
-    _METRICS_SINK = sink
-    return previous
-
-
-def contribute_metrics(snapshot: Mapping[str, object]) -> None:
-    """Fold a child registry snapshot (e.g. a parallel worker's per-rank
-    counters) into the installed sink, if any."""
-
-    if _METRICS_SINK is not None:
-        _METRICS_SINK(snapshot)
-
-
-def metrics_enabled() -> bool:
-    """Whether a metrics sink is installed (skip fold work otherwise)."""
-
-    return _METRICS_SINK is not None
 
 
 @dataclass

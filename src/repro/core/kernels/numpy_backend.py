@@ -18,8 +18,7 @@ Each swap algorithm has one vectorized implementation over a
 ``SEXTCSR1`` memmap, or an in-memory graph gathered into scan order once.
 
 * Algorithm 2 (one-k), :func:`one_k_records`: the pre-swap scan runs as
-  conflict-free waves.  The parallel layer runs the same function with a
-  sharded labelling sweep.
+  conflict-free waves.
 * Algorithms 3-4 (two-k), :func:`two_k_records`: the pre-swap scan
   decides every candidate's no-op verdict with vectorized round-start
   compares and runs Algorithm 4's body only on the candidates that may
@@ -414,9 +413,6 @@ class RecordCSR:
         self.pos = np.empty(self.num_vertices, dtype=np.int64)
         self.pos[order] = np.arange(order.size, dtype=np.int64)
 
-    def close(self) -> None:
-        """Nothing to release: the arrays are plain ndarrays or mappings."""
-
 
 def record_csr(source) -> Optional[RecordCSR]:
     """The record-major CSR of ``source``, or ``None`` for streamed files.
@@ -453,26 +449,19 @@ def record_csr(source) -> Optional[RecordCSR]:
     return None
 
 
-def label_records(indptr, indices, state):
-    """IS-neighbour count and id sum of every record of a CSR slice.
+def label_vertices(csr, state):
+    """IS-neighbour count and id sum of every vertex of a record-major CSR.
 
-    ``indptr`` holds the slice's record offsets into ``indices``.  Where
-    the count is one, the sum *is* the unique IS neighbour (Algorithm 2
-    lines 1-3).  The parallel pool runs this over each worker's record
-    range; :func:`label_vertices` runs it over the whole CSR.
+    Where the count is one, the sum *is* the unique IS neighbour
+    (Algorithm 2 lines 1-3).
     """
 
+    indptr, indices = csr.indptr, csr.indices
+    records = indptr.size - 1
     is_slot = state[indices] == _IS
-    src_sel = _local_sources(indptr.size - 1, np.diff(indptr))[is_slot]
-    cnt = np.bincount(src_sel, minlength=indptr.size - 1).astype(np.int64)
-    nbr_sum = _int_bincount(src_sel, indices[is_slot], indptr.size - 1)
-    return cnt, nbr_sum
-
-
-def label_vertices(csr, state):
-    """Per-vertex :func:`label_records` over the whole CSR, in process."""
-
-    cnt_rec, sum_rec = label_records(csr.indptr, csr.indices, state)
+    src_sel = _local_sources(records, np.diff(indptr))[is_slot]
+    cnt_rec = np.bincount(src_sel, minlength=records).astype(np.int64)
+    sum_rec = _int_bincount(src_sel, indices[is_slot], records)
     cnt = np.empty(csr.num_vertices, dtype=np.int64)
     nbr_sum = np.empty(csr.num_vertices, dtype=np.int64)
     cnt[csr.order] = cnt_rec
@@ -541,12 +530,10 @@ class _SwapRounds:
         initial_set: FrozenSet[int],
         max_rounds: Optional[int],
         resume: Optional[dict],
-        fingerprint=_fingerprint,
     ) -> None:
         self.pass_name = pass_name
         self.arrays = arrays
         self.max_rounds = max_rounds
-        self.fingerprint = fingerprint
         self.two_k = pass_name == "two_k_swap"
         state = arrays["state"]
         if resume is None:
@@ -582,7 +569,7 @@ class _SwapRounds:
         """Seed the guard's history once the labelling scan is done."""
 
         if self.max_rounds is None:
-            self.history = {self.fingerprint(*self.arrays.values())}
+            self.history = {_fingerprint(*self.arrays.values())}
 
     def running(self) -> bool:
         return (
@@ -606,7 +593,7 @@ class _SwapRounds:
         )
         self.current_size = new_size
         if self.history is not None and self.can_swap:
-            digest = self.fingerprint(*self.arrays.values())
+            digest = _fingerprint(*self.arrays.values())
             if digest in self.history:
                 self.oscillation = True
             else:
@@ -656,15 +643,11 @@ class _SwapRounds:
 
 def one_k_records(
     csr,
-    state,
-    label,
+    source,
     initial_set: FrozenSet[int],
     max_rounds: Optional[int],
     resume: Optional[dict],
     on_round,
-    *,
-    charge_scan,
-    fingerprint=_fingerprint,
 ) -> Tuple[FrozenSet[int], Tuple[RoundStats, ...], bool]:
     """Algorithm 2 over a record-major CSR — the one vectorized one-k.
 
@@ -677,21 +660,17 @@ def one_k_records(
       changed class, so a round costs work proportional to what changed
       rather than one O(E) sweep.
 
-    ``state`` is the uint8 per-vertex state array the pass mutates and
-    ``label()`` returns ``(cnt, nbr_sum)`` — the per-vertex IS-neighbour
-    count and id sum for the current ``state``.  In process that is
-    :func:`label_vertices`; the parallel layer shards the same sweep over
-    its worker pool.  ``charge_scan()`` charges one logical sequential
-    scan at every point the paper's algorithm scans the file, and
-    ``fingerprint(state, isn)`` encodes the oscillation guard (the python
-    reference hashes a different canonical encoding).  Sets, round
-    telemetry, snapshots and modeled ``IOStats`` are bit-identical to the
-    python reference.
+    ``source.charge_scan()`` charges one logical sequential scan at every
+    point the paper's algorithm scans the file.  Sets, round telemetry,
+    snapshots and modeled ``IOStats`` are bit-identical to the python
+    reference.
     """
 
     n = csr.num_vertices
     pos = csr.pos
     order = csr.order
+    charge_scan = source.charge_scan
+    state = np.empty(n, dtype=np.uint8)
     isn = np.empty(n, dtype=np.int64)
     loop = _SwapRounds(
         "one_k_swap",
@@ -699,12 +678,11 @@ def one_k_records(
         initial_set,
         max_rounds,
         resume,
-        fingerprint,
     )
 
     # Labelling (lines 1-3); on resume it rebuilds the count/sum arrays
     # for the restored state (round boundaries only hold IS / A / N).
-    cnt, nbr_sum = label()
+    cnt, nbr_sum = label_vertices(csr, state)
     if resume is None:
         a_mask = (state != _IS) & (cnt == 1)
         state[a_mask] = _ADJ
@@ -1633,16 +1611,8 @@ class NumpyBackend(KernelBackend):
             return self._one_k_batched(
                 source, initial_set, max_rounds, resume, on_round
             )
-        state = np.empty(csr.num_vertices, dtype=np.uint8)
         return one_k_records(
-            csr,
-            state,
-            lambda: label_vertices(csr, state),
-            initial_set,
-            max_rounds,
-            resume,
-            on_round,
-            charge_scan=source.charge_scan,
+            csr, source, initial_set, max_rounds, resume, on_round
         )
 
     def _one_k_batched(self, source, initial_set, max_rounds, resume, on_round):

@@ -53,14 +53,11 @@ def _initial_set(
     initial: Union[None, MISResult, Iterable[int]],
     order: Union[str, Sequence[int]],
     backend: Optional[str] = None,
-    workers: int = 1,
 ) -> FrozenSet[int]:
     """Normalise the starting independent set (default: run the greedy pass)."""
 
     if initial is None:
-        return greedy_mis(
-            source, order=order, backend=backend, workers=workers
-        ).independent_set
+        return greedy_mis(source, order=order, backend=backend).independent_set
     if isinstance(initial, MISResult):
         return initial.independent_set
     return frozenset(initial)
@@ -75,7 +72,6 @@ def one_k_swap(
     backend: Optional[str] = None,
     resume_state: Optional[dict] = None,
     on_round=None,
-    workers: int = 1,
 ) -> MISResult:
     """Enlarge an independent set with 1↔k and 0↔1 swaps (Algorithm 2).
 
@@ -110,11 +106,6 @@ def one_k_swap(
     on_round:
         Optional callback invoked after every completed swap round with a
         JSON-serializable snapshot of the loop state (the checkpoint hook).
-    workers:
-        Number of worker processes for the round bodies (``1`` = the
-        serial path; ``> 1`` is bit-identical — sets, rounds,
-        fingerprints, snapshots and modeled I/O — so snapshots carry
-        across worker counts; see :mod:`repro.core.parallel`).
 
     Returns
     -------
@@ -127,10 +118,6 @@ def one_k_swap(
     model = memory_model if memory_model is not None else MemoryModel()
     num_vertices = source.num_vertices
     kernel = resolve_backend(backend, source)
-    if workers > 1:
-        from repro.core.parallel import parallelize_kernel
-
-        kernel = parallelize_kernel(kernel, workers)
     started = time.perf_counter()
     io_before = source.stats.copy()
 
@@ -142,7 +129,7 @@ def one_k_swap(
         initial_set: FrozenSet[int] = frozenset()
         initial_size = int(resume_state["initial_size"])
     else:
-        initial_set = _initial_set(source, initial, order, backend, workers)
+        initial_set = _initial_set(source, initial, order, backend)
         for v in initial_set:
             if not 0 <= v < num_vertices:
                 raise SolverError(f"initial independent set contains unknown vertex {v}")

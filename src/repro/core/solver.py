@@ -78,10 +78,6 @@ class SemiExternalMISSolver:
         Throttle round checkpoints to at most one per this many seconds
         (``None`` = checkpoint every round); stage-boundary checkpoints
         are always written.
-    workers:
-        Worker processes per solver pass (``1`` = the serial path).  An
-        execution property like ``backend``: results are bit-identical
-        across worker counts, and checkpoints resume under any count.
     obs:
         Optional :class:`~repro.obs.Observability` bundle; when set, the
         engine records stage/round metrics, kernel passes and (with a
@@ -98,7 +94,6 @@ class SemiExternalMISSolver:
     checkpoint_path: Optional[str] = None
     resume: bool = False
     checkpoint_every_seconds: Optional[float] = None
-    workers: int = 1
     obs: Optional[object] = None
 
     def solve(self, graph_or_source: Union[Graph, AdjacencyScanSource]) -> MISResult:
@@ -126,7 +121,6 @@ class SemiExternalMISSolver:
             backend=self.backend,
             memory_model=self.memory_model,
             order=order,
-            workers=self.workers,
         )
         engine = PipelineEngine(
             spec,
@@ -150,7 +144,6 @@ def solve_mis(
     checkpoint_path: Optional[str] = None,
     resume: bool = False,
     checkpoint_every_seconds: Optional[float] = None,
-    workers: int = 1,
     obs=None,
 ) -> MISResult:
     """One-shot convenience wrapper around :class:`SemiExternalMISSolver`."""
@@ -164,7 +157,6 @@ def solve_mis(
         checkpoint_path=checkpoint_path,
         resume=resume,
         checkpoint_every_seconds=checkpoint_every_seconds,
-        workers=workers,
         obs=obs,
     )
     return solver.solve(graph_or_source)

@@ -66,7 +66,6 @@ def two_k_swap(
     backend: Optional[str] = None,
     resume_state: Optional[dict] = None,
     on_round=None,
-    workers: int = 1,
 ) -> MISResult:
     """Enlarge an independent set with 2↔k, 1↔k and 0↔1 swaps (Algorithm 3).
 
@@ -103,10 +102,6 @@ def two_k_swap(
     on_round:
         Optional per-round callback receiving a JSON-serializable loop
         snapshot (the pipeline engine's checkpoint hook).
-    workers:
-        Number of worker processes for the round bodies (``1`` = the
-        serial path; ``> 1`` is bit-identical, so snapshots carry across
-        worker counts; see :mod:`repro.core.parallel`).
 
     Returns
     -------
@@ -119,10 +114,6 @@ def two_k_swap(
     model = memory_model if memory_model is not None else MemoryModel()
     num_vertices = source.num_vertices
     kernel = resolve_backend(backend, source)
-    if workers > 1:
-        from repro.core.parallel import parallelize_kernel
-
-        kernel = parallelize_kernel(kernel, workers)
     started = time.perf_counter()
     io_before = source.stats.copy()
 
@@ -134,7 +125,7 @@ def two_k_swap(
         initial_set = frozenset()
         initial_size = int(resume_state["initial_size"])
     else:
-        initial_set = _initial_set(source, initial, order, backend, workers)
+        initial_set = _initial_set(source, initial, order, backend)
         for v in initial_set:
             if not 0 <= v < num_vertices:
                 raise SolverError(f"initial independent set contains unknown vertex {v}")

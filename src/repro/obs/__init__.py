@@ -5,7 +5,7 @@ records into:
 
 * :class:`~repro.obs.metrics.MetricsRegistry` — labeled counters,
   gauges, and fixed-bucket histograms with deterministic snapshot/merge
-  fold-in (parallel workers, service children).
+  fold-in (service children).
 * :class:`~repro.obs.trace.SpanTracer` — Chrome trace-event JSON
   (``--trace FILE``, viewable in Perfetto) with spans for pipeline
   stages, swap rounds, kernel passes, stream batches, checkpoint
@@ -87,11 +87,6 @@ class Observability:
             args.update(fields)
             self.tracer.instant(f"pass:{pass_name}", "kernel", args=args)
 
-    def metrics_sink(self, snapshot: Mapping[str, object]) -> None:
-        """Fold a child registry snapshot (parallel worker) into ours."""
-
-        self.registry.merge(snapshot)
-
     def close(self) -> None:
         self.journal.close()
 
@@ -116,9 +111,7 @@ def kernel_observation(obs: Observability) -> Iterator[None]:
     from ..core.kernels import base as kernels_base
 
     previous_pass = kernels_base.set_pass_observer(obs.pass_observer)
-    previous_sink = kernels_base.set_metrics_sink(obs.metrics_sink)
     try:
         yield
     finally:
         kernels_base.set_pass_observer(previous_pass)
-        kernels_base.set_metrics_sink(previous_sink)

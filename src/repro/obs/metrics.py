@@ -17,9 +17,9 @@ Series identity is ``(name, sorted(labels))``.  Three kinds:
   carried in every snapshot; observations land in the first bucket with
   ``value <= edge`` (``+Inf`` implied).
 
-Snapshot/merge semantics are built for deterministic fold-in: parallel
-workers and service children each keep a private registry, snapshot it,
-and the parent folds all snapshots in one :meth:`MetricsRegistry.merge`
+Snapshot/merge semantics are built for deterministic fold-in: service
+children each keep a private registry, snapshot it, and the parent
+folds all snapshots in one :meth:`MetricsRegistry.merge`
 call.  Integer counters add exactly in any order; float sums are folded
 with :func:`math.fsum`, which computes the exact sum and rounds once,
 so a single merge call is permutation-invariant over its inputs.

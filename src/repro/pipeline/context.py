@@ -72,15 +72,6 @@ def add_execution_arguments(parser, include_memory_limit: bool = False) -> None:
         "file inputs — and 'python' streams records one at a time; both "
         "produce bit-identical results and I/O counters",
     )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes per solver pass; 1 (default) runs the serial "
-        "path unchanged, >1 shards the greedy pass and the one-k labelling "
-        "sweep over forked workers on a shared CSR with bit-identical "
-        "results (two-k stays serial; requires numpy)",
-    )
     if include_memory_limit:
         parser.add_argument(
             "--memory-limit-bytes",
@@ -113,11 +104,6 @@ class ExecutionContext:
     original_graph:
         The in-memory graph the context was built from, when one was
         given (used for final validation); ``None`` for file sources.
-    workers:
-        Worker processes per solver pass (``1`` = serial).  Like
-        ``backend``, an execution property: results are bit-identical
-        across worker counts, so it is not part of the algorithm state
-        and checkpoints carry across it.
     """
 
     def __init__(
@@ -128,11 +114,9 @@ class ExecutionContext:
         memory_limit_bytes: Optional[int] = None,
         order: Union[str, Sequence[int]] = "degree",
         original_graph: Optional[Graph] = None,
-        workers: int = 1,
     ) -> None:
         self.source = source
         self.backend = backend
-        self.workers = max(1, int(workers))
         self.memory_model = memory_model if memory_model is not None else MemoryModel()
         self.memory_limit_bytes = memory_limit_bytes
         self.order = order
@@ -162,7 +146,6 @@ class ExecutionContext:
         memory_model: Optional[MemoryModel] = None,
         memory_limit_bytes: Optional[int] = None,
         order: Union[str, Sequence[int]] = "degree",
-        workers: int = 1,
     ) -> "ExecutionContext":
         """Build a context from a graph or an existing scan source.
 
@@ -181,7 +164,6 @@ class ExecutionContext:
             memory_limit_bytes=memory_limit_bytes,
             order=order,
             original_graph=original,
-            workers=workers,
         )
 
     @classmethod
@@ -199,7 +181,6 @@ class ExecutionContext:
             backend=getattr(args, "backend", None),
             memory_limit_bytes=getattr(args, "memory_limit_bytes", None),
             order=order,
-            workers=getattr(args, "workers", 1),
         )
 
     # ------------------------------------------------------------------

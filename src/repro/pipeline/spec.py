@@ -197,7 +197,6 @@ class RunSpec:
     checkpoint: Optional[str] = None
     resume: bool = False
     checkpoint_every_seconds: Optional[float] = None
-    workers: int = 1
     #: Streaming runs: an edge-update file turns the run into a stream
     #: session (the maintained dynamic MIS consumes the updates in
     #: ``batch_size`` batches, compacting its overlay at
@@ -262,6 +261,9 @@ class RunSpec:
                     "run spec 'checkpoint_every_seconds' must be positive"
                 )
             every = float(every)
+        # Legacy key: specs persisted by older releases may carry an
+        # intra-job worker count.  Results never depended on it, so it is
+        # validated as before and then dropped.
         workers = payload.get("workers", 1)
         if isinstance(workers, bool) or not isinstance(workers, int):
             raise PipelineSpecError("run spec 'workers' must be an integer")
@@ -328,7 +330,6 @@ class RunSpec:
             checkpoint=checkpoint,
             resume=resume,
             checkpoint_every_seconds=every,
-            workers=workers,
             updates=updates,
             batch_size=batch_size,
             compact_threshold=compact_threshold,
@@ -361,7 +362,6 @@ class RunSpec:
             "checkpoint": self.checkpoint,
             "resume": self.resume,
             "checkpoint_every_seconds": self.checkpoint_every_seconds,
-            "workers": self.workers,
             "updates": self.updates,
             "batch_size": self.batch_size,
             "compact_threshold": self.compact_threshold,

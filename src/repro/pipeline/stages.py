@@ -217,7 +217,6 @@ class GreedyStage(Stage):
             ctx.source,
             memory_model=ctx.memory_model,
             backend=ctx.backend,
-            workers=ctx.workers,
         )
 
 
@@ -252,7 +251,6 @@ class OneKSwapStage(Stage):
             backend=ctx.backend,
             resume_state=resume_state,
             on_round=on_round,
-            workers=ctx.workers,
         )
 
 
@@ -274,7 +272,6 @@ class TwoKSwapStage(Stage):
             backend=ctx.backend,
             resume_state=resume_state,
             on_round=on_round,
-            workers=ctx.workers,
         )
 
 

@@ -100,15 +100,11 @@ def spec_key_fields(spec: RunSpec, input_digest: str) -> Dict[str, object]:
     they change how a run is persisted, never what it computes.  The
     requested backend stays in the key per the service contract (both
     backends produce bit-identical pipeline results, but a cache entry
-    records exactly what was asked for).  ``workers`` joins the key under
-    the same contract, but only when parallel execution was actually
-    requested (``> 1``): the serial default is omitted so every key
-    minted before the field existed remains valid — cache entries from
-    older service directories keep hitting.  Stream runs join the key the
-    same way: the update-file digest, batch size and compaction threshold
-    appear only when ``updates`` is set (the batch boundaries never change
-    the final set, but compaction cadence is observable in the stream
-    telemetry, so the full stream identity is keyed).
+    records exactly what was asked for).  The update-file digest, batch
+    size and compaction threshold appear only when ``updates`` is set (the
+    batch boundaries never change the final set, but compaction cadence is
+    observable in the stream telemetry, so the full stream identity is
+    keyed).
     """
 
     fields: Dict[str, object] = {
@@ -118,8 +114,6 @@ def spec_key_fields(spec: RunSpec, input_digest: str) -> Dict[str, object]:
         "memory_limit_bytes": spec.memory_limit_bytes,
         "pipeline": spec.pipeline.to_dict(),
     }
-    if spec.workers > 1:
-        fields["workers"] = spec.workers
     if spec.updates is not None:
         fields["updates_digest"] = file_digest(spec.updates)
         fields["batch_size"] = spec.batch_size

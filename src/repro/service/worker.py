@@ -170,7 +170,6 @@ def execute_job(root: str, job_id: str) -> int:
                 reader,
                 backend=spec.backend,
                 memory_limit_bytes=spec.memory_limit_bytes,
-                workers=spec.workers,
             )
             if spec.updates is not None:
                 result = _run_stream(spec, record, ctx, checkpoint, _beat, obs)

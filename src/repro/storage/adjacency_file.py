@@ -253,56 +253,6 @@ class AdjacencyFileReader:
         assert self._scan_order is not None
         return list(self._scan_order)
 
-    @property
-    def block_size(self) -> int:
-        """Block size of the underlying device."""
-
-        return self._device.block_size
-
-    def batch_bytes(self) -> int:
-        """Default batch payload of one ``scan_batches`` read."""
-
-        return self._device.batch_bytes(DEFAULT_BATCH_BLOCKS)
-
-    def record_degrees_array(self):
-        """Per-record degrees in file order, or ``None`` on a cold reader.
-
-        The cache is populated by the first full scan; the parallel
-        execution layer uses it to stripe the file across workers (a cold
-        reader cannot be striped — record boundaries are unknown until a
-        discovery scan runs).
-        """
-
-        if _np is None or self._record_degrees is None:
-            return None
-        if self._record_degrees_array is None:
-            self._record_degrees_array = _np.asarray(
-                self._record_degrees, dtype=_np.int64
-            )
-        return self._record_degrees_array
-
-    def sequential_cursor(self):
-        """Current read-ahead cursor of the device (see :class:`BlockDevice`)."""
-
-        return self._device.sequential_cursor()
-
-    def restore_sequential_cursor(self, cursor) -> None:
-        """Restore a cursor from :meth:`sequential_cursor`."""
-
-        self._device.restore_sequential_cursor(cursor)
-
-    def raw_backing(self):
-        """Path (or in-memory file object) backing the device.
-
-        Worker processes use this to read their stripes of the file
-        physically — via their own descriptors for a path, or via the
-        fork-inherited buffer for an in-memory device — without touching
-        the parent's device cursor.
-        """
-
-        path = self._device.path
-        return path if path is not None else self._device.raw_file()
-
     # ------------------------------------------------------------------
     # Batched scanning (the vectorized semi-external path)
     # ------------------------------------------------------------------
@@ -386,49 +336,6 @@ class AdjacencyFileReader:
             word_starts = (starts[a:b] - starts[a]) // fmt.VERTEX_ID_BYTES
             yield self._parse_batch_words(words, word_starts, degrees[a:b])
         self._device.stats.record_scan()
-
-    def charge_scan(self, max_batch_bytes: Optional[int] = None) -> bool:
-        """Charge one full batched scan to ``IOStats`` without reading.
-
-        Walks the cached batch plan applying exactly the per-span charges
-        :meth:`_scan_batches_indexed` would apply (the accounting code is
-        shared via :meth:`BlockDevice.charge_read`), then records the
-        sequential scan.  Returns ``False`` when no indexed plan exists yet
-        — the caller must run a real (discovery) scan first.  Used by the
-        parallel execution layer: worker processes read their stripes of
-        the file physically while the parent replays the modeled charges
-        of the equivalent sequential scan, keeping ``IOStats``
-        bit-identical to the serial backends.
-        """
-
-        if _np is None or self._record_degrees is None:
-            return False
-        if max_batch_bytes is None:
-            max_batch_bytes = self._device.batch_bytes(DEFAULT_BATCH_BLOCKS)
-        max_batch_bytes = max(int(max_batch_bytes), fmt.RECORD_HEADER_SIZE)
-        if self._record_degrees_array is None:
-            self._record_degrees_array = _np.asarray(
-                self._record_degrees, dtype=_np.int64
-            )
-        degrees = self._record_degrees_array
-        if self._batch_plan is None or self._batch_plan[0] != max_batch_bytes:
-            record_bytes = fmt.RECORD_HEADER_SIZE + fmt.VERTEX_ID_BYTES * degrees
-            starts = _np.zeros(degrees.size + 1, dtype=_np.int64)
-            _np.cumsum(record_bytes, out=starts[1:])
-            self._batch_plan = (
-                max_batch_bytes,
-                starts,
-                batch_bounds(record_bytes, max_batch_bytes),
-            )
-        _, starts, bounds = self._batch_plan
-        for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-            if a == b:  # pragma: no cover - bounds are strictly increasing
-                continue
-            self._device.charge_read(
-                fmt.HEADER_SIZE + int(starts[a]), int(starts[b] - starts[a])
-            )
-        self._device.stats.record_scan()
-        return True
 
     def _scan_batches_discover(self, max_batch_bytes: int) -> Iterator[AdjacencyBatch]:
         """First batched pass: chunked reads with record-boundary discovery.

@@ -539,10 +539,9 @@ class MemmapAdjacencySource:
 
         Applies the identical modeled per-batch charges
         :meth:`scan_batches` applies (same plan, same ``_charge_read``
-        calls, one ``record_scan`` on exhaustion).  The parallel execution
-        layer uses this: workers re-memmap the artifact and read their
-        stripes at zero model cost while the parent replays the charges of
-        the equivalent sequential scan.
+        calls, one ``record_scan`` on exhaustion).  The record-major
+        kernels use this: they read :meth:`csr_views` directly and replay
+        the charges of the equivalent sequential scan.
         """
 
         self._ensure_open()

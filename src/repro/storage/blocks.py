@@ -96,11 +96,6 @@ class BlockDevice:
 
         return self._path
 
-    def raw_file(self) -> BinaryIO:
-        """The backing file object (used by forked workers of in-memory devices)."""
-
-        return self._file
-
     @property
     def size(self) -> int:
         """Current size of the device contents in bytes."""

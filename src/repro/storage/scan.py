@@ -290,9 +290,8 @@ class InMemoryAdjacencyScan:
 
         The in-memory source charges nothing per batch — ``scan`` and
         ``scan_batches`` record exactly one sequential scan on exhaustion
-        — so the replay is that single ``record_scan``.  Part of the
-        charge-replay protocol the parallel execution layer uses on every
-        source type.
+        — so the replay is that single ``record_scan``.  The record-major
+        kernels call it wherever the algorithm scans the source.
         """
 
         self._stats.record_scan()

@@ -152,7 +152,7 @@ def test_serial_in_memory_solve_creates_no_shared_memory(monkeypatch):
     monkeypatch.setattr(shared_memory, "SharedMemory", _Spy)
     before = set(glob.glob("/dev/shm/psm_*"))
     graph = erdos_renyi_gnm(2_000, 8_000, seed=3)
-    result = one_k_swap(graph, backend="numpy", workers=1)
+    result = one_k_swap(graph, backend="numpy")
     assert result.size > 0
     assert not created
     if os.path.isdir("/dev/shm"):

@@ -14,20 +14,28 @@ The acceptance drill of the service subsystem:
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import multiprocessing
 import os
 import signal
 import time
 
 import pytest
 
+from repro.cli import build_parser
 from repro.core.solver import solve_mis
-from repro.errors import JobNotFoundError, JobStateError, ServiceError
+from repro.errors import (
+    JobNotFoundError,
+    JobStateError,
+    PipelineSpecError,
+    ServiceError,
+)
 from repro.graphs.generators import erdos_renyi_gnm
 from repro.graphs.plrg import plrg_graph_with_vertex_count
 from repro.pipeline.context import ExecutionContext
 from repro.pipeline.engine import PipelineEngine
-from repro.pipeline.spec import RunSpec
+from repro.pipeline.spec import BUILTIN_PIPELINES, RunSpec
 from repro.service import (
     JobStore,
     ResultCache,
@@ -37,6 +45,7 @@ from repro.service import (
     cache_key,
     file_digest,
 )
+from repro.service.cache import input_digest, spec_key_fields
 from repro.storage.adjacency_file import AdjacencyFileReader, write_adjacency_file
 
 DRAIN_TIMEOUT = 120.0
@@ -725,3 +734,172 @@ class TestCacheEviction:
         # recover() of the next daemon enforces the new budget.
         tighter = SolverService(root, fast_config(cache_limit_bytes=0))
         assert tighter.cache.size() == 0
+
+
+# ----------------------------------------------------------------------
+# Legacy run specs: a persisted intra-job ``workers`` count
+# ----------------------------------------------------------------------
+def test_legacy_workers_spec_runs_and_keys_as_serial(adjacency_path, tmp_path):
+    """Job records of older daemons may carry ``workers``; it is dropped.
+
+    The key is validated as before, never emitted again, and changes
+    neither the cache key nor the result.
+    """
+
+    payload = {"pipeline": "one_k_swap", "input": adjacency_path, "backend": "numpy"}
+    serial = RunSpec.from_dict(payload)
+    legacy = RunSpec.from_dict({**payload, "workers": 2})
+    assert legacy == serial
+    assert "workers" not in legacy.to_dict()
+    digest = input_digest(adjacency_path)
+    assert spec_key_fields(legacy, digest) == spec_key_fields(serial, digest)
+    assert cache_key(legacy, digest) == cache_key(serial, digest)
+    with pytest.raises(PipelineSpecError):
+        RunSpec.from_dict({**payload, "workers": "2"})
+
+    # Rewrite a queued record the way an older daemon persisted it.
+    root = str(tmp_path / "svc")
+    client = ServiceClient(root)
+    record = client.submit(serial)
+    store = JobStore(root)
+    store.write(
+        dataclasses.replace(record, spec={**record.spec, "workers": 2})
+    )
+    assert store.get(record.job_id).spec["workers"] == 2
+    service = SolverService(root, fast_config(workers=1))
+    try:
+        service.drain(timeout_seconds=DRAIN_TIMEOUT)
+    finally:
+        service.stop()
+    final = client.status(record.job_id)
+    assert final.state == "done", final.error
+    assert final.cache_key == cache_key(serial, digest)
+    assert_results_identical(client.result(record.job_id), reference_result(serial))
+
+
+def test_run_spec_rejects_bad_workers():
+    from repro.errors import PipelineSpecError
+
+    with pytest.raises(PipelineSpecError):
+        RunSpec.from_json(
+            '{"pipeline": "greedy", "input": "g.adj", "workers": 0}'
+        )
+    with pytest.raises(PipelineSpecError):
+        RunSpec.from_json(
+            '{"pipeline": "greedy", "input": "g.adj", "workers": true}'
+        )
+
+
+def test_cache_key_stable_for_serial_specs():
+    """A ``workers=1`` spec must key exactly as before the field existed.
+
+    The serial default is omitted from the key fields, so service
+    directories populated by older daemons keep hitting their cache.
+    """
+
+    spec = RunSpec(pipeline=BUILTIN_PIPELINES["one_k_swap"], input="g.csr1")
+    digest = "csr1:feedfacefeedfacefeedfacefeedface"
+    fields = spec_key_fields(spec, digest)
+    assert set(fields) == {
+        "backend",
+        "input_digest",
+        "max_rounds",
+        "memory_limit_bytes",
+        "pipeline",
+    }
+    # The key of the identical pre-workers field dict, computed the way
+    # the cache computes it — byte-for-byte the old on-disk key.
+    import hashlib
+
+    legacy = json.dumps(fields, sort_keys=True, separators=(",", ":"))
+    expected = hashlib.blake2b(legacy.encode("utf-8"), digest_size=16).hexdigest()
+    assert cache_key(spec, digest) == expected
+
+
+# ----------------------------------------------------------------------
+# Hung-worker detection and the serve CLI knobs
+# ----------------------------------------------------------------------
+def _hang_forever(root, job_id):  # pragma: no cover - killed mid-sleep
+    time.sleep(600)
+
+
+def test_stale_heartbeat_kills_and_requeues(tmp_path, monkeypatch):
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("hang simulation needs fork start method")
+    graph = erdos_renyi_gnm(200, 600, seed=31)
+    input_path = str(tmp_path / "g.adj")
+    write_adjacency_file(graph, input_path).close()
+    root = str(tmp_path / "svc")
+    client = ServiceClient(root)
+    record = client.submit(
+        RunSpec(pipeline=BUILTIN_PIPELINES["greedy"], input=input_path)
+    )
+
+    # The forked worker inherits the patched target and never beats.
+    monkeypatch.setattr("repro.service.service.worker_main", _hang_forever)
+    service = SolverService(
+        root,
+        ServiceConfig(
+            workers=1,
+            poll_interval_seconds=0.02,
+            heartbeat_timeout_seconds=0.3,
+            max_restarts=0,
+        ),
+    )
+    try:
+        service.run_once()
+        assert client.status(record.job_id).state == "running"
+        deadline = time.monotonic() + 30
+        while time.monotonic() < deadline:
+            service.run_once()
+            if client.status(record.job_id).is_terminal():
+                break
+            time.sleep(0.05)
+        final = client.status(record.job_id)
+        assert final.state == "failed"
+        assert "hung" in (final.error or "")
+    finally:
+        service.stop()
+
+
+def test_heartbeat_timeout_spares_live_workers(tmp_path):
+    """An armed (generous) timeout never kills a job that makes progress."""
+
+    graph = erdos_renyi_gnm(300, 900, seed=37)
+    input_path = str(tmp_path / "g.adj")
+    write_adjacency_file(graph, input_path).close()
+    root = str(tmp_path / "svc")
+    client = ServiceClient(root)
+    record = client.submit(
+        RunSpec(
+            pipeline=BUILTIN_PIPELINES["one_k_swap"],
+            input=input_path,
+            backend="numpy",
+        )
+    )
+    service = SolverService(
+        root,
+        ServiceConfig(
+            workers=1, poll_interval_seconds=0.02, heartbeat_timeout_seconds=60.0
+        ),
+    )
+    try:
+        service.drain(timeout_seconds=120.0)
+    finally:
+        service.stop()
+    final = client.status(record.job_id)
+    assert final.state == "done", final.error
+    # Terminal bookkeeping removes the beat file.
+    assert not os.path.exists(service.store.heartbeat_path(record.job_id))
+
+
+def test_serve_accepts_job_workers_and_legacy_alias():
+    parser = build_parser()
+    modern = parser.parse_args(["serve", "svc", "--job-workers", "3"])
+    assert modern.job_workers == 3
+    legacy = parser.parse_args(["serve", "svc", "--workers", "5"])
+    assert legacy.job_workers == 5
+    armed = parser.parse_args(
+        ["serve", "svc", "--heartbeat-timeout-seconds", "2.5"]
+    )
+    assert armed.heartbeat_timeout_seconds == 2.5
