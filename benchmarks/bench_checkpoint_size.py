@@ -21,12 +21,22 @@ array, completed-stage prefix with an embedded reduce-kernel artifact):
   (selection bitmap, absent ids, overlay edges) next to the spliced,
   pre-hashed CSR base section.  ``state_bytes`` is the file minus the base
   section; ``write_seconds`` is ``state_payload()`` plus
-  ``write_checkpoint`` per batch.
+  ``write_checkpoint`` per batch;
+* the *solve-round* row — a real numpy one-k round snapshot of a gnm
+  ``SEXTCSR1`` memmap solve (m = 4n), written as the kernels hand it out
+  (per-vertex ndarray copies) and in its ``.tolist()`` form (what the
+  snapshot cost before it went array-native).  Each timing includes
+  building the snapshot's arrays (``copy()`` vs ``tolist()``).  The
+  harness asserts that both files are byte-identical and that the
+  ndarray write is at least 2× faster.  Both timings include the
+  write's ``fsync``, so this row runs at n = 10⁵ even under ``--smoke``:
+  at n = 2·10⁴ the encode gap is ≈ 6 ms and a disk whose ``fsync`` costs
+  more than ≈ 4.5 ms would fail the 2× bound on latency alone.
 
 Usage::
 
     python benchmarks/bench_checkpoint_size.py            # n = 1e5 and 1e6
-    python benchmarks/bench_checkpoint_size.py --smoke    # n = 2e4 (CI)
+    python benchmarks/bench_checkpoint_size.py --smoke    # n = 2e4 (CI); solve-round at 1e5
 """
 
 from __future__ import annotations
@@ -35,25 +45,38 @@ import argparse
 import json
 import os
 import random
+import statistics
 import sys
 import tempfile
 import time
 from pathlib import Path
 from typing import Dict, List, Optional
 
+import numpy as np
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro.core.kernels import get_backend  # noqa: E402
 from repro.dynamic.maintainer import DynamicMISMaintainer  # noqa: E402
+from repro.graphs.generators import erdos_renyi_gnm  # noqa: E402
 from repro.graphs.plrg import PLRGParameters, plrg_graph  # noqa: E402
 from repro.reporting import format_bytes, format_table, print_experiment_header  # noqa: E402
+from repro.storage.adjacency_file import write_adjacency_file  # noqa: E402
+from repro.storage.binary_format import MemmapAdjacencySource  # noqa: E402
 from repro.storage.checkpoint import encode_section, write_checkpoint  # noqa: E402
+from repro.storage.converters import adjacency_to_binary  # noqa: E402
 
 #: Shape of the stream row: updates per batch, 70/30 insert/delete, and
 #: how many batches build the overlay before the timed ones.
 STREAM_BATCH = 256
 STREAM_WARM_BATCHES = 20
 STREAM_TIMED_BATCHES = 10
+
+#: Timed writes per form in the solve-round row (the median is reported),
+#: and its graph size, the same under ``--smoke`` (see the module docstring).
+SOLVE_ROUND_REPEATS = 7
+SOLVE_ROUND_VERTICES = 100_000
 
 
 def _round_payload(num_vertices: int, seed: int) -> Dict[str, object]:
@@ -173,6 +196,64 @@ def measure_stream(num_vertices: int, seed: int = 1) -> Dict[str, object]:
     }
 
 
+def measure_solve_round(num_vertices: int, seed: int = 1) -> Dict[str, object]:
+    """One real one-k round checkpoint, written from ndarrays and from lists."""
+
+    graph = erdos_renyi_gnm(num_vertices, 4 * num_vertices, seed=seed)
+    numpy = get_backend("numpy")
+    snapshots: List[dict] = []
+    with tempfile.TemporaryDirectory() as tmp:
+        text = os.path.join(tmp, "g.adj")
+        binary = os.path.join(tmp, "g.csr")
+        write_adjacency_file(
+            graph, text, order=list(graph.degree_ascending_order())
+        ).close()
+        adjacency_to_binary(text, binary)
+        source = MemmapAdjacencySource(binary)
+        try:
+            initial = numpy.greedy_pass(source)
+            numpy.one_k_swap_pass(source, initial, 1, on_round=snapshots.append)
+        finally:
+            source.close()
+        snapshot = snapshots[0]
+
+        def build(convert):
+            return {
+                key: convert(value) if isinstance(value, np.ndarray) else value
+                for key, value in snapshot.items()
+            }
+
+        forms = {"ndarray": np.ndarray.copy, "list": np.ndarray.tolist}
+        paths = {form: os.path.join(tmp, f"{form}.ck") for form in forms}
+        seconds: Dict[str, List[float]] = {form: [] for form in forms}
+        for _ in range(SOLVE_ROUND_REPEATS):
+            for form, convert in forms.items():
+                started = time.perf_counter()
+                write_checkpoint(paths[form], {"loop_state": build(convert)})
+                seconds[form].append(time.perf_counter() - started)
+        contents = {}
+        for form, path in paths.items():
+            with open(path, "rb") as handle:
+                contents[form] = handle.read()
+
+    assert contents["ndarray"] == contents["list"], (
+        f"solve-round checkpoint bytes differ between forms at n={num_vertices}"
+    )
+    ndarray_seconds = statistics.median(seconds["ndarray"])
+    list_seconds = statistics.median(seconds["list"])
+    assert ndarray_seconds * 2 <= list_seconds, (
+        f"solve-round ndarray write regression at n={num_vertices}: "
+        f"{ndarray_seconds:.4f}s vs {list_seconds:.4f}s from lists"
+    )
+    return {
+        "num_vertices": num_vertices,
+        "checkpoint_bytes": len(contents["ndarray"]),
+        "ndarray_write_seconds": round(ndarray_seconds, 6),
+        "list_write_seconds": round(list_seconds, 6),
+        "write_speedup": round(list_seconds / ndarray_seconds, 2),
+    }
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true", help="tiny run for CI")
@@ -182,6 +263,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     sizes = [20_000] if args.smoke else [100_000, 1_000_000]
     rows = [measure(size) for size in sizes]
     stream_rows = [measure_stream(size) for size in sizes]
+    solve_round = measure_solve_round(SOLVE_ROUND_VERTICES)
 
     print_experiment_header(
         "Checkpoint format",
@@ -221,10 +303,30 @@ def main(argv: Optional[List[str]] = None) -> int:
             ],
         )
     )
+    print()
+    print(
+        format_table(
+            ["n", "checkpoint bytes", "ndarray write s", "list write s", "speedup"],
+            [
+                [
+                    solve_round["num_vertices"],
+                    format_bytes(solve_round["checkpoint_bytes"]),
+                    solve_round["ndarray_write_seconds"],
+                    solve_round["list_write_seconds"],
+                    solve_round["write_speedup"],
+                ]
+            ],
+            title="solve-round: one-k round snapshot, byte-identical forms",
+        )
+    )
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             json.dump(
-                {"results": rows, "stream_checkpoint": stream_rows},
+                {
+                    "results": rows,
+                    "stream_checkpoint": stream_rows,
+                    "solve_round": solve_round,
+                },
                 handle,
                 indent=2,
                 sort_keys=True,

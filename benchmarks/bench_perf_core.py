@@ -16,7 +16,12 @@ backends — plus the **binary CSR artifact** rows (``backend: memmap``):
 one-time convert cost, text-parse vs. zero-parse startup, the
 memmap-backed greedy pass and the serial memmap two-k pass to
 convergence, with text-vs-memmap parity asserted on sets, rounds and
-modeled ``IOStats`` — and
+modeled ``IOStats`` — plus the **process start-up** row (``backend:
+startup``): the median of fresh-process ``import repro.cli`` and
+``python -m repro --help`` runs, the fixed cost every CLI process pays
+before it opens its input (whether ``PYTHONDONTWRITEBYTECODE`` was set,
+i.e. whether every process compiled its modules, is recorded in
+``config``) — and
 writes the measurements, plus the numpy-over-python speedups, to
 ``BENCH_core.json`` at the repository root.  This file is the perf
 trajectory of the project: every PR runs at least the ``--smoke``
@@ -47,6 +52,8 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -419,6 +426,32 @@ def bench_memmap(
     return row
 
 
+def bench_startup(repeats: int = 5) -> Dict[str, object]:
+    """Median wall time of fresh ``repro-mis`` processes that do no work.
+
+    Children inherit this process's environment, so they compile every
+    module they import exactly when ``PYTHONDONTWRITEBYTECODE`` is set
+    (or no bytecode cache exists yet).
+    """
+
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO_ROOT / "src") + (os.pathsep + path if path else "")
+    commands = {
+        "import_cli_seconds": [sys.executable, "-c", "import repro.cli"],
+        "help_seconds": [sys.executable, "-m", "repro", "--help"],
+    }
+    row: Dict[str, object] = {"backend": "startup", "repeats": repeats}
+    for metric, command in commands.items():
+        seconds = []
+        for _ in range(repeats):
+            started = time.perf_counter()
+            subprocess.run(command, env=env, check=True, stdout=subprocess.DEVNULL)
+            seconds.append(time.perf_counter() - started)
+        row[metric] = round(statistics.median(seconds), 6)
+    return row
+
+
 def _affinity() -> Optional[List[int]]:
     """This process's CPU affinity mask, sorted (``None`` where unsupported)."""
 
@@ -611,6 +644,13 @@ def main(argv: Optional[List[str]] = None) -> int:
                 f"two_k {row['memmap_two_k_swap_seconds']:.4f}s"
             )
 
+    print("benchmarking process start-up ...", flush=True)
+    rows.append(bench_startup())
+    print(
+        f"  import repro.cli {rows[-1]['import_cli_seconds']:.4f}s  "
+        f"python -m repro --help {rows[-1]['help_seconds']:.4f}s"
+    )
+
     speedups = compute_speedups(rows)
     report = {
         "benchmark": "bench_perf_core",
@@ -619,7 +659,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         "DynamicUpdate) timings per kernel backend on PLRG graphs, plus "
         "binary CSR artifact rows (backend: memmap — convert cost, "
         "text-parse vs. zero-parse startup, memmap greedy, memmap two-k to "
-        "convergence pinned to one CPU); "
+        "convergence pinned to one CPU), plus the process start-up row "
+        "(backend: startup — median fresh-process import repro.cli and "
+        "python -m repro --help); "
         "speedups are python-time / numpy-time.",
         "config": {
             "beta": args.beta,
@@ -635,6 +677,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             "memmap_parity_max": args.memmap_parity_max,
             "host_cpu_count": os.cpu_count(),
             "host_cpu_affinity": _affinity(),
+            "host_pythondontwritebytecode": bool(
+                os.environ.get("PYTHONDONTWRITEBYTECODE")
+            ),
         },
         "results": rows,
         "speedups_numpy_over_python": speedups,

@@ -22,61 +22,69 @@ Public API highlights
 * :mod:`repro.service` — solver-as-a-service: durable job queue,
   process worker pool with crash recovery, digest-keyed result cache
   (:class:`repro.SolverService`, :class:`repro.ServiceClient`).
+
+Every public name is imported on first use (:mod:`repro._lazy`), so a
+process pays only for the modules its command calls.
 """
 
-from repro.core import (
-    MISResult,
-    RoundStats,
-    SemiExternalMISSolver,
-    VertexState,
-    greedy_mis,
-    one_k_swap,
-    solve_mis,
-    two_k_swap,
-)
-from repro.analysis import approximation_ratio, independence_upper_bound
-from repro.baselines import (
-    baseline_mis,
-    dynamic_update_mis,
-    exact_mis,
-    external_maximal_is,
-    independence_number,
-    local_search_mis,
-)
-from repro.errors import (
-    AnalysisError,
-    DatasetError,
-    FormatError,
-    GraphError,
-    InvalidIndependentSetError,
-    MemoryBudgetError,
-    ReproError,
-    SolverError,
-    StorageError,
-    VertexError,
-)
-from repro.applications import iterated_is_coloring, vertex_cover
-from repro.dynamic import DynamicMISMaintainer
-from repro.graphs import Graph, GraphBuilder
-from repro.pipeline import (
-    ExecutionContext,
-    PipelineEngine,
-    PipelineSpec,
-    RunSpec,
-    StageReport,
-    StageSpec,
-)
-from repro.reductions import ReducedGraph, reduce_graph, reduced_mis
-from repro.service import ServiceClient, ServiceConfig, SolverService
-from repro.storage import (
-    AdjacencyFileReader,
-    IOStats,
-    InMemoryAdjacencyScan,
-    MemoryBudget,
-    MemoryModel,
-    write_adjacency_file,
-)
-from repro.validation import is_independent_set, is_maximal_independent_set
+from repro._lazy import lazy_exports
+
+#: Where each public name is defined; see :mod:`repro._lazy`.
+_EXPORTS = {
+    "repro.core": (
+        "MISResult",
+        "RoundStats",
+        "SemiExternalMISSolver",
+        "VertexState",
+        "greedy_mis",
+        "one_k_swap",
+        "solve_mis",
+        "two_k_swap",
+    ),
+    "repro.analysis": ("approximation_ratio", "independence_upper_bound"),
+    "repro.baselines": (
+        "baseline_mis",
+        "dynamic_update_mis",
+        "exact_mis",
+        "external_maximal_is",
+        "independence_number",
+        "local_search_mis",
+    ),
+    "repro.errors": (
+        "AnalysisError",
+        "DatasetError",
+        "FormatError",
+        "GraphError",
+        "InvalidIndependentSetError",
+        "MemoryBudgetError",
+        "ReproError",
+        "SolverError",
+        "StorageError",
+        "VertexError",
+    ),
+    "repro.applications": ("iterated_is_coloring", "vertex_cover"),
+    "repro.dynamic": ("DynamicMISMaintainer",),
+    "repro.graphs": ("Graph", "GraphBuilder"),
+    "repro.pipeline": (
+        "ExecutionContext",
+        "PipelineEngine",
+        "PipelineSpec",
+        "RunSpec",
+        "StageReport",
+        "StageSpec",
+    ),
+    "repro.reductions": ("ReducedGraph", "reduce_graph", "reduced_mis"),
+    "repro.service": ("ServiceClient", "ServiceConfig", "SolverService"),
+    "repro.storage": (
+        "AdjacencyFileReader",
+        "IOStats",
+        "InMemoryAdjacencyScan",
+        "MemoryBudget",
+        "MemoryModel",
+        "write_adjacency_file",
+    ),
+    "repro.validation": ("is_independent_set", "is_maximal_independent_set"),
+}
 
 __version__ = "1.0.0"
 
@@ -144,3 +152,5 @@ __all__ = [
     "AnalysisError",
     "DatasetError",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -28,9 +28,9 @@ Sub-commands
     format.
 ``convert``
     Convert an adjacency file to the memory-mapped binary CSR artifact
-    (``--to-binary``; zero-parse startup, pages shared across worker
-    processes, graphs beyond RAM) or back (``--to-adjacency``).  Every
-    file-consuming command auto-detects either format by magic.
+    (``--to-binary``; zero-parse startup, graphs beyond RAM) or back
+    (``--to-adjacency``).  Every file-consuming command auto-detects
+    either format by magic.
 ``reduce``
     Apply the exact kernelization rules to an adjacency file and report
     the kernel size; with ``--pipeline`` the kernel is solved through the
@@ -72,13 +72,10 @@ import argparse
 import json
 import os
 import sys
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro import __version__
-from repro.analysis.plrg_theory import PLRGTheory
-from repro.analysis.upper_bound import independence_upper_bound
 from repro.core.result import MISResult
-from repro.core.solver import PIPELINES
 from repro.errors import (
     CheckpointError,
     GraphError,
@@ -103,28 +100,21 @@ from repro.pipeline.context import (
     add_execution_arguments,
     resolve_backend_request,
 )
-from repro.pipeline.engine import PipelineEngine
-from repro.pipeline.spec import PipelineSpec, RunSpec, StageSpec, iter_run_specs
-from repro.pipeline.stream import StreamSession
-from repro.graphs.datasets import DATASETS, load_dataset
-from repro.graphs.generators import erdos_renyi_gnm
-from repro.graphs.graph import Graph
-from repro.graphs.plrg import PLRGParameters, plrg_graph
-from repro.reporting import format_bytes, format_table
-from repro.service import ServiceClient, ServiceConfig, SolverService
-from repro.service.cache import input_digest
-from repro.service.jobstore import JobStore
-from repro.service.metrics import build_service_registry
-from repro.storage.adjacency_file import write_adjacency_file
-from repro.storage.binary_format import MemmapAdjacencySource
-from repro.storage.converters import (
-    adjacency_to_binary,
-    binary_to_adjacency,
-    export_edge_list,
-    import_edge_list,
+from repro.pipeline.spec import (
+    BUILTIN_PIPELINES as PIPELINES,
+    PipelineSpec,
+    RunSpec,
+    StageSpec,
+    iter_run_specs,
 )
+from repro.graphs.graph import Graph
 from repro.storage.registry import open_adjacency_source
 from repro.storage.scan import AdjacencyScanSource
+
+# Modules only some commands need are imported inside those commands, so
+# a ``solve`` process compiles only the modules it runs.
+if TYPE_CHECKING:
+    from repro.service import ServiceClient
 
 __all__ = ["main", "build_parser"]
 
@@ -572,6 +562,10 @@ def _finish_obs(args: argparse.Namespace, obs: Observability) -> None:
 def _generate_graph(args: argparse.Namespace) -> Graph:
     """Build the requested in-memory graph for the ``generate`` command."""
 
+    from repro.graphs.datasets import load_dataset
+    from repro.graphs.generators import erdos_renyi_gnm
+    from repro.graphs.plrg import PLRGParameters, plrg_graph
+
     if args.model == "plrg":
         params = PLRGParameters.from_vertex_count(args.vertices, args.beta)
         return plrg_graph(params, seed=args.seed)
@@ -581,6 +575,8 @@ def _generate_graph(args: argparse.Namespace) -> Graph:
 
 
 def _command_generate(args: argparse.Namespace) -> int:
+    from repro.storage.adjacency_file import write_adjacency_file
+
     graph = _generate_graph(args)
     order = graph.degree_ascending_order() if args.order == "degree" else range(graph.num_vertices)
     device = write_adjacency_file(graph, args.output, order=list(order))
@@ -601,6 +597,8 @@ def _print_result(result: MISResult, as_json: bool) -> None:
         summary["stages"] = stages
         print(json.dumps(summary, indent=2, sort_keys=True))
         return
+    from repro.reporting import format_table
+
     rows = [[key, value] for key, value in summary.items()]
     print(format_table(["metric", "value"], rows))
     if stages:
@@ -635,6 +633,8 @@ def _execute_engine(
     obs: Optional[Observability] = None,
 ) -> MISResult:
     """Build the context and run the engine — shared by solve/run/sweep."""
+
+    from repro.pipeline.engine import PipelineEngine
 
     ctx = ExecutionContext.from_args(args, reader)
     if memory_limit_bytes is not None:
@@ -713,7 +713,8 @@ def _command_solve(args: argparse.Namespace) -> int:
     obs = _build_obs(args)
     reader = open_adjacency_source(args.input)
     # Every backend consumes the file semi-externally: the numpy kernels
-    # run over block-batched scans, the python reference streams records.
+    # run record-major over a SEXTCSR1 memmap (block-batched scans over a
+    # text file), the python reference streams records.
     try:
         code = _run_engine_command(
             PIPELINES[args.pipeline],
@@ -734,6 +735,9 @@ def _command_solve(args: argparse.Namespace) -> int:
 
 
 def _command_watch(args: argparse.Namespace) -> int:
+    from repro.pipeline.stream import StreamSession
+    from repro.service.cache import input_digest
+
     if args.resume and args.checkpoint is None:
         print("--resume requires --checkpoint PATH", file=sys.stderr)
         return 2
@@ -879,6 +883,8 @@ def _command_run(args: argparse.Namespace) -> int:
 def _command_run_directory(args: argparse.Namespace) -> int:
     """Scenario sweep: run every spec in a directory, aggregate telemetry."""
 
+    from repro.reporting import format_table
+
     try:
         specs = iter_run_specs(args.config_dir)
     except PipelineSpecError as exc:
@@ -1012,6 +1018,9 @@ COMPARATORS = ("local_search", "dynamic_update")
 
 
 def _command_compare(args: argparse.Namespace) -> int:
+    from repro.pipeline.engine import PipelineEngine
+    from repro.reporting import format_table
+
     names = [name.strip() for name in args.algorithms.split(",") if name.strip()]
     known = set(PIPELINES) | set(COMPARATORS)
     unknown = [name for name in names if name not in known]
@@ -1096,6 +1105,8 @@ def _command_compare(args: argparse.Namespace) -> int:
 
 
 def _record_row(client: ServiceClient, record) -> List[object]:
+    from repro.reporting import format_bytes
+
     return [
         record.job_id,
         record.state,
@@ -1121,6 +1132,8 @@ _STATUS_HEADERS = [
 
 
 def _command_serve(args: argparse.Namespace) -> int:
+    from repro.service import ServiceConfig, SolverService
+
     if args.checkpoint_every_seconds < 0:
         print(
             "--checkpoint-every-seconds must be >= 0 (0 = every round)",
@@ -1200,6 +1213,9 @@ def _follow_job(client: ServiceClient, job_id: str, timeout: float) -> int:
 
 
 def _command_submit(args: argparse.Namespace) -> int:
+    from repro.reporting import format_table
+    from repro.service import ServiceClient
+
     if args.interrupt_after is not None and args.config_dir is not None:
         print("--interrupt-after requires a single --config", file=sys.stderr)
         return 2
@@ -1246,6 +1262,10 @@ def _command_submit(args: argparse.Namespace) -> int:
 
 
 def _command_status(args: argparse.Namespace) -> int:
+    from repro.reporting import format_table
+    from repro.service import ServiceClient
+    from repro.service.metrics import build_service_registry
+
     try:
         client = ServiceClient(args.service_dir, create=False)
         if args.job_id is not None:
@@ -1276,6 +1296,10 @@ def _command_status(args: argparse.Namespace) -> int:
 def _command_metrics(args: argparse.Namespace) -> int:
     """Render metrics from a service directory or a saved snapshot file."""
 
+    from repro.reporting import format_table
+    from repro.service.jobstore import JobStore
+    from repro.service.metrics import build_service_registry
+
     target = args.target
     try:
         if os.path.isdir(target):
@@ -1298,6 +1322,8 @@ def _command_metrics(args: argparse.Namespace) -> int:
 
 
 def _command_results(args: argparse.Namespace) -> int:
+    from repro.service import ServiceClient
+
     try:
         client = ServiceClient(args.service_dir, create=False)
         result = client.result(args.job_id)
@@ -1309,6 +1335,8 @@ def _command_results(args: argparse.Namespace) -> int:
 
 
 def _command_cancel(args: argparse.Namespace) -> int:
+    from repro.service import ServiceClient
+
     try:
         client = ServiceClient(args.service_dir, create=False)
         record = client.cancel(args.job_id)
@@ -1323,6 +1351,8 @@ def _command_cancel(args: argparse.Namespace) -> int:
 
 
 def _command_bound(args: argparse.Namespace) -> int:
+    from repro.analysis.upper_bound import independence_upper_bound
+
     reader = open_adjacency_source(args.input)
     bound = independence_upper_bound(reader)
     print(f"independence number upper bound: {bound:,}")
@@ -1331,6 +1361,10 @@ def _command_bound(args: argparse.Namespace) -> int:
 
 
 def _command_theory(args: argparse.Namespace) -> int:
+    from repro.analysis.plrg_theory import PLRGTheory
+    from repro.graphs.plrg import PLRGParameters
+    from repro.reporting import format_table
+
     params = PLRGParameters.from_vertex_count(args.vertices, args.beta)
     theory = PLRGTheory(params)
     rows = [[key, value] for key, value in theory.summary().items()]
@@ -1339,6 +1373,8 @@ def _command_theory(args: argparse.Namespace) -> int:
 
 
 def _command_import(args: argparse.Namespace) -> int:
+    from repro.storage.converters import import_edge_list
+
     graph, _mapping = import_edge_list(
         args.text_input, args.output, order=args.order, compact=args.compact
     )
@@ -1350,12 +1386,17 @@ def _command_import(args: argparse.Namespace) -> int:
 
 
 def _command_export(args: argparse.Namespace) -> int:
+    from repro.storage.converters import export_edge_list
+
     edges = export_edge_list(args.input, args.text_output)
     print(f"exported {edges:,} edges to {args.text_output}")
     return 0
 
 
 def _command_convert(args: argparse.Namespace) -> int:
+    from repro.storage.binary_format import MemmapAdjacencySource
+    from repro.storage.converters import adjacency_to_binary, binary_to_adjacency
+
     try:
         if args.to_binary:
             header = adjacency_to_binary(args.input, args.output)
@@ -1380,6 +1421,9 @@ def _command_convert(args: argparse.Namespace) -> int:
 
 
 def _command_reduce(args: argparse.Namespace) -> int:
+    from repro.pipeline.engine import PipelineEngine
+    from repro.reporting import format_table
+
     reader = open_adjacency_source(args.input)
     ctx = ExecutionContext.from_args(args, reader)
     if args.pipeline is None:
@@ -1418,6 +1462,9 @@ def _command_reduce(args: argparse.Namespace) -> int:
 
 
 def _command_datasets(_args: argparse.Namespace) -> int:
+    from repro.graphs.datasets import DATASETS
+    from repro.reporting import format_table
+
     rows = [
         [spec.name, spec.real_vertices, spec.real_edges, spec.avg_degree, spec.disk_size]
         for spec in DATASETS.values()

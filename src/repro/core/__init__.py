@@ -10,12 +10,22 @@
   pipelines evaluated in Section 7 (e.g. Greedy → One-k → Two-k).
 """
 
-from repro.core.states import VertexState
-from repro.core.result import MISResult, RoundStats
-from repro.core.greedy import greedy_mis
+from repro._lazy import lazy_exports
+
+# ``one_k_swap`` and ``two_k_swap`` share their names with the submodules
+# defining them, and importing a submodule binds its name on the package
+# to the module.  They are bound eagerly so these names always mean the
+# functions; every other name loads on first use.
 from repro.core.one_k_swap import one_k_swap
 from repro.core.two_k_swap import two_k_swap
-from repro.core.solver import SemiExternalMISSolver, solve_mis
+
+#: Where each public name is defined; see :mod:`repro._lazy`.
+_EXPORTS = {
+    "repro.core.states": ("VertexState",),
+    "repro.core.result": ("MISResult", "RoundStats"),
+    "repro.core.greedy": ("greedy_mis",),
+    "repro.core.solver": ("SemiExternalMISSolver", "solve_mis"),
+}
 
 __all__ = [
     "VertexState",
@@ -27,3 +37,5 @@ __all__ = [
     "SemiExternalMISSolver",
     "solve_mis",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

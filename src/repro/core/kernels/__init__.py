@@ -1,33 +1,43 @@
 """Pluggable kernel backends for the semi-external MIS passes.
 
-Importing this package registers the ``python`` reference backend and —
-when NumPy is importable — the vectorized ``numpy`` backend, then
-auto-detects the default (numpy preferred).  See
-:mod:`repro.core.kernels.base` for the selection rules.
+Importing this package registers the vectorized ``numpy`` backend when
+NumPy is importable, and with it the auto-detected default (numpy
+preferred).  The ``python`` reference registers on the first lookup of
+its name, so a run on the numpy backend never imports it.  See
+:mod:`repro.core.kernels.base` for the selection rules.  The other names
+load on first use (:mod:`repro._lazy`).
 """
 
-from repro.core.kernels.base import (
-    BACKEND_ENV_VAR,
-    KernelBackend,
-    WaveTelemetry,
-    available_backends,
-    default_backend_name,
-    get_backend,
-    observe_pass,
-    register_backend,
-    resolve_backend,
-    resolve_graph_backend,
-    resolve_maintainer_backend,
-    set_default_backend,
-    set_pass_observer,
-)
-from repro.core.kernels.python_backend import PythonBackend
-from repro.core.kernels.sc_store import SwapCandidateStore
+from repro._lazy import lazy_exports
 
+# Every solve, stream and service job runs the default backend, so it is
+# compiled with the package: a forked job worker then inherits it, and a
+# stream session's first seed solve does not pay for it.
 try:
     from repro.core.kernels.numpy_backend import NumpyBackend
-except ImportError:  # pragma: no cover - the container ships numpy
+except ImportError:  # pragma: no cover - NumPy is not installed
     NumpyBackend = None  # type: ignore[assignment,misc]
+
+#: Where each public name is defined; see :mod:`repro._lazy`.
+_EXPORTS = {
+    "repro.core.kernels.base": (
+        "BACKEND_ENV_VAR",
+        "KernelBackend",
+        "WaveTelemetry",
+        "available_backends",
+        "default_backend_name",
+        "get_backend",
+        "observe_pass",
+        "register_backend",
+        "resolve_backend",
+        "resolve_graph_backend",
+        "resolve_maintainer_backend",
+        "set_default_backend",
+        "set_pass_observer",
+    ),
+    "repro.core.kernels.python_backend": ("PythonBackend",),
+    "repro.core.kernels.sc_store": ("SwapCandidateStore",),
+}
 
 __all__ = [
     "BACKEND_ENV_VAR",
@@ -46,3 +56,5 @@ __all__ = [
     "resolve_maintainer_backend",
     "set_default_backend",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

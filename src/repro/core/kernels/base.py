@@ -36,6 +36,7 @@ record-streaming sources without ``scan_batches`` still fall back.
 from __future__ import annotations
 
 import abc
+import importlib
 import os
 from dataclasses import asdict, dataclass
 from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
@@ -261,13 +262,17 @@ class KernelBackend(abc.ABC):
         ``on_round`` callback: the initial labelling scan is skipped and
         the round loop continues exactly where the snapshot was taken
         (``initial_set`` is ignored).  ``on_round`` — when given — is
-        called after every completed swap round with a JSON-serializable
-        snapshot dict of the full loop state (vertex states, ISN entries,
-        per-round telemetry, oscillation-guard fingerprints); this is the
-        hook the pipeline engine uses for per-round checkpointing.
-        Snapshots are backend-specific (the oscillation fingerprints hash
-        each backend's canonical encoding) and must be resumed on the
-        backend that produced them.
+        called after every completed swap round with a snapshot dict of
+        the full loop state (vertex states, ISN entries, per-round
+        telemetry, oscillation-guard fingerprints); this is the hook the
+        pipeline engine uses for per-round checkpointing.  Snapshot
+        values are JSON data or 1-D integer ndarrays: the numpy backend
+        hands out copies of its per-vertex arrays, the python reference
+        keeps int lists, and both encode to the same checkpoint bytes
+        (:mod:`repro.storage.checkpoint`).  A persisted snapshot resumes
+        exactly like the in-memory one.  Snapshots are backend-specific
+        (the oscillation fingerprints hash each backend's canonical
+        encoding) and must be resumed on the backend that produced them.
         """
 
     @abc.abstractmethod
@@ -366,6 +371,11 @@ class KernelBackend(abc.ABC):
 _REGISTRY: Dict[str, KernelBackend] = {}
 _DEFAULT: Optional[str] = None
 
+#: Backends registered by importing their module on the first lookup of
+#: their name.  The numpy backend registers when :mod:`repro.core.kernels`
+#: is imported; the python reference loads only in runs that resolve to it.
+_LAZY_BACKENDS = {"python": "repro.core.kernels.python_backend"}
+
 
 def register_backend(backend: KernelBackend) -> KernelBackend:
     """Add a backend instance to the registry (last registration wins)."""
@@ -375,9 +385,10 @@ def register_backend(backend: KernelBackend) -> KernelBackend:
 
 
 def available_backends() -> Tuple[str, ...]:
-    """Names of every registered backend, sorted."""
+    """Names of every registered backend, sorted (the python reference
+    counts as registered before its first use)."""
 
-    return tuple(sorted(_REGISTRY))
+    return tuple(sorted(set(_REGISTRY) | set(_LAZY_BACKENDS)))
 
 
 def default_backend_name() -> str:
@@ -392,7 +403,7 @@ def default_backend_name() -> str:
         return _DEFAULT
     env = os.environ.get(BACKEND_ENV_VAR, "").strip().lower()
     if env:
-        if env not in _REGISTRY:
+        if env not in available_backends():
             raise SolverError(
                 f"{BACKEND_ENV_VAR}={env!r} does not name a registered kernel "
                 f"backend; available: {', '.join(available_backends())}"
@@ -405,7 +416,7 @@ def set_default_backend(name: Optional[str]) -> None:
     """Force the process-wide default backend (``None`` restores auto-detect)."""
 
     global _DEFAULT
-    if name is not None and name not in _REGISTRY:
+    if name is not None and name not in available_backends():
         raise SolverError(
             f"unknown kernel backend {name!r}; available: "
             f"{', '.join(available_backends())}"
@@ -418,6 +429,8 @@ def get_backend(name: Optional[str] = None) -> KernelBackend:
 
     if name is None or name == "auto":
         name = default_backend_name()
+    if name not in _REGISTRY and name in _LAZY_BACKENDS:
+        importlib.import_module(_LAZY_BACKENDS[name])
     try:
         return _REGISTRY[name]
     except KeyError:
@@ -440,7 +453,7 @@ def resolve_backend(name: Optional[str], source) -> KernelBackend:
 
     backend = get_backend(name)
     if not backend.supports(source):
-        return _REGISTRY["python"]
+        return get_backend("python")
     return backend
 
 
@@ -456,7 +469,7 @@ def resolve_graph_backend(name: Optional[str], graph) -> KernelBackend:
 
     backend = get_backend(name)
     if not backend.supports_graph(graph):
-        return _REGISTRY["python"]
+        return get_backend("python")
     return backend
 
 
@@ -472,5 +485,5 @@ def resolve_maintainer_backend(name: Optional[str], maintainer) -> KernelBackend
 
     backend = get_backend(name)
     if not backend.supports_maintainer(maintainer):
-        return _REGISTRY["python"]
+        return get_backend("python")
     return backend

@@ -72,7 +72,6 @@ from repro.core.kernels.base import (
     encode_rounds,
     register_backend,
 )
-from repro.core.kernels.python_backend import normalize_updates as _scalar_normalize
 from repro.core.kernels.sc_store import SwapCandidateStore
 from repro.core.result import RoundStats
 from repro.core.states import VertexState as S
@@ -92,6 +91,16 @@ _RET = int(S.RETROGRADE)
 #: Chunk size of the in-memory greedy scan: vertices already excluded are
 #: skipped in bulk instead of paying one Python iteration each.
 _GREEDY_CHUNK = 8192
+
+
+def _scalar_normalize(updates, *, strict: bool):
+    """The scalar reference's ``normalize_updates``, imported on first use
+    (only update streams need it)."""
+
+    from repro.core.kernels.python_backend import normalize_updates
+
+    return normalize_updates(updates, strict=strict)
+
 
 def _fingerprint(*arrays) -> bytes:
     """Digest of the solver state used by the oscillation guard."""
@@ -602,9 +611,16 @@ class _SwapRounds:
             on_round(self.snapshot())
 
     def snapshot(self) -> dict:
+        """The loop state, per-vertex arrays as 1-D integer ndarray copies.
+
+        Copies, so a snapshot the caller keeps never sees later rounds;
+        the checkpoint encoder packs them to the bytes of the equal int
+        lists without a per-element walk.
+        """
+
         snapshot = {"pass": self.pass_name, "initial_size": self.initial_size}
         for name, array in self.arrays.items():
-            snapshot[name] = array.tolist()
+            snapshot[name] = array.copy()
         snapshot.update(
             rounds=encode_rounds(self.rounds),
             current_size=self.current_size,

@@ -105,7 +105,10 @@ def one_k_swap(
         it — the pipeline engine enforces this for checkpoint files.
     on_round:
         Optional callback invoked after every completed swap round with a
-        JSON-serializable snapshot of the loop state (the checkpoint hook).
+        snapshot of the loop state (the checkpoint hook).  Its values are
+        JSON data or 1-D integer ndarrays (the numpy backend's per-vertex
+        arrays), which encode to the same checkpoint bytes; see
+        :meth:`repro.core.kernels.base.KernelBackend.one_k_swap_pass`.
 
     Returns
     -------

@@ -27,6 +27,8 @@ from typing import Optional, Sequence, Union
 from repro.core.result import MISResult
 from repro.errors import SolverError
 from repro.graphs.graph import Graph
+from repro.pipeline.context import ExecutionContext
+from repro.pipeline.engine import PipelineEngine
 from repro.pipeline.spec import BUILTIN_PIPELINES
 from repro.storage.memory import MemoryModel
 from repro.storage.scan import AdjacencyScanSource
@@ -98,11 +100,6 @@ class SemiExternalMISSolver:
 
     def solve(self, graph_or_source: Union[Graph, AdjacencyScanSource]) -> MISResult:
         """Run the configured pipeline and return the final result."""
-
-        # Imported lazily to keep the facade importable while the pipeline
-        # package (whose stages import the solver's sibling modules) loads.
-        from repro.pipeline.context import ExecutionContext
-        from repro.pipeline.engine import PipelineEngine
 
         if self.pipeline not in PIPELINES:
             raise SolverError(

@@ -100,8 +100,9 @@ def two_k_swap(
         callback; continues the round loop where the snapshot was taken,
         ignoring ``initial`` (see :func:`repro.core.one_k_swap.one_k_swap`).
     on_round:
-        Optional per-round callback receiving a JSON-serializable loop
-        snapshot (the pipeline engine's checkpoint hook).
+        Optional per-round callback receiving a loop snapshot of JSON data
+        and 1-D integer ndarrays (the pipeline engine's checkpoint hook;
+        see :func:`repro.core.one_k_swap.one_k_swap`).
 
     Returns
     -------

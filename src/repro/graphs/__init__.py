@@ -12,24 +12,31 @@ The sub-package provides:
 * :mod:`repro.graphs.cascade` — the cascading-swap worst case of Figure 5.
 * :mod:`repro.graphs.datasets` — scaled synthetic stand-ins for the ten
   real-world datasets of Table 4.
+
+The names below load on first use (:mod:`repro._lazy`).
 """
 
-from repro.graphs.graph import Graph, GraphBuilder
-from repro.graphs.plrg import PLRGParameters, plrg_degree_sequence, plrg_graph
-from repro.graphs.generators import (
-    complete_bipartite_graph,
-    complete_graph,
-    cycle_graph,
-    empty_graph,
-    erdos_renyi_gnm,
-    erdos_renyi_gnp,
-    path_graph,
-    random_bipartite_graph,
-    random_regular_graph,
-    star_graph,
-)
-from repro.graphs.cascade import cascade_swap_graph
-from repro.graphs.datasets import DatasetSpec, available_datasets, load_dataset
+from repro._lazy import lazy_exports
+
+#: Where each public name is defined; see :mod:`repro._lazy`.
+_EXPORTS = {
+    "repro.graphs.graph": ("Graph", "GraphBuilder"),
+    "repro.graphs.plrg": ("PLRGParameters", "plrg_degree_sequence", "plrg_graph"),
+    "repro.graphs.generators": (
+        "complete_bipartite_graph",
+        "complete_graph",
+        "cycle_graph",
+        "empty_graph",
+        "erdos_renyi_gnm",
+        "erdos_renyi_gnp",
+        "path_graph",
+        "random_bipartite_graph",
+        "random_regular_graph",
+        "star_graph",
+    ),
+    "repro.graphs.cascade": ("cascade_swap_graph",),
+    "repro.graphs.datasets": ("DatasetSpec", "available_datasets", "load_dataset"),
+}
 
 __all__ = [
     "Graph",
@@ -52,3 +59,5 @@ __all__ = [
     "available_datasets",
     "load_dataset",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

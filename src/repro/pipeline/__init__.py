@@ -10,23 +10,35 @@ CLI commands and the benchmark harness are all thin layers over this
 package.  :mod:`repro.pipeline.stream` adds streaming sessions that keep
 a dynamic MIS valid over edge-update files with the same
 checkpoint/resume guarantees.
+
+The names below load on first use (:mod:`repro._lazy`).
 """
 
-from repro.pipeline.context import (
-    ExecutionContext,
-    add_execution_arguments,
-    resolve_backend_request,
-)
-from repro.pipeline.engine import PipelineEngine
-from repro.pipeline.spec import BUILTIN_PIPELINES, PipelineSpec, RunSpec, StageSpec
-from repro.pipeline.stages import (
-    Stage,
-    StageReport,
-    available_stages,
-    get_stage,
-    register_stage,
-)
-from repro.pipeline.stream import BatchReport, StreamSession
+from repro._lazy import lazy_exports
+
+#: Where each public name is defined; see :mod:`repro._lazy`.
+_EXPORTS = {
+    "repro.pipeline.context": (
+        "ExecutionContext",
+        "add_execution_arguments",
+        "resolve_backend_request",
+    ),
+    "repro.pipeline.engine": ("PipelineEngine",),
+    "repro.pipeline.spec": (
+        "BUILTIN_PIPELINES",
+        "PipelineSpec",
+        "RunSpec",
+        "StageSpec",
+    ),
+    "repro.pipeline.stages": (
+        "Stage",
+        "StageReport",
+        "available_stages",
+        "get_stage",
+        "register_stage",
+    ),
+    "repro.pipeline.stream": ("BatchReport", "StreamSession"),
+}
 
 __all__ = [
     "BUILTIN_PIPELINES",
@@ -45,3 +57,5 @@ __all__ = [
     "register_stage",
     "resolve_backend_request",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -22,19 +22,19 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Mapping, Optional, Tuple
 
-from repro.baselines.dynamic_update import dynamic_update_mis
-from repro.baselines.local_search import local_search_mis
 from repro.core.greedy import greedy_mis
 from repro.core.one_k_swap import one_k_swap
 from repro.core.result import MISResult
 from repro.core.two_k_swap import two_k_swap
 from repro.errors import PipelineSpecError
 from repro.pipeline.context import ExecutionContext
-from repro.reductions.kernel import ReducedGraph, reduce_graph
 from repro.storage.io_stats import IOStats
 from repro.storage.scan import InMemoryAdjacencyScan
+
+if TYPE_CHECKING:
+    from repro.reductions.kernel import ReducedGraph
 
 __all__ = [
     "Stage",
@@ -292,6 +292,8 @@ class ReduceStage(Stage):
     transforms_source = True
 
     def run(self, ctx, previous, options, resume_state=None, on_round=None):
+        from repro.reductions.kernel import reduce_graph
+
         graph = ctx.materialize_graph()
         reduced = reduce_graph(graph)
         self._apply(ctx, reduced)
@@ -321,6 +323,8 @@ class ReduceStage(Stage):
         )
 
     def restore_artifact(self, ctx, artifact):
+        from repro.reductions.kernel import ReducedGraph
+
         self._apply(ctx, ReducedGraph.from_payload(artifact))
 
     @staticmethod
@@ -342,6 +346,8 @@ class LocalSearchStage(Stage):
     option_keys = ("max_iterations",)
 
     def run(self, ctx, previous, options, resume_state=None, on_round=None):
+        from repro.baselines.local_search import local_search_mis
+
         return local_search_mis(
             ctx.materialize_graph(),
             initial=previous,
@@ -358,6 +364,8 @@ class DynamicUpdateStage(Stage):
     name = "dynamic_update"
 
     def run(self, ctx, previous, options, resume_state=None, on_round=None):
+        from repro.baselines.dynamic_update import dynamic_update_mis
+
         return dynamic_update_mis(
             ctx.materialize_graph(),
             memory_model=ctx.memory_model,

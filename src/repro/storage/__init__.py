@@ -23,41 +23,45 @@ sub-package provides that substrate:
   to reproduce the memory columns of Table 6.
 * :mod:`repro.storage.checkpoint` — versioned, checksummed checkpoint
   files backing the pipeline engine's crash/resume support.
+
+The names below load on first use (:mod:`repro._lazy`).
 """
 
-from repro.storage.io_stats import IOStats
-from repro.storage.checkpoint import (
-    CHECKPOINT_FORMAT,
-    CHECKPOINT_VERSION,
-    read_checkpoint,
-    write_checkpoint,
-)
-from repro.storage.blocks import BlockDevice
-from repro.storage.adjacency_file import (
-    AdjacencyFileReader,
-    write_adjacency_file,
-)
-from repro.storage.scan import (
-    AdjacencyBatch,
-    AdjacencyScanSource,
-    InMemoryAdjacencyScan,
-    as_scan_source,
-)
-from repro.storage.binary_format import (
-    BINARY_FORMAT_VERSION,
-    BINARY_MAGIC,
-    BinaryCSRHeader,
-    MemmapAdjacencySource,
-    read_binary_header,
-    write_binary_csr,
-)
-from repro.storage.registry import open_adjacency_source, register_scan_format
-from repro.storage.external_sort import (
-    external_sort_by_degree,
-    greedy_total_io_cost,
-    sort_io_cost,
-)
-from repro.storage.memory import MemoryBudget, MemoryModel
+from repro._lazy import lazy_exports
+
+#: Where each public name is defined; see :mod:`repro._lazy`.
+_EXPORTS = {
+    "repro.storage.io_stats": ("IOStats",),
+    "repro.storage.checkpoint": (
+        "CHECKPOINT_FORMAT",
+        "CHECKPOINT_VERSION",
+        "read_checkpoint",
+        "write_checkpoint",
+    ),
+    "repro.storage.blocks": ("BlockDevice",),
+    "repro.storage.adjacency_file": ("AdjacencyFileReader", "write_adjacency_file"),
+    "repro.storage.scan": (
+        "AdjacencyBatch",
+        "AdjacencyScanSource",
+        "InMemoryAdjacencyScan",
+        "as_scan_source",
+    ),
+    "repro.storage.binary_format": (
+        "BINARY_FORMAT_VERSION",
+        "BINARY_MAGIC",
+        "BinaryCSRHeader",
+        "MemmapAdjacencySource",
+        "read_binary_header",
+        "write_binary_csr",
+    ),
+    "repro.storage.registry": ("open_adjacency_source", "register_scan_format"),
+    "repro.storage.external_sort": (
+        "external_sort_by_degree",
+        "greedy_total_io_cost",
+        "sort_io_cost",
+    ),
+    "repro.storage.memory": ("MemoryBudget", "MemoryModel"),
+}
 
 __all__ = [
     "IOStats",
@@ -86,3 +90,5 @@ __all__ = [
     "read_checkpoint",
     "write_checkpoint",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

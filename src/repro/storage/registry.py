@@ -19,7 +19,6 @@ from typing import Callable, Dict, Optional, Union
 
 from repro.errors import FormatError, StorageError
 from repro.storage import format as fmt
-from repro.storage.adjacency_file import AdjacencyFileReader
 from repro.storage.binary_format import BINARY_MAGIC, MemmapAdjacencySource
 from repro.storage.blocks import DEFAULT_BLOCK_SIZE
 from repro.storage.io_stats import IOStats
@@ -31,10 +30,16 @@ _MAGIC_BYTES = 8
 
 ScanFactory = Callable[[str, int, Optional[IOStats]], AdjacencyScanSource]
 
+
+def _open_text(path: str, block_size: int, stats: Optional[IOStats]):
+    # Imported here so opening a binary artifact never loads the text reader.
+    from repro.storage.adjacency_file import AdjacencyFileReader
+
+    return AdjacencyFileReader(path, block_size=block_size, stats=stats)
+
+
 _SCAN_FORMATS: Dict[bytes, ScanFactory] = {
-    fmt.MAGIC: lambda path, block_size, stats: AdjacencyFileReader(
-        path, block_size=block_size, stats=stats
-    ),
+    fmt.MAGIC: _open_text,
     BINARY_MAGIC: lambda path, block_size, stats: MemmapAdjacencySource(
         path, block_size=block_size, stats=stats
     ),

@@ -39,6 +39,8 @@ from repro.storage.scan import as_scan_source
 
 np = pytest.importorskip("numpy")
 
+from snapshot_helpers import plain  # noqa: E402  (needs numpy)
+
 BACKENDS = ("python", "numpy")
 SUMMARY_FIELDS = ("size", "rounds", "sequential_scans", "random_vertex_lookups")
 
@@ -79,7 +81,7 @@ def _run_greedy_one_k(source, backend: str):
         snapshots = []
         out = kernel.one_k_swap_pass(source, initial, None, on_round=snapshots.append)
         # Checkpoints go through JSON on disk; compare what would be read back.
-        snapshots = json.loads(json.dumps(snapshots))
+        snapshots = json.loads(json.dumps(plain(snapshots)))
         return initial, out, snapshots, source.stats.as_dict()
     finally:
         close = getattr(source, "close", None)
@@ -147,7 +149,7 @@ def test_round_snapshot_resume_matches_uninterrupted(backend):
         src, initial, 2, on_round=snaps.append
     )
     assert len(snaps) == 2
-    snapshot = json.loads(json.dumps(snaps[-1]))
+    snapshot = json.loads(json.dumps(plain(snaps[-1])))
 
     src = as_scan_source(graph)
     resumed = resolve_backend(backend, src).one_k_swap_pass(

@@ -39,6 +39,7 @@ from repro.storage.adjacency_file import write_adjacency_file
 from repro.storage.binary_format import MemmapAdjacencySource
 from repro.storage.converters import adjacency_to_binary
 from repro.storage.scan import InMemoryAdjacencyScan
+from snapshot_helpers import plain
 
 
 def _cascade_graph(groups: int = 10, size: int = 30, seed: int = 5):
@@ -101,7 +102,11 @@ def _run(backend: str, source, initial, resume=None):
     snapshots = []
     try:
         out = get_backend(backend).one_k_swap_pass(
-            source, initial, None, resume=resume, on_round=snapshots.append
+            source,
+            initial,
+            None,
+            resume=resume,
+            on_round=lambda snapshot: snapshots.append(plain(snapshot)),
         )
         return out, snapshots, source.stats.as_dict()
     finally:

@@ -35,6 +35,7 @@ from repro.storage.adjacency_file import write_adjacency_file
 from repro.storage.binary_format import MemmapAdjacencySource
 from repro.storage.converters import adjacency_to_binary
 from repro.storage.scan import InMemoryAdjacencyScan
+from snapshot_helpers import plain
 
 KINDS = ("gnm", "plrg18", "plrg21", "plrg25", "hub")
 
@@ -111,7 +112,8 @@ def _run(backend, source, initial, pairs, checks, resume=None):
     try:
         out = get_backend(backend).two_k_swap_pass(
             source, initial, None, pairs, checks,
-            resume=resume, on_round=snapshots.append,
+            resume=resume,
+            on_round=lambda snapshot: snapshots.append(plain(snapshot)),
         )
         return out, snapshots, source.stats.as_dict()
     finally:
