@@ -17,11 +17,15 @@ array, completed-stage prefix with an embedded reduce-kernel artifact):
   that re-encodes the whole payload, on a checkpoint whose prefix
   dominates (the reduce artifact case);
 * the *stream-checkpoint* row — what a durable ``watch`` session pays per
-  batch: a PLRG maintainer carrying an edge overlay writes its state
-  (selection bitmap, absent ids, overlay edges) next to the spliced,
-  pre-hashed CSR base section.  ``state_bytes`` is the file minus the base
-  section; ``write_seconds`` is ``state_payload()`` plus
-  ``write_checkpoint`` per batch;
+  batch, both ways: a *snapshot* (a PLRG maintainer carrying an edge
+  overlay writes its state — selection bitmap, absent ids, overlay edges
+  — next to the spliced, pre-hashed CSR base section; ``snapshot_bytes``
+  is the file, ``state_bytes`` the file minus the base section,
+  ``snapshot_seconds`` is ``state_payload()`` plus ``write_checkpoint``)
+  and a *batch-log append* (``append_bytes``/``append_seconds``: the
+  batch's updates, selection flips and counters, appended and fsynced).
+  The harness asserts that an append is at most 1/20 of a snapshot's
+  bytes;
 * the *solve-round* row — a real numpy one-k round snapshot of a gnm
   ``SEXTCSR1`` memmap solve (m = 4n), written as the kernels hand it out
   (per-vertex ndarray copies) and in its ``.tolist()`` form (what the
@@ -49,6 +53,7 @@ import statistics
 import sys
 import tempfile
 import time
+from dataclasses import asdict
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -61,10 +66,15 @@ from repro.core.kernels import get_backend  # noqa: E402
 from repro.dynamic.maintainer import DynamicMISMaintainer  # noqa: E402
 from repro.graphs.generators import erdos_renyi_gnm  # noqa: E402
 from repro.graphs.plrg import PLRGParameters, plrg_graph  # noqa: E402
+from repro.pipeline.stream import batch_record  # noqa: E402
 from repro.reporting import format_bytes, format_table, print_experiment_header  # noqa: E402
 from repro.storage.adjacency_file import write_adjacency_file  # noqa: E402
 from repro.storage.binary_format import MemmapAdjacencySource  # noqa: E402
-from repro.storage.checkpoint import encode_section, write_checkpoint  # noqa: E402
+from repro.storage.checkpoint import (  # noqa: E402
+    append_record,
+    encode_section,
+    write_checkpoint,
+)
 from repro.storage.converters import adjacency_to_binary  # noqa: E402
 
 #: Shape of the stream row: updates per batch, 70/30 insert/delete, and
@@ -72,6 +82,9 @@ from repro.storage.converters import adjacency_to_binary  # noqa: E402
 STREAM_BATCH = 256
 STREAM_WARM_BATCHES = 20
 STREAM_TIMED_BATCHES = 10
+#: A batch-log append must be at most this fraction of a snapshot's bytes
+#: (both deterministic); measured ≈ 1/380 at n = 1e5.
+APPEND_SNAPSHOT_RATIO = 20
 
 #: Timed writes per form in the solve-round row (the median is reported),
 #: and its graph size, the same under ``--smoke`` (see the module docstring).
@@ -165,7 +178,13 @@ def _update_batch(rng: random.Random, num_vertices: int, edges) -> tuple:
 
 
 def measure_stream(num_vertices: int, seed: int = 1) -> Dict[str, object]:
-    """Per-batch stream checkpoint cost of a PLRG maintainer with an overlay."""
+    """Per-batch stream checkpoint costs of a PLRG maintainer with an overlay.
+
+    Every timed batch is made durable both ways a session can: as a
+    snapshot (``state_payload()`` + ``write_checkpoint`` with the spliced
+    base) and as a batch-log append (``batch_record`` + ``append_record``
+    of the batch's normalised updates, journal flips and counters).
+    """
 
     graph = plrg_graph(PLRGParameters.from_vertex_count(num_vertices, 2.1), seed=seed)
     edges = list(graph.iter_edges())
@@ -176,23 +195,44 @@ def measure_stream(num_vertices: int, seed: int = 1) -> Dict[str, object]:
     offsets, targets = maintainer.base_arrays()
     base = encode_section({"offsets": offsets, "targets": targets}, base_offset=0)
 
-    seconds = 0.0
+    snapshot_seconds = append_seconds = 0.0
+    snapshot_bytes = append_bytes = 0
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "stream.ck")
+        log = f"{path}.log"
         for cursor in range(STREAM_TIMED_BATCHES):
+            del maintainer.journal[:]
             maintainer.apply_updates(*_update_batch(rng, num_vertices, edges))
             started = time.perf_counter()
             payload = {"cursor": cursor, "state": maintainer.state_payload()}
-            write_checkpoint(path, payload, sections={"base": base})
-            seconds += time.perf_counter() - started
-        checkpoint_bytes = os.path.getsize(path)
+            written = write_checkpoint(path, payload, sections={"base": base})
+            snapshot_seconds += time.perf_counter() - started
+            snapshot_bytes = written.nbytes
+            started = time.perf_counter()
+            record = batch_record(
+                cursor,
+                written.checksum,
+                *maintainer.last_batch,
+                maintainer.journal,
+                asdict(maintainer.stats),
+            )
+            append_bytes += append_record(log, record).nbytes
+            append_seconds += time.perf_counter() - started
     base_bytes = len(base.blob) + len(base.json_bytes)
+    append_bytes //= STREAM_TIMED_BATCHES
+    assert append_bytes * APPEND_SNAPSHOT_RATIO <= snapshot_bytes, (
+        f"stream batch-log regression at n={num_vertices}: {append_bytes} "
+        f"bytes per append vs a {snapshot_bytes}-byte snapshot"
+    )
     return {
         "num_vertices": num_vertices,
         "overlay_size": maintainer.overlay_size,
         "base_bytes": base_bytes,
-        "state_bytes": checkpoint_bytes - base_bytes,
-        "write_seconds": round(seconds / STREAM_TIMED_BATCHES, 6),
+        "state_bytes": snapshot_bytes - base_bytes,
+        "snapshot_bytes": snapshot_bytes,
+        "snapshot_seconds": round(snapshot_seconds / STREAM_TIMED_BATCHES, 6),
+        "append_bytes": append_bytes,
+        "append_seconds": round(append_seconds / STREAM_TIMED_BATCHES, 6),
     }
 
 
@@ -290,17 +330,21 @@ def main(argv: Optional[List[str]] = None) -> int:
     print()
     print(
         format_table(
-            ["n", "overlay", "base bytes", "state bytes", "encode+write s/batch"],
+            ["n", "overlay", "base bytes", "state bytes", "snapshot s/batch",
+             "append bytes", "append s/batch"],
             [
                 [
                     row["num_vertices"],
                     row["overlay_size"],
                     format_bytes(row["base_bytes"]),
                     format_bytes(row["state_bytes"]),
-                    row["write_seconds"],
+                    row["snapshot_seconds"],
+                    format_bytes(row["append_bytes"]),
+                    row["append_seconds"],
                 ]
                 for row in stream_rows
             ],
+            title="stream: snapshot vs batch-log append per batch",
         )
     )
     print()

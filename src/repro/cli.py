@@ -229,8 +229,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--checkpoint",
         default=None,
         metavar="PATH",
-        help="write a versioned checkpoint (maintainer state + stream "
-        "cursor) after every batch, making the session resumable",
+        help="make every batch durable, resumable with --resume: a "
+        "versioned snapshot (maintainer state + stream cursor) at PATH, "
+        "rewritten after compactions and whenever PATH.log outgrows it, "
+        "plus one appended record per batch in PATH.log",
     )
     watch.add_argument(
         "--resume",

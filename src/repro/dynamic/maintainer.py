@@ -44,6 +44,9 @@ Update rules:
     Fold the delta overlay back into fresh CSR base arrays once it grows
     past ``compact_threshold`` (checked after every ``apply_updates``
     batch); the selected set and all counters are untouched.
+``replay_batch(record)``
+    Re-apply a logged batch on resume: its graph edits and the selection
+    flips it journalled, with no MIS decision of its own.
 ``rebuild(pipeline=...)``
     Recompute the set from scratch with any of the library pipelines —
     the counterpart of the paper's periodic swap passes — and reset the
@@ -116,6 +119,9 @@ class DynamicMISMaintainer:
         #: recent ``journal_limit`` entries are retained (trimmed at
         #: update boundaries, so a long-lived session stays bounded).
         self.journal: List[Tuple[str, int]] = []
+        #: The normalised ``(insertions, deletions)`` of the latest
+        #: ``apply_updates`` batch: what a batch log records for replay.
+        self.last_batch: Tuple[List[Tuple[int, int]], ...] = ([], [])
         # Immutable CSR base (the initial graph) + per-vertex delta overlay.
         self._base_offsets = None
         self._base_targets = None
@@ -487,6 +493,15 @@ class DynamicMISMaintainer:
         self._trim_journal()
 
     def _apply_edge_insert(self, u: int, v: int) -> None:
+        self._link(u, v)
+        if self._selected[v]:
+            self._tight[u] += 1
+        if self._selected[u]:
+            self._tight[v] += 1
+
+    def _link(self, u: int, v: int) -> None:
+        """Add the absent edge ``{u, v}`` to the adjacency (graph only)."""
+
         for a, b in ((u, v), (v, u)):
             removed = self._removed.get(a)
             if removed and b in removed:
@@ -497,19 +512,11 @@ class DynamicMISMaintainer:
                 self._overlay_entries += 1
             self._overlay_dirty[a] = True
             self._degree[a] += 1
-            if self._selected[b]:
-                self._tight[a] += 1
         self._num_edges += 1
 
-    def delete_edge(self, u: int, v: int) -> None:
-        """Delete the undirected edge ``{u, v}`` (a no-op if it does not exist)."""
+    def _unlink(self, u: int, v: int) -> None:
+        """Remove the present edge ``{u, v}`` from the adjacency (graph only)."""
 
-        if u == v or min(u, v) < 0 or max(u, v) >= self._capacity:
-            return
-        if not (self._present[u] and self._present[v]):
-            return
-        if not self._has_edge(u, v):
-            return
         for a, b in ((u, v), (v, u)):
             added = self._added.get(a)
             if added and b in added:
@@ -520,9 +527,27 @@ class DynamicMISMaintainer:
                 self._overlay_entries += 1
             self._overlay_dirty[a] = True
             self._degree[a] -= 1
-            if self._selected[b]:
-                self._tight[a] -= 1
         self._num_edges -= 1
+
+    def _deletable(self, u: int, v: int) -> bool:
+        """Whether deleting ``{u, v}`` changes the graph (else a no-op)."""
+
+        if u == v or min(u, v) < 0 or max(u, v) >= self._capacity:
+            return False
+        if not (self._present[u] and self._present[v]):
+            return False
+        return self._has_edge(u, v)
+
+    def delete_edge(self, u: int, v: int) -> None:
+        """Delete the undirected edge ``{u, v}`` (a no-op if it does not exist)."""
+
+        if not self._deletable(u, v):
+            return
+        self._unlink(u, v)
+        if self._selected[v]:
+            self._tight[u] -= 1
+        if self._selected[u]:
+            self._tight[v] -= 1
         self.stats.edges_deleted += 1
         self._saturate((u, v))
         self._trim_journal()
@@ -544,21 +569,10 @@ class DynamicMISMaintainer:
         if self._selected[vertex]:
             self._unselect(vertex)
         for u in neighbors:
-            for a, b in ((u, vertex), (vertex, u)):
-                added = self._added.get(a)
-                if added and b in added:
-                    added.discard(b)
-                    self._overlay_entries -= 1
-                else:
-                    self._removed.setdefault(a, set()).add(b)
-                    self._overlay_entries += 1
-                self._overlay_dirty[a] = True
-            self._degree[u] -= 1
-        self._degree[vertex] = 0
+            self._unlink(u, vertex)
         self._tight[vertex] = 0
         self._present[vertex] = False
         self._num_present -= 1
-        self._num_edges -= len(neighbors)
         self.stats.edges_deleted += len(neighbors)
         self.stats.vertices_deleted += 1
         self._saturate(neighbors)
@@ -611,6 +625,7 @@ class DynamicMISMaintainer:
                 if self._has_edge(u, v):
                     raise DuplicateEdgeError(u, v)
         backend.dynamic_apply_pass(self, insertions, deletions)
+        self.last_batch = (insertions, deletions)
         observe_pass(
             "dynamic_apply",
             backend.name,
@@ -743,11 +758,15 @@ class DynamicMISMaintainer:
         backend: Optional[str] = None,
         compact_threshold: Optional[int] = None,
         journal_limit: Optional[int] = None,
+        records: Iterable[Dict[str, Any]] = (),
     ) -> "DynamicMISMaintainer":
         """Rebuild a maintainer from :meth:`state_payload` + CSR base.
 
         ``payload`` may hold the fields as ndarrays (straight from
         :meth:`state_payload`) or as the int lists a checkpoint decodes to.
+        ``records`` are batch-log records (see :meth:`replay_batch`) of
+        the batches applied after ``payload`` was taken, replayed in order
+        before tightness is recomputed once.
         """
 
         maintainer = cls(
@@ -800,9 +819,43 @@ class DynamicMISMaintainer:
         for u, neighbors in maintainer._removed.items():
             maintainer._degree[u] -= len(neighbors)
         maintainer._overlay_entries = maintainer._count_overlay()
-        maintainer._recompute_tightness()
         maintainer.stats = UpdateStats(**payload["stats"])
+        for record in records:
+            maintainer.replay_batch(record)
+        maintainer._recompute_tightness()
         return maintainer
+
+    def replay_batch(self, record: Dict[str, Any]) -> None:
+        """Re-apply one logged ``apply_updates`` batch without deciding anything.
+
+        ``record`` holds the batch's normalised ``insertions`` and
+        ``deletions`` as flat ``u0, v0, u1, v1, ...`` int arrays, the
+        selection ``flips`` it journalled (``v`` for a select, ``~v`` for
+        an unselect, in journal order) and the ``stats`` after it.  The
+        edge updates change only the graph — overlay, degrees, vertex
+        creation — and skip no-op edges exactly as the live path does;
+        the flips then reproduce the batch's selection changes.  No MIS
+        decision is made, and tightness is left stale: :meth:`from_state`
+        recomputes it once after the last record.  A logged batch never
+        compacted (a compaction is always snapshotted instead).
+        """
+
+        for u, v in _overlay_pairs(record["insertions"]):
+            for vertex in (u, v):
+                if not (vertex < self._capacity and self._present[vertex]):
+                    self._create_vertex(vertex)
+            if not self._has_edge(u, v):
+                self._link(u, v)
+        for u, v in _overlay_pairs(record["deletions"]):
+            if self._deletable(u, v):
+                self._unlink(u, v)
+        flips = record["flips"]
+        for code in flips.tolist() if hasattr(flips, "tolist") else flips:
+            if code >= 0:
+                self._selected[code] = True
+            else:
+                self._selected[~code] = False
+        self.stats = UpdateStats(**record["stats"])
 
     # ------------------------------------------------------------------
     # Internals

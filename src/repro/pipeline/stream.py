@@ -22,23 +22,40 @@ pins the digest ``"-"`` and can never be resumed (stdin bytes are
 consumed on first read).
 
 Crash recovery mirrors the pipeline engine: after every batch the
-session writes a versioned checkpoint (maintainer state + stream cursor)
-through :mod:`repro.storage.checkpoint`.  The header pins the graph
-digest, the update-file digest, the batch size and the pipeline, so a
-resumed session provably continues *the same* stream — any mismatch
-raises :class:`~repro.errors.StreamError`.  Because the cursor advances
-in whole batches and every update is deterministic, a session SIGKILLed
-at any point resumes to a final set bit-identical to an uninterrupted
-run.  The immutable CSR base is pre-encoded (and pre-hashed) once per
-compaction and spliced into every checkpoint verbatim, and the
-maintainer hands its state over as flat arrays the encoder packs without
-a per-element walk, so a steady-state checkpoint costs an n/8-byte
-selection bitmap plus the overlay, plus writing the spliced base bytes —
-no Python work proportional to the graph.
+session makes the batch durable through :mod:`repro.storage.checkpoint`,
+as one *snapshot* plus an append-only *batch log*:
+
+* the snapshot ``<checkpoint>`` is an atomic checkpoint document holding
+  the CSR base, the maintainer's state, the stream cursor and the pins.
+  The pins are the graph digest, the update-file digest, the batch
+  size, the pipeline and the compaction threshold, so a resumed session
+  provably continues *the same* stream — any mismatch raises
+  :class:`~repro.errors.StreamError`.  The snapshot's payload checksum
+  is its *generation*;
+* every other batch appends one fsynced record to ``<checkpoint>.log``:
+  the cursor, the generation it continues, the batch's normalised
+  insertions and deletions, its selection flips (read from the
+  maintainer's :attr:`journal`) and the update counters.  A record is
+  about 2 KB for a 256-update batch, whatever the graph size.
+
+A session writes a snapshot on its first checkpoint (never while it is
+constructed), after every compaction, and whenever the log has grown
+larger than the snapshot — so each snapshot is amortised over at least
+its own size in appends, and a resume replays at most a snapshot's worth
+of log.  Resume loads the snapshot, reads the records of its generation
+with consecutive cursors, truncates the log at the first torn, stale or
+invalid record, replays the records with
+:meth:`~repro.dynamic.maintainer.DynamicMISMaintainer.replay_batch`
+(graph edits plus the logged flips, no MIS decisions) and keeps
+appending.  Because the cursor advances in whole batches and every
+update is deterministic, a session SIGKILLed at any point resumes to a
+final set bit-identical to an uninterrupted run.  The immutable CSR base
+is pre-encoded (and pre-hashed) once per compaction and spliced into
+every snapshot verbatim.
 
 The maintainer's selection-change :attr:`journal` is cleared after
-every batch, with or without a checkpoint: the session never replays
-it, so a long-running session holds at most one batch of it.
+every batch, with or without a checkpoint (after the batch's record is
+written), so a long-running session holds at most one batch of it.
 """
 
 from __future__ import annotations
@@ -54,8 +71,10 @@ from repro.errors import PipelineInterrupted, StreamError
 from repro.obs import NULL_OBS, MetricsRegistry, Observability, kernel_observation
 from repro.storage.checkpoint import (
     EncodedSection,
+    append_record,
     encode_section,
     read_checkpoint,
+    read_records,
     write_checkpoint,
 )
 
@@ -68,6 +87,7 @@ __all__ = [
     "STREAM_VERSION",
     "BatchReport",
     "StreamSession",
+    "batch_record",
     "load_updates",
     "updates_digest",
 ]
@@ -77,8 +97,9 @@ __all__ = [
 #: checkpoints then fail with :class:`StreamError` instead of resuming
 #: into a different stream semantics.
 #: Version 2 stores the selection as a bitmap and the overlay edges as
-#: flat int arrays (see ``DynamicMISMaintainer.state_payload``).
-STREAM_VERSION = 2
+#: flat int arrays (see ``DynamicMISMaintainer.state_payload``); version 3
+#: adds the ``<checkpoint>.log`` batch log after the snapshot.
+STREAM_VERSION = 3
 
 
 def _maintainer_cls():
@@ -87,6 +108,59 @@ def _maintainer_cls():
     from repro.dynamic.maintainer import DynamicMISMaintainer
 
     return DynamicMISMaintainer
+
+
+def _flat_pairs(pairs):
+    """``(u, v)`` pairs as one flat ``u0, v0, u1, v1, ...`` int array."""
+
+    if _np is None:
+        return [x for pair in pairs for x in pair]
+    return _np.fromiter(
+        (x for pair in pairs for x in pair), dtype=_np.int64, count=2 * len(pairs)
+    )
+
+
+def batch_record(
+    cursor: int,
+    generation: str,
+    insertions: List[Tuple[int, int]],
+    deletions: List[Tuple[int, int]],
+    journal: List[Tuple[str, int]],
+    stats: Dict[str, int],
+) -> Dict[str, Any]:
+    """The batch-log record of one applied batch.
+
+    ``cursor`` is the stream cursor after the batch, ``generation`` the
+    snapshot the log continues, ``insertions``/``deletions`` the batch as
+    the maintainer normalised it and ``journal`` its selection changes;
+    :meth:`DynamicMISMaintainer.replay_batch` re-applies the record.
+    """
+
+    flips = [v if op == "select" else ~v for op, v in journal]
+    return {
+        "cursor": cursor,
+        "generation": generation,
+        "insertions": _flat_pairs(insertions),
+        "deletions": _flat_pairs(deletions),
+        "flips": flips if _np is None else _np.asarray(flips, dtype=_np.int64),
+        "stats": stats,
+    }
+
+
+def _continues(generation: str, cursor: int) -> Callable[[Dict[str, Any]], bool]:
+    """Accept the log records of ``generation`` that follow ``cursor`` in order."""
+
+    expected = [cursor + 1]
+
+    def accept(record: Dict[str, Any]) -> bool:
+        if record.get("generation") != generation:
+            return False
+        if record.get("cursor") != expected[0]:
+            return False
+        expected[0] += 1
+        return True
+
+    return accept
 
 
 def load_updates(path: str) -> List[Tuple[str, int, int]]:
@@ -226,6 +300,12 @@ class StreamSession:
         self._writes = 0
         self._elapsed = 0.0
         self._base_section: Optional[EncodedSection] = None
+        # The snapshot the batch log continues (its payload checksum) and
+        # both files' sizes; no generation means the next write is a
+        # snapshot.
+        self._generation: Optional[str] = None
+        self._snapshot_bytes = 0
+        self._log_bytes = 0
 
         if resume and self._updates_digest == "-":
             raise StreamError(
@@ -278,30 +358,66 @@ class StreamSession:
             {"offsets": offsets, "targets": targets}, base_offset=0
         )
 
-    def _write_checkpoint(self) -> None:
-        if self._base_section is None:
-            self._base_section = self._encode_base()
-        payload = {
-            "cursor": self._cursor,
-            "pins": self._pins(),
-            "state": self._maintainer.state_payload(),
-        }
-        write_mark = self._obs.tracer.now()
-        # "base" sorts before every array-bearing payload key ("state"),
-        # so the spliced document is byte-identical to a plain write.
-        write_checkpoint(
-            self._checkpoint, payload, sections={"base": self._base_section}
-        )
+    @property
+    def _log_path(self) -> str:
+        return f"{self._checkpoint}.log"
+
+    def _write_checkpoint(self, compacted: bool) -> None:
+        tracer = self._obs.tracer
+        maintainer = self._maintainer
+        if self._generation is None or compacted or (
+            self._log_bytes > self._snapshot_bytes
+        ):
+            kind = "snapshot"
+            if self._base_section is None:
+                self._base_section = self._encode_base()
+            payload = {
+                "cursor": self._cursor,
+                "pins": self._pins(),
+                "state": maintainer.state_payload(),
+            }
+            write_mark = tracer.now()
+            # "base" sorts before every array-bearing payload key ("state"),
+            # so the spliced document is byte-identical to a plain write.
+            written = write_checkpoint(
+                self._checkpoint, payload, sections={"base": self._base_section}
+            )
+            self._generation = written.checksum
+            self._snapshot_bytes = written.nbytes
+            # The old log's records carry the previous generation, so a
+            # crash before this truncation leaves them ignored on resume.
+            self._log_bytes = 0
+            try:
+                os.truncate(self._log_path, 0)
+            except FileNotFoundError:
+                pass
+        else:
+            kind = "append"
+            write_mark = tracer.now()
+            written = append_record(
+                self._log_path,
+                batch_record(
+                    self._cursor,
+                    self._generation,
+                    *maintainer.last_batch,
+                    maintainer.journal,
+                    asdict(maintainer.stats),
+                ),
+            )
+            self._log_bytes += written.nbytes
         if self._obs.enabled:
             self._obs.tracer.add_span(
                 "checkpoint:write",
                 "checkpoint",
                 write_mark,
                 self._obs.tracer.now(),
-                args={"cursor": self._cursor},
+                args={"cursor": self._cursor, "kind": kind, "bytes": written.nbytes},
             )
             self._obs.registry.inc(
                 "repro_checkpoint_writes_total", phase="batch"
+            )
+            self._obs.registry.inc(
+                "repro_checkpoint_bytes_total", written.nbytes, phase="batch"
             )
         self._writes += 1
         if (
@@ -314,7 +430,7 @@ class StreamSession:
             )
 
     def _restore(self, checkpoint: str) -> "DynamicMISMaintainer":
-        payload = read_checkpoint(checkpoint)
+        payload, generation = read_checkpoint(checkpoint, with_checksum=True)
         pins = payload.get("pins") or {}
         if pins.get("stream_version") != STREAM_VERSION:
             raise StreamError(
@@ -341,14 +457,28 @@ class StreamSession:
         if _np is not None:
             offsets = _np.asarray(offsets, dtype=_np.int64)
             targets = _np.asarray(targets, dtype=_np.int64)
+        cursor = int(payload["cursor"])
+        records, valid_bytes = read_records(
+            self._log_path, accept=_continues(generation, cursor)
+        )
+        # Drop a torn or stale tail so the next append continues the
+        # valid prefix.
+        if os.path.exists(self._log_path) and (
+            os.path.getsize(self._log_path) > valid_bytes
+        ):
+            os.truncate(self._log_path, valid_bytes)
         maintainer = _maintainer_cls().from_state(
             payload["state"],
             offsets,
             targets,
             backend=self._backend,
             compact_threshold=self._compact_threshold,
+            records=records,
         )
-        self._cursor = int(payload["cursor"])
+        self._cursor = cursor + len(records)
+        self._generation = generation
+        self._snapshot_bytes = os.path.getsize(checkpoint)
+        self._log_bytes = valid_bytes
         return maintainer
 
     # ------------------------------------------------------------------
@@ -438,13 +568,12 @@ class StreamSession:
                 # next compaction.
                 self._base_section = None
             self._cursor += 1
-            # The session never replays the journal (resume rebuilds the
-            # selection from the checkpoint payload), so drop this batch's
-            # entries to keep a long-running session's memory bounded by
-            # one batch, checkpointed or not.
-            del maintainer.journal[:]
             if self._checkpoint:
-                self._write_checkpoint()
+                self._write_checkpoint(compacted)
+            # The batch's journal entries are in the log record now (or
+            # superseded by a snapshot); drop them to keep a long-running
+            # session's memory bounded by one batch, checkpointed or not.
+            del maintainer.journal[:]
             if self._progress is not None:
                 self._progress()
             report = BatchReport(

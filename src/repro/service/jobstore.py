@@ -6,7 +6,9 @@ crash of any of its processes:
 ```
 <root>/
   jobs/<job_id>.json        atomic, checksummed job records
-  checkpoints/<job_id>.ck   per-job pipeline-engine checkpoint files
+  checkpoints/<job_id>.ck   per-job checkpoint files (engine or stream snapshot)
+  checkpoints/<job_id>.ck.log
+                            a stream job's append-only batch log
   results/<job_id>.json     encoded MISResults of finished jobs
   cache/<cache_key>.json    digest-keyed result cache entries
   journal/<job_id>.jsonl    structured per-job event journals (obs layer)

@@ -44,8 +44,9 @@ and a BLAKE2b digest per section, so every failure mode is detected
 
 both derive from :class:`~repro.errors.CheckpointError`, and there is no
 silent partial resume.  Writes go through a temporary file in the same
-directory followed by an atomic :func:`os.replace`, so a crash *during* a
-checkpoint write leaves the previous complete checkpoint intact.
+directory followed by an atomic :func:`os.replace` and an fsync of the
+directory, so a crash *during* a checkpoint write leaves the previous
+complete checkpoint intact and a finished write survives power loss.
 
 Pre-encoded sections
 --------------------
@@ -61,6 +62,16 @@ pre-encoded sections decodes to the exact payload of one written plain
 array-bearing payload keys, as the engine's do).  A section encoded at
 arrays offset 0 also carries the BLAKE2b state after its blob, so a
 write hashes only the bytes that follow the spliced prefix.
+
+Record logs
+-----------
+Writers whose state changes by a small delta per step can append the
+delta instead of rewriting the state: :func:`append_record` appends one
+document, framed and checksummed exactly like a checkpoint file, to a
+log and fsyncs it, so a log is a concatenation of checkpoint documents.
+:func:`read_records` returns the log's valid prefix and the offset where
+it ends; a record torn by a crash, or one that fails its checksum, ends
+the prefix instead of raising.
 """
 
 from __future__ import annotations
@@ -71,7 +82,7 @@ import os
 import zlib
 from array import array
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from repro.errors import (
     CheckpointCorruptError,
@@ -88,8 +99,11 @@ __all__ = [
     "CHECKPOINT_FORMAT",
     "CHECKPOINT_VERSION",
     "EncodedSection",
+    "Written",
+    "append_record",
     "encode_section",
     "read_checkpoint",
+    "read_records",
     "write_checkpoint",
 ]
 
@@ -298,11 +312,28 @@ def encode_section(value, base_offset: int = 0) -> EncodedSection:
     )
 
 
+class Written(NamedTuple):
+    """What one document write put on disk: its length and payload checksum."""
+
+    nbytes: int
+    checksum: str
+
+
+def _fsync_directory(path: str) -> None:
+    """Make a rename or file creation in ``path``'s directory durable."""
+
+    descriptor = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
+    try:
+        os.fsync(descriptor)
+    finally:
+        os.close(descriptor)
+
+
 def write_checkpoint(
     path: str,
     payload: Dict[str, object],
     sections: Optional[Mapping[str, EncodedSection]] = None,
-) -> None:
+) -> Written:
     """Atomically write ``payload`` as a versioned checkpoint file.
 
     ``sections`` maps additional top-level keys (disjoint from
@@ -315,8 +346,48 @@ def write_checkpoint(
 
     The write happens into a sibling temporary file first and is moved
     over ``path`` with :func:`os.replace`, so readers never observe a
-    half-written file.
+    half-written file; the directory is fsynced after the rename, so the
+    new file also survives a power failure.  Returns the document's
+    length and payload checksum.
     """
+
+    written, parts = _encode_document(payload, sections)
+    temp_path = f"{path}.tmp"
+    with open(temp_path, "wb") as handle:
+        handle.writelines(parts)
+        handle.flush()
+        os.fsync(handle.fileno())
+    os.replace(temp_path, path)
+    _fsync_directory(path)
+    return written
+
+
+def append_record(path: str, payload: Dict[str, object]) -> Written:
+    """Append ``payload`` as one checkpoint document to the log at ``path``.
+
+    A log is a plain concatenation of checkpoint documents, each framed
+    and checksummed exactly as :func:`write_checkpoint` frames a file.
+    The record is fsynced before this returns, and so is the directory
+    when the call creates the log.  A crash mid-append leaves a torn
+    tail that :func:`read_records` stops at.
+    """
+
+    written, parts = _encode_document(payload, None)
+    created = not os.path.exists(path)
+    with open(path, "ab") as handle:
+        handle.writelines(parts)
+        handle.flush()
+        os.fsync(handle.fileno())
+    if created:
+        _fsync_directory(path)
+    return written
+
+
+def _encode_document(
+    payload: Dict[str, object],
+    sections: Optional[Mapping[str, EncodedSection]],
+) -> Tuple[Written, List[bytes]]:
+    """One document's byte parts (header line, payload, arrays section)."""
 
     sections = dict(sections or {})
     overlap = sections.keys() & payload.keys()
@@ -357,26 +428,24 @@ def write_checkpoint(
     for part in unhashed:
         arrays_hash.update(part)
 
+    checksum = _digest(payload_bytes)
     header = {
         "arrays_bytes": offset,  # the offset past the last packed array
         "arrays_checksum": arrays_hash.hexdigest(),
-        "checksum": _digest(payload_bytes),
+        "checksum": checksum,
         "format": CHECKPOINT_FORMAT,
         "payload_bytes": len(payload_bytes),
         "version": CHECKPOINT_VERSION,
     }
-    temp_path = f"{path}.tmp"
-    with open(temp_path, "wb") as handle:
-        handle.writelines(
-            [_dump_json(header), b"\n", payload_bytes, b"\n", *blob_parts]
-        )
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(temp_path, path)
+    parts = [_dump_json(header), b"\n", payload_bytes, b"\n", *blob_parts]
+    return Written(sum(map(len, parts)), checksum), parts
 
 
-def read_checkpoint(path: str) -> Dict[str, object]:
+def read_checkpoint(path: str, *, with_checksum: bool = False):
     """Read and verify a checkpoint file, returning its payload dict.
+
+    With ``with_checksum=True`` returns ``(payload, checksum)``, the
+    checksum being the payload digest :func:`write_checkpoint` returned.
 
     Raises
     ------
@@ -394,8 +463,56 @@ def read_checkpoint(path: str) -> Dict[str, object]:
             document = handle.read()
     except FileNotFoundError:
         raise CheckpointError(f"checkpoint file {path!r} does not exist") from None
+    payload, checksum, _end = _decode_document(document, 0, path, to_end=True)
+    return (payload, checksum) if with_checksum else payload
 
-    header_line, _, body = document.partition(b"\n")
+
+def read_records(
+    path: str, accept: Optional[Callable[[Dict[str, object]], bool]] = None
+) -> Tuple[List[Dict[str, object]], int]:
+    """Read the valid prefix of a log written by :func:`append_record`.
+
+    Returns ``(payloads, offset)``: the records in order, up to the first
+    torn, corrupt or foreign-version one — or, with ``accept``, the first
+    one it rejects — and the byte offset where that record starts (the
+    file length when every record is valid).  A missing log is empty.
+    """
+
+    try:
+        with open(path, "rb") as handle:
+            document = handle.read()
+    except FileNotFoundError:
+        return [], 0
+    records: List[Dict[str, object]] = []
+    offset = 0
+    while offset < len(document):
+        try:
+            payload, _checksum, end = _decode_document(
+                document, offset, path, to_end=False
+            )
+        except CheckpointError:
+            break
+        if accept is not None and not accept(payload):
+            break
+        records.append(payload)
+        offset = end
+    return records, offset
+
+
+def _decode_document(
+    document: bytes, start: int, path: str, *, to_end: bool
+) -> Tuple[Dict[str, object], str, int]:
+    """Verify and decode the document at ``start`` of ``document``.
+
+    Returns ``(payload, checksum, end offset)``.  With ``to_end`` the
+    arrays section must run to the end of ``document`` (a checkpoint
+    file); otherwise it ends where the header says (a log record).
+    """
+
+    newline = document.find(b"\n", start)
+    if newline < 0:
+        newline = len(document)
+    header_line = document[start:newline]
     try:
         header = json.loads(header_line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError):
@@ -415,22 +532,30 @@ def read_checkpoint(path: str) -> Dict[str, object]:
         raise CheckpointCorruptError(
             f"checkpoint {path!r} header carries no valid payload length"
         )
-    payload_bytes = body[:expected_length]
-    if len(payload_bytes) != expected_length or body[
-        expected_length : expected_length + 1
+    body = newline + 1
+    payload_bytes = document[body : body + expected_length]
+    arrays_start = body + expected_length + 1
+    if len(payload_bytes) != expected_length or document[
+        arrays_start - 1 : arrays_start
     ] != b"\n":
         raise CheckpointCorruptError(
             f"checkpoint {path!r} is truncated: expected {expected_length} payload "
             f"bytes, found {len(payload_bytes)}"
         )
-    arrays_blob = body[expected_length + 1 :]
     expected_arrays = header.get("arrays_bytes")
+    if not isinstance(expected_arrays, int) or expected_arrays < 0:
+        raise CheckpointCorruptError(
+            f"checkpoint {path!r} header carries no valid arrays length"
+        )
+    end = len(document) if to_end else arrays_start + expected_arrays
+    arrays_blob = document[arrays_start:end]
     if len(arrays_blob) != expected_arrays:
         raise CheckpointCorruptError(
             f"checkpoint {path!r} arrays section is truncated: expected "
             f"{expected_arrays} bytes, found {len(arrays_blob)}"
         )
-    if _digest(payload_bytes) != header.get("checksum"):
+    checksum = _digest(payload_bytes)
+    if checksum != header.get("checksum"):
         raise CheckpointCorruptError(
             f"checkpoint {path!r} failed its checksum; the file is corrupt"
         )
@@ -449,4 +574,4 @@ def read_checkpoint(path: str) -> Dict[str, object]:
         raise CheckpointCorruptError(
             f"checkpoint {path!r} payload is not a JSON object"
         )
-    return _restore_arrays(payload, arrays_blob)
+    return _restore_arrays(payload, arrays_blob), checksum, end

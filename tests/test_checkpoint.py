@@ -21,8 +21,10 @@ from repro.storage.checkpoint import (
     CHECKPOINT_FORMAT,
     CHECKPOINT_VERSION,
     ZLIB_LEVEL,
+    append_record,
     encode_section,
     read_checkpoint,
+    read_records,
     write_checkpoint,
 )
 
@@ -399,3 +401,113 @@ class TestEncodedSections:
     def test_only_offset_zero_sections_carry_a_hash(self):
         assert encode_section(self.COMPLETED, base_offset=0).blob_hash is not None
         assert encode_section(self.COMPLETED, base_offset=64).blob_hash is None
+
+
+def _records(count):
+    rng = random.Random(count)
+    return [
+        {
+            "cursor": index,
+            "updates": [rng.randrange(-5, 10_000) for _ in range(40 + index)],
+            "stats": {"edges_inserted": index},
+        }
+        for index in range(count)
+    ]
+
+
+class TestDurability:
+    def test_write_returns_length_and_checksum(self, tmp_path):
+        path = str(tmp_path / "ck")
+        written = write_checkpoint(path, PAYLOAD)
+        assert written.nbytes == os.path.getsize(path)
+        payload, checksum = read_checkpoint(path, with_checksum=True)
+        assert payload == PAYLOAD
+        assert checksum == written.checksum
+        header = json.loads(open(path, "rb").readline())
+        assert header["checksum"] == checksum
+
+    def test_rename_and_log_creation_fsync_the_directory(
+        self, tmp_path, monkeypatch
+    ):
+        synced = []
+        monkeypatch.setattr(
+            checkpoint_module, "_fsync_directory", lambda path: synced.append(path)
+        )
+        path = str(tmp_path / "ck")
+        write_checkpoint(path, PAYLOAD)
+        assert synced == [path]
+        log = str(tmp_path / "ck.log")
+        append_record(log, PAYLOAD)
+        append_record(log, PAYLOAD)
+        # Only the append that created the log syncs the directory.
+        assert synced == [path, log]
+
+    def test_directory_fsync_opens_the_parent(self, tmp_path, monkeypatch):
+        opened = []
+        real_open = os.open
+        monkeypatch.setattr(
+            checkpoint_module.os,
+            "open",
+            lambda path, flags: opened.append(path) or real_open(path, flags),
+        )
+        write_checkpoint(str(tmp_path / "ck"), PAYLOAD)
+        assert opened == [str(tmp_path)]
+
+
+class TestRecordLog:
+    def test_appended_records_read_back_in_order(self, tmp_path):
+        log = str(tmp_path / "log")
+        records = _records(5)
+        sizes = [append_record(log, record).nbytes for record in records]
+        assert read_records(log) == (records, sum(sizes))
+        assert os.path.getsize(log) == sum(sizes)
+
+    def test_a_log_is_a_concatenation_of_checkpoint_documents(self, tmp_path):
+        log = str(tmp_path / "log")
+        single = str(tmp_path / "single")
+        record = _records(1)[0]
+        append_record(log, record)
+        write_checkpoint(single, record)
+        with open(log, "rb") as a, open(single, "rb") as b:
+            assert a.read() == b.read()
+
+    def test_missing_log_is_empty(self, tmp_path):
+        assert read_records(str(tmp_path / "absent")) == ([], 0)
+
+    def test_torn_tail_at_every_offset_keeps_the_valid_prefix(self, tmp_path):
+        log = str(tmp_path / "log")
+        records = _records(3)
+        for record in records[:2]:
+            append_record(log, record)
+        prefix = os.path.getsize(log)
+        append_record(log, records[2])
+        with open(log, "rb") as handle:
+            data = handle.read()
+        torn = str(tmp_path / "torn")
+        for cut in range(prefix, len(data)):
+            with open(torn, "wb") as handle:
+                handle.write(data[:cut])
+            assert read_records(torn) == (records[:2], prefix), cut
+
+    def test_a_corrupt_record_ends_the_prefix(self, tmp_path):
+        log = str(tmp_path / "log")
+        records = _records(3)
+        ends = [0]
+        for record in records:
+            ends.append(ends[-1] + append_record(log, record).nbytes)
+        with open(log, "r+b") as handle:
+            handle.seek(ends[2] - 3)  # inside the second record's arrays
+            byte = handle.read(1)
+            handle.seek(ends[2] - 3)
+            handle.write(bytes([byte[0] ^ 0xFF]))
+        assert read_records(log) == (records[:1], ends[1])
+
+    def test_accept_stops_at_the_first_rejected_record(self, tmp_path):
+        log = str(tmp_path / "log")
+        records = _records(4)
+        ends = [0]
+        for record in records:
+            ends.append(ends[-1] + append_record(log, record).nbytes)
+        found, offset = read_records(log, accept=lambda r: r["cursor"] != 2)
+        assert found == records[:2]
+        assert offset == ends[2]

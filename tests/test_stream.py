@@ -10,6 +10,7 @@ kill/resume guarantees, including the ``repro-mis watch`` command.
 from __future__ import annotations
 
 import json
+import os
 import random
 
 import pytest
@@ -21,13 +22,19 @@ from repro.dynamic.maintainer import DynamicMISMaintainer
 from repro.errors import PipelineInterrupted, SolverError, StreamError
 from repro.graphs.generators import erdos_renyi_gnm
 from repro.graphs.plrg import PLRGParameters, plrg_graph
+from repro.obs import Observability, SpanTracer
 from repro.pipeline.stream import (
     STREAM_VERSION,
     StreamSession,
     load_updates,
     updates_digest,
 )
-from repro.storage.checkpoint import read_checkpoint, write_checkpoint
+from repro.storage.checkpoint import (
+    append_record,
+    read_checkpoint,
+    read_records,
+    write_checkpoint,
+)
 from repro.validation.checks import is_independent_set
 
 
@@ -709,6 +716,251 @@ class TestStreamSession:
         )
         report_keys = set(reports[0].summary())
         assert {"evictions", "sub_waves", "scalar_fallbacks"} <= report_keys
+
+
+def write_update_file(path, seed, max_vertex, count, insert_bias=0.6):
+    rng = random.Random(seed)
+    lines = []
+    for _ in range(count):
+        u, v = rng.randrange(max_vertex), rng.randrange(max_vertex)
+        if u == v:
+            continue
+        lines.append(f"{'+' if rng.random() < insert_bias else '-'} {u} {v}")
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def plain_payload(payload):
+    return {
+        key: value.tolist() if hasattr(value, "tolist") else value
+        for key, value in payload.items()
+    }
+
+
+def checkpoint_writes(tracer):
+    return [
+        event["args"]
+        for event in tracer.to_document()["traceEvents"]
+        if event["name"] == "checkpoint:write"
+    ]
+
+
+class TestBatchLog:
+    """Stream checkpoints as one snapshot plus an append-only batch log."""
+
+    @staticmethod
+    def _session(graph, updates, checkpoint, **kwargs):
+        kwargs.setdefault("batch_size", 40)
+        return StreamSession(
+            graph, updates, graph_digest="g", checkpoint=checkpoint, **kwargs
+        )
+
+    @staticmethod
+    def _snapshot_bytes(maintainer, path):
+        offsets, targets = maintainer.base_arrays()
+        write_checkpoint(
+            path,
+            {
+                "base": {"offsets": offsets, "targets": targets},
+                "state": maintainer.state_payload(),
+            },
+        )
+        with open(path, "rb") as handle:
+            return handle.read()
+
+    @settings(
+        max_examples=6,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        seed=st.integers(0, 10_000),
+        backend=st.sampled_from(["python", "numpy"]),
+        make_graph=st.sampled_from([gnm_graph, plrg_test_graph]),
+    )
+    def test_snapshot_plus_log_rebuilds_the_live_maintainer(
+        self, tmp_path_factory, seed, backend, make_graph
+    ):
+        tmp = tmp_path_factory.mktemp("log")
+        graph = make_graph()
+        updates = write_update_file(tmp / "updates.txt", seed, 150, 500)
+        checkpoint = str(tmp / "s.ck")
+        kwargs = dict(backend=backend, compact_threshold=220)
+        live = self._session(graph, updates, checkpoint, **kwargs)
+        for report in live.process():
+            rebuilt = self._session(
+                graph, updates, checkpoint, resume=True, **kwargs
+            )
+            assert rebuilt.cursor == report.batch_index + 1
+            assert plain_payload(rebuilt.maintainer.state_payload()) == (
+                plain_payload(live.maintainer.state_payload())
+            )
+            assert self._snapshot_bytes(
+                rebuilt.maintainer, str(tmp / "a.ck")
+            ) == self._snapshot_bytes(live.maintainer, str(tmp / "b.ck"))
+            assert _state_arrays(rebuilt.maintainer) == _state_arrays(
+                live.maintainer
+            )
+            rebuilt.maintainer.check_invariants()
+
+    def test_resume_from_a_log_cut_inside_its_last_record(self, tmp_path):
+        graph = plrg_test_graph()
+        updates = write_update_file(tmp_path / "updates.txt", 3, 150, 400)
+        checkpoint = str(tmp_path / "s.ck")
+        kwargs = dict(batch_size=8)
+        baseline = StreamSession(graph, updates, graph_digest="g", **kwargs).run()
+        with pytest.raises(PipelineInterrupted):
+            self._session(
+                graph, updates, checkpoint, interrupt_after=4, **kwargs
+            ).run()
+        # The state one batch before the log's last record, from a
+        # session that stopped there.
+        reference = str(tmp_path / "reference.ck")
+        with pytest.raises(PipelineInterrupted):
+            self._session(
+                graph, updates, reference, interrupt_after=3, **kwargs
+            ).run()
+        expected = plain_payload(
+            self._session(graph, updates, reference, resume=True, **kwargs)
+            .maintainer.state_payload()
+        )
+        log = f"{checkpoint}.log"
+        records, _ = read_records(log)
+        assert [record["cursor"] for record in records] == [2, 3, 4]
+        _, last_start = read_records(log, accept=lambda r: r["cursor"] < 4)
+        with open(log, "rb") as handle:
+            data = handle.read()
+        for cut in range(last_start, len(data)):
+            with open(log, "wb") as handle:
+                handle.write(data[:cut])
+            resumed = self._session(
+                graph, updates, checkpoint, resume=True, **kwargs
+            )
+            assert resumed.cursor == 3, cut
+            assert os.path.getsize(log) == last_start, cut
+            payload = plain_payload(resumed.maintainer.state_payload())
+            assert payload == expected, cut
+        # Resuming from the cut log (and appending after the truncated
+        # prefix) finishes bit-identically to the uninterrupted run.
+        result = resumed.run()
+        for key in ("independent_set", "stats", "num_edges", "batches_applied"):
+            assert result[key] == baseline[key]
+
+    def test_a_log_of_another_generation_is_ignored(self, tmp_path):
+        graph = gnm_graph()
+        updates = write_update_file(tmp_path / "updates.txt", 5, 150, 400)
+        checkpoint = str(tmp_path / "s.ck")
+        with pytest.raises(PipelineInterrupted):
+            self._session(graph, updates, checkpoint, interrupt_after=3).run()
+        log = f"{checkpoint}.log"
+        records, _ = read_records(log)
+        assert len(records) == 2
+        os.remove(log)
+        for record in records:
+            append_record(log, dict(record, generation="stale"))
+        resumed = self._session(graph, updates, checkpoint, resume=True)
+        assert resumed.cursor == read_checkpoint(checkpoint)["cursor"] == 1
+        assert os.path.getsize(log) == 0
+
+    def test_a_cursor_gap_ends_the_replayed_prefix(self, tmp_path):
+        graph = gnm_graph()
+        updates = write_update_file(tmp_path / "updates.txt", 5, 150, 400)
+        checkpoint = str(tmp_path / "s.ck")
+        with pytest.raises(PipelineInterrupted):
+            self._session(graph, updates, checkpoint, interrupt_after=4).run()
+        log = f"{checkpoint}.log"
+        records, _ = read_records(log)
+        os.remove(log)
+        kept = append_record(log, records[0]).nbytes
+        append_record(log, records[2])
+        resumed = self._session(graph, updates, checkpoint, resume=True)
+        assert resumed.cursor == 2
+        assert os.path.getsize(log) == kept
+
+    def test_rollover_when_the_log_outgrows_the_snapshot(self, tmp_path):
+        graph = gnm_graph()
+        updates = write_update_file(tmp_path / "updates.txt", 7, 150, 1500)
+        checkpoint = str(tmp_path / "s.ck")
+        tracer = SpanTracer()
+        session = self._session(
+            graph, updates, checkpoint, obs=Observability(tracer=tracer)
+        )
+        session.run()
+        writes = checkpoint_writes(tracer)
+        assert len(writes) == session.total_batches
+        assert writes[0]["kind"] == "snapshot"
+        snapshot_bytes, log_bytes, rollovers = None, 0, 0
+        for write in writes:
+            if write["kind"] == "snapshot":
+                if snapshot_bytes is not None:
+                    # No compaction here: only the size rule rolls over.
+                    assert log_bytes > snapshot_bytes
+                    rollovers += 1
+                snapshot_bytes, log_bytes = write["bytes"], 0
+            else:
+                assert log_bytes <= snapshot_bytes
+                log_bytes += write["bytes"]
+        assert rollovers >= 1
+        assert os.path.getsize(f"{checkpoint}.log") == log_bytes
+        registry = session._obs.registry
+        assert registry.value(
+            "repro_checkpoint_bytes_total", phase="batch"
+        ) == sum(write["bytes"] for write in writes)
+        assert registry.value(
+            "repro_checkpoint_writes_total", phase="batch"
+        ) == len(writes)
+
+    def test_every_compaction_writes_a_snapshot(self, tmp_path):
+        graph = gnm_graph()
+        updates = write_update_file(tmp_path / "updates.txt", 9, 150, 900)
+        checkpoint = str(tmp_path / "s.ck")
+        tracer = SpanTracer()
+        session = self._session(
+            graph,
+            updates,
+            checkpoint,
+            compact_threshold=120,
+            obs=Observability(tracer=tracer),
+        )
+        reports = list(session.process())
+        kinds = [write["kind"] for write in checkpoint_writes(tracer)]
+        compacted = [report.compacted for report in reports]
+        assert any(compacted)
+        for kind, did_compact in zip(kinds, compacted):
+            if did_compact:
+                assert kind == "snapshot"
+        assert "append" in kinds
+
+    def test_version_2_stream_checkpoints_are_refused(self, tmp_path):
+        graph = gnm_graph()
+        updates = write_update_file(tmp_path / "updates.txt", 5, 150, 400)
+        checkpoint = str(tmp_path / "s.ck")
+        with pytest.raises(PipelineInterrupted):
+            self._session(graph, updates, checkpoint, interrupt_after=1).run()
+        payload = read_checkpoint(checkpoint)
+        payload["pins"]["stream_version"] = 2
+        write_checkpoint(checkpoint, payload)
+        with pytest.raises(StreamError, match="version 2 is not supported"):
+            self._session(graph, updates, checkpoint, resume=True)
+
+    def test_append_bytes_do_not_grow_with_the_graph(self, tmp_path):
+        updates = write_update_file(tmp_path / "updates.txt", 11, 2_000, 600)
+        sizes = {}
+        for n in (2_000, 20_000):
+            graph = erdos_renyi_gnm(n, 3 * n, seed=1)
+            checkpoint = str(tmp_path / f"n{n}.ck")
+            with pytest.raises(PipelineInterrupted):
+                StreamSession(
+                    graph,
+                    updates,
+                    pipeline="greedy",
+                    batch_size=256,
+                    checkpoint=checkpoint,
+                    interrupt_after=2,
+                ).run()
+            sizes[n] = os.path.getsize(f"{checkpoint}.log")
+            assert sizes[n] < os.path.getsize(checkpoint)
+        assert max(sizes.values()) <= 1.5 * min(sizes.values()), sizes
 
 
 def _normalized_overlay(overlay):
