@@ -3,8 +3,9 @@
 Times the hot paths of the system — CSR graph construction, the
 Algorithm-1 greedy pass, the Algorithm-2 one-k-swap pass, the
 Algorithm-3/4 two-k-swap pass, the **semi-external** file path
-(block-batched numpy kernels vs. the record-streaming python reference
-over the same adjacency file), the **in-memory comparators** of
+(numpy kernels vs. the record-streaming python reference over the same
+text adjacency file: text inputs spill once to a private ``SEXTCSR1``
+memmap; the spill is not charged to ``IOStats``), the **in-memory comparators** of
 Tables 5–6 (the (1,2)-swap local search and the DynamicUpdate
 minimum-degree greedy) and the **pipeline-engine dispatch overhead**
 (the greedy pass via ``solve_mis`` vs. the direct ``greedy_mis`` call,
@@ -39,8 +40,9 @@ The build comparison feeds each pipeline its native input: the numpy
 pipeline receives the int64 edge ndarray the vectorized generators
 produce, the python reference receives the same edges as a list of pairs
 (the representation the original per-vertex-set builder consumed).  The
-semi-external rows time a fresh ``AdjacencyFileReader`` (open + solve)
-over one shared in-memory block device, so both backends read exactly the
+semi-external rows time a fresh ``AdjacencyFileReader`` (open + solve,
+which for numpy includes the reader's one spill) over one shared
+in-memory block device, so both backends read exactly the
 same bytes.  The independent sets computed by the two backends are
 asserted identical on every run — and for the semi-external rows the
 ``IOStats`` counters are asserted identical too — so the harness doubles
@@ -405,7 +407,8 @@ def bench_memmap(
 
         text_result = text_greedy()
         row["text_greedy_seconds"] = _best_of(repeats, text_greedy)
-        # The block-batched text two-k is the slow path; one run checks it.
+        # Text two-k runs the memmap engine over the reader's spill (each
+        # fresh reader spills once); one run checks its parity.
         text_two_k_result = text_two_k()
         row["text_two_k_swap_seconds"] = text_two_k_result.elapsed_seconds
         for name, text_out, memmap_out in (
@@ -655,7 +658,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     report = {
         "benchmark": "bench_perf_core",
         "description": "CSR build + greedy + one-k-swap + two-k-swap + semi-external "
-        "(block-batched file path) + in-memory comparator (local search, "
+        "(text file path via a private SEXTCSR1 spill) + in-memory "
+        "comparator (local search, "
         "DynamicUpdate) timings per kernel backend on PLRG graphs, plus "
         "binary CSR artifact rows (backend: memmap — convert cost, "
         "text-parse vs. zero-parse startup, memmap greedy, memmap two-k to "

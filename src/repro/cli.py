@@ -715,8 +715,9 @@ def _command_solve(args: argparse.Namespace) -> int:
     obs = _build_obs(args)
     reader = open_adjacency_source(args.input)
     # Every backend consumes the file semi-externally: the numpy kernels
-    # run record-major over a SEXTCSR1 memmap (block-batched scans over a
-    # text file), the python reference streams records.
+    # run record-major over a SEXTCSR1 memmap (text inputs spill once to a
+    # private SEXTCSR1 memmap; the spill is not charged to IOStats), the
+    # python reference streams records.
     try:
         code = _run_engine_command(
             PIPELINES[args.pipeline],

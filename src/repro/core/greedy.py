@@ -21,8 +21,8 @@ scan without the ordering (see :mod:`repro.baselines.unsorted`).
 The computational pass itself is delegated to a pluggable kernel backend
 (:mod:`repro.core.kernels`): the ``python`` reference streams records from
 any scan source, while the ``numpy`` backend performs the bitmap updates
-as vectorized array stores against the in-memory CSR arrays.  Both return
-identical independent sets.
+as vectorized array stores against a record-major CSR (in-memory arrays
+or a ``SEXTCSR1`` memmap).  Both return identical independent sets.
 """
 
 from __future__ import annotations
@@ -62,8 +62,9 @@ def greedy_mis(
         paper's 4-byte-word model.
     backend:
         Kernel backend name (``"python"``, ``"numpy"`` or ``None``/
-        ``"auto"`` for the process default).  File-backed sources always
-        use the streaming python backend.
+        ``"auto"`` for the process default).  With numpy, text inputs
+        spill once to a private ``SEXTCSR1`` memmap; the spill is not
+        charged to ``IOStats``.
 
     Returns
     -------

@@ -8,11 +8,11 @@ Algorithms 3/4 two-k-swap) against a scan source.  Two backends ship:
   :class:`~repro.storage.scan.AdjacencyScanSource`, including true
   file-backed readers.  This is the original, line-for-line algorithm of
   the paper and the ground truth the vectorized backend is tested against.
-* ``numpy`` — vectorized state sweeps, either over the in-memory CSR
-  arrays of a :class:`~repro.storage.scan.InMemoryAdjacencyScan` or over
-  the block-batched ndarray chunks a file-backed source yields through
-  ``scan_batches`` (the semi-external path).  Every full-graph O(n)/O(E)
-  sweep (bitmap initialisation, adjacency labelling, pointer counting,
+* ``numpy`` — vectorized state sweeps over a record-major CSR: the
+  in-memory CSR arrays of a :class:`~repro.storage.scan.InMemoryAdjacencyScan`
+  or the sections of a ``SEXTCSR1`` memmap (the semi-external path).  Text
+  inputs spill once to a private ``SEXTCSR1`` memmap; the spill is not
+  charged to ``IOStats``.  Every full-graph O(n)/O(E) sweep (bitmap initialisation, adjacency labelling, pointer counting,
   swap commits, completion passes) runs as ndarray operations; only the
   inherently sequential per-round swap-conflict logic stays scalar.
   Results — independent sets, per-round telemetry and I/O counters — are
@@ -28,9 +28,10 @@ Backends are *selected per call*: each backend reports through
 :meth:`KernelBackend.supports` whether it can execute against the given
 scan source, and :func:`resolve_backend` falls back to the streaming
 ``python`` reference when it cannot.  The numpy backend supports
-in-memory sources and every source exposing block-batched scans (notably
-:class:`~repro.storage.adjacency_file.AdjacencyFileReader`); only custom
-record-streaming sources without ``scan_batches`` still fall back.
+in-memory sources and record-major ones (``csr_views``): a ``SEXTCSR1``
+memmap, or a text
+:class:`~repro.storage.adjacency_file.AdjacencyFileReader` through its
+spill; only custom record-streaming sources still fall back.
 """
 
 from __future__ import annotations
@@ -445,10 +446,11 @@ def resolve_backend(name: Optional[str], source) -> KernelBackend:
 
     When the requested backend cannot execute against ``source`` (per
     :meth:`KernelBackend.supports`), the streaming ``python`` reference is
-    used instead.  The numpy backend supports in-memory sources and every
-    source exposing block-batched scans (``scan_batches``), which covers
-    the file-backed semi-external path; only custom record-streaming
-    sources without batch support still fall back.
+    used instead.  The numpy backend supports in-memory sources and
+    record-major ones (``csr_views``), which covers both file formats:
+    text inputs spill once to a private ``SEXTCSR1`` memmap; the spill is
+    not charged to ``IOStats``.  Only custom record-streaming sources
+    still fall back.
     """
 
     backend = get_backend(name)

@@ -1,22 +1,18 @@
 """Vectorized NumPy kernel backend.
 
-The backend runs the paper's algorithms as ndarray sweeps through two
-interchangeable executions:
+The backend runs each of the paper's algorithms as one ndarray
+execution over a *record-major* CSR (:class:`RecordCSR`): the zero-copy
+sections of a ``SEXTCSR1`` memmap, or an in-memory graph gathered into
+scan order once.  Text inputs spill once to a private ``SEXTCSR1``
+memmap; the spill is not charged to ``IOStats``.  Per-vertex arrays
+(states, ISN, counters) stay in memory — the semi-external model — while
+the edges stay on disk, and ``source.charge_scan()`` charges every
+sequential scan the algorithm makes exactly like the record-streaming
+reference.
 
-* **in-memory** — directly against the int64 CSR arrays of an
-  :class:`~repro.storage.scan.InMemoryAdjacencyScan`;
-* **block-batched (semi-external)** — against the
-  :class:`~repro.storage.scan.AdjacencyBatch` chunks a file-backed source
-  yields through ``scan_batches``, so the vectorized kernels run on true
-  adjacency files without materialising the graph.  Per-vertex arrays
-  (states, ISN, counters) stay in memory — the semi-external model — while
-  the edge data streams through in block-sized ndarray fragments, charged
-  to ``IOStats`` exactly like the record-streaming reference.
-
-Each swap algorithm has one vectorized implementation over a
-*record-major* CSR (:class:`RecordCSR`): the zero-copy sections of a
-``SEXTCSR1`` memmap, or an in-memory graph gathered into scan order once.
-
+* Algorithm 1 (greedy), :meth:`NumpyBackend.greedy_pass`: one chunked
+  scan over the record rows; an in-memory graph uses its own CSR rows in
+  scan order, with no per-edge gather.
 * Algorithm 2 (one-k), :func:`one_k_records`: the pre-swap scan runs as
   conflict-free waves.
 * Algorithms 3-4 (two-k), :func:`two_k_records`: the pre-swap scan
@@ -27,11 +23,7 @@ Each swap algorithm has one vectorized implementation over a
 
 Both post-swap scans are vectorized base labelling plus a sparse event
 loop (:func:`_post_swap`, one or two anchors), and their count/sum/blocker
-arrays are maintained at O(changed) per round.  Only text adjacency files
-keep block-batched one-k and two-k, the one execution that holds O(n)
-state with the edges on disk: there the candidate bodies run as a scalar
-loop over each chunk's "A" vertices, and the post-swap entries of each
-chunk are rebuilt from the live state.
+arrays are maintained at O(changed) per round.
 
 Elsewhere every full-graph O(n)/O(E) sweep is an ndarray operation:
 
@@ -41,7 +33,7 @@ Elsewhere every full-graph O(n)/O(E) sweep is an ndarray operation:
   ``np.bincount`` over the CSR edge slots, and the identity of a unique
   IS neighbour falls out of a weighted bincount (the sum of IS neighbour
   ids *is* the neighbour when the count is one; with two, the smaller id
-  is a segmented minimum);
+  is a minimum over the record's IS neighbours);
 * the two-k-swap partner search joins candidates against a lexsorted
   ``(anchor, member)`` ISN index instead of probing per-vertex dicts;
 * pointer counts, swap commits (P→IS, R→N) and set sizes are mask
@@ -75,7 +67,7 @@ from repro.core.kernels.base import (
 from repro.core.kernels.sc_store import SwapCandidateStore
 from repro.core.result import RoundStats
 from repro.core.states import VertexState as S
-from repro.errors import GraphError, SolverError
+from repro.errors import GraphError
 from repro.storage.scan import InMemoryAdjacencyScan
 
 __all__ = ["NumpyBackend"]
@@ -117,18 +109,6 @@ def _int_bincount(values, weights, minlength: int):
     return np.bincount(values, weights=weights, minlength=minlength).astype(np.int64)
 
 
-def _record_min(values, local_offsets, sentinel: int):
-    """Per-record minimum of ``values`` segmented by ``local_offsets``.
-
-    ``values`` holds one entry per CSR slot of the batch; entries that
-    must not participate carry ``sentinel``.  Records with no slots
-    return garbage — callers mask them out via the slot counts.
-    """
-
-    extended = np.append(values, sentinel)
-    return np.minimum.reduceat(extended, local_offsets[:-1])
-
-
 def _local_sources(num_records: int, lens):
     """Batch-local source index of every CSR slot (``bincount`` key)."""
 
@@ -159,13 +139,12 @@ def _partner_mask(state, isn1, isn2, partners, v, w1, w2):
 class _TwoKRound:
     """Per-round context of the two-k pre-swap scan.
 
-    Shared by the record-major and block-batched executions.  The round
-    bookkeeping the reference builds with per-vertex dict appends — the
-    ``ISN`` membership lists and the single-anchor pointer counts — is
-    built here as one lexsorted ``(anchor, member)`` join, and the partner
-    search over ``members(w1) + members(w2)`` is filtered with vectorized
-    compares instead of per-partner Python checks.  The candidate
-    processing itself mirrors Algorithm 4 line for line.
+    The round bookkeeping the reference builds with per-vertex dict
+    appends — the ``ISN`` membership lists and the single-anchor pointer
+    counts — is built here as one lexsorted ``(anchor, member)`` join, and
+    the partner search over ``members(w1) + members(w2)`` is filtered with
+    vectorized compares instead of per-partner Python checks.  The
+    candidate processing itself mirrors Algorithm 4 line for line.
     """
 
     __slots__ = (
@@ -423,14 +402,14 @@ class RecordCSR:
         self.pos[order] = np.arange(order.size, dtype=np.int64)
 
 
-def record_csr(source) -> Optional[RecordCSR]:
-    """The record-major CSR of ``source``, or ``None`` for streamed files.
+def record_csr(source) -> RecordCSR:
+    """The record-major CSR of a source the backend supports.
 
     A ``SEXTCSR1`` memmap is record-major on disk, so its sections are
-    used as zero-copy views; an in-memory graph is gathered into scan
-    order once, into plain ndarrays.  Text adjacency files return
-    ``None``: their block-batched scan is the only execution that keeps
-    the edge list on disk with O(n) resident state.
+    used as zero-copy views, and a text adjacency reader serves the views
+    of its one private ``SEXTCSR1`` spill (edges on disk, O(n) resident
+    state).  An in-memory graph is gathered into scan order once, into
+    plain ndarrays.
     """
 
     if isinstance(source, InMemoryAdjacencyScan):
@@ -445,17 +424,15 @@ def record_csr(source) -> Optional[RecordCSR]:
             offsets[order] - indptr[:-1], lens
         )
         return RecordCSR(source.num_vertices, order, indptr, targets[gather])
-    if hasattr(source, "csr_views"):
-        order, indptr, indices = source.csr_views()
-        # Plain ndarray views: slicing the np.memmap subclass costs a
-        # Python-level __getitem__/__array_finalize__ per call.
-        return RecordCSR(
-            source.num_vertices,
-            np.asarray(order, dtype=np.int64),
-            np.asarray(indptr, dtype=np.int64),
-            np.asarray(indices),
-        )
-    return None
+    order, indptr, indices = source.csr_views()
+    # Plain ndarray views: slicing the np.memmap subclass costs a
+    # Python-level __getitem__/__array_finalize__ per call.
+    return RecordCSR(
+        source.num_vertices,
+        np.asarray(order, dtype=np.int64),
+        np.asarray(indptr, dtype=np.int64),
+        np.asarray(indices),
+    )
 
 
 def label_vertices(csr, state):
@@ -1396,117 +1373,17 @@ def _two_k_preswap(csr, ctx: _TwoKRound) -> None:
                 heapq.heappush(heap, hazard)
 
 
-def _label_batched(source, state, isn, isn2=None) -> None:
-    """The labelling scan (lines 1-3) over block-batched chunks.
-
-    One IS neighbour makes a vertex "A" (two-k: one or two, with ``isn2``
-    the larger id).  With neighbour lists in arbitrary record order the
-    smaller of two ids comes from a per-record minimum, the larger from
-    the id sum.
-    """
-
-    n = source.num_vertices
-    max_cnt = 1 if isn2 is None else 2
-    for verts, local_offsets, tgts in source.scan_batches():
-        lens = local_offsets[1:] - local_offsets[:-1]
-        local_src = _local_sources(verts.size, lens)
-        is_slot = state[tgts] == _IS
-        src_sel = local_src[is_slot]
-        cnt = np.bincount(src_sel, minlength=verts.size)
-        nbr_sum = _int_bincount(src_sel, tgts[is_slot], verts.size)
-        a_mask = (state[verts] != _IS) & (cnt >= 1) & (cnt <= max_cnt)
-        state[verts[a_mask]] = _ADJ
-        one_mask = a_mask & (cnt == 1)
-        isn[verts[one_mask]] = nbr_sum[one_mask]
-        if isn2 is not None:
-            two_mask = a_mask & (cnt == 2)
-            low = _record_min(np.where(is_slot, tgts, n), local_offsets, n)[two_mask]
-            isn[verts[two_mask]] = low
-            isn2[verts[two_mask]] = nbr_sum[two_mask] - low
-
-
-def _post_swap_batched(source, state, isn, isn2=None) -> int:
-    """The post-swap scan over block-batched chunks of a streamed file.
-
-    Algorithm 2 lines 20-28, or Algorithm 3 lines 15-23 when ``isn2`` is
-    given (see :func:`_post_swap`).  Each chunk's count / sum / min /
-    ``blocker`` entries are rebuilt from the live state — ``blocker``
-    counts neighbours whose state blocks a 0-1 swap (IS or A: P and R
-    cannot exist after the swap phase) — so each scanned vertex costs
-    O(1) plus one fancy update when it changes class.  Returns the number
-    of 0-1 swaps.
-    """
-
-    two = isn2 is not None
-    max_cnt = 2 if two else 1
-    n = source.num_vertices
-    cnt = np.zeros(n, dtype=np.int64)
-    nbr_sum = np.zeros(n, dtype=np.int64)
-    nbr_min = np.full(n, n, dtype=np.int64)  # n acts as +infinity
-    blocker = np.zeros(n, dtype=np.int64)
-    zero_one_swaps = 0
-    for verts, local_offsets, tgts in source.scan_batches():
-        lens = local_offsets[1:] - local_offsets[:-1]
-        local_src = _local_sources(verts.size, lens)
-        is_slot = state[tgts] == _IS
-        src_sel = local_src[is_slot]
-        local_cnt = np.bincount(src_sel, minlength=verts.size)
-        cnt[verts] = local_cnt
-        nbr_sum[verts] = _int_bincount(src_sel, tgts[is_slot], verts.size)
-        if two:
-            local_min = _record_min(np.where(is_slot, tgts, n), local_offsets, n)
-            nbr_min[verts] = np.where(local_cnt >= 1, local_min, n)
-        blocker[verts] = np.bincount(
-            local_src[is_slot | (state[tgts] == _ADJ)], minlength=verts.size
-        )
-        vertex_list = verts.tolist()
-        offset_list = local_offsets.tolist()
-        for i in np.flatnonzero(state[verts] != _IS).tolist():
-            v = vertex_list[i]
-            old = state[v]
-            c = cnt[v]
-            if 1 <= c <= max_cnt:
-                state[v] = _ADJ
-                if c == 1:
-                    isn[v] = nbr_sum[v]
-                    if two:
-                        isn2[v] = -1
-                else:
-                    low = nbr_min[v]
-                    isn[v] = low
-                    isn2[v] = nbr_sum[v] - low
-                if old != _ADJ:
-                    blocker[tgts[offset_list[i] : offset_list[i + 1]]] += 1
-            else:
-                state[v] = _NON
-                isn[v] = -1
-                if two:
-                    isn2[v] = -1
-                if old == _ADJ:
-                    blocker[tgts[offset_list[i] : offset_list[i + 1]]] -= 1
-                if blocker[v] == 0:
-                    # 0-1 swap: no neighbour is IS or A.
-                    state[v] = _IS
-                    zero_one_swaps += 1
-                    nbrs = tgts[offset_list[i] : offset_list[i + 1]]
-                    cnt[nbrs] += 1
-                    nbr_sum[nbrs] += v
-                    if two:
-                        nbr_min[nbrs] = np.minimum(nbr_min[nbrs], v)
-                    blocker[nbrs] += 1
-    return zero_one_swaps
-
-
 class NumpyBackend(KernelBackend):
-    """Vectorized kernels over in-memory CSR arrays or block-batched scans."""
+    """Vectorized kernels over in-memory CSR arrays or record-major CSRs."""
 
     name = "numpy"
 
     def supports(self, source) -> bool:
-        """In-memory sources and every source with block-batched scans."""
+        """In-memory sources and record-major ones (``csr_views``): a
+        ``SEXTCSR1`` memmap, or a text reader through its spill."""
 
         return isinstance(source, InMemoryAdjacencyScan) or hasattr(
-            source, "scan_batches"
+            source, "csr_views"
         )
 
     def supports_graph(self, graph) -> bool:
@@ -1519,9 +1396,38 @@ class NumpyBackend(KernelBackend):
     # Algorithm 1: greedy.
     # ------------------------------------------------------------------
     def greedy_pass(self, source) -> FrozenSet[int]:
+        """One scan in chunks of ``_GREEDY_CHUNK`` records.
+
+        Record ``i`` is vertex ``order[i]`` with neighbours
+        ``targets[starts[i]:ends[i]]``: the graph's own CSR rows for an
+        in-memory source, the record-major sections otherwise — O(n)
+        extra memory either way, no per-edge gather of the whole graph.
+        """
+
         if isinstance(source, InMemoryAdjacencyScan):
-            return self._greedy_in_memory(source)
-        return self._greedy_batched(source)
+            offsets, targets = source.graph.csr_arrays()
+            order = source.order_array()
+            starts, ends = offsets[order], offsets[order + 1]
+        else:
+            order, indptr, targets = (np.asarray(a) for a in source.csr_views())
+            starts, ends = indptr[:-1], indptr[1:]
+        state = np.zeros(source.num_vertices, dtype=np.uint8)
+        rank_of = np.full(source.num_vertices, -1, dtype=np.int64)
+        for start in range(0, order.size, _GREEDY_CHUNK):
+            chunk = slice(start, start + _GREEDY_CHUNK)
+            cand = order[chunk]
+            mask = state[cand] == 0
+            if not mask.any():
+                continue
+            cand_starts = starts[chunk][mask]
+            lens = ends[chunk][mask] - cand_starts
+            cum = np.concatenate(([0], np.cumsum(lens)))
+            gather = np.arange(cum[-1], dtype=np.int64) + np.repeat(
+                cand_starts - cum[:-1], lens
+            )
+            self._greedy_commit(state, rank_of, cand[mask], lens, targets[gather])
+        source.charge_scan()
+        return frozenset(np.flatnonzero(state == 1).tolist())
 
     @staticmethod
     def _greedy_commit(state, rank_of, cand, lens, nbrs) -> None:
@@ -1561,56 +1467,6 @@ class NumpyBackend(KernelBackend):
         state[cand[accepted]] = 1
         state[nbrs[np.repeat(accepted, lens)]] = 2
 
-    def _greedy_in_memory(self, source) -> FrozenSet[int]:
-        graph = source.graph
-        offsets, targets = graph.csr_arrays()
-        order = source.order_array()
-        n = graph.num_vertices
-        state = np.zeros(n, dtype=np.uint8)
-
-        rank_of = np.full(n, -1, dtype=np.int64)
-        for start in range(0, order.size, _GREEDY_CHUNK):
-            chunk = order[start : start + _GREEDY_CHUNK]
-            cand = chunk[state[chunk] == 0]
-            if cand.size == 0:
-                continue
-            lens = offsets[cand + 1] - offsets[cand]
-            cum = np.concatenate(([0], np.cumsum(lens)))
-            gather = np.arange(cum[-1], dtype=np.int64) + np.repeat(
-                offsets[cand] - cum[:-1], lens
-            )
-            self._greedy_commit(state, rank_of, cand, lens, targets[gather])
-        source.stats.record_scan()
-
-        return frozenset(np.flatnonzero(state == 1).tolist())
-
-    def _greedy_batched(self, source) -> FrozenSet[int]:
-        """Greedy over block-batched chunks; the batch is the scan chunk."""
-
-        n = source.num_vertices
-        state = np.zeros(n, dtype=np.uint8)
-        rank_of = np.full(n, -1, dtype=np.int64)
-        for verts, local_offsets, tgts in source.scan_batches():
-            if verts.size and (int(verts.max()) >= n or int(verts.min()) < 0):
-                bad = verts[(verts >= n) | (verts < 0)][0]
-                raise SolverError(
-                    f"scan produced vertex {int(bad)} outside the declared range of "
-                    f"{n} vertices"
-                )
-            mask = state[verts] == 0
-            if not mask.any():
-                continue
-            cand = verts[mask]
-            lens = (local_offsets[1:] - local_offsets[:-1])[mask]
-            cum = np.concatenate(([0], np.cumsum(lens)))
-            gather = np.arange(cum[-1], dtype=np.int64) + np.repeat(
-                local_offsets[:-1][mask] - cum[:-1], lens
-            )
-            self._greedy_commit(state, rank_of, cand, lens, tgts[gather])
-        # scan_batches charges the sequential scan on exhaustion.
-
-        return frozenset(np.flatnonzero(state == 1).tolist())
-
     # ------------------------------------------------------------------
     # Algorithm 2: one-k-swap.
     # ------------------------------------------------------------------
@@ -1622,108 +1478,9 @@ class NumpyBackend(KernelBackend):
         resume: Optional[dict] = None,
         on_round=None,
     ) -> Tuple[FrozenSet[int], Tuple[RoundStats, ...], bool]:
-        csr = record_csr(source)
-        if csr is None:
-            return self._one_k_batched(
-                source, initial_set, max_rounds, resume, on_round
-            )
         return one_k_records(
-            csr, source, initial_set, max_rounds, resume, on_round
+            record_csr(source), source, initial_set, max_rounds, resume, on_round
         )
-
-    def _one_k_batched(self, source, initial_set, max_rounds, resume, on_round):
-        """Algorithm 2 over block-batched chunks of a streamed file.
-
-        The pre-swap scan is a scalar loop over the pre-filtered "A"
-        candidates (earlier vertices preempt later ones), and the post-swap
-        scan rebuilds the current chunk's count/sum/blocker entries from
-        the live state — the values the incremental updates of
-        :func:`one_k_records` keep, by construction.
-        """
-
-        n = source.num_vertices
-        state = np.empty(n, dtype=np.uint8)
-        isn = np.empty(n, dtype=np.int64)
-        loop = _SwapRounds(
-            "one_k_swap", {"state": state, "isn": isn}, initial_set, max_rounds, resume
-        )
-        if resume is None:
-            _label_batched(source, state, isn)  # lines 1-3
-            loop.labelled()
-
-        while loop.running():
-            # |ISN^-1(w)| for every IS vertex w, as one bincount.
-            adj_mask = state == _ADJ
-            pointer_count = np.bincount(isn[adj_mask & (isn >= 0)], minlength=n).astype(
-                np.int64
-            )
-
-            # Pre-swap scan (lines 7-14).  No other "A" vertex is mutated
-            # by a candidate's processing, so the pre-filter stays exact
-            # for the whole sweep.
-            process = self._one_k_processor(state, isn, pointer_count)
-            for verts, local_offsets, tgts in source.scan_batches():
-                vertex_list = verts.tolist()
-                offset_list = local_offsets.tolist()
-                for i in np.flatnonzero(state[verts] == _ADJ).tolist():
-                    process(
-                        vertex_list[i], tgts[offset_list[i] : offset_list[i + 1]]
-                    )
-
-            # Swap phase (lines 15-19), fully vectorized.
-            retro = state == _RET
-            state[state == _PRO] = _IS
-            state[retro] = _NON
-            one_k_swaps = int(retro.sum())
-            loop.can_swap = one_k_swaps > 0
-
-            zero_one_swaps = _post_swap_batched(source, state, isn)  # lines 20-28
-            loop.end_round(
-                on_round,
-                one_k_swaps=one_k_swaps,
-                two_k_swaps=0,
-                zero_one_swaps=zero_one_swaps,
-            )
-
-        return loop.result(self._completion_pass(source, state))
-
-    @staticmethod
-    def _one_k_processor(state, isn, pointer_count):
-        """Per-candidate closure for Algorithm 2 lines 7-14 (batched scan).
-
-        The hot arrays are closure variables, so calling it costs the same
-        as the inlined loop body.
-        """
-
-        def process(v, nbrs) -> None:
-            anchor = isn[v]
-            if anchor < 0:  # pragma: no cover - defensive only
-                state[v] = _NON
-                return
-            nstate = state[nbrs]
-
-            if (nstate == _PRO).any():
-                # Case (i): conflict with an earlier swap candidate.
-                state[v] = _CON
-                pointer_count[anchor] -= 1
-                return
-
-            anchor_state = state[anchor]
-            if anchor_state == _IS:
-                # Case (ii): does a 1-2 swap skeleton exist?
-                adjacent_partners = int(((nstate == _ADJ) & (isn[nbrs] == anchor)).sum())
-                if pointer_count[anchor] - 1 - adjacent_partners > 0:
-                    state[v] = _PRO
-                    state[anchor] = _RET
-                    pointer_count[anchor] -= 1
-                    return
-
-            if anchor_state == _RET:
-                # Case (iii): complete the swap started by an earlier vertex.
-                state[v] = _PRO
-                pointer_count[anchor] -= 1
-
-        return process
 
     # ------------------------------------------------------------------
     # Algorithms 3 & 4: two-k-swap.
@@ -1738,19 +1495,8 @@ class NumpyBackend(KernelBackend):
         resume: Optional[dict] = None,
         on_round=None,
     ) -> Tuple[FrozenSet[int], Tuple[RoundStats, ...], int, bool]:
-        csr = record_csr(source)
-        if csr is not None:
-            return two_k_records(
-                csr,
-                source,
-                initial_set,
-                max_rounds,
-                max_pairs_per_key,
-                max_partner_checks,
-                resume,
-                on_round,
-            )
-        return self._two_k_batched(
+        return two_k_records(
+            record_csr(source),
             source,
             initial_set,
             max_rounds,
@@ -1759,112 +1505,6 @@ class NumpyBackend(KernelBackend):
             resume,
             on_round,
         )
-
-    def _two_k_batched(
-        self,
-        source,
-        initial_set,
-        max_rounds,
-        max_pairs_per_key,
-        max_partner_checks,
-        resume,
-        on_round,
-    ):
-        """Algorithms 3-4 over block-batched chunks of a streamed file.
-
-        The pre-swap scan runs Algorithm 4's body on every "A" candidate
-        of each chunk, and the post-swap scan rebuilds the current chunk's
-        count/sum/min/blocker entries from the live state — the values the
-        event loop of :func:`two_k_records` tracks, by construction.
-        """
-
-        n = source.num_vertices
-        state = np.empty(n, dtype=np.uint8)
-        isn1 = np.empty(n, dtype=np.int64)
-        isn2 = np.empty(n, dtype=np.int64)
-        loop = _SwapRounds(
-            "two_k_swap",
-            {"state": state, "isn1": isn1, "isn2": isn2},
-            initial_set,
-            max_rounds,
-            resume,
-        )
-        if resume is None:
-            _label_batched(source, state, isn1, isn2)  # lines 1-3
-            loop.labelled()
-
-        while loop.running():
-            sc = SwapCandidateStore(max_pairs_per_key=max_pairs_per_key)
-            round_ctx = _TwoKRound(
-                n, state, isn1, isn2, sc, source, max_partner_checks
-            )
-            process = round_ctx.processor()
-
-            # Pre-swap scan (Algorithm 4), scalar over the "A" candidates:
-            # skeleton promotions can flip later candidates to P, hence the
-            # state re-check per vertex.
-            for verts, local_offsets, tgts in source.scan_batches():
-                vertex_list = verts.tolist()
-                offset_list = local_offsets.tolist()
-                for i in np.flatnonzero(state[verts] == _ADJ).tolist():
-                    v = vertex_list[i]
-                    if state[v] != _ADJ:
-                        continue
-                    process(v, tgts[offset_list[i] : offset_list[i + 1]])
-            loop.max_sc_vertices = max(loop.max_sc_vertices, sc.peak_vertices)
-
-            # Swap phase (Algorithm 3 lines 10-14), fully vectorized.
-            retro = state == _RET
-            state[state == _PRO] = _IS
-            state[retro] = _NON
-            loop.can_swap = bool(retro.any())
-
-            # Post-swap scan (Algorithm 3 lines 15-23).
-            zero_one_swaps = _post_swap_batched(source, state, isn1, isn2)
-            loop.end_round(
-                on_round,
-                one_k_swaps=round_ctx.one_k_swaps,
-                two_k_swaps=round_ctx.two_k_swaps,
-                zero_one_swaps=zero_one_swaps,
-                sc_vertices=sc.peak_vertices,
-            )
-
-        return loop.result(self._completion_pass(source, state))
-
-    # ------------------------------------------------------------------
-    # Shared final 0↔1 completion pass.
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _completion_pass(source, state) -> int:
-        """Insert every vertex with no IS neighbour, in scan order.
-
-        The streamed-file counterpart of :func:`_completion`: each chunk's
-        IS-neighbour counts are rebuilt from the live state; a vertex whose
-        count is positive can never become insertable (the set only
-        grows), so the scalar loop touches only the zero-count candidates
-        and bumps its neighbours' counts on each insertion.
-        """
-
-        n = source.num_vertices
-        cnt = np.zeros(n, dtype=np.int64)
-        completion_gain = 0
-        for verts, local_offsets, tgts in source.scan_batches():
-            lens = local_offsets[1:] - local_offsets[:-1]
-            local_src = _local_sources(verts.size, lens)
-            cnt[verts] = np.bincount(
-                local_src[state[tgts] == _IS], minlength=verts.size
-            )
-            vertex_list = verts.tolist()
-            offset_list = local_offsets.tolist()
-            candidates = (state[verts] != _IS) & (cnt[verts] == 0)
-            for i in np.flatnonzero(candidates).tolist():
-                v = vertex_list[i]
-                if cnt[v] != 0:
-                    continue
-                state[v] = _IS
-                cnt[tgts[offset_list[i] : offset_list[i + 1]]] += 1
-                completion_gain += 1
-        return completion_gain
 
     # ------------------------------------------------------------------
     # In-memory comparators (Tables 5-6).

@@ -64,9 +64,10 @@ class SemiExternalMISSolver:
     backend:
         Kernel backend executing the passes: ``"python"``, ``"numpy"`` or
         ``None``/``"auto"`` for the process default (numpy when
-        available).  The numpy backend runs file-backed sources through
-        block-batched semi-external scans; only custom streaming sources
-        without ``scan_batches`` fall back to the python backend.
+        available).  The numpy backend runs file-backed sources
+        record-major: text inputs spill once to a private ``SEXTCSR1``
+        memmap; the spill is not charged to ``IOStats``.  Only custom
+        streaming sources fall back to the python backend.
     checkpoint_path:
         When set, the engine writes a versioned checkpoint file after
         every completed stage and after every swap round, making the run

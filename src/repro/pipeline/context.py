@@ -68,9 +68,10 @@ def add_execution_arguments(parser, include_memory_limit: bool = False) -> None:
         choices=["auto"] + list(available_backends()),
         default="auto",
         help="kernel backend; 'numpy' (the default when available) runs the "
-        "vectorized kernels — over block-batched semi-external scans for "
-        "file inputs — and 'python' streams records one at a time; both "
-        "produce bit-identical results and I/O counters",
+        "vectorized kernels — text inputs spill once to a private SEXTCSR1 "
+        "memmap; the spill is not charged to IOStats — and 'python' streams "
+        "records one at a time; both produce bit-identical results and I/O "
+        "counters",
     )
     if include_memory_limit:
         parser.add_argument(

@@ -23,7 +23,7 @@ from repro.graphs.graph import HAVE_NUMPY, Graph, permutation_array
 from repro.storage import format as fmt
 from repro.storage.blocks import DEFAULT_BATCH_BLOCKS, DEFAULT_BLOCK_SIZE, BlockDevice
 from repro.storage.io_stats import IOStats
-from repro.storage.scan import AdjacencyBatch, batch_bounds
+from repro.storage.scan import AdjacencyBatch
 
 if HAVE_NUMPY:
     import numpy as _np
@@ -160,6 +160,11 @@ class AdjacencyFileReader:
     ``neighbors(v)``
         Random single-record lookup (charged as a random seek and a vertex
         lookup).
+    ``csr_views()`` / ``charge_scan()``
+        The record-major execution of the numpy kernels: the file is
+        spilled once to a private ``SEXTCSR1`` memmap whose sections the
+        kernels read, while every scan they stand for is charged here.
+        The spill is format conversion and is not charged to ``IOStats``.
     """
 
     def __init__(
@@ -177,18 +182,14 @@ class AdjacencyFileReader:
         header = fmt.unpack_header(self._device.read_at(0, fmt.HEADER_SIZE))
         self._num_vertices = header.num_vertices
         self._num_edges = header.num_edges
+        # The record index random lookups need: built by the first
+        # complete ``scan()``, or — once the file is spilled — served by
+        # the spill after the first charged scan.  A cold lookup scans.
         self._offsets: Optional[Dict[int, int]] = None
         self._scan_order: Optional[List[int]] = None
-        # Per-record degrees in file order, filled by the first complete
-        # scan (streaming or batched); lets later batched scans split the
-        # byte stream into records without any per-record Python work.
-        self._record_degrees: Optional[List[int]] = None
-        self._record_degrees_array = None
-        self._batch_plan = None  # (max_batch_bytes, byte starts, batch bounds)
-        # Absolute byte offset of each record in file order (batched first
-        # scans collect these; ``neighbors`` zips them into its index
-        # lazily instead of paying a per-record dict store on the scan).
-        self._record_offsets: Optional[List[int]] = None
+        self._indexed = False
+        #: Private ``SEXTCSR1`` memmap of this file (see :meth:`csr_views`).
+        self._spill = None
 
     # ------------------------------------------------------------------
     # Scan-source protocol
@@ -222,15 +223,13 @@ class AdjacencyFileReader:
         building_index = self._offsets is None
         offsets: Dict[int, int] = {}
         order: List[int] = []
-        degrees: List[int] = []
         file_size = self._device.size
         count = 0
         while offset < file_size and count < self._num_vertices:
-            vertex, degree, neighbors, next_offset = self._read_record(offset)
+            vertex, _, neighbors, next_offset = self._read_record(offset)
             if building_index:
                 offsets[vertex] = offset
                 order.append(vertex)
-                degrees.append(degree)
             count += 1
             yield vertex, neighbors
             offset = next_offset
@@ -241,20 +240,61 @@ class AdjacencyFileReader:
         if building_index:
             self._offsets = offsets
             self._scan_order = order
-            self._record_degrees = degrees
+        self._indexed = True
         self._device.stats.record_scan()
 
     def scan_order(self) -> List[int]:
         """Vertex ids in file order (performs a scan if the index is not built yet)."""
 
-        if self._scan_order is None:
-            for _ in self.scan():
-                pass
-        assert self._scan_order is not None
+        self.build_index()
+        if self._scan_order is None:  # indexed through the spill
+            return self._spill.csr_views()[0].tolist()
         return list(self._scan_order)
 
     # ------------------------------------------------------------------
-    # Batched scanning (the vectorized semi-external path)
+    # Record-major execution (the numpy kernels)
+    # ------------------------------------------------------------------
+    def csr_views(self):
+        """Zero-copy ``(order, indptr, indices)`` of this file, record-major.
+
+        The first call spills the file to a private ``SEXTCSR1`` memmap
+        (:func:`repro.storage.converters.spill_to_memmap`); later calls,
+        and every pass of a multi-stage solve, reuse it.  The spill reads
+        through a second handle, so it charges nothing to ``IOStats`` and
+        leaves this reader's read cursor and index state as they were.
+        The mapping is released by :meth:`close`.
+        """
+
+        if self._spill is None:
+            from repro.storage.converters import spill_to_memmap
+
+            self._spill = spill_to_memmap(self._device)
+        return self._spill.csr_views()
+
+    def charge_scan(self) -> bool:
+        """Charge one full sequential scan of the records without reading them.
+
+        The record-major kernels read :meth:`csr_views` and call this
+        wherever the algorithm scans the file.  The scan's reads are
+        contiguous from the end of the file header to the end of the
+        records, and contiguous reads telescope under the block device's
+        rules, so one charged read of that range gives ``IOStats`` equal
+        to a record-by-record :meth:`scan`.
+        """
+
+        self.csr_views()  # the spill has checked the records fill the file
+        if self._num_vertices:
+            self._device.charge_read(
+                fmt.HEADER_SIZE,
+                fmt.file_size_bytes(self._num_vertices, self._num_edges)
+                - fmt.HEADER_SIZE,
+            )
+        self._indexed = True
+        self._device.stats.record_scan()
+        return True
+
+    # ------------------------------------------------------------------
+    # Batched scanning (format conversion)
     # ------------------------------------------------------------------
     def scan_batches(
         self, max_batch_bytes: Optional[int] = None
@@ -262,20 +302,17 @@ class AdjacencyFileReader:
         """Yield the file as block-sized :class:`AdjacencyBatch` ndarray chunks.
 
         The batches cover exactly the records ``scan()`` yields, in file
-        order, but each batch is read with a single ``read_at`` spanning a
-        contiguous run of records (roughly ``max_batch_bytes`` long,
-        default ``DEFAULT_BATCH_BLOCKS`` device blocks) and parsed into
-        int64 ndarrays with ``np.frombuffer`` — no per-record Python loop
-        after the first pass.  Because every scan reads the same byte
-        range ``[HEADER_SIZE, end-of-records)`` contiguously, the
-        ``IOStats`` charges (bytes, blocks, seeks, one sequential scan on
-        exhaustion) are identical to the record-streaming ``scan()``
-        regardless of how the range is partitioned into requests.
+        order.  The file is read in chunks of ``max_batch_bytes`` (default
+        ``DEFAULT_BATCH_BLOCKS`` device blocks), a record straddling a
+        chunk boundary is carried over to the next chunk, and the record
+        starts inside each chunk are found and parsed into int64 ndarrays
+        with ``np.frombuffer``.  Because the chunks read the byte range
+        ``[HEADER_SIZE, end-of-records)`` contiguously, the ``IOStats``
+        charges (bytes, blocks, seeks, one sequential scan on exhaustion)
+        are identical to the record-streaming ``scan()``.
 
-        The first complete pass walks the records to discover their
-        boundaries and builds the same offset index ``scan()`` builds
-        (plus a per-record degree cache); later passes split the stream
-        fully vectorized from the cached degrees.
+        This is the converters' single read of a text file; it builds no
+        record index, so it leaves random lookups as cold as it found them.
         """
 
         if _np is None:
@@ -283,78 +320,9 @@ class AdjacencyFileReader:
         if max_batch_bytes is None:
             max_batch_bytes = self._device.batch_bytes(DEFAULT_BATCH_BLOCKS)
         max_batch_bytes = max(int(max_batch_bytes), fmt.RECORD_HEADER_SIZE)
-        if self._record_degrees is not None:
-            return self._scan_batches_indexed(max_batch_bytes)
-        return self._scan_batches_discover(max_batch_bytes)
-
-    @staticmethod
-    def _parse_batch_words(words, word_starts, degrees) -> AdjacencyBatch:
-        """Build an :class:`AdjacencyBatch` from uint32 record words.
-
-        ``word_starts[i]`` is the index of record ``i``'s header inside
-        ``words``; its neighbours are the ``degrees[i]`` words after the
-        2-word header.
-        """
-
-        local_offsets = _np.zeros(degrees.size + 1, dtype=_np.int64)
-        _np.cumsum(degrees, out=local_offsets[1:])
-        vertices = words[word_starts].astype(_np.int64)
-        gather = _np.arange(int(local_offsets[-1]), dtype=_np.int64) + _np.repeat(
-            word_starts + 2 - local_offsets[:-1], degrees
-        )
-        targets = words[gather].astype(_np.int64)
-        return AdjacencyBatch(vertices, local_offsets, targets)
-
-    def _scan_batches_indexed(self, max_batch_bytes: int) -> Iterator[AdjacencyBatch]:
-        """Fully vectorized batched scan driven by the cached record degrees."""
-
-        if self._record_degrees_array is None:
-            self._record_degrees_array = _np.asarray(
-                self._record_degrees, dtype=_np.int64
-            )
-        degrees = self._record_degrees_array
-        # The record layout is immutable, so the byte starts and batch
-        # boundaries are computed once per (reader, batch size) and reused
-        # by the many scans of a swap run.
-        if self._batch_plan is None or self._batch_plan[0] != max_batch_bytes:
-            record_bytes = fmt.RECORD_HEADER_SIZE + fmt.VERTEX_ID_BYTES * degrees
-            starts = _np.zeros(degrees.size + 1, dtype=_np.int64)
-            _np.cumsum(record_bytes, out=starts[1:])
-            self._batch_plan = (
-                max_batch_bytes,
-                starts,
-                batch_bounds(record_bytes, max_batch_bytes),
-            )
-        _, starts, bounds = self._batch_plan
-        for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-            if a == b:  # pragma: no cover - bounds are strictly increasing
-                continue
-            span_start = fmt.HEADER_SIZE + int(starts[a])
-            span_len = int(starts[b] - starts[a])
-            data = self._device.read_at(span_start, span_len)
-            words = _np.frombuffer(data, dtype="<u4")
-            word_starts = (starts[a:b] - starts[a]) // fmt.VERTEX_ID_BYTES
-            yield self._parse_batch_words(words, word_starts, degrees[a:b])
-        self._device.stats.record_scan()
-
-    def _scan_batches_discover(self, max_batch_bytes: int) -> Iterator[AdjacencyBatch]:
-        """First batched pass: chunked reads with record-boundary discovery.
-
-        Reads fixed-size chunks (carrying any record that straddles a
-        chunk boundary over to the next one) and finds the record starts
-        inside each chunk, building the scan order, degree cache and
-        record byte offsets as it goes — the offset index ``neighbors``
-        needs is assembled from those lazily.  Every later scan is fully
-        vectorized thanks to the degree cache.
-        """
-
         file_size = self._device.size
         offset = fmt.HEADER_SIZE
         pending = b""
-        pending_abs = offset  # absolute byte offset of pending[0]
-        order: List[int] = []
-        degrees: List[int] = []
-        record_offsets: List[int] = []
         count = 0
         header_words = fmt.RECORD_HEADER_SIZE // fmt.VERTEX_ID_BYTES
         while offset < file_size and count < self._num_vertices:
@@ -414,34 +382,43 @@ class AdjacencyFileReader:
                         degree_runs.append(_np.asarray(tail_degrees, dtype=_np.int64))
                     break
             if start_runs:
-                starts_arr = _np.concatenate(start_runs)
-                degrees_arr = _np.concatenate(degree_runs)
-                batch = self._parse_batch_words(words, starts_arr, degrees_arr)
-                order.extend(batch.vertices.tolist())
-                degrees.extend(degrees_arr.tolist())
-                record_offsets.extend(
-                    (pending_abs + starts_arr * fmt.VERTEX_ID_BYTES).tolist()
+                starts = _np.concatenate(start_runs)
+                count += starts.size
+                yield self._parse_batch_words(
+                    words, starts, _np.concatenate(degree_runs)
                 )
-                count += starts_arr.size
-                yield batch
-            consumed = pos * fmt.VERTEX_ID_BYTES
-            pending = data[consumed:]
-            pending_abs += consumed
+            pending = data[pos * fmt.VERTEX_ID_BYTES :]
         if count != self._num_vertices:
             raise FormatError(
                 f"file declares {self._num_vertices} vertices but contains {count} records"
             )
-        if self._scan_order is None:
-            self._scan_order = order
-            self._record_offsets = record_offsets
-        if self._record_degrees is None:
-            self._record_degrees = degrees
         self._device.stats.record_scan()
+
+    def _parse_batch_words(self, words, word_starts, degrees) -> AdjacencyBatch:
+        """Build an :class:`AdjacencyBatch` from uint32 record words.
+
+        ``word_starts[i]`` is the index of record ``i``'s header inside
+        ``words``; its neighbours are the ``degrees[i]`` words after the
+        2-word header.  Raises :class:`FormatError` for an id >= n.
+        """
+
+        local_offsets = _np.zeros(degrees.size + 1, dtype=_np.int64)
+        _np.cumsum(degrees, out=local_offsets[1:])
+        vertices = words[word_starts].astype(_np.int64)
+        gather = _np.arange(int(local_offsets[-1]), dtype=_np.int64) + _np.repeat(
+            word_starts + 2 - local_offsets[:-1], degrees
+        )
+        targets = words[gather].astype(_np.int64)
+        for ids in (vertices, targets):
+            if ids.size and int(ids.max()) >= self._num_vertices:
+                self._raise_bad_id(int(ids.max()))
+        return AdjacencyBatch(vertices, local_offsets, targets)
 
     def build_index(self) -> None:
         """Ensure the in-memory record index exists (one full scan if not).
 
-        Normally the index rides along with the first complete scan.  A
+        Normally the index rides along with the first complete scan (a
+        charged one, for a spilled reader, which this runs if cold).  A
         *resumed* run starts from a cold reader whose first action may be
         a random :meth:`neighbors` lookup mid-round; the pipeline engine
         calls this during resume restoration — before resetting the I/O
@@ -449,9 +426,12 @@ class AdjacencyFileReader:
         I/O of the restore phase, not part of the logical run accounting.
         """
 
-        if self._offsets is None and self._record_offsets is None:
-            for _ in self.scan():
-                pass
+        if not self._indexed:
+            if self._spill is not None:
+                self.charge_scan()
+            else:
+                for _ in self.scan():
+                    pass
 
     def neighbors(self, vertex: int) -> Tuple[int, ...]:
         """Random lookup of one vertex's neighbour list.
@@ -470,18 +450,13 @@ class AdjacencyFileReader:
         # keeps the I/O accounting of a scan independent of how many
         # lookups interrupt it.
         saved_cursor = self._device.sequential_cursor()
-        if self._offsets is None and self._record_offsets is not None:
-            assert self._scan_order is not None
-            self._offsets = dict(zip(self._scan_order, self._record_offsets))
-        if self._offsets is None:
-            for _ in self.scan():
-                pass
-        if vertex not in self._offsets:
+        offset = self._record_offset(vertex)
+        if offset is None:
             self._device.restore_sequential_cursor(saved_cursor)
             raise StorageError(f"vertex {vertex} is not present in the adjacency file")
         self._device.reset_sequential_cursor()
         self._device.stats.record_vertex_lookup()
-        _, _, neighbors, _ = self._read_record(self._offsets[vertex])
+        _, _, neighbors, _ = self._read_record(offset)
         self._device.restore_sequential_cursor(saved_cursor)
         return neighbors
 
@@ -489,6 +464,17 @@ class AdjacencyFileReader:
         """Degree of ``vertex`` via a random record lookup."""
 
         return len(self.neighbors(vertex))
+
+    def _record_offset(self, vertex: int) -> Optional[int]:
+        """Byte offset of ``vertex``'s record (``None`` if absent).
+
+        A cold reader first builds its index with one charged scan.
+        """
+
+        self.build_index()
+        if self._offsets is None:  # indexed through the spill
+            return self._spill.record_offset(vertex)
+        return self._offsets.get(vertex)
 
     # ------------------------------------------------------------------
     # Helpers
@@ -499,7 +485,17 @@ class AdjacencyFileReader:
         body_offset = offset + fmt.RECORD_HEADER_SIZE
         body_bytes = self._device.read_at(body_offset, degree * fmt.VERTEX_ID_BYTES)
         neighbors = fmt.unpack_neighbors(body_bytes, degree)
+        if vertex >= self._num_vertices:
+            self._raise_bad_id(vertex)
+        if neighbors and max(neighbors) >= self._num_vertices:
+            self._raise_bad_id(max(neighbors))
         return vertex, degree, neighbors, body_offset + degree * fmt.VERTEX_ID_BYTES
+
+    def _raise_bad_id(self, vertex: int) -> None:
+        raise FormatError(
+            f"record holds vertex id {vertex}, but the file declares "
+            f"{self._num_vertices} vertices (ids 0 .. {self._num_vertices - 1})"
+        )
 
     def to_graph(self) -> Graph:
         """Materialise the file contents as an in-memory :class:`Graph`."""
@@ -512,8 +508,11 @@ class AdjacencyFileReader:
         return Graph(self._num_vertices, edges)
 
     def close(self) -> None:
-        """Close the underlying device."""
+        """Close the underlying device and release the spill, if any."""
 
+        if self._spill is not None:
+            self._spill.close()
+            self._spill = None
         self._device.close()
 
     def __enter__(self) -> "AdjacencyFileReader":

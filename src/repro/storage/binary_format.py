@@ -40,7 +40,7 @@ to detect bit rot.
 
 :class:`MemmapAdjacencySource` is drop-in compatible with
 :class:`~repro.storage.adjacency_file.AdjacencyFileReader`: same
-``scan()`` / ``scan_batches()`` / ``neighbors()`` contract *and the same
+``scan()`` / ``charge_scan()`` / ``neighbors()`` contract *and the same
 IOStats accounting*.  The artifact has no block device underneath, so the
 source charges I/O in the **equivalent text-adjacency byte space**: record
 ``i`` is modeled at the byte offset it would occupy in the text file
@@ -59,7 +59,7 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import BinaryIO, Iterator, List, Optional, Tuple, Union
 
 from repro.errors import (
     BinaryCorruptError,
@@ -69,9 +69,13 @@ from repro.errors import (
 )
 from repro.graphs.graph import HAVE_NUMPY, Graph
 from repro.storage import format as fmt
-from repro.storage.blocks import DEFAULT_BATCH_BLOCKS, DEFAULT_BLOCK_SIZE
+from repro.storage.blocks import (
+    DEFAULT_BATCH_BLOCKS,
+    DEFAULT_BLOCK_SIZE,
+    fsync_directory,
+)
 from repro.storage.io_stats import IOStats
-from repro.storage.scan import AdjacencyBatch, batch_bounds
+from repro.storage.scan import batch_bounds
 
 if HAVE_NUMPY:
     import numpy as _np
@@ -87,6 +91,8 @@ __all__ = [
     "binary_file_size",
     "read_binary_header",
     "write_binary_csr",
+    "write_binary_records",
+    "write_records",
 ]
 
 BINARY_MAGIC = b"SEXTCSR1"
@@ -102,8 +108,8 @@ _ORDER_DTYPE = "<i8"
 _INDPTR_DTYPE = "<i8"
 _INDICES_DTYPE = "<u4"
 
-#: Chunk size for streaming writes of the section arrays.
-_WRITE_CHUNK_BYTES = 8 << 20
+#: Chunk size of the read-back that digests the written indices section.
+_READ_CHUNK_BYTES = 8 << 20
 
 
 @dataclass(frozen=True)
@@ -183,16 +189,22 @@ def read_binary_header(path: Union[str, os.PathLike]) -> BinaryCSRHeader:
 
     path = os.fspath(path)
     try:
-        with open(path, "rb") as handle:
-            data = handle.read(BINARY_HEADER_SIZE)
-        actual_size = os.stat(path).st_size
+        handle = open(path, "rb")
     except OSError as exc:
         raise StorageError(f"cannot read binary CSR artifact {path!r}: {exc}") from None
-    header = _unpack_header(data, path)
+    with handle:
+        return _read_header(handle, path)
+
+
+def _read_header(handle: BinaryIO, where: str) -> BinaryCSRHeader:
+    handle.seek(0)
+    data = handle.read(BINARY_HEADER_SIZE)
+    actual_size = os.fstat(handle.fileno()).st_size
+    header = _unpack_header(data, where)
     expected = binary_file_size(header.num_vertices, header.num_edges)
     if actual_size != expected:
         raise BinaryCorruptError(
-            f"{path}: artifact truncated or padded (header declares "
+            f"{where}: artifact truncated or padded (header declares "
             f"{header.num_vertices} vertices / {header.num_edges} edges = "
             f"{expected} bytes, file has {actual_size})"
         )
@@ -227,7 +239,6 @@ def write_binary_csr(
 
     if _np is None:  # pragma: no cover - the container ships numpy
         raise StorageError("the binary CSR format requires numpy")
-    path = os.fspath(path)
     order = _np.ascontiguousarray(order, dtype=_ORDER_DTYPE)
     indptr = _np.ascontiguousarray(indptr, dtype=_INDPTR_DTYPE)
     indices = _np.ascontiguousarray(indices, dtype=_INDICES_DTYPE)
@@ -249,39 +260,109 @@ def write_binary_csr(
         )
     if num_edges is None:
         num_edges = indices.size // 2
-    elif 2 * num_edges != indices.size:
-        raise BinaryFormatError(
-            f"num_edges={num_edges} disagrees with {indices.size} stored targets"
-        )
-    if num_vertices:
-        counts = _np.bincount(order, minlength=num_vertices)
-        if order.min() < 0 or order.max() >= num_vertices or (counts != 1).any():
-            raise BinaryFormatError(
-                "order must be a permutation of all vertex ids 0 .. n-1"
-            )
-    if indices.size and int(_np.asarray(indices).max()) >= num_vertices:
-        raise BinaryFormatError("indices contain a vertex id >= num_vertices")
+    records = [(order, _np.diff(indptr), indices)]
+    return write_binary_records(path, num_vertices, num_edges, records)
 
-    digest_hex = _digest_sections(num_vertices, num_edges, (order, indptr, indices))
-    header = _pack_header(num_vertices, num_edges, bytes.fromhex(digest_hex))
+
+def write_binary_records(
+    path: Union[str, os.PathLike], num_vertices: int, num_edges: int, records
+) -> BinaryCSRHeader:
+    """Atomically write an artifact from record chunks; see :func:`write_records`.
+
+    The artifact is written to a temporary sibling, fsynced, renamed over
+    ``path`` and the rename made durable by fsyncing the directory.
+    """
+
+    path = os.fspath(path)
     temp_path = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(temp_path, "wb") as handle:
-            handle.write(header)
-            for arr in (order, indptr, indices):
-                view = memoryview(arr).cast("B")
-                for start in range(0, len(view), _WRITE_CHUNK_BYTES):
-                    handle.write(view[start : start + _WRITE_CHUNK_BYTES])
-            handle.flush()
+        with open(temp_path, "w+b") as handle:
+            header = write_records(handle, num_vertices, num_edges, records)
             os.fsync(handle.fileno())
         os.replace(temp_path, path)
+        fsync_directory(path)
     finally:
-        if os.path.exists(temp_path):  # pragma: no cover - write failed midway
+        if os.path.exists(temp_path):
             os.unlink(temp_path)
+    return header
+
+
+def write_records(
+    handle: BinaryIO, num_vertices: int, num_edges: int, records
+) -> BinaryCSRHeader:
+    """Write a complete artifact into the empty file ``handle`` and return its header.
+
+    ``records`` yields ``(vertices, degrees, targets)`` chunks covering the
+    records in scan order.  The section offsets are fixed by
+    ``(num_vertices, num_edges)``, so each chunk's targets are written as
+    ``<u4`` straight to their place; only ``order`` and the degrees
+    (O(n)) are held until the end, when ``order`` and ``indptr`` are
+    written and the digest is computed over the written sections.  Every
+    chunk is validated before it is written: ids in ``0 .. n-1``, no more
+    than ``n`` records and ``2 * num_edges`` targets in total, and at the
+    end ``order`` a permutation of all ids.
+    """
+
+    if _np is None:  # pragma: no cover - the container ships numpy
+        raise StorageError("the binary CSR format requires numpy")
+    n, m = int(num_vertices), int(num_edges)
+    order_off, indptr_off, indices_off, _ = _section_offsets(n, m)
+    order = _np.empty(n, dtype=_ORDER_DTYPE)
+    degrees = _np.empty(n, dtype=_INDPTR_DTYPE)
+    count = stored = 0
+    handle.seek(indices_off)
+    for vertices, lens, targets in records:
+        size = len(vertices)
+        if count + size > n:
+            raise BinaryFormatError(f"more than the declared {n} records")
+        if stored + len(targets) > 2 * m:
+            raise BinaryFormatError(
+                f"num_edges={m} disagrees with more than {2 * m} stored targets"
+            )
+        targets = _np.asarray(targets)
+        if len(targets) and (int(targets.min()) < 0 or int(targets.max()) >= n):
+            raise BinaryFormatError("indices contain a vertex id >= num_vertices")
+        order[count : count + size] = vertices
+        degrees[count : count + size] = lens
+        handle.write(memoryview(targets.astype(_INDICES_DTYPE, copy=False)).cast("B"))
+        count += size
+        stored += len(targets)
+    if count != n:
+        raise BinaryFormatError(f"{count} records for the declared {n} vertices")
+    if stored != 2 * m:
+        raise BinaryFormatError(
+            f"num_edges={m} disagrees with {stored} stored targets"
+        )
+    if n and (
+        order.min() < 0
+        or order.max() >= n
+        or (_np.bincount(order, minlength=n) != 1).any()
+    ):
+        raise BinaryFormatError(
+            "order must be a permutation of all vertex ids 0 .. n-1"
+        )
+    indptr = _np.zeros(n + 1, dtype=_INDPTR_DTYPE)
+    _np.cumsum(degrees, out=indptr[1:])
+    del degrees
+    handle.seek(order_off)
+    handle.write(memoryview(order).cast("B"))
+    handle.write(memoryview(indptr).cast("B"))
+    digest = hashlib.blake2b(digest_size=_DIGEST_SIZE)
+    digest.update(struct.pack("<QQ", n, m))
+    digest.update(memoryview(order).cast("B"))
+    digest.update(memoryview(indptr).cast("B"))
+    handle.seek(indices_off)
+    indices_bytes = 4 * stored
+    for start in range(0, indices_bytes, _READ_CHUNK_BYTES):
+        digest.update(handle.read(min(_READ_CHUNK_BYTES, indices_bytes - start)))
+    digest_hex = digest.hexdigest()
+    handle.seek(0)
+    handle.write(_pack_header(n, m, bytes.fromhex(digest_hex)))
+    handle.flush()
     return BinaryCSRHeader(
         version=BINARY_FORMAT_VERSION,
-        num_vertices=num_vertices,
-        num_edges=num_edges,
+        num_vertices=n,
+        num_edges=m,
         digest=digest_hex,
     )
 
@@ -300,7 +381,8 @@ class MemmapAdjacencySource:
     Parameters
     ----------
     path:
-        Filesystem path of the artifact.
+        Filesystem path of the artifact, or an open binary file holding
+        one (mapped through its descriptor).
     block_size:
         Block size ``B`` used for the modeled I/O accounting (identical
         role to the text reader's device block size).
@@ -314,7 +396,7 @@ class MemmapAdjacencySource:
 
     def __init__(
         self,
-        path: Union[str, os.PathLike],
+        path: Union[str, os.PathLike, BinaryIO],
         block_size: int = DEFAULT_BLOCK_SIZE,
         stats: Optional[IOStats] = None,
         verify: bool = False,
@@ -323,25 +405,32 @@ class MemmapAdjacencySource:
             raise StorageError("MemmapAdjacencySource requires numpy")
         if block_size <= 0:
             raise StorageError(f"block_size must be positive, got {block_size}")
-        self._path = os.fspath(path)
         self.block_size = int(block_size)
         self._stats = stats if stats is not None else IOStats()
-        self._header = read_binary_header(self._path)
+        if hasattr(path, "fileno"):
+            # An open artifact, mapped through its descriptor — how a
+            # spill that was never linked into a directory is opened.
+            self._path = f"<open file {path.name!r}>"
+            self._header = _read_header(path, self._path)
+            mapped = path
+        else:
+            self._path = mapped = os.fspath(path)
+            self._header = read_binary_header(self._path)
         n = self._header.num_vertices
         m = self._header.num_edges
         order_off, indptr_off, indices_off, _ = _section_offsets(n, m)
         if n:
             self._order = _np.memmap(
-                self._path, dtype=_ORDER_DTYPE, mode="r", offset=order_off, shape=(n,)
+                mapped, dtype=_ORDER_DTYPE, mode="r", offset=order_off, shape=(n,)
             )
         else:
             self._order = _np.zeros(0, dtype=_ORDER_DTYPE)
         self._indptr = _np.memmap(
-            self._path, dtype=_INDPTR_DTYPE, mode="r", offset=indptr_off, shape=(n + 1,)
+            mapped, dtype=_INDPTR_DTYPE, mode="r", offset=indptr_off, shape=(n + 1,)
         )
         if m:
             self._indices = _np.memmap(
-                self._path,
+                mapped,
                 dtype=_INDICES_DTYPE,
                 mode="r",
                 offset=indices_off,
@@ -496,52 +585,15 @@ class MemmapAdjacencySource:
         self._index_built = True
         self._stats.record_scan()
 
-    def scan_batches(
-        self, max_batch_bytes: Optional[int] = None
-    ) -> Iterator[AdjacencyBatch]:
-        """Yield the artifact as block-sized :class:`AdjacencyBatch` chunks.
-
-        Batch boundaries and charges are computed over the modeled
-        text-file geometry with the same ``batch_bounds`` grouping the
-        text reader uses, so the batched charges partition the identical
-        byte range — totals match the reader's regardless of chunking.
-        The arrays are served from the mapping: ``vertices`` is a
-        zero-copy view, ``offsets``/``targets`` are small per-batch
-        conversions to the int64 the kernels expect.
-        """
-
-        self._ensure_open()
-        if max_batch_bytes is None:
-            max_batch_bytes = self.block_size * DEFAULT_BATCH_BLOCKS
-        max_batch_bytes = max(int(max_batch_bytes), fmt.RECORD_HEADER_SIZE)
-        starts = self._starts()
-        if self._batch_plan is None or self._batch_plan[0] != max_batch_bytes:
-            self._batch_plan = (
-                max_batch_bytes,
-                batch_bounds(_np.diff(starts), max_batch_bytes),
-            )
-        _, bounds = self._batch_plan
-        indptr = self._indptr
-        for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-            self._charge_read(int(starts[a]), int(starts[b] - starts[a]))
-            base = int(indptr[a])
-            vertices = _np.asarray(self._order[a:b], dtype=_np.int64)
-            offsets = _np.asarray(indptr[a : b + 1], dtype=_np.int64) - base
-            targets = _np.asarray(
-                self._indices[base : int(indptr[b])], dtype=_np.int64
-            )
-            yield AdjacencyBatch(vertices, offsets, targets)
-        self._index_built = True
-        self._stats.record_scan()
-
     def charge_scan(self, max_batch_bytes: Optional[int] = None) -> bool:
-        """Charge one full batched scan to ``IOStats`` without serving arrays.
+        """Charge one full sequential scan to ``IOStats`` without reading.
 
-        Applies the identical modeled per-batch charges
-        :meth:`scan_batches` applies (same plan, same ``_charge_read``
-        calls, one ``record_scan`` on exhaustion).  The record-major
-        kernels use this: they read :meth:`csr_views` directly and replay
-        the charges of the equivalent sequential scan.
+        Replays the modeled reads of a batched scan of the equivalent text
+        file — one ``_charge_read`` per batch of roughly
+        ``max_batch_bytes``, then one ``record_scan``.  Contiguous reads
+        telescope, so the totals equal a record-by-record ``scan()``.  The
+        record-major kernels use this: they read :meth:`csr_views`
+        directly and charge the sequential scan they stand for.
         """
 
         self._ensure_open()
@@ -614,6 +666,19 @@ class MemmapAdjacencySource:
                 )
             self._record_of = positions
         return self._record_of
+
+    def record_offset(self, vertex: int) -> Optional[int]:
+        """Byte offset of ``vertex``'s record in the equivalent text file.
+
+        ``None`` for an id outside ``0 .. n-1``.  Not charged: a text
+        reader spilled to this artifact uses it as its record index.
+        """
+
+        self._ensure_open()
+        vertex = int(vertex)
+        if not 0 <= vertex < self._header.num_vertices:
+            return None
+        return int(self._starts()[self._record_positions()[vertex]])
 
     def neighbors(self, vertex: int) -> Tuple[int, ...]:
         """Random lookup of one vertex's neighbour list.

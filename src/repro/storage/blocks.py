@@ -24,16 +24,27 @@ from typing import BinaryIO, Optional, Tuple, Union
 from repro.errors import StorageError
 from repro.storage.io_stats import IOStats
 
-__all__ = ["BlockDevice", "DEFAULT_BLOCK_SIZE", "DEFAULT_BATCH_BLOCKS"]
+__all__ = ["BlockDevice", "DEFAULT_BLOCK_SIZE", "DEFAULT_BATCH_BLOCKS", "fsync_directory"]
 
 #: Default block size of 64 KiB — a typical unit of sequential disk transfer.
 DEFAULT_BLOCK_SIZE = 64 * 1024
 
 #: Default number of device blocks a batched sequential reader requests per
-#: read (see :meth:`repro.storage.adjacency_file.AdjacencyFileReader.scan_batches`).
+#: read (see :meth:`repro.storage.adjacency_file.AdjacencyFileReader.scan_batches`,
+#: the converters' text read, and ``MemmapAdjacencySource.charge_scan``).
 #: Sixteen 64 KiB blocks = 1 MiB per request, large enough to amortise the
 #: per-batch ndarray parsing without hoarding memory.
 DEFAULT_BATCH_BLOCKS = 16
+
+
+def fsync_directory(path: str) -> None:
+    """Make a rename or file creation in ``path``'s directory durable."""
+
+    descriptor = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
+    try:
+        os.fsync(descriptor)
+    finally:
+        os.close(descriptor)
 
 
 class BlockDevice:
@@ -89,6 +100,19 @@ class BlockDevice:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
+
+    def reopen(self) -> "BlockDevice":
+        """A second handle on the same bytes, with its own stats and cursor.
+
+        Reading through it charges nothing to this device's ``IOStats`` and
+        leaves this device's sequential cursor where it was — format
+        conversion reads a file this way.  An in-memory device is copied.
+        """
+
+        twin = BlockDevice(self._path, block_size=self.block_size)
+        if self._path is None:
+            twin._file = io.BytesIO(self._file.getvalue())
+        return twin
 
     @property
     def path(self) -> Optional[str]:

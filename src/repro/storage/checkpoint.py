@@ -89,6 +89,7 @@ from repro.errors import (
     CheckpointError,
     CheckpointVersionError,
 )
+from repro.storage.blocks import fsync_directory as _fsync_directory
 
 try:  # pragma: no cover - exercised implicitly on every import
     import numpy as _np
@@ -317,16 +318,6 @@ class Written(NamedTuple):
 
     nbytes: int
     checksum: str
-
-
-def _fsync_directory(path: str) -> None:
-    """Make a rename or file creation in ``path``'s directory durable."""
-
-    descriptor = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
-    try:
-        os.fsync(descriptor)
-    finally:
-        os.close(descriptor)
 
 
 def write_checkpoint(

@@ -15,7 +15,10 @@ the memory-mapped binary CSR artifact, and back:
   (``repro-mis convert --to-binary``), preserving record and neighbour
   order exactly;
 * :func:`binary_to_adjacency` — binary CSR artifact → text adjacency
-  file, the exact inverse.
+  file, the exact inverse;
+* :func:`spill_to_memmap` — text adjacency file → private, unnamed
+  ``SEXTCSR1`` memmap (the numpy kernels' record-major view of a text
+  input).
 
 Lines starting with ``#`` or ``%`` are treated as comments, vertex ids may
 be arbitrary non-negative integers (they are compacted to ``0 .. n-1``,
@@ -24,6 +27,7 @@ and the mapping is returned so results can be translated back).
 
 from __future__ import annotations
 
+import tempfile
 from typing import Dict, Iterable, Optional, Tuple
 
 from repro.errors import StorageError
@@ -33,7 +37,8 @@ from repro.storage.adjacency_file import AdjacencyFileReader, write_adjacency_fi
 from repro.storage.binary_format import (
     BinaryCSRHeader,
     MemmapAdjacencySource,
-    write_binary_csr,
+    write_binary_records,
+    write_records,
 )
 from repro.storage.blocks import DEFAULT_BLOCK_SIZE, BlockDevice
 
@@ -49,6 +54,7 @@ __all__ = [
     "graph_to_edge_list_file",
     "import_edge_list",
     "export_edge_list",
+    "spill_to_memmap",
 ]
 
 
@@ -181,6 +187,13 @@ def export_edge_list(adjacency_path: str, text_path: str) -> int:
     return count
 
 
+def _text_records(reader: AdjacencyFileReader):
+    """The ``(vertices, degrees, targets)`` chunks of one batched scan."""
+
+    for vertices, offsets, targets in reader.scan_batches():
+        yield vertices, _np.diff(offsets), targets
+
+
 def adjacency_to_binary(
     adjacency_path: str,
     binary_path: str,
@@ -193,55 +206,39 @@ def adjacency_to_binary(
     bit-identical (sets, rounds, I/O accounting) to one over the text
     file.  This is the one-time cost: every later open of the artifact is
     a 64-byte header read.
+
+    The text file is read once, in batches, and each batch's targets go
+    straight to their place in the output (:func:`write_records`), so
+    the edges are never held in memory — only O(n) per-vertex arrays.
     """
 
     reader = AdjacencyFileReader(adjacency_path, block_size=block_size)
     try:
-        num_vertices = reader.num_vertices
-        if _np is not None:
-            order_parts = []
-            degree_parts = []
-            target_parts = []
-            for vertices, offsets, targets in reader.scan_batches():
-                order_parts.append(vertices)
-                degree_parts.append(_np.diff(offsets))
-                target_parts.append(targets)
-            order = (
-                _np.concatenate(order_parts)
-                if order_parts
-                else _np.zeros(0, dtype=_np.int64)
-            )
-            degrees = (
-                _np.concatenate(degree_parts)
-                if degree_parts
-                else _np.zeros(0, dtype=_np.int64)
-            )
-            indices = (
-                _np.concatenate(target_parts)
-                if target_parts
-                else _np.zeros(0, dtype=_np.int64)
-            )
-            indptr = _np.zeros(num_vertices + 1, dtype=_np.int64)
-            _np.cumsum(degrees, out=indptr[1:])
-        else:  # pragma: no cover - the container ships numpy
-            order_list = []
-            indptr_list = [0]
-            indices_list = []
-            for vertex, neighbors in reader.scan():
-                order_list.append(vertex)
-                indices_list.extend(neighbors)
-                indptr_list.append(len(indices_list))
-            order, indptr, indices = order_list, indptr_list, indices_list
-        stored = len(indices)
-        if stored != 2 * reader.num_edges:
-            raise StorageError(
-                f"{adjacency_path}: header declares {reader.num_edges} edges "
-                f"but the records store {stored} targets (expected "
-                f"{2 * reader.num_edges}); the file is inconsistent"
-            )
-        return write_binary_csr(
-            binary_path, order, indptr, indices, num_edges=reader.num_edges
+        return write_binary_records(
+            binary_path, reader.num_vertices, reader.num_edges, _text_records(reader)
         )
+    finally:
+        reader.close()
+
+
+def spill_to_memmap(device: BlockDevice) -> MemmapAdjacencySource:
+    """Spill the text adjacency file on ``device`` to a private memmap.
+
+    Writes the artifact :func:`adjacency_to_binary` would write, through
+    the same writer, into an unnamed file in :mod:`tempfile`'s directory
+    (``TMPDIR``): the file is unlinked before its first byte is written,
+    so nothing is left behind however the process ends.  The text is read
+    through :meth:`BlockDevice.reopen`, so the spill charges nothing to
+    ``device``'s ``IOStats`` and does not move its read cursor.
+    """
+
+    reader = AdjacencyFileReader(device.reopen())
+    try:
+        with tempfile.TemporaryFile() as handle:
+            write_records(
+                handle, reader.num_vertices, reader.num_edges, _text_records(reader)
+            )
+            return MemmapAdjacencySource(handle, block_size=device.block_size)
     finally:
         reader.close()
 

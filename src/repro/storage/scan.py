@@ -15,11 +15,14 @@ and knows the number of vertices.  Two implementations exist:
   so the vectorized kernel backend can consume it zero-copy via
   :meth:`InMemoryAdjacencyScan.order_array`.
 
-Both sources also expose ``scan_batches``, the block-batched variant of
-``scan`` used by the vectorized semi-external execution: the records come
-back as contiguous :class:`AdjacencyBatch` ndarray chunks instead of
-per-vertex tuples, with identical ordering and identical ``IOStats``
-charges (one sequential scan per full iteration).
+The numpy kernels read a source record-major instead of calling
+``scan``: an in-memory graph's CSR arrays or a ``SEXTCSR1`` memmap's
+sections.  Text inputs spill once to a private ``SEXTCSR1`` memmap; the
+spill is not charged to ``IOStats``.  ``charge_scan`` then charges each
+scan the algorithm makes, identically to a full ``scan``.  The text
+reader's
+``scan_batches`` yields :class:`AdjacencyBatch` ndarray chunks; the
+converters read text files through it.
 
 ``as_scan_source`` normalises whatever the caller passed (a graph or an
 existing source) into a scan source, which keeps the public solver API
@@ -50,13 +53,11 @@ if HAVE_NUMPY:
 else:  # pragma: no cover - the container ships numpy
     _np = None
 
-from repro.storage.blocks import DEFAULT_BATCH_BLOCKS, DEFAULT_BLOCK_SIZE
 from repro.storage.io_stats import IOStats
 
 __all__ = [
     "AdjacencyBatch",
     "AdjacencyScanSource",
-    "DEFAULT_BATCH_BYTES",
     "InMemoryAdjacencyScan",
     "as_scan_source",
     "batch_bounds",
@@ -77,7 +78,7 @@ class AdjacencyBatch(NamedTuple):
     ``targets``
         The concatenated neighbour lists of the batch, in record order.
 
-    Batches are produced by ``scan_batches`` on the scan sources; one full
+    Batches are produced by the text reader's ``scan_batches``; one full
     iteration is one logical sequential scan (charged once to ``IOStats``
     on exhaustion, exactly like the record-streaming ``scan``).
     """
@@ -85,12 +86,6 @@ class AdjacencyBatch(NamedTuple):
     vertices: "object"
     offsets: "object"
     targets: "object"
-
-
-#: Target payload of one :class:`AdjacencyBatch` when the source has no
-#: block device to derive a batch size from (matches the file default of
-#: ``DEFAULT_BATCH_BLOCKS`` 64 KiB blocks).
-DEFAULT_BATCH_BYTES = DEFAULT_BLOCK_SIZE * DEFAULT_BATCH_BLOCKS
 
 
 def batch_bounds(record_bytes, max_batch_bytes: int):
@@ -247,51 +242,13 @@ class InMemoryAdjacencyScan:
                 yield vertex, graph.neighbors(vertex)
         self._stats.record_scan()
 
-    def scan_batches(
-        self, max_batch_bytes: Optional[int] = None
-    ) -> Iterator[AdjacencyBatch]:
-        """Yield the scan as block-sized :class:`AdjacencyBatch` chunks.
-
-        The batches cover exactly the records ``scan()`` would yield, in
-        the same order, grouped so each batch models roughly
-        ``max_batch_bytes`` of the on-disk record encoding (8-byte record
-        header + 4 bytes per neighbour, see :mod:`repro.storage.format`).
-        One full iteration charges one sequential scan, identical to
-        ``scan()``.  Requires numpy; the vectorized kernel backend is the
-        main consumer.
-        """
-
-        if _np is None:
-            raise StorageError("scan_batches requires numpy")
-        if max_batch_bytes is None:
-            max_batch_bytes = DEFAULT_BATCH_BYTES
-        from repro.storage import format as fmt
-
-        graph = self._graph
-        offsets, targets = graph.csr_arrays()
-        order = self._order
-        lens = offsets[order + 1] - offsets[order]
-        record_bytes = fmt.RECORD_HEADER_SIZE + fmt.VERTEX_ID_BYTES * lens
-        bounds = batch_bounds(record_bytes, max_batch_bytes)
-        for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-            verts = order[a:b]
-            batch_lens = lens[a:b]
-            local_offsets = _np.zeros(batch_lens.size + 1, dtype=_np.int64)
-            _np.cumsum(batch_lens, out=local_offsets[1:])
-            total = int(local_offsets[-1])
-            gather = _np.arange(total, dtype=_np.int64) + _np.repeat(
-                offsets[verts] - local_offsets[:-1], batch_lens
-            )
-            yield AdjacencyBatch(verts, local_offsets, targets[gather])
-        self._stats.record_scan()
-
-    def charge_scan(self, max_batch_bytes: Optional[int] = None) -> bool:
+    def charge_scan(self) -> bool:
         """Charge one logical sequential scan without enumerating records.
 
-        The in-memory source charges nothing per batch — ``scan`` and
-        ``scan_batches`` record exactly one sequential scan on exhaustion
-        — so the replay is that single ``record_scan``.  The record-major
-        kernels call it wherever the algorithm scans the source.
+        The in-memory source charges nothing per record — ``scan`` records
+        exactly one sequential scan on exhaustion — so the charge is that
+        single ``record_scan``.  The numpy kernels call it wherever the
+        algorithm scans the source.
         """
 
         self._stats.record_scan()

@@ -1,14 +1,16 @@
-"""The block-batched semi-external path and its parity guarantees.
+"""The semi-external file path and its parity guarantees.
 
 Three claim groups are pinned here:
 
-* the batched reader (``scan_batches``) yields exactly the records the
-  streaming ``scan`` yields, with identical ``IOStats`` charges, for any
-  block size / batch size / record order — including records straddling
-  batch boundaries and the degree-run fast path vs. the scalar fallback;
-* the numpy backend running over batched file scans returns bit-identical
-  independent sets, round telemetry *and I/O counters* to the python
-  reference streaming the same file;
+* the batched reader (``scan_batches``, which the converters read text
+  files through) yields exactly the records the streaming ``scan``
+  yields, with identical ``IOStats`` charges, for any block size / batch
+  size / record order — including records straddling batch boundaries
+  and the degree-run fast path vs. the scalar fallback;
+* the numpy backend running over a text file (through its private
+  ``SEXTCSR1`` spill) returns bit-identical independent sets, round
+  telemetry *and I/O counters* to the python reference streaming the
+  same file;
 * the vectorized two-k membership join matches the reference's
   dict-of-lists construction, and the oscillation guard stops
   ``max_rounds=None`` swap loops identically under both backends.
@@ -39,7 +41,6 @@ from repro.graphs.graph import Graph
 from repro.graphs.plrg import plrg_graph_with_vertex_count
 from repro.storage.adjacency_file import AdjacencyFileReader, write_adjacency_file
 from repro.storage.io_stats import IOStats
-from repro.storage.scan import InMemoryAdjacencyScan
 
 
 def _fresh_reader(graph, block_size=4096, order=None):
@@ -79,11 +80,10 @@ class TestBatchedReader:
             pass
         assert streaming_reader.stats.as_dict() == batched_reader.stats.as_dict()
 
-    def test_second_pass_uses_degree_cache_and_stays_identical(self):
+    def test_second_pass_stays_identical(self):
         graph = erdos_renyi_gnm(60, 150, seed=5)
         reader = _fresh_reader(graph, block_size=64)
         first = _batched_records(reader)
-        assert reader._record_degrees is not None  # discover pass cached them
         second = _batched_records(reader)
         assert first == second
         assert reader.stats.sequential_scans == 2
@@ -95,17 +95,6 @@ class TestBatchedReader:
         reader = _fresh_reader(graph)
         streaming = list(reader.scan())
         assert _batched_records(reader) == streaming
-
-    def test_batched_scan_primes_random_lookups_without_extra_scan(self):
-        graph = erdos_renyi_gnm(40, 90, seed=9)
-        reader = _fresh_reader(graph)
-        for _ in reader.scan_batches():
-            pass
-        scans_before = reader.stats.sequential_scans
-        vertex = reader.scan_order()[0]
-        assert reader.neighbors(vertex) == graph.neighbors(vertex)
-        assert reader.stats.sequential_scans == scans_before
-        assert reader.stats.random_vertex_lookups == 1
 
     def test_first_lookup_mid_scan_leaves_scan_accounting_intact(self):
         # A first-ever lookup on an unindexed reader runs the
@@ -147,20 +136,6 @@ class TestBatchedReader:
         assert _batched_records(reader, max_batch_bytes=40) == list(
             _fresh_reader(graph, 32).scan()
         )
-
-    def test_in_memory_scan_batches_match_scan(self):
-        graph = plrg_graph_with_vertex_count(200, 2.0, seed=2)
-        for order in ("degree", "id"):
-            source = InMemoryAdjacencyScan(graph, order=order)
-            streaming = list(InMemoryAdjacencyScan(graph, order=order).scan())
-            batched = []
-            for vertices, offsets, targets in source.scan_batches(max_batch_bytes=256):
-                for i, vertex in enumerate(vertices.tolist()):
-                    batched.append(
-                        (vertex, tuple(targets[offsets[i] : offsets[i + 1]].tolist()))
-                    )
-            assert batched == streaming
-            assert source.stats.sequential_scans == 1
 
 
 def _solve_file(graph, algorithm, backend, block_size=4096, order=None, **kwargs):
