@@ -25,7 +25,7 @@ from __future__ import annotations
 import time
 from typing import Optional
 
-from repro.core.kernels import observe_pass, resolve_graph_backend
+from repro.core.kernels import get_backend, observe_pass
 from repro.core.result import MISResult
 from repro.errors import MemoryBudgetError
 from repro.graphs.graph import Graph
@@ -73,7 +73,7 @@ def dynamic_update_mis(
         raise MemoryBudgetError(required, memory_limit_bytes, what="DynamicUpdate")
 
     started = time.perf_counter()
-    kernel = resolve_graph_backend(backend, graph)
+    kernel = get_backend(backend)
     selection = kernel.dynamic_update_pass(graph)
     elapsed = time.perf_counter() - started
     observe_pass("dynamic_update", kernel.name, size=len(selection))

@@ -26,7 +26,7 @@ import time
 from typing import Iterable, Optional, Set, Union
 
 from repro.core.greedy import greedy_mis
-from repro.core.kernels import observe_pass, resolve_graph_backend
+from repro.core.kernels import get_backend, observe_pass
 from repro.core.result import MISResult
 from repro.errors import MemoryBudgetError, SolverError, VertexError
 from repro.graphs.graph import Graph
@@ -66,8 +66,7 @@ def local_search_mis(
         exactly as for :func:`~repro.baselines.dynamic_update.dynamic_update_mis`.
     backend:
         Kernel backend name (``"python"``, ``"numpy"`` or ``None``/
-        ``"auto"`` for the process default).  Falls back to the reference
-        when the graph's CSR arrays are not ndarrays.
+        ``"auto"`` for the process default).
     """
 
     if max_iterations < 0:
@@ -106,7 +105,7 @@ def local_search_mis(
             extras={"iterations": 0.0},
         )
 
-    kernel = resolve_graph_backend(backend, graph)
+    kernel = get_backend(backend)
     independent_set, iterations = kernel.local_search_pass(
         graph, frozenset(selected), max_iterations
     )

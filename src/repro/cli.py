@@ -84,6 +84,7 @@ from repro.errors import (
     MemoryBudgetError,
     PipelineInterrupted,
     PipelineSpecError,
+    ReproError,
     ServiceError,
     StorageError,
     StreamError,
@@ -579,7 +580,11 @@ def _generate_graph(args: argparse.Namespace) -> Graph:
 def _command_generate(args: argparse.Namespace) -> int:
     from repro.storage.adjacency_file import write_adjacency_file
 
-    graph = _generate_graph(args)
+    try:
+        graph = _generate_graph(args)
+    except ReproError as exc:
+        print(f"cannot generate the graph: {exc}", file=sys.stderr)
+        return 2
     order = graph.degree_ascending_order() if args.order == "degree" else range(graph.num_vertices)
     device = write_adjacency_file(graph, args.output, order=list(order))
     device.close()
@@ -690,6 +695,16 @@ def _run_engine_command(
     return 0
 
 
+def _open_input(path: str):
+    """Open ``path`` as a scan source, or report why not and return ``None``."""
+
+    try:
+        return open_adjacency_source(path)
+    except (StorageError, OSError) as exc:
+        print(f"cannot open input {path!r}: {exc}", file=sys.stderr)
+        return None
+
+
 def _command_solve(args: argparse.Namespace) -> int:
     if args.resume and args.checkpoint is None:
         print("--resume requires --checkpoint PATH", file=sys.stderr)
@@ -713,7 +728,9 @@ def _command_solve(args: argparse.Namespace) -> int:
         print(conflict, file=sys.stderr)
         return 2
     obs = _build_obs(args)
-    reader = open_adjacency_source(args.input)
+    reader = _open_input(args.input)
+    if reader is None:
+        return 2
     # Every backend consumes the file semi-externally: the numpy kernels
     # run record-major over a SEXTCSR1 memmap (text inputs spill once to a
     # private SEXTCSR1 memmap; the spill is not charged to IOStats), the
@@ -768,10 +785,8 @@ def _command_watch(args: argparse.Namespace) -> int:
         print(conflict, file=sys.stderr)
         return 2
     obs = _build_obs(args)
-    try:
-        reader = open_adjacency_source(args.input)
-    except (StorageError, OSError) as exc:
-        print(f"cannot open input {args.input!r}: {exc}", file=sys.stderr)
+    reader = _open_input(args.input)
+    if reader is None:
         return 2
     try:
         # The graph digest pins the checkpoint to this input's content:
@@ -860,10 +875,8 @@ def _command_run(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    try:
-        reader = open_adjacency_source(run_spec.input)
-    except (StorageError, OSError) as exc:
-        print(f"cannot open input {run_spec.input!r}: {exc}", file=sys.stderr)
+    reader = _open_input(run_spec.input)
+    if reader is None:
         return 2
     # The run spec's backend fills the namespace slot the shared context
     # builder reads, so resolution is identical to the other commands.
@@ -1031,7 +1044,9 @@ def _command_compare(args: argparse.Namespace) -> int:
         print(f"unknown algorithm(s): {', '.join(unknown)}", file=sys.stderr)
         return 2
 
-    reader = open_adjacency_source(args.input)
+    reader = _open_input(args.input)
+    if reader is None:
+        return 2
     # One shared context for every engine run: the reader's I/O counters
     # accumulate across algorithms and the graph is materialised at most
     # once for the in-memory comparators.
@@ -1356,7 +1371,9 @@ def _command_cancel(args: argparse.Namespace) -> int:
 def _command_bound(args: argparse.Namespace) -> int:
     from repro.analysis.upper_bound import independence_upper_bound
 
-    reader = open_adjacency_source(args.input)
+    reader = _open_input(args.input)
+    if reader is None:
+        return 2
     bound = independence_upper_bound(reader)
     print(f"independence number upper bound: {bound:,}")
     reader.close()
@@ -1427,7 +1444,9 @@ def _command_reduce(args: argparse.Namespace) -> int:
     from repro.pipeline.engine import PipelineEngine
     from repro.reporting import format_table
 
-    reader = open_adjacency_source(args.input)
+    reader = _open_input(args.input)
+    if reader is None:
+        return 2
     ctx = ExecutionContext.from_args(args, reader)
     if args.pipeline is None:
         spec = PipelineSpec(name="reduce", stages=(StageSpec("reduce"),))

@@ -1,8 +1,7 @@
 """Pluggable kernel backends for the semi-external MIS passes.
 
-Importing this package registers the vectorized ``numpy`` backend when
-NumPy is importable, and with it the auto-detected default (numpy
-preferred).  The ``python`` reference registers on the first lookup of
+Importing this package registers the vectorized ``numpy`` backend, the
+default.  The ``python`` reference registers on the first lookup of
 its name, so a run on the numpy backend never imports it.  See
 :mod:`repro.core.kernels.base` for the selection rules.  The other names
 load on first use (:mod:`repro._lazy`).
@@ -13,10 +12,7 @@ from repro._lazy import lazy_exports
 # Every solve, stream and service job runs the default backend, so it is
 # compiled with the package: a forked job worker then inherits it, and a
 # stream session's first seed solve does not pay for it.
-try:
-    from repro.core.kernels.numpy_backend import NumpyBackend
-except ImportError:  # pragma: no cover - NumPy is not installed
-    NumpyBackend = None  # type: ignore[assignment,misc]
+from repro.core.kernels.numpy_backend import NumpyBackend
 
 #: Where each public name is defined; see :mod:`repro._lazy`.
 _EXPORTS = {
@@ -30,8 +26,6 @@ _EXPORTS = {
         "observe_pass",
         "register_backend",
         "resolve_backend",
-        "resolve_graph_backend",
-        "resolve_maintainer_backend",
         "set_default_backend",
         "set_pass_observer",
     ),
@@ -52,8 +46,6 @@ __all__ = [
     "observe_pass",
     "register_backend",
     "resolve_backend",
-    "resolve_graph_backend",
-    "resolve_maintainer_backend",
     "set_default_backend",
 ]
 

@@ -1,4 +1,4 @@
-"""Kernel-backend interface, registry and auto-detection.
+"""Kernel-backend interface, registry and default selection.
 
 A *kernel backend* implements the hot computational passes of the three
 semi-external algorithms (Algorithm 1 greedy, Algorithm 2 one-k-swap,
@@ -12,15 +12,15 @@ Algorithms 3/4 two-k-swap) against a scan source.  Two backends ship:
   in-memory CSR arrays of a :class:`~repro.storage.scan.InMemoryAdjacencyScan`
   or the sections of a ``SEXTCSR1`` memmap (the semi-external path).  Text
   inputs spill once to a private ``SEXTCSR1`` memmap; the spill is not
-  charged to ``IOStats``.  Every full-graph O(n)/O(E) sweep (bitmap initialisation, adjacency labelling, pointer counting,
-  swap commits, completion passes) runs as ndarray operations; only the
-  inherently sequential per-round swap-conflict logic stays scalar.
+  charged to ``IOStats``.  Every full-graph O(n)/O(E) sweep (bitmap
+  initialisation, adjacency labelling, pointer counting, swap commits,
+  completion passes) runs as ndarray operations; only the inherently
+  sequential per-round swap-conflict logic stays scalar.
   Results — independent sets, per-round telemetry and I/O counters — are
   bit-identical to the python backend.
 
-The default backend is auto-detected at import time (``numpy`` when the
-library is importable, ``python`` otherwise) and can be overridden with
-the ``REPRO_KERNEL_BACKEND`` environment variable,
+The default backend is ``numpy`` (numpy is a required dependency) and can
+be overridden with the ``REPRO_KERNEL_BACKEND`` environment variable,
 :func:`set_default_backend`, the ``backend=`` argument of the solver
 entry points, or the ``--backend`` CLI flag.
 
@@ -56,8 +56,6 @@ __all__ = [
     "observe_pass",
     "register_backend",
     "resolve_backend",
-    "resolve_graph_backend",
-    "resolve_maintainer_backend",
     "set_default_backend",
     "set_pass_observer",
 ]
@@ -210,33 +208,6 @@ class KernelBackend(abc.ABC):
 
     def supports(self, source) -> bool:
         """Whether this backend can execute against ``source``."""
-
-        return True
-
-    def supports_graph(self, graph) -> bool:
-        """Whether this backend can execute against an in-memory graph.
-
-        The in-memory comparator passes (:meth:`local_search_pass`,
-        :meth:`dynamic_update_pass`) run directly on the CSR arrays of a
-        :class:`~repro.graphs.graph.Graph`; a backend that requires a
-        specific array representation (the numpy backend needs int64
-        ndarrays) reports it here and :func:`resolve_graph_backend` falls
-        back to the reference implementation.
-        """
-
-        return True
-
-    def supports_maintainer(self, maintainer) -> bool:
-        """Whether this backend can apply update batches to ``maintainer``.
-
-        The streaming update path (:meth:`dynamic_apply_pass`) mutates the
-        flat state arrays of a
-        :class:`~repro.dynamic.maintainer.DynamicMISMaintainer` in place;
-        a backend that requires a specific array representation (the
-        numpy backend needs ndarray state) reports it here and
-        :func:`resolve_maintainer_backend` falls back to the scalar
-        reference.
-        """
 
         return True
 
@@ -396,8 +367,7 @@ def default_backend_name() -> str:
     """The name of the backend used when no explicit choice is made.
 
     Resolution order: :func:`set_default_backend` override, the
-    ``REPRO_KERNEL_BACKEND`` environment variable, then auto-detection
-    (``numpy`` when registered, ``python`` otherwise).
+    ``REPRO_KERNEL_BACKEND`` environment variable, then ``numpy``.
     """
 
     if _DEFAULT is not None:
@@ -410,11 +380,11 @@ def default_backend_name() -> str:
                 f"backend; available: {', '.join(available_backends())}"
             )
         return env
-    return "numpy" if "numpy" in _REGISTRY else "python"
+    return "numpy"
 
 
 def set_default_backend(name: Optional[str]) -> None:
-    """Force the process-wide default backend (``None`` restores auto-detect)."""
+    """Force the process-wide default backend (``None`` restores the default)."""
 
     global _DEFAULT
     if name is not None and name not in available_backends():
@@ -455,37 +425,5 @@ def resolve_backend(name: Optional[str], source) -> KernelBackend:
 
     backend = get_backend(name)
     if not backend.supports(source):
-        return get_backend("python")
-    return backend
-
-
-def resolve_graph_backend(name: Optional[str], graph) -> KernelBackend:
-    """Pick the backend that will run the in-memory comparator passes.
-
-    Mirrors :func:`resolve_backend` for passes that operate on a
-    :class:`~repro.graphs.graph.Graph` instead of a scan source: when the
-    requested backend cannot execute against the graph's CSR arrays (per
-    :meth:`KernelBackend.supports_graph` — e.g. the numpy backend on a
-    graph built without numpy), the ``python`` reference runs instead.
-    """
-
-    backend = get_backend(name)
-    if not backend.supports_graph(graph):
-        return get_backend("python")
-    return backend
-
-
-def resolve_maintainer_backend(name: Optional[str], maintainer) -> KernelBackend:
-    """Pick the backend that will apply update batches to ``maintainer``.
-
-    Mirrors :func:`resolve_graph_backend` for the streaming dynamic-MIS
-    path: when the requested backend cannot operate on the maintainer's
-    state arrays (per :meth:`KernelBackend.supports_maintainer`), the
-    scalar ``python`` reference runs instead — the results are
-    bit-identical either way.
-    """
-
-    backend = get_backend(name)
-    if not backend.supports_maintainer(maintainer):
         return get_backend("python")
     return backend

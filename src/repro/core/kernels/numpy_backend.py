@@ -1386,12 +1386,6 @@ class NumpyBackend(KernelBackend):
             source, "csr_views"
         )
 
-    def supports_graph(self, graph) -> bool:
-        """Graphs whose CSR arrays are int64 ndarrays (the numpy build)."""
-
-        offsets, targets = graph.csr_arrays()
-        return isinstance(offsets, np.ndarray) and isinstance(targets, np.ndarray)
-
     # ------------------------------------------------------------------
     # Algorithm 1: greedy.
     # ------------------------------------------------------------------
@@ -1756,11 +1750,6 @@ class NumpyBackend(KernelBackend):
     # ------------------------------------------------------------------
     # Streaming dynamic MIS: wave-batched update application.
     # ------------------------------------------------------------------
-    def supports_maintainer(self, maintainer) -> bool:
-        """Maintainers whose flat state arrays are ndarrays (the numpy build)."""
-
-        return isinstance(maintainer._selected, np.ndarray)
-
     def normalize_updates_pass(self, updates, *, strict):
         """Vectorized validate + dedupe of one update-batch side.
 

@@ -786,9 +786,7 @@ def _csr_lists(graph) -> Tuple[List[int], List[int]]:
     """The graph's CSR arrays as plain Python lists (fast scalar indexing)."""
 
     offsets, targets = graph.csr_arrays()
-    if hasattr(offsets, "tolist"):
-        return offsets.tolist(), targets.tolist()
-    return list(offsets), list(targets)
+    return offsets.tolist(), targets.tolist()
 
 
 register_backend(PythonBackend())

@@ -13,10 +13,9 @@ since), and the per-vertex solver state lives in flat arrays — a selected
 flag, the current degree, and a *tightness* counter (the number of
 selected neighbours).  Tightness makes every invariant decision O(1):
 a vertex can join the set exactly when its tightness is zero, which
-replaces the seed's per-update set intersections.  With NumPy available
-the arrays are ndarrays and the initial tightness, invariant checks and
-rebuilds run as vectorized bincounts over the CSR slots; without it the
-same flat-array logic runs on plain lists.
+replaces the seed's per-update set intersections.  The arrays are
+ndarrays, and the initial tightness, invariant checks and rebuilds run as
+vectorized bincounts over the CSR slots.
 
 Update rules:
 
@@ -60,16 +59,13 @@ from dataclasses import asdict, dataclass
 from itertools import chain
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from repro.core.kernels import WaveTelemetry, observe_pass, resolve_maintainer_backend
+import numpy as _np
+
+from repro.core.kernels import WaveTelemetry, get_backend, observe_pass
 from repro.core.kernels.python_backend import normalize_updates
 from repro.core.solver import solve_mis
 from repro.errors import DuplicateEdgeError, GraphError, SolverError, VertexError
 from repro.graphs.graph import Graph
-
-try:  # pragma: no cover - exercised implicitly on every import
-    import numpy as _np
-except ImportError:  # pragma: no cover - the container ships numpy
-    _np = None
 
 __all__ = ["UpdateStats", "DynamicMISMaintainer"]
 
@@ -133,14 +129,14 @@ class DynamicMISMaintainer:
         self._overlay_entries = 0
         # Flat per-vertex state, grown on demand.
         self._capacity = 0
-        self._present = self._new_bool(0)
-        self._selected = self._new_bool(0)
-        self._tight = self._new_int(0)
-        self._degree = self._new_int(0)
+        self._present = _np.zeros(0, dtype=bool)
+        self._selected = _np.zeros(0, dtype=bool)
+        self._tight = _np.zeros(0, dtype=_np.int64)
+        self._degree = _np.zeros(0, dtype=_np.int64)
         #: Conservative per-vertex flag: True once the vertex has (ever
         #: had) a delta-overlay entry, so vectorized adjacency gathers
         #: can skip the per-vertex dict probes on clean vertices.
-        self._overlay_dirty = self._new_bool(0)
+        self._overlay_dirty = _np.zeros(0, dtype=bool)
         self._num_present = 0
         self._num_edges = 0
         self._max_id = -1
@@ -152,15 +148,8 @@ class DynamicMISMaintainer:
             self._max_id = self._base_n - 1
             self._num_present = self._base_n
             self._num_edges = graph.num_edges
-            if _np is not None and isinstance(self._base_offsets, _np.ndarray):
-                self._present[: self._base_n] = True
-                self._degree[: self._base_n] = _np.diff(self._base_offsets)
-            else:
-                for v in range(self._base_n):
-                    self._present[v] = True
-                    self._degree[v] = (
-                        self._base_offsets[v + 1] - self._base_offsets[v]
-                    )
+            self._present[: self._base_n] = True
+            self._degree[: self._base_n] = _np.diff(self._base_offsets)
             if initial is None:
                 initial = solve_mis(graph, pipeline=pipeline).independent_set
             for v in initial:
@@ -181,50 +170,24 @@ class DynamicMISMaintainer:
     # ------------------------------------------------------------------
     # Flat-array plumbing
     # ------------------------------------------------------------------
-    @staticmethod
-    def _new_bool(size: int):
-        if _np is not None:
-            return _np.zeros(size, dtype=bool)
-        return [False] * size
-
-    @staticmethod
-    def _new_int(size: int):
-        if _np is not None:
-            return _np.zeros(size, dtype=_np.int64)
-        return [0] * size
-
     def _grow(self, needed: int) -> None:
         """Ensure the state arrays cover vertex ids ``0 .. needed - 1``."""
 
         if needed <= self._capacity:
             return
         new_capacity = max(needed, 2 * self._capacity, 16)
-        if _np is not None and isinstance(self._present, _np.ndarray):
-            for name in (
-                "_present", "_selected", "_tight", "_degree", "_overlay_dirty"
-            ):
-                old = getattr(self, name)
-                fresh = _np.zeros(new_capacity, dtype=old.dtype)
-                fresh[: old.size] = old
-                setattr(self, name, fresh)
-        else:
-            pad = new_capacity - self._capacity
-            self._present.extend([False] * pad)
-            self._selected.extend([False] * pad)
-            self._tight.extend([0] * pad)
-            self._degree.extend([0] * pad)
-            self._overlay_dirty.extend([False] * pad)
+        for name in ("_present", "_selected", "_tight", "_degree", "_overlay_dirty"):
+            old = getattr(self, name)
+            fresh = _np.zeros(new_capacity, dtype=old.dtype)
+            fresh[: old.size] = old
+            setattr(self, name, fresh)
         self._capacity = new_capacity
 
     def _selected_ids(self) -> List[int]:
-        if _np is not None and isinstance(self._selected, _np.ndarray):
-            return _np.flatnonzero(self._selected).tolist()
-        return [v for v in range(self._capacity) if self._selected[v]]
+        return _np.flatnonzero(self._selected).tolist()
 
     def _present_ids(self) -> List[int]:
-        if _np is not None and isinstance(self._present, _np.ndarray):
-            return _np.flatnonzero(self._present).tolist()
-        return [v for v in range(self._capacity) if self._present[v]]
+        return _np.flatnonzero(self._present).tolist()
 
     # ------------------------------------------------------------------
     # Adjacency (CSR base + deltas)
@@ -232,10 +195,9 @@ class DynamicMISMaintainer:
     def _base_slice(self, vertex: int) -> List[int]:
         if not (0 <= vertex < self._base_n):
             return []
-        chunk = self._base_targets[
+        return self._base_targets[
             self._base_offsets[vertex] : self._base_offsets[vertex + 1]
-        ]
-        return chunk.tolist() if hasattr(chunk, "tolist") else list(chunk)
+        ].tolist()
 
     def _neighbors(self, vertex: int) -> List[int]:
         """Current neighbours of ``vertex`` (base minus removed plus added)."""
@@ -293,9 +255,7 @@ class DynamicMISMaintainer:
     def size(self) -> int:
         """Size of the maintained independent set."""
 
-        if _np is not None and isinstance(self._selected, _np.ndarray):
-            return int(self._selected.sum())
-        return sum(1 for v in range(self._capacity) if self._selected[v])
+        return int(self._selected.sum())
 
     def to_graph(self) -> Graph:
         """Materialise the current graph as an immutable :class:`Graph`."""
@@ -307,43 +267,25 @@ class DynamicMISMaintainer:
             for v in neighbors
             if u < v
         ]
-        if (
-            _np is not None
-            and self._base_n
-            and isinstance(self._base_targets, _np.ndarray)
-        ):
-            degrees = _np.diff(self._base_offsets)
-            sources = _np.repeat(
-                _np.arange(self._base_n, dtype=_np.int64), degrees
-            )
-            forward = sources < self._base_targets
-            eu, ev = sources[forward], self._base_targets[forward]
-            if self._removed:
-                removed_keys = {
-                    u * num_vertices + v
-                    for u, neighbors in self._removed.items()
-                    for v in neighbors
-                    if u < v
-                }
-                if removed_keys:
-                    keys = eu * num_vertices + ev
-                    keep = ~_np.isin(
-                        keys, _np.fromiter(removed_keys, dtype=_np.int64)
-                    )
-                    eu, ev = eu[keep], ev[keep]
-            edges = _np.column_stack((eu, ev))
-            if added_pairs:
-                edges = _np.concatenate(
-                    (edges, _np.asarray(added_pairs, dtype=_np.int64))
-                )
-            return Graph(num_vertices, edges)
-        edges: List[Tuple[int, int]] = []
-        for u in range(self._base_n):
-            removed = self._removed.get(u)
-            for v in self._base_slice(u):
-                if u < v and not (removed and v in removed):
-                    edges.append((u, v))
-        edges.extend(added_pairs)
+        offsets, targets = self.base_arrays()
+        sources = _np.repeat(
+            _np.arange(self._base_n, dtype=_np.int64), _np.diff(offsets)
+        )
+        forward = sources < targets
+        eu, ev = sources[forward], targets[forward]
+        removed_keys = {
+            u * num_vertices + v
+            for u, neighbors in self._removed.items()
+            for v in neighbors
+            if u < v
+        }
+        if removed_keys:
+            keys = eu * num_vertices + ev
+            keep = ~_np.isin(keys, _np.fromiter(removed_keys, dtype=_np.int64))
+            eu, ev = eu[keep], ev[keep]
+        edges = _np.column_stack((eu, ev))
+        if added_pairs:
+            edges = _np.concatenate((edges, _np.asarray(added_pairs, dtype=_np.int64)))
         return Graph(num_vertices, edges)
 
     def _recompute_tightness(self) -> None:
@@ -353,31 +295,22 @@ class DynamicMISMaintainer:
         (small) delta overlay is patched in scalar.
         """
 
-        if _np is not None and isinstance(self._tight, _np.ndarray):
-            self._tight[:] = 0
-            if self._base_n and isinstance(self._base_targets, _np.ndarray):
-                degrees = _np.diff(self._base_offsets)
-                sources = _np.repeat(
-                    _np.arange(self._base_n, dtype=_np.int64), degrees
-                )
-                mask = self._selected[self._base_targets]
-                self._tight[: self._base_n] += _np.bincount(
-                    sources[mask], minlength=self._base_n
-                )
-            for u, neighbors in self._removed.items():
-                for v in neighbors:
-                    if self._selected[v]:
-                        self._tight[u] -= 1
-            for u, neighbors in self._added.items():
-                for v in neighbors:
-                    if self._selected[v]:
-                        self._tight[u] += 1
-            return
-        for v in range(self._capacity):
-            self._tight[v] = 0
-        for v in self._selected_ids():
-            for u in self._neighbors(v):
-                self._tight[u] += 1
+        self._tight[:] = 0
+        if self._base_n:
+            degrees = _np.diff(self._base_offsets)
+            sources = _np.repeat(_np.arange(self._base_n, dtype=_np.int64), degrees)
+            mask = self._selected[self._base_targets]
+            self._tight[: self._base_n] += _np.bincount(
+                sources[mask], minlength=self._base_n
+            )
+        for u, neighbors in self._removed.items():
+            for v in neighbors:
+                if self._selected[v]:
+                    self._tight[u] -= 1
+        for u, neighbors in self._added.items():
+            for v in neighbors:
+                if self._selected[v]:
+                    self._tight[u] += 1
 
     def check_invariants(self) -> None:
         """Raise :class:`SolverError` if independence or maximality is violated.
@@ -387,11 +320,7 @@ class DynamicMISMaintainer:
         maintainer bugs.
         """
 
-        maintained = (
-            self._tight.copy()
-            if _np is not None and isinstance(self._tight, _np.ndarray)
-            else list(self._tight)
-        )
+        maintained = self._tight.copy()
         self._recompute_tightness()
         try:
             for u in self._selected_ids():
@@ -409,11 +338,7 @@ class DynamicMISMaintainer:
                     raise SolverError(
                         f"vertex {v} is uncovered: the set is not maximal"
                     )
-            if _np is not None and isinstance(maintained, _np.ndarray):
-                drift = bool((maintained != self._tight).any())
-            else:
-                drift = maintained != list(self._tight)
-            if drift:
+            if (maintained != self._tight).any():
                 raise SolverError("the maintained tightness counters drifted")
             if self._overlay_entries != self._count_overlay():
                 raise SolverError(
@@ -421,10 +346,7 @@ class DynamicMISMaintainer:
                     f"vs {self._count_overlay()} overlay entries"
                 )
         finally:
-            if _np is not None and isinstance(maintained, _np.ndarray):
-                self._tight[:] = maintained
-            else:
-                self._tight = maintained
+            self._tight[:] = maintained
 
     # ------------------------------------------------------------------
     # Updates
@@ -614,7 +536,7 @@ class DynamicMISMaintainer:
         the (cumulative) :class:`UpdateStats`.
         """
 
-        backend = resolve_maintainer_backend(self._backend, self)
+        backend = get_backend(self._backend)
         insertions = backend.normalize_updates_pass(insertions, strict=True)
         deletions = backend.normalize_updates_pass(deletions, strict=False)
         if not exist_ok:
@@ -643,11 +565,7 @@ class DynamicMISMaintainer:
         solution = solve_mis(graph, pipeline=pipeline or self._pipeline).independent_set
         # to_graph() may contain placeholder ids for vertices that were never
         # created; keep only real vertices and re-saturate the rest.
-        if _np is not None and isinstance(self._selected, _np.ndarray):
-            self._selected[:] = False
-        else:
-            for v in range(self._capacity):
-                self._selected[v] = False
+        self._selected[:] = False
         for v in solution:
             if v < self._capacity and self._present[v]:
                 self._selected[v] = True
@@ -687,11 +605,7 @@ class DynamicMISMaintainer:
         self._added.clear()
         self._removed.clear()
         self._overlay_entries = 0
-        if _np is not None and isinstance(self._overlay_dirty, _np.ndarray):
-            self._overlay_dirty[:] = False
-        else:
-            for v in range(self._capacity):
-                self._overlay_dirty[v] = False
+        self._overlay_dirty[:] = False
         self.stats.compactions += 1
 
     def _maybe_compact(self) -> None:
@@ -719,8 +633,8 @@ class DynamicMISMaintainer:
         :meth:`from_state` rebuilds an identical maintainer — degrees and
         tightness are recomputed deterministically from the adjacency and
         selection, so only flags, overlays and counters are stored.  The
-        bulky fields are flat int arrays (ndarrays with NumPy) that the
-        checkpoint encoder packs without a per-element walk:
+        bulky fields are flat int ndarrays that the checkpoint encoder
+        packs without a per-element walk:
 
         * ``selected_bits`` — the selection over ``[0, max_id]`` as a
           big-endian bitmap, one signed byte per 8 vertices;
@@ -730,19 +644,13 @@ class DynamicMISMaintainer:
         """
 
         count = self._max_id + 1
-        if _np is not None and isinstance(self._selected, _np.ndarray):
-            selected_bits = _np.packbits(self._selected[:count]).view(_np.int8)
-            absent = _np.flatnonzero(~self._present[:count])
-        else:
-            selected_bits = _pack_bits(self._selected[:count])
-            absent = [v for v in range(count) if not self._present[v]]
         return {
             "pipeline": self._pipeline,
             "max_id": self._max_id,
             "num_present": self._num_present,
             "num_edges": self._num_edges,
-            "selected_bits": selected_bits,
-            "absent": absent,
+            "selected_bits": _np.packbits(self._selected[:count]).view(_np.int8),
+            "absent": _np.flatnonzero(~self._present[:count]),
             "added": _flat_overlay_edges(self._added),
             "removed": _flat_overlay_edges(self._removed),
             "stats": asdict(self.stats),
@@ -763,10 +671,11 @@ class DynamicMISMaintainer:
         """Rebuild a maintainer from :meth:`state_payload` + CSR base.
 
         ``payload`` may hold the fields as ndarrays (straight from
-        :meth:`state_payload`) or as the int lists a checkpoint decodes to.
-        ``records`` are batch-log records (see :meth:`replay_batch`) of
-        the batches applied after ``payload`` was taken, replayed in order
-        before tightness is recomputed once.
+        :meth:`state_payload`) or as the int lists a checkpoint decodes to;
+        the base arrays may be any int sequences and are coerced to int64
+        ndarrays here.  ``records`` are batch-log records (see
+        :meth:`replay_batch`) of the batches applied after ``payload`` was
+        taken, replayed in order before tightness is recomputed once.
         """
 
         maintainer = cls(
@@ -775,8 +684,9 @@ class DynamicMISMaintainer:
             compact_threshold=compact_threshold,
             journal_limit=journal_limit,
         )
+        base_offsets = _np.asarray(base_offsets, dtype=_np.int64)
         maintainer._base_offsets = base_offsets
-        maintainer._base_targets = base_targets
+        maintainer._base_targets = _np.asarray(base_targets, dtype=_np.int64)
         maintainer._base_n = len(base_offsets) - 1
         max_id = int(payload["max_id"])
         count = max_id + 1
@@ -786,25 +696,13 @@ class DynamicMISMaintainer:
         maintainer._grow(count)
         added = _overlay_pairs(payload["added"])
         removed = _overlay_pairs(payload["removed"])
-        if _np is not None and isinstance(maintainer._present, _np.ndarray):
-            maintainer._present[:count] = True
-            maintainer._present[_np.asarray(payload["absent"], dtype=_np.int64)] = False
-            bits = _np.asarray(payload["selected_bits"], dtype=_np.int8)
-            maintainer._selected[:count] = _np.unpackbits(
-                bits.view(_np.uint8), count=count
-            ).astype(bool)
-            base_n = maintainer._base_n
-            if base_n and isinstance(base_offsets, _np.ndarray):
-                maintainer._degree[:base_n] = _np.diff(base_offsets)
-        else:
-            for v in range(count):
-                maintainer._present[v] = True
-            for v in payload["absent"]:
-                maintainer._present[v] = False
-            for v, bit in enumerate(_unpack_bits(payload["selected_bits"], count)):
-                maintainer._selected[v] = bit
-            for v in range(maintainer._base_n):
-                maintainer._degree[v] = base_offsets[v + 1] - base_offsets[v]
+        maintainer._present[:count] = True
+        maintainer._present[_np.asarray(payload["absent"], dtype=_np.int64)] = False
+        bits = _np.asarray(payload["selected_bits"], dtype=_np.int8)
+        maintainer._selected[:count] = _np.unpackbits(
+            bits.view(_np.uint8), count=count
+        ).astype(bool)
+        maintainer._degree[: maintainer._base_n] = _np.diff(base_offsets)
         for pairs, overlay in (
             (added, maintainer._added),
             (removed, maintainer._removed),
@@ -875,19 +773,10 @@ class DynamicMISMaintainer:
         self.journal.extend(entries)
 
     def _store_selected(self, vertices, value: bool) -> None:
-        if _np is not None and isinstance(self._selected, _np.ndarray):
-            self._selected[vertices] = value
-        else:
-            for v in vertices:
-                self._selected[v] = value
+        self._selected[vertices] = value
 
     def _scatter_tight(self, vertices, deltas) -> None:
-        if _np is not None and isinstance(self._tight, _np.ndarray):
-            _np.add.at(self._tight, vertices, deltas)
-        else:
-            scalar = not hasattr(deltas, "__len__")
-            for i, v in enumerate(vertices):
-                self._tight[v] += deltas if scalar else deltas[i]
+        _np.add.at(self._tight, vertices, deltas)
 
     def _saturate(self, candidates: Iterable[int]) -> None:
         """Greedily add any candidate left without a selected neighbour."""
@@ -913,14 +802,6 @@ class DynamicMISMaintainer:
 def _flat_overlay_edges(overlay: Dict[int, Set[int]]):
     """One overlay's undirected edges as flat ``u, v`` pairs, ``u < v``, sorted."""
 
-    if _np is None:
-        return [
-            x
-            for u, v in sorted(
-                (u, v) for u, neighbors in overlay.items() for v in neighbors if u < v
-            )
-            for x in (u, v)
-        ]
     size = len(overlay)
     sources = _np.fromiter(overlay.keys(), dtype=_np.int64, count=size)
     lengths = _np.fromiter(map(len, overlay.values()), dtype=_np.int64, count=size)
@@ -941,24 +822,3 @@ def _overlay_pairs(flat) -> List[Tuple[int, int]]:
     if len(values) % 2:
         raise SolverError("overlay edge arrays must hold an even number of ids")
     return list(zip(values[0::2], values[1::2]))
-
-
-def _pack_bits(flags) -> List[int]:
-    """Pure-python ``numpy.packbits`` (big-endian bits) as signed bytes."""
-
-    packed = []
-    for start in range(0, len(flags), 8):
-        byte = 0
-        for offset, flag in enumerate(flags[start : start + 8]):
-            if flag:
-                byte |= 0x80 >> offset
-        packed.append(byte - 256 if byte > 127 else byte)
-    return packed
-
-
-def _unpack_bits(packed, count: int) -> List[bool]:
-    """Inverse of :func:`_pack_bits`, truncated to ``count`` flags."""
-
-    return [
-        bool((packed[v >> 3] & 0xFF) & (0x80 >> (v & 7))) for v in range(count)
-    ]

@@ -21,15 +21,12 @@ swap in round one; the swap then frees the previous triple, and so on —
 
 from __future__ import annotations
 
-from typing import List, Set, Tuple
+from typing import Set, Tuple
+
+import numpy as _np
 
 from repro.errors import GraphError
-from repro.graphs.graph import HAVE_NUMPY, Graph
-
-if HAVE_NUMPY:
-    import numpy as _np
-else:  # pragma: no cover - the container ships numpy
-    _np = None
+from repro.graphs.graph import Graph
 
 __all__ = [
     "cascade_swap_graph",
@@ -50,30 +47,19 @@ def cascade_swap_graph(num_triples: int) -> Graph:
 
     if num_triples < 1:
         raise GraphError("a cascade-swap graph needs at least one triple")
-    if _np is not None:
-        a = 3 * _np.arange(num_triples, dtype=_np.int64)
-        within = _np.concatenate(
-            (_np.column_stack((a, a + 1)), _np.column_stack((a, a + 2)))
+    a = 3 * _np.arange(num_triples, dtype=_np.int64)
+    within = _np.concatenate(
+        (_np.column_stack((a, a + 1)), _np.column_stack((a, a + 2)))
+    )
+    chain_a = a[:-1]
+    next_a = a[1:]
+    links = _np.concatenate(
+        (
+            _np.column_stack((chain_a + 1, next_a)),
+            _np.column_stack((chain_a + 2, next_a)),
         )
-        chain_a = a[:-1]
-        next_a = a[1:]
-        links = _np.concatenate(
-            (
-                _np.column_stack((chain_a + 1, next_a)),
-                _np.column_stack((chain_a + 2, next_a)),
-            )
-        )
-        return Graph(3 * num_triples, _np.concatenate((within, links)))
-    edges: List[Tuple[int, int]] = []
-    for index in range(num_triples):
-        a, b, c = _triple_ids(index)
-        edges.append((a, b))
-        edges.append((a, c))
-        if index + 1 < num_triples:
-            next_a, _, _ = _triple_ids(index + 1)
-            edges.append((b, next_a))
-            edges.append((c, next_a))
-    return Graph(3 * num_triples, edges)
+    )
+    return Graph(3 * num_triples, _np.concatenate((within, links)))
 
 
 def cascade_initial_independent_set(num_triples: int) -> Set[int]:

@@ -6,8 +6,7 @@ random generators take an explicit ``seed`` so experiments are
 reproducible.
 
 The deterministic generators and the configuration-model pairing build
-their edge sets as int64 ndarrays (when numpy is available) and hand them
-straight to the vectorized CSR pipeline — no per-edge Python tuples.  The
+their edge sets as int64 ndarrays and hand them straight to the vectorized CSR pipeline — no per-edge Python tuples.  The
 random generators that draw one variate per candidate pair keep their
 original sampling loops so seeded graphs stay bit-identical to the seed
 implementation.
@@ -19,12 +18,9 @@ import random
 from typing import List, Optional, Tuple
 
 from repro.errors import GraphError
-from repro.graphs.graph import HAVE_NUMPY, Graph
+import numpy as _np
 
-if HAVE_NUMPY:
-    import numpy as _np
-else:  # pragma: no cover - the container ships numpy
-    _np = None
+from repro.graphs.graph import Graph
 
 __all__ = [
     "empty_graph",
@@ -55,10 +51,8 @@ def empty_graph(num_vertices: int) -> Graph:
 def path_graph(num_vertices: int) -> Graph:
     """Path ``0 - 1 - ... - (n-1)``; independence number ``ceil(n / 2)``."""
 
-    if _np is not None and num_vertices > 1:
-        ids = _np.arange(num_vertices - 1, dtype=_np.int64)
-        return Graph(num_vertices, _np.column_stack((ids, ids + 1)))
-    return Graph(num_vertices, [(i, i + 1) for i in range(num_vertices - 1)])
+    ids = _np.arange(num_vertices - 1, dtype=_np.int64)
+    return Graph(num_vertices, _np.column_stack((ids, ids + 1)))
 
 
 def cycle_graph(num_vertices: int) -> Graph:
@@ -66,11 +60,8 @@ def cycle_graph(num_vertices: int) -> Graph:
 
     if num_vertices < 3:
         raise GraphError("a cycle needs at least 3 vertices")
-    if _np is not None:
-        ids = _np.arange(num_vertices, dtype=_np.int64)
-        return Graph(num_vertices, _np.column_stack((ids, (ids + 1) % num_vertices)))
-    edges = [(i, (i + 1) % num_vertices) for i in range(num_vertices)]
-    return Graph(num_vertices, edges)
+    ids = _np.arange(num_vertices, dtype=_np.int64)
+    return Graph(num_vertices, _np.column_stack((ids, (ids + 1) % num_vertices)))
 
 
 def star_graph(num_leaves: int) -> Graph:
@@ -78,24 +69,15 @@ def star_graph(num_leaves: int) -> Graph:
 
     if num_leaves < 0:
         raise GraphError("num_leaves must be non-negative")
-    if _np is not None and num_leaves > 0:
-        leaves = _np.arange(1, num_leaves + 1, dtype=_np.int64)
-        return Graph(num_leaves + 1, _np.column_stack((_np.zeros_like(leaves), leaves)))
-    return Graph(num_leaves + 1, [(0, leaf) for leaf in range(1, num_leaves + 1)])
+    leaves = _np.arange(1, num_leaves + 1, dtype=_np.int64)
+    return Graph(num_leaves + 1, _np.column_stack((_np.zeros_like(leaves), leaves)))
 
 
 def complete_graph(num_vertices: int) -> Graph:
     """Complete graph K_n; independence number 1 (or 0 for the empty graph)."""
 
-    if _np is not None:
-        rows, cols = _np.triu_indices(num_vertices, k=1)
-        return Graph(num_vertices, _np.column_stack((rows, cols)).astype(_np.int64))
-    edges = [
-        (u, v)
-        for u in range(num_vertices)
-        for v in range(u + 1, num_vertices)
-    ]
-    return Graph(num_vertices, edges)
+    rows, cols = _np.triu_indices(num_vertices, k=1)
+    return Graph(num_vertices, _np.column_stack((rows, cols)).astype(_np.int64))
 
 
 def complete_bipartite_graph(left: int, right: int) -> Graph:
@@ -103,12 +85,9 @@ def complete_bipartite_graph(left: int, right: int) -> Graph:
 
     if left < 0 or right < 0:
         raise GraphError("part sizes must be non-negative")
-    if _np is not None and left > 0 and right > 0:
-        us = _np.repeat(_np.arange(left, dtype=_np.int64), right)
-        vs = _np.tile(_np.arange(left, left + right, dtype=_np.int64), left)
-        return Graph(left + right, _np.column_stack((us, vs)))
-    edges = [(u, left + v) for u in range(left) for v in range(right)]
-    return Graph(left + right, edges)
+    us = _np.repeat(_np.arange(left, dtype=_np.int64), right)
+    vs = _np.tile(_np.arange(left, left + right, dtype=_np.int64), left)
+    return Graph(left + right, _np.column_stack((us, vs)))
 
 
 def grid_graph(rows: int, cols: int) -> Graph:
@@ -116,24 +95,10 @@ def grid_graph(rows: int, cols: int) -> Graph:
 
     if rows < 1 or cols < 1:
         raise GraphError("grid dimensions must be positive")
-
-    if _np is not None:
-        ids = _np.arange(rows * cols, dtype=_np.int64).reshape(rows, cols)
-        horizontal = _np.column_stack((ids[:, :-1].reshape(-1), ids[:, 1:].reshape(-1)))
-        vertical = _np.column_stack((ids[:-1, :].reshape(-1), ids[1:, :].reshape(-1)))
-        return Graph(rows * cols, _np.concatenate((horizontal, vertical)))
-
-    def vertex(r: int, c: int) -> int:
-        return r * cols + c
-
-    edges = []
-    for r in range(rows):
-        for c in range(cols):
-            if c + 1 < cols:
-                edges.append((vertex(r, c), vertex(r, c + 1)))
-            if r + 1 < rows:
-                edges.append((vertex(r, c), vertex(r + 1, c)))
-    return Graph(rows * cols, edges)
+    ids = _np.arange(rows * cols, dtype=_np.int64).reshape(rows, cols)
+    horizontal = _np.column_stack((ids[:, :-1].reshape(-1), ids[:, 1:].reshape(-1)))
+    vertical = _np.column_stack((ids[:-1, :].reshape(-1), ids[1:, :].reshape(-1)))
+    return Graph(rows * cols, _np.concatenate((horizontal, vertical)))
 
 
 def erdos_renyi_gnp(num_vertices: int, probability: float, seed: Optional[int] = None) -> Graph:
@@ -154,10 +119,12 @@ def erdos_renyi_gnp(num_vertices: int, probability: float, seed: Optional[int] =
 def erdos_renyi_gnm(num_vertices: int, num_edges: int, seed: Optional[int] = None) -> Graph:
     """G(n, m) random graph with exactly ``num_edges`` distinct edges.
 
-    Raises :class:`GraphError` when ``num_edges`` exceeds the number of
-    vertex pairs.
+    Raises :class:`GraphError` when ``num_edges`` is negative or exceeds
+    the number of vertex pairs.
     """
 
+    if num_edges < 0:
+        raise GraphError(f"num_edges must be non-negative, got {num_edges}")
     max_edges = num_vertices * (num_vertices - 1) // 2
     if num_edges > max_edges:
         raise GraphError(
@@ -206,24 +173,12 @@ def random_regular_graph(num_vertices: int, degree: int, seed: Optional[int] = N
     if (num_vertices * degree) % 2 == 1:
         raise GraphError("num_vertices * degree must be even")
     rng = random.Random(seed)
-    if _np is not None:
-        stubs = _np.repeat(_np.arange(num_vertices, dtype=_np.int64), degree).tolist()
-    else:
-        stubs = []
-        for v in range(num_vertices):
-            stubs.extend([v] * degree)
+    stubs = _np.repeat(_np.arange(num_vertices, dtype=_np.int64), degree).tolist()
     rng.shuffle(stubs)
-    if _np is not None:
-        pairs = _np.asarray(stubs, dtype=_np.int64)
-        pairs = pairs[: 2 * (pairs.size // 2)].reshape(-1, 2)
-        # Graph() drops the matching's self loops and parallel edges.
-        return Graph(num_vertices, pairs)
-    edges = []
-    for i in range(0, len(stubs) - 1, 2):
-        u, v = stubs[i], stubs[i + 1]
-        if u != v:
-            edges.append((u, v))
-    return Graph(num_vertices, edges)
+    pairs = _np.asarray(stubs, dtype=_np.int64)
+    pairs = pairs[: 2 * (pairs.size // 2)].reshape(-1, 2)
+    # Graph() drops the matching's self loops and parallel edges.
+    return Graph(num_vertices, pairs)
 
 
 def caveman_graph(num_cliques: int, clique_size: int) -> Graph:
@@ -252,19 +207,11 @@ def disjoint_union(*graphs: Graph) -> Graph:
     """Disjoint union of graphs; vertex ids are shifted block by block."""
 
     total = sum(g.num_vertices for g in graphs)
-    if _np is not None:
-        blocks = []
-        offset = 0
-        for g in graphs:
-            blocks.append(g.edge_array() + offset)
-            offset += g.num_vertices
-        if not blocks:
-            return Graph(total, [])
-        return Graph(total, _np.concatenate(blocks))
-    edges = []
+    blocks = []
     offset = 0
     for g in graphs:
-        for u, v in g.iter_edges():
-            edges.append((u + offset, v + offset))
+        blocks.append(g.edge_array() + offset)
         offset += g.num_vertices
-    return Graph(total, edges)
+    if not blocks:
+        return Graph(total, [])
+    return Graph(total, _np.concatenate(blocks))

@@ -11,11 +11,7 @@ neighbour lists) so converting between the two is a straight copy.
 The CSR arrays (``_offsets`` / ``_targets``) are ``int64`` NumPy ndarrays
 built by an O(E log E) sort-and-dedup pipeline: the edge list is
 symmetrised, lexicographically sorted and deduplicated with vectorized
-array operations — no per-vertex Python sets are ever materialised.  When
-NumPy is unavailable the same pipeline runs on plain Python lists (still
-O(E log E), still set-free), so the package imports everywhere; the
-vectorized kernel backend in :mod:`repro.core.kernels` then simply stays
-unregistered.
+array operations — no per-vertex Python sets are ever materialised.
 
 Vertices are the integers ``0 .. n-1``.  The graph is simple: self loops
 and parallel edges passed to the builder are silently dropped, matching
@@ -24,30 +20,22 @@ the paper's "simple undirected graph" setting (Section 2.1).
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_left
-from collections import Counter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as _np
 
 from repro.errors import GraphError, VertexError
 
-try:  # pragma: no cover - exercised implicitly on every import
-    import numpy as _np
-except ImportError:  # pragma: no cover - the container ships numpy
-    _np = None
-
-__all__ = ["Graph", "GraphBuilder", "HAVE_NUMPY", "build_csr", "permutation_array"]
-
-#: Whether the vectorized NumPy construction pipeline is active.
-HAVE_NUMPY = _np is not None
+__all__ = ["Graph", "GraphBuilder", "build_csr", "permutation_array"]
 
 
 def _as_int64(values, what: str):
     """Coerce to an int64 ndarray, rejecting non-integral dtypes.
 
-    ``np.asarray(..., dtype=int64)`` would silently truncate floats; the
-    pure-Python paths raise on them instead, so the vectorized paths must
-    too.
+    ``np.asarray(..., dtype=int64)`` would silently truncate floats, which
+    would turn a malformed edge or permutation into a silently different
+    graph.
     """
 
     arr = _np.asarray(values)
@@ -62,7 +50,7 @@ def permutation_array(values, num_vertices: int):
     """Return ``values`` as an int64 ndarray if it permutes ``0..n-1``, else ``None``.
 
     Shared by :meth:`Graph.relabeled` and the explicit-scan-order
-    validation in :mod:`repro.storage.scan` (numpy builds only).
+    validation in :mod:`repro.storage.scan`.
     """
 
     try:
@@ -92,11 +80,12 @@ def _first_invalid_endpoint(pairs, num_vertices: int) -> int:
     return int(bad[0])
 
 
-def _csr_numpy(num_vertices: int, edges) -> Tuple["_np.ndarray", "_np.ndarray"]:
-    """Vectorized O(E log E) sort-and-dedup CSR construction."""
+def build_csr(num_vertices: int, edges) -> Tuple["_np.ndarray", "_np.ndarray"]:
+    """Build int64 ``(offsets, targets)`` CSR arrays from an edge iterable.
 
-    if _np is None:  # pragma: no cover - guarded by callers
-        raise GraphError("numpy is not available")
+    Vectorized O(E log E) sort-and-dedup construction.
+    """
+
     if isinstance(edges, _np.ndarray):
         pairs = edges
         if pairs.ndim == 1 and pairs.size == 0:
@@ -160,53 +149,6 @@ def _csr_numpy(num_vertices: int, edges) -> Tuple["_np.ndarray", "_np.ndarray"]:
     counts = _np.bincount(sym_src, minlength=num_vertices)
     _np.cumsum(counts, out=offsets[1:])
     return offsets, targets
-
-
-def _csr_python(num_vertices: int, edges) -> Tuple[array, array]:
-    """The seed's per-vertex-set construction, kept as the pure-Python reference.
-
-    This is the pipeline the package falls back to when numpy is missing,
-    and the baseline the benchmark harness compares the vectorized
-    pipeline against.
-    """
-
-    adjacency: List[set] = [set() for _ in range(num_vertices)]
-    for u, v in edges:
-        if not (0 <= u < num_vertices):
-            raise VertexError(u, num_vertices)
-        if not (0 <= v < num_vertices):
-            raise VertexError(v, num_vertices)
-        if u == v:
-            continue
-        adjacency[u].add(v)
-        adjacency[v].add(u)
-    offsets = array("q", [0] * (num_vertices + 1))
-    targets = array("q")
-    running = 0
-    for v in range(num_vertices):
-        neighbours = sorted(adjacency[v])
-        targets.extend(neighbours)
-        running += len(neighbours)
-        offsets[v + 1] = running
-    return offsets, targets
-
-
-def build_csr(num_vertices: int, edges, backend: str = "auto"):
-    """Build ``(offsets, targets)`` CSR arrays from an edge iterable.
-
-    ``backend`` selects the construction pipeline: ``"numpy"`` for the
-    vectorized sort-and-dedup path, ``"python"`` for the set-free pure
-    Python reference, ``"auto"`` for numpy-when-available.  The benchmark
-    harness uses the explicit names to compare the two pipelines.
-    """
-
-    if backend == "auto":
-        backend = "numpy" if _np is not None else "python"
-    if backend == "numpy":
-        return _csr_numpy(num_vertices, edges)
-    if backend == "python":
-        return _csr_python(num_vertices, edges)
-    raise GraphError(f"unknown CSR build backend {backend!r}")
 
 
 class Graph:
@@ -317,8 +259,7 @@ class Graph:
     def csr_arrays(self):
         """Return the raw ``(offsets, targets)`` CSR arrays (zero-copy).
 
-        The arrays are int64 ndarrays when numpy is available (plain
-        ``array('q')`` otherwise).  Callers — chiefly the vectorized
+        The arrays are int64 ndarrays.  Callers — chiefly the vectorized
         kernel backend — must treat them as read-only.
         """
 
@@ -335,9 +276,7 @@ class Graph:
 
         self._check_vertex(v)
         start, end = self._offsets[v], self._offsets[v + 1]
-        if _np is not None:
-            return tuple(self._targets[start:end].tolist())
-        return tuple(self._targets[start:end])
+        return tuple(self._targets[start:end].tolist())
 
     def degree(self, v: int) -> int:
         """Return the degree of ``v``."""
@@ -348,39 +287,27 @@ class Graph:
     def degrees_array(self):
         """All vertex degrees as one (cached) vectorized diff of the offsets.
 
-        Returns an int64 ndarray when numpy is available, a tuple
-        otherwise.  Treat the result as read-only — it is shared between
-        calls.
+        Returns an int64 ndarray.  Treat the result as read-only — it is
+        shared between calls.
         """
 
         if self._degrees is None:
-            if _np is not None:
-                self._degrees = _np.diff(self._offsets)
-            else:
-                offsets = self._offsets
-                self._degrees = tuple(
-                    offsets[v + 1] - offsets[v] for v in range(self._num_vertices)
-                )
+            self._degrees = _np.diff(self._offsets)
         return self._degrees
 
     def degrees(self) -> List[int]:
         """Return a fresh list of all vertex degrees indexed by vertex id."""
 
-        cached = self.degrees_array()
-        if _np is not None:
-            return cached.tolist()
-        return list(cached)
+        return self.degrees_array().tolist()
 
     def edge_sources_array(self):
-        """Source vertex of every directed CSR slot (cached, numpy only).
+        """Source vertex of every directed CSR slot (cached).
 
         ``edge_sources_array()[i]`` is the vertex whose adjacency list
         holds ``targets[i]``; together with ``csr_arrays()`` this turns
         per-edge sweeps into single ``np.bincount`` calls.
         """
 
-        if _np is None:
-            raise GraphError("edge_sources_array requires numpy")
         if self._edge_sources is None:
             self._edge_sources = _np.repeat(
                 _np.arange(self._num_vertices, dtype=_np.int64), self.degrees_array()
@@ -405,23 +332,13 @@ class Graph:
     def iter_edges(self) -> Iterator[Tuple[int, int]]:
         """Yield every undirected edge exactly once as ``(u, v)`` with ``u < v``."""
 
-        if _np is not None:
-            sources = self.edge_sources_array()
-            mask = sources < self._targets
-            yield from zip(sources[mask].tolist(), self._targets[mask].tolist())
-            return
-        for u in range(self._num_vertices):
-            start, end = self._offsets[u], self._offsets[u + 1]
-            for index in range(start, end):
-                v = self._targets[index]
-                if u < v:
-                    yield (u, v)
+        sources = self.edge_sources_array()
+        mask = sources < self._targets
+        yield from zip(sources[mask].tolist(), self._targets[mask].tolist())
 
     def edge_array(self):
         """All undirected edges as an ``(m, 2)`` int64 ndarray with u < v."""
 
-        if _np is None:
-            raise GraphError("edge_array requires numpy")
         sources = self.edge_sources_array()
         mask = sources < self._targets
         return _np.column_stack((sources[mask], self._targets[mask]))
@@ -434,12 +351,8 @@ class Graph:
         ndarray-to-tuple conversion for every record.
         """
 
-        if _np is not None:
-            targets = self._targets.tolist()
-            offsets = self._offsets.tolist()
-        else:
-            targets = list(self._targets)
-            offsets = list(self._offsets)
+        targets = self._targets.tolist()
+        offsets = self._offsets.tolist()
         for v in range(self._num_vertices):
             yield v, tuple(targets[offsets[v] : offsets[v + 1]])
 
@@ -460,32 +373,24 @@ class Graph:
 
         if self._num_vertices == 0:
             return 0
-        degrees = self.degrees_array()
-        if _np is not None:
-            return int(degrees.max())
-        return max(degrees)
+        return int(self.degrees_array().max())
 
     def degree_histogram(self) -> Dict[int, int]:
         """Return a ``degree -> number of vertices`` histogram."""
 
         if self._num_vertices == 0:
             return {}
-        degrees = self.degrees_array()
-        if _np is not None:
-            counts = _np.bincount(degrees)
-            return {
-                int(degree): int(count)
-                for degree, count in enumerate(counts.tolist())
-                if count
-            }
-        return dict(Counter(degrees))
+        counts = _np.bincount(self.degrees_array())
+        return {
+            int(degree): int(count)
+            for degree, count in enumerate(counts.tolist())
+            if count
+        }
 
     def isolated_vertices(self) -> List[int]:
         """Return all vertices with degree zero."""
 
-        if _np is not None:
-            return _np.flatnonzero(self.degrees_array() == 0).tolist()
-        return [v for v in range(self._num_vertices) if self.degree(v) == 0]
+        return _np.flatnonzero(self.degrees_array() == 0).tolist()
 
     # ------------------------------------------------------------------
     # Derived graphs
@@ -501,22 +406,14 @@ class Graph:
         for v in selected[:1] + selected[-1:]:
             self._check_vertex(v)
         mapping = {old: new for new, old in enumerate(selected)}
-        if _np is not None:
-            new_id = _np.full(self._num_vertices, -1, dtype=_np.int64)
-            if selected:
-                new_id[_np.asarray(selected, dtype=_np.int64)] = _np.arange(
-                    len(selected), dtype=_np.int64
-                )
-            sources = self.edge_sources_array()
-            keep = (new_id[sources] >= 0) & (new_id[self._targets] >= 0)
-            edges = _np.column_stack((new_id[sources[keep]], new_id[self._targets[keep]]))
-            return Graph(len(selected), edges), mapping
-        edges = []
-        selected_set = set(selected)
-        for old in selected:
-            for w in self.neighbors(old):
-                if w in selected_set and old < w:
-                    edges.append((mapping[old], mapping[w]))
+        new_id = _np.full(self._num_vertices, -1, dtype=_np.int64)
+        if selected:
+            new_id[_np.asarray(selected, dtype=_np.int64)] = _np.arange(
+                len(selected), dtype=_np.int64
+            )
+        sources = self.edge_sources_array()
+        keep = (new_id[sources] >= 0) & (new_id[self._targets] >= 0)
+        edges = _np.column_stack((new_id[sources[keep]], new_id[self._targets[keep]]))
         return Graph(len(selected), edges), mapping
 
     def relabeled(self, order: Sequence[int]) -> "Graph":
@@ -527,26 +424,18 @@ class Graph:
         degree order.
         """
 
-        if _np is not None:
-            order_arr = permutation_array(list(order), self._num_vertices)
-            if order_arr is None:
-                raise GraphError("order must be a permutation of all vertex ids")
-            new_id = _np.empty(self._num_vertices, dtype=_np.int64)
-            new_id[order_arr] = _np.arange(self._num_vertices, dtype=_np.int64)
-            sources = self.edge_sources_array()
-            edges = _np.column_stack((new_id[sources], new_id[self._targets]))
-            return Graph(self._num_vertices, edges)
-        if sorted(order) != list(range(self._num_vertices)):
+        order_arr = permutation_array(list(order), self._num_vertices)
+        if order_arr is None:
             raise GraphError("order must be a permutation of all vertex ids")
-        new_id = {old: new for new, old in enumerate(order)}
-        edges = [(new_id[u], new_id[v]) for u, v in self.iter_edges()]
+        new_id = _np.empty(self._num_vertices, dtype=_np.int64)
+        new_id[order_arr] = _np.arange(self._num_vertices, dtype=_np.int64)
+        sources = self.edge_sources_array()
+        edges = _np.column_stack((new_id[sources], new_id[self._targets]))
         return Graph(self._num_vertices, edges)
 
     def degree_ascending_order_array(self):
-        """Vertex ids sorted by ascending degree as an ndarray (numpy only)."""
+        """Vertex ids sorted by ascending degree as an ndarray."""
 
-        if _np is None:
-            raise GraphError("degree_ascending_order_array requires numpy")
         # A stable argsort breaks degree ties by vertex id, exactly like
         # sorting on the (degree, id) key.
         return _np.argsort(self.degrees_array(), kind="stable")
@@ -559,9 +448,7 @@ class Graph:
         the greedy pass.
         """
 
-        if _np is not None:
-            return self.degree_ascending_order_array().tolist()
-        return sorted(range(self._num_vertices), key=lambda v: (self.degree(v), v))
+        return self.degree_ascending_order_array().tolist()
 
     def complement_edges_count(self) -> int:
         """Number of vertex pairs that are *not* edges (useful for tests)."""
@@ -583,11 +470,9 @@ class Graph:
             return NotImplemented
         if self._num_vertices != other._num_vertices:
             return False
-        if _np is not None:
-            return _np.array_equal(self._offsets, other._offsets) and _np.array_equal(
-                self._targets, other._targets
-            )
-        return self._offsets == other._offsets and self._targets == other._targets
+        return _np.array_equal(self._offsets, other._offsets) and _np.array_equal(
+            self._targets, other._targets
+        )
 
     def __hash__(self) -> int:  # pragma: no cover - graphs are rarely hashed
         return hash((self._num_vertices, tuple(map(int, self._targets))))

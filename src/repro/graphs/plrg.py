@@ -26,13 +26,10 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.errors import AnalysisError, GraphError
-from repro.graphs.graph import HAVE_NUMPY, Graph
+import numpy as _np
 
-if HAVE_NUMPY:
-    import numpy as _np
-else:  # pragma: no cover - the container ships numpy
-    _np = None
+from repro.errors import AnalysisError, GraphError
+from repro.graphs.graph import Graph
 
 __all__ = [
     "PLRGParameters",
@@ -157,29 +154,14 @@ def plrg_degree_sequence(params: PLRGParameters) -> List[int]:
 
     Degree ``x`` contributes ``floor(e^alpha / x^beta)`` vertices, for
     ``x = 1 .. Delta``.  The sequence lists the degree of every vertex and
-    is returned in ascending order.
-    """
-
-    if _np is not None:
-        return _degree_sequence_array(params).tolist()
-    sequence: List[int] = []
-    for degree in range(1, params.max_degree + 1):
-        sequence.extend([degree] * params.vertices_with_degree(degree))
-    return sequence
-
-
-def _degree_sequence_array(params: PLRGParameters):
-    """The degree sequence as an int64 ndarray (``np.repeat`` over the counts).
-
-    The per-degree counts come from :meth:`PLRGParameters.vertices_with_degree`
-    — a scalar loop over the (small) maximum degree — so the numpy and
-    pure-Python paths share one formula and stay bit-identical; only the
-    O(|V|) materialisation is vectorized.
+    is returned in ascending order.  The per-degree counts come from
+    :meth:`PLRGParameters.vertices_with_degree` — a scalar loop over the
+    (small) maximum degree; only the O(|V|) materialisation is vectorized.
     """
 
     max_degree = params.max_degree
     counts = [params.vertices_with_degree(degree) for degree in range(1, max_degree + 1)]
-    return _np.repeat(_np.arange(1, max_degree + 1, dtype=_np.int64), counts)
+    return _np.repeat(_np.arange(1, max_degree + 1, dtype=_np.int64), counts).tolist()
 
 
 def plrg_graph(
@@ -213,30 +195,18 @@ def plrg_graph(
     if not sort_by_degree:
         rng.shuffle(vertex_degrees)
 
-    if _np is not None:
-        stubs = _np.repeat(
-            _np.arange(num_vertices, dtype=_np.int64),
-            _np.asarray(vertex_degrees, dtype=_np.int64),
-        ).tolist()
-    else:
-        stubs = []
-        for vertex, degree in enumerate(vertex_degrees):
-            stubs.extend([vertex] * degree)
+    stubs = _np.repeat(
+        _np.arange(num_vertices, dtype=_np.int64),
+        _np.asarray(vertex_degrees, dtype=_np.int64),
+    ).tolist()
     if len(stubs) % 2 == 1:
         # Drop one stub of the highest-degree vertex so the matching is perfect.
         stubs.pop()
     rng.shuffle(stubs)
 
-    if _np is not None:
-        pairs = _np.asarray(stubs, dtype=_np.int64).reshape(-1, 2)
-        # Graph() drops the matching's self loops and parallel edges.
-        return Graph(num_vertices, pairs)
-    edges = []
-    for i in range(0, len(stubs) - 1, 2):
-        u, v = stubs[i], stubs[i + 1]
-        if u != v:
-            edges.append((u, v))
-    return Graph(num_vertices, edges)
+    pairs = _np.asarray(stubs, dtype=_np.int64).reshape(-1, 2)
+    # Graph() drops the matching's self loops and parallel edges.
+    return Graph(num_vertices, pairs)
 
 
 def plrg_graph_with_vertex_count(

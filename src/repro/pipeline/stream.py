@@ -67,6 +67,8 @@ import time
 from dataclasses import asdict, dataclass
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
+import numpy as _np
+
 from repro.errors import PipelineInterrupted, StreamError
 from repro.obs import NULL_OBS, MetricsRegistry, Observability, kernel_observation
 from repro.storage.checkpoint import (
@@ -77,11 +79,6 @@ from repro.storage.checkpoint import (
     read_records,
     write_checkpoint,
 )
-
-try:  # pragma: no cover - exercised implicitly on every import
-    import numpy as _np
-except ImportError:  # pragma: no cover - the container ships numpy
-    _np = None
 
 __all__ = [
     "STREAM_VERSION",
@@ -113,8 +110,6 @@ def _maintainer_cls():
 def _flat_pairs(pairs):
     """``(u, v)`` pairs as one flat ``u0, v0, u1, v1, ...`` int array."""
 
-    if _np is None:
-        return [x for pair in pairs for x in pair]
     return _np.fromiter(
         (x for pair in pairs for x in pair), dtype=_np.int64, count=2 * len(pairs)
     )
@@ -142,7 +137,7 @@ def batch_record(
         "generation": generation,
         "insertions": _flat_pairs(insertions),
         "deletions": _flat_pairs(deletions),
-        "flips": flips if _np is None else _np.asarray(flips, dtype=_np.int64),
+        "flips": _np.asarray(flips, dtype=_np.int64),
         "stats": stats,
     }
 
@@ -351,9 +346,6 @@ class StreamSession:
 
     def _encode_base(self) -> EncodedSection:
         offsets, targets = self._maintainer.base_arrays()
-        if _np is None:
-            # Without NumPy the base is array('q'); the encoder packs lists.
-            offsets, targets = list(offsets), list(targets)
         return encode_section(
             {"offsets": offsets, "targets": targets}, base_offset=0
         )
@@ -454,9 +446,6 @@ class StreamSession:
                 )
         base = payload["base"]
         offsets, targets = base["offsets"], base["targets"]
-        if _np is not None:
-            offsets = _np.asarray(offsets, dtype=_np.int64)
-            targets = _np.asarray(targets, dtype=_np.int64)
         cursor = int(payload["cursor"])
         records, valid_bytes = read_records(
             self._log_path, accept=_continues(generation, cursor)

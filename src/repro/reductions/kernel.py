@@ -36,15 +36,12 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
+import numpy as _np
+
 from repro.core.result import MISResult
 from repro.errors import SolverError
-from repro.graphs.graph import HAVE_NUMPY, Graph
+from repro.graphs.graph import Graph
 from repro.storage.io_stats import IOStats
-
-if HAVE_NUMPY:
-    import numpy as _np
-else:  # pragma: no cover - the container ships numpy
-    _np = None
 
 __all__ = ["ReductionStats", "ReducedGraph", "reduce_graph", "reduced_mis"]
 
@@ -226,12 +223,8 @@ def reduce_graph(graph: Graph) -> ReducedGraph:
     deg: List[int] = list(graph.degrees()) + [0] * (capacity - n)
     alive: List[bool] = [True] * n + [False] * (capacity - n)
     csr_offsets, csr_targets = graph.csr_arrays()
-    if _np is not None:
-        offsets_list = csr_offsets.tolist()
-        targets_list = csr_targets.tolist()
-    else:
-        offsets_list = list(csr_offsets)
-        targets_list = list(csr_targets)
+    offsets_list = csr_offsets.tolist()
+    targets_list = csr_targets.tolist()
     # Fold-created edges (always incident to a token >= n), symmetric.
     extra: Dict[int, Set[int]] = {}
     next_token = n
@@ -263,10 +256,7 @@ def reduce_graph(graph: Graph) -> ReducedGraph:
 
     # Worklist seeded by one vectorized degree filter; rule applications
     # re-schedule any vertex whose degree drops into the reducible range.
-    if _np is not None:
-        pending: List[int] = _np.flatnonzero(graph.degrees_array() <= 2).tolist()
-    else:
-        pending = [v for v in range(n) if deg[v] <= 2]
+    pending: List[int] = _np.flatnonzero(graph.degrees_array() <= 2).tolist()
     in_pending: Set[int] = set(pending)
 
     def schedule(vertex: int) -> None:
@@ -343,10 +333,7 @@ def reduce_graph(graph: Graph) -> ReducedGraph:
                 schedule(folded)
 
     # Materialise the kernel over compact ids.
-    if _np is not None:
-        tokens = _np.flatnonzero(alive[:next_token]).tolist()
-    else:
-        tokens = [v for v in range(next_token) if alive[v]]
+    tokens = _np.flatnonzero(alive[:next_token]).tolist()
     index_of = {token: index for index, token in enumerate(tokens)}
     edges = [
         (index_of[u], index_of[w])

@@ -15,20 +15,16 @@ the solvers needed.
 
 from __future__ import annotations
 
-from array import array
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
+import numpy as _np
+
 from repro.errors import FormatError, StorageError
-from repro.graphs.graph import HAVE_NUMPY, Graph, permutation_array
+from repro.graphs.graph import Graph, permutation_array
 from repro.storage import format as fmt
 from repro.storage.blocks import DEFAULT_BATCH_BLOCKS, DEFAULT_BLOCK_SIZE, BlockDevice
 from repro.storage.io_stats import IOStats
 from repro.storage.scan import AdjacencyBatch
-
-if HAVE_NUMPY:
-    import numpy as _np
-else:  # pragma: no cover - the container ships numpy
-    _np = None
 
 __all__ = ["write_adjacency_file", "AdjacencyFileReader"]
 
@@ -65,53 +61,37 @@ def write_adjacency_file(
     """
 
     scan_order = list(order) if order is not None else graph.degree_ascending_order()
-    order_array = None
-    if _np is not None:
-        order_array = permutation_array(scan_order, graph.num_vertices)
-        if order_array is None:
-            raise StorageError("order must be a permutation of all vertex ids")
-    elif sorted(scan_order) != list(range(graph.num_vertices)):
+    order_array = permutation_array(scan_order, graph.num_vertices)
+    if order_array is None:
         raise StorageError("order must be a permutation of all vertex ids")
 
     device = BlockDevice(backing, block_size=block_size, stats=stats, create=True)
     device.append(fmt.pack_header(graph.num_vertices, graph.num_edges))
-    if order_array is not None and _write_records_vectorized(
-        graph, device, order_array, sort_neighbors_by_degree
-    ):
-        device.flush()
-        return device
-    for vertex in scan_order:
-        neighbors = list(graph.neighbors(vertex))
-        if sort_neighbors_by_degree:
-            neighbors.sort(key=lambda w: (graph.degree(w), w))
-        device.append(fmt.pack_record(vertex, neighbors))
+    _write_records(graph, device, order_array, sort_neighbors_by_degree)
     device.flush()
     return device
 
 
-#: Append granularity of the vectorized writer.  Chunked appends of one
-#: contiguous byte stream telescope to the same ``IOStats`` totals as the
-#: per-record appends of the scalar path (partially filled tail blocks are
-#: charged once either way), so the chunk size is a pure memory knob.
+#: Append granularity of the record writer.  Chunked appends of one
+#: contiguous byte stream telescope to the same ``IOStats`` totals as
+#: per-record appends (partially filled tail blocks are charged once either
+#: way), so the chunk size is a pure memory knob.
 _WRITE_CHUNK_BYTES = 8 << 20
 
 
-def _write_records_vectorized(
+def _write_records(
     graph: Graph, device: BlockDevice, order_array, sort_neighbors_by_degree: bool
-) -> bool:
-    """Append all records as one vectorized uint32 stream (numpy graphs only).
+) -> None:
+    """Append all records as one vectorized uint32 stream.
 
-    Produces bytes identical to the scalar per-record path — same record
-    order, same neighbour order (the ``(degree, id)`` sort is a stable
-    lexsort over the id-sorted CSR rows, matching ``list.sort`` on unique
-    keys) — at array speed, which is what makes writing the n >= 1e7
-    benchmark inputs practical.  Returns False when the graph's CSR is not
-    ndarray-backed, leaving the scalar path to do the work.
+    Each record is ``fmt.pack_record(vertex, neighbours)`` in ``order_array``
+    order; with ``sort_neighbors_by_degree`` the neighbours are ordered by
+    ``(degree, id)`` — a stable lexsort over the id-sorted CSR rows.  The
+    array formulation is what makes writing the n >= 1e7 benchmark inputs
+    practical.
     """
 
     offsets, targets = graph.csr_arrays()
-    if not isinstance(offsets, _np.ndarray):
-        return False
     num_vertices = graph.num_vertices
     if num_vertices > fmt.MAX_VERTEX_ID + 1:
         raise FormatError(
@@ -143,7 +123,6 @@ def _write_records_vectorized(
     payload = words.tobytes()
     for start in range(0, len(payload), _WRITE_CHUNK_BYTES):
         device.append(payload[start : start + _WRITE_CHUNK_BYTES])
-    return True
 
 
 class AdjacencyFileReader:
@@ -315,8 +294,6 @@ class AdjacencyFileReader:
         record index, so it leaves random lookups as cold as it found them.
         """
 
-        if _np is None:
-            raise StorageError("scan_batches requires numpy")
         if max_batch_bytes is None:
             max_batch_bytes = self._device.batch_bytes(DEFAULT_BATCH_BLOCKS)
         max_batch_bytes = max(int(max_batch_bytes), fmt.RECORD_HEADER_SIZE)

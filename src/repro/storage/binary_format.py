@@ -61,13 +61,15 @@ import zlib
 from dataclasses import dataclass
 from typing import BinaryIO, Iterator, List, Optional, Tuple, Union
 
+import numpy as _np
+
 from repro.errors import (
     BinaryCorruptError,
     BinaryFormatError,
     BinaryVersionError,
     StorageError,
 )
-from repro.graphs.graph import HAVE_NUMPY, Graph
+from repro.graphs.graph import Graph
 from repro.storage import format as fmt
 from repro.storage.blocks import (
     DEFAULT_BATCH_BLOCKS,
@@ -76,11 +78,6 @@ from repro.storage.blocks import (
 )
 from repro.storage.io_stats import IOStats
 from repro.storage.scan import batch_bounds
-
-if HAVE_NUMPY:
-    import numpy as _np
-else:  # pragma: no cover - the container ships numpy
-    _np = None
 
 __all__ = [
     "BINARY_MAGIC",
@@ -237,8 +234,6 @@ def write_binary_csr(
     every later open can trust the header + size check alone.
     """
 
-    if _np is None:  # pragma: no cover - the container ships numpy
-        raise StorageError("the binary CSR format requires numpy")
     order = _np.ascontiguousarray(order, dtype=_ORDER_DTYPE)
     indptr = _np.ascontiguousarray(indptr, dtype=_INDPTR_DTYPE)
     indices = _np.ascontiguousarray(indices, dtype=_INDICES_DTYPE)
@@ -303,8 +298,6 @@ def write_records(
     end ``order`` a permutation of all ids.
     """
 
-    if _np is None:  # pragma: no cover - the container ships numpy
-        raise StorageError("the binary CSR format requires numpy")
     n, m = int(num_vertices), int(num_edges)
     order_off, indptr_off, indices_off, _ = _section_offsets(n, m)
     order = _np.empty(n, dtype=_ORDER_DTYPE)
@@ -401,8 +394,6 @@ class MemmapAdjacencySource:
         stats: Optional[IOStats] = None,
         verify: bool = False,
     ) -> None:
-        if _np is None:  # pragma: no cover - the container ships numpy
-            raise StorageError("MemmapAdjacencySource requires numpy")
         if block_size <= 0:
             raise StorageError(f"block_size must be positive, got {block_size}")
         self.block_size = int(block_size)

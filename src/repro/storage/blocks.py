@@ -61,7 +61,8 @@ class BlockDevice:
         Optional shared :class:`IOStats`; a fresh one is created otherwise.
     create:
         When backing is a path and ``create`` is true, the file is
-        truncated/created; otherwise it must already exist.
+        truncated/created; otherwise it must already exist and is opened
+        read-only (:class:`StorageError` if it cannot be opened).
     """
 
     def __init__(
@@ -83,8 +84,15 @@ class BlockDevice:
             self._file: BinaryIO = io.BytesIO()
         else:
             self._path = os.fspath(backing)
-            mode = "w+b" if create or not os.path.exists(self._path) else "r+b"
-            self._file = open(self._path, mode)
+            if create:
+                self._file = open(self._path, "w+b")
+            else:
+                try:
+                    self._file = open(self._path, "rb")
+                except OSError as exc:
+                    raise StorageError(
+                        f"cannot open {self._path!r}: {exc.strerror or exc}"
+                    ) from None
 
     # ------------------------------------------------------------------
     # Lifecycle

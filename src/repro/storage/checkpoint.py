@@ -18,13 +18,12 @@ in the smallest signed integer width that fits its values, and the JSON
 payload keeps only a compact reference
 ``{"__ckarray__": [offset, nbytes, typecode, count]}``.  On big graphs
 this shrinks round checkpoints by an order of magnitude compared to the
-version-1 JSON int lists while remaining pure-stdlib and deterministic.
+version-1 JSON int lists while remaining deterministic.
 
-Payload values may also be 1-D integer or bool NumPy arrays (when NumPy
-is installed; the module itself needs only the standard library).  They
-are packed with ``min``/``max`` + ``astype(...).tobytes()`` instead of a
-per-element Python walk, into exactly the bytes the equal int list packs
-to — so a document does not depend on whether its writer held lists or
+Payload values may be int lists (the python backend's state) or 1-D
+integer or bool NumPy arrays (the numpy backend's).  Arrays are packed
+with ``min``/``max`` + ``astype(...).tobytes()`` instead of a per-element
+Python walk, into exactly the bytes the equal int list packs to — so a document does not depend on whether its writer held lists or
 ndarrays, and it decodes to plain int lists either way (bool arrays
 decode as 0/1 ints).  Compression uses zlib level :data:`ZLIB_LEVEL`
 (1): the arrays are mostly small-range integers where the fastest level
@@ -84,17 +83,14 @@ from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
+import numpy as _np
+
 from repro.errors import (
     CheckpointCorruptError,
     CheckpointError,
     CheckpointVersionError,
 )
 from repro.storage.blocks import fsync_directory as _fsync_directory
-
-try:  # pragma: no cover - exercised implicitly on every import
-    import numpy as _np
-except ImportError:  # pragma: no cover - the container ships numpy
-    _np = None
 
 __all__ = [
     "CHECKPOINT_FORMAT",
@@ -158,10 +154,7 @@ def _is_int_ndarray(value: object) -> bool:
     """Whether ``value`` is a 1-D integer or bool ndarray."""
 
     return (
-        _np is not None
-        and isinstance(value, _np.ndarray)
-        and value.ndim == 1
-        and value.dtype.kind in "biu"
+        isinstance(value, _np.ndarray) and value.ndim == 1 and value.dtype.kind in "biu"
     )
 
 

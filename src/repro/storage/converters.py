@@ -30,8 +30,10 @@ from __future__ import annotations
 import tempfile
 from typing import Dict, Iterable, Optional, Tuple
 
+import numpy as _np
+
 from repro.errors import StorageError
-from repro.graphs.graph import HAVE_NUMPY, Graph, GraphBuilder
+from repro.graphs.graph import Graph, GraphBuilder
 from repro.storage import format as fmt
 from repro.storage.adjacency_file import AdjacencyFileReader, write_adjacency_file
 from repro.storage.binary_format import (
@@ -41,11 +43,6 @@ from repro.storage.binary_format import (
     write_records,
 )
 from repro.storage.blocks import DEFAULT_BLOCK_SIZE, BlockDevice
-
-if HAVE_NUMPY:
-    import numpy as _np
-else:  # pragma: no cover - the container ships numpy
-    _np = None
 
 __all__ = [
     "adjacency_to_binary",

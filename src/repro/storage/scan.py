@@ -11,8 +11,8 @@ and knows the number of vertices.  Two implementations exist:
   :class:`repro.graphs.graph.Graph` plus a scan order.  It performs the
   same accounting (scans, random lookups) without serialisation overhead,
   which keeps the property-based tests and the parameter sweeps fast.
-  The scan order is held as an int64 ndarray (when numpy is available)
-  so the vectorized kernel backend can consume it zero-copy via
+  The scan order is held as an int64 ndarray so the vectorized kernel
+  backend can consume it zero-copy via
   :meth:`InMemoryAdjacencyScan.order_array`.
 
 The numpy kernels read a source record-major instead of calling
@@ -45,14 +45,10 @@ from typing import (
     runtime_checkable,
 )
 
+import numpy as _np
+
 from repro.errors import StorageError
-from repro.graphs.graph import HAVE_NUMPY, Graph, permutation_array
-
-if HAVE_NUMPY:
-    import numpy as _np
-else:  # pragma: no cover - the container ships numpy
-    _np = None
-
+from repro.graphs.graph import Graph, permutation_array
 from repro.storage.io_stats import IOStats
 
 __all__ = [
@@ -100,8 +96,6 @@ def batch_bounds(record_bytes, max_batch_bytes: int):
     the batch boundaries as an int64 ndarray ``[0, ..., num_records]``.
     """
 
-    if _np is None:  # pragma: no cover - callers are numpy-only
-        raise StorageError("batch_bounds requires numpy")
     num_records = len(record_bytes)
     if num_records == 0:
         return _np.zeros(1, dtype=_np.int64)
@@ -169,32 +163,18 @@ class InMemoryAdjacencyScan:
         num_vertices = graph.num_vertices
         if isinstance(order, str):
             if order == "degree":
-                if _np is not None:
-                    self._order = graph.degree_ascending_order_array()
-                else:
-                    self._order = graph.degree_ascending_order()
+                self._order = graph.degree_ascending_order_array()
             elif order == "id":
-                if _np is not None:
-                    self._order = _np.arange(num_vertices, dtype=_np.int64)
-                else:
-                    self._order = list(range(num_vertices))
+                self._order = _np.arange(num_vertices, dtype=_np.int64)
             else:
                 raise StorageError(f"unknown scan order {order!r}; use 'degree' or 'id'")
         else:
-            explicit = list(order)
-            if _np is not None:
-                arr = permutation_array(explicit, num_vertices)
-                if arr is None:
-                    raise StorageError(
-                        "explicit scan order must be a permutation of all vertices"
-                    )
-                self._order = arr
-            else:
-                if sorted(explicit) != list(range(num_vertices)):
-                    raise StorageError(
-                        "explicit scan order must be a permutation of all vertices"
-                    )
-                self._order = explicit
+            arr = permutation_array(list(order), num_vertices)
+            if arr is None:
+                raise StorageError(
+                    "explicit scan order must be a permutation of all vertices"
+                )
+            self._order = arr
 
     @property
     def graph(self) -> Graph:
@@ -223,23 +203,18 @@ class InMemoryAdjacencyScan:
     def scan(self) -> Iterator[Tuple[int, Tuple[int, ...]]]:
         """Yield every record in the configured order, counting one scan."""
 
-        graph = self._graph
-        if _np is not None:
-            # Slicing a Python list per record is about twice as fast as
-            # building a tuple from an ndarray view for every vertex; the
-            # graph is immutable, so the converted lists are cached across
-            # the many scans a swap run performs.
-            if self._csr_lists is None:
-                offsets, targets = graph.csr_arrays()
-                self._csr_lists = (offsets.tolist(), targets.tolist())
-            offsets_list, targets_list = self._csr_lists
-            for vertex in self._order.tolist():
-                yield vertex, tuple(
-                    targets_list[offsets_list[vertex] : offsets_list[vertex + 1]]
-                )
-        else:
-            for vertex in self._order:
-                yield vertex, graph.neighbors(vertex)
+        # Slicing a Python list per record is about twice as fast as
+        # building a tuple from an ndarray view for every vertex; the graph
+        # is immutable, so the converted lists are cached across the many
+        # scans a swap run performs.
+        if self._csr_lists is None:
+            offsets, targets = self._graph.csr_arrays()
+            self._csr_lists = (offsets.tolist(), targets.tolist())
+        offsets_list, targets_list = self._csr_lists
+        for vertex in self._order.tolist():
+            yield vertex, tuple(
+                targets_list[offsets_list[vertex] : offsets_list[vertex + 1]]
+            )
         self._stats.record_scan()
 
     def charge_scan(self) -> bool:
@@ -257,15 +232,11 @@ class InMemoryAdjacencyScan:
     def scan_order(self) -> List[int]:
         """Vertex ids in scan order."""
 
-        if _np is not None:
-            return self._order.tolist()
-        return list(self._order)
+        return self._order.tolist()
 
     def order_array(self):
         """Scan order as an int64 ndarray (zero-copy; treat as read-only)."""
 
-        if _np is None:
-            raise StorageError("order_array requires numpy")
         return self._order
 
     def neighbors(self, vertex: int) -> Tuple[int, ...]:

@@ -221,7 +221,9 @@ class TestNdarrayPacking:
 
     @pytest.fixture
     def np(self):
-        return pytest.importorskip("numpy")
+        import numpy
+
+        return numpy
 
     @staticmethod
     def _both(tmp_path, as_list, as_array):
@@ -376,7 +378,8 @@ class TestEncodedSections:
             )
 
     def test_prehashed_prefix_matches_a_plain_write(self, tmp_path):
-        np = pytest.importorskip("numpy")
+        import numpy as np
+
         base = {"offsets": np.arange(0, 6000, 3), "targets": np.arange(6000) % 500}
         section = encode_section(base, base_offset=0)
         assert section.blob_hash is not None

@@ -64,6 +64,22 @@ class TestCommands:
         ]) == 0
         assert "vertices" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--model", "gnm", "--vertices", "5", "--edges", "20"], "cannot place 20"),
+            (["--model", "plrg", "--vertices", "0"], "must be positive"),
+            (["--model", "gnm", "--vertices", "10", "--edges", "-1"], "non-negative"),
+        ],
+        ids=["gnm-too-many-edges", "plrg-no-vertices", "gnm-negative-edges"],
+    )
+    def test_generate_rejects_invalid_parameters(self, tmp_path, capsys, flags, message):
+        path = tmp_path / "bad.adj"
+        assert main(["generate", str(path)] + flags) == 2
+        err = capsys.readouterr().err
+        assert message in err and len(err.strip().splitlines()) == 1
+        assert not path.exists()
+
     def test_generate_dataset_standin(self, tmp_path, capsys):
         path = tmp_path / "dblp.adj"
         assert main([
@@ -725,7 +741,24 @@ class TestConvertCommand:
             "convert", str(tmp_path / "no.adj"), str(tmp_path / "o.csr"),
             "--to-binary",
         ]) == 2
-        assert capsys.readouterr().err
+        assert "cannot open" in capsys.readouterr().err
+        assert not (tmp_path / "no.adj").exists()
+
+
+class TestUnopenableInput:
+    @pytest.mark.parametrize("command", ["solve", "compare", "bound", "reduce"])
+    @pytest.mark.parametrize("input_kind", ["missing", "garbage"])
+    def test_unopenable_input_is_a_clean_error(
+        self, tmp_path, capsys, command, input_kind
+    ):
+        path = tmp_path / "input.adj"
+        if input_kind == "garbage":
+            path.write_bytes(b"\x00\x01not a graph file at all\xff")
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot open input {str(path)!r}")
+        assert len(err.strip().splitlines()) == 1
+        assert path.exists() == (input_kind == "garbage")
 
 
 class TestServeCacheLimitFlag:

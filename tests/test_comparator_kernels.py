@@ -13,15 +13,13 @@ from __future__ import annotations
 
 import pytest
 
-np = pytest.importorskip("numpy")
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.dynamic_update import dynamic_update_mis
 from repro.baselines.local_search import local_search_mis
 from repro.core.greedy import greedy_mis
-from repro.core.kernels import get_backend, resolve_graph_backend
+from repro.core.kernels import get_backend
 from repro.errors import MemoryBudgetError, SolverError, VertexError
 from repro.graphs.cascade import cascade_initial_independent_set, cascade_swap_graph
 from repro.graphs.generators import (
@@ -153,17 +151,9 @@ class TestParitySweep:
 class TestGraphBackendResolution:
     def test_numpy_backend_supports_ndarray_graphs(self):
         graph = erdos_renyi_gnm(30, 60, seed=1)
-        assert resolve_graph_backend("numpy", graph).name == "numpy"
-        assert resolve_graph_backend("python", graph).name == "python"
-
-    def test_numpy_backend_falls_back_without_ndarray_csr(self):
-        class _ListCSRGraph:
-            """Stand-in for a graph built without numpy (array('q') CSR)."""
-
-            def csr_arrays(self):
-                return [0, 1, 2], [1, 0]
-
-        assert resolve_graph_backend("numpy", _ListCSRGraph()).name == "python"
+        assert get_backend("numpy").name == "numpy"
+        assert get_backend("python").name == "python"
+        assert graph.csr_arrays()[0].dtype.name == "int64"
 
     def test_wrapper_backend_selection_is_bit_identical(self):
         graph = plrg_graph_with_vertex_count(1_500, 2.1, seed=2)

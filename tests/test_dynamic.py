@@ -157,7 +157,8 @@ class TestBulkUpdates:
         bulk.check_invariants()
 
     def test_bulk_stream_accepts_ndarrays(self):
-        np = pytest.importorskip("numpy")
+        import numpy as np
+
         maintainer = DynamicMISMaintainer(erdos_renyi_gnm(40, 60, seed=6))
         insertions = np.asarray([[0, 39], [1, 38], [2, 37]], dtype=np.int64)
         maintainer.apply_updates(insertions=insertions)

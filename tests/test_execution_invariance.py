@@ -37,8 +37,6 @@ from repro.storage.binary_format import MemmapAdjacencySource
 from repro.storage.converters import adjacency_to_binary
 from repro.storage.scan import as_scan_source
 
-np = pytest.importorskip("numpy")
-
 from snapshot_helpers import plain  # noqa: E402  (needs numpy)
 
 BACKENDS = ("python", "numpy")

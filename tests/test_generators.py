@@ -114,6 +114,10 @@ class TestRandomGenerators:
         with pytest.raises(GraphError):
             erdos_renyi_gnm(5, 100)
 
+    def test_gnm_rejects_a_negative_edge_count(self):
+        with pytest.raises(GraphError, match="non-negative"):
+            erdos_renyi_gnm(10, -1)
+
     def test_random_bipartite_has_no_intra_part_edges(self):
         g = random_bipartite_graph(10, 12, 0.3, seed=1)
         for u, v in g.iter_edges():

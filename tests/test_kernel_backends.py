@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import pytest
 
-np = pytest.importorskip("numpy")
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

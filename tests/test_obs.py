@@ -331,7 +331,6 @@ class TestEngineObservability:
         assert NULL_OBS.tracer.to_document()["traceEvents"] == []
 
     def test_solver_counters_identical_across_backends(self):
-        pytest.importorskip("numpy")
         graph = erdos_renyi_gnm(400, 1600, seed=9)
 
         def run(backend):

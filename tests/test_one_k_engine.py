@@ -27,8 +27,6 @@ import random
 
 import pytest
 
-np = pytest.importorskip("numpy")
-
 from repro.core import one_k_swap
 from repro.core.kernels import get_backend
 from repro.core.kernels import numpy_backend

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import pytest
 
-np = pytest.importorskip("numpy")
+import numpy as np
 
 from repro.core.kernels import get_backend  # noqa: E402
 from repro.graphs.generators import erdos_renyi_gnm  # noqa: E402

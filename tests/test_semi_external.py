@@ -23,7 +23,7 @@ import random
 
 import pytest
 
-np = pytest.importorskip("numpy")
+import numpy as np
 
 from hypothesis import given, settings
 from hypothesis import strategies as st

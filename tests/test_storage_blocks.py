@@ -81,6 +81,18 @@ class TestBlockDevice:
         with BlockDevice(path, block_size=8) as device:
             assert device.read_at(2, 4) == b"2345"
 
+    def test_opening_an_input_never_creates_or_writes_it(self, tmp_path):
+        missing = tmp_path / "missing.adj"
+        with pytest.raises(StorageError, match="cannot open"):
+            BlockDevice(missing)
+        assert not missing.exists()
+        existing = tmp_path / "data.bin"
+        existing.write_bytes(b"0123")
+        with BlockDevice(existing) as device:
+            with pytest.raises(OSError):
+                device.append(b"x")
+        assert existing.read_bytes() == b"0123"
+
     def test_block_accounting_counts_spanned_blocks(self):
         device = BlockDevice(block_size=4)
         device.append(b"abcdefgh")  # spans 2 blocks

@@ -66,7 +66,6 @@ class TestBackendParity:
 
     @pytest.mark.parametrize("make_graph", [gnm_graph, plrg_test_graph])
     def test_selected_set_journal_and_stats_match(self, make_graph):
-        pytest.importorskip("numpy")
 
         def run(backend):
             rng = random.Random(23)
@@ -86,7 +85,6 @@ class TestBackendParity:
         assert tightness(scalar) == tightness(waves)
 
     def test_parity_with_vertex_creation_beyond_capacity(self):
-        pytest.importorskip("numpy")
 
         def run(backend):
             maintainer = DynamicMISMaintainer(gnm_graph(), backend=backend)
@@ -106,7 +104,6 @@ class TestBackendParity:
         # large share of insertions land between two *selected* vertices,
         # so almost every batch carries eviction + re-saturation chains.
         # Sets, journals, stats and tightness must stay bit-identical.
-        pytest.importorskip("numpy")
 
         def run(backend):
             rng = random.Random(77)
@@ -158,7 +155,6 @@ class TestBackendParity:
         # Property sweep over the wave partitioner: any stream shape,
         # batch size and conflict density must reproduce the scalar
         # reference exactly — selection sets AND journals.
-        pytest.importorskip("numpy")
         graph = (
             gnm_graph(seed=seed % 5 + 1)
             if kind == "gnm"
@@ -192,7 +188,7 @@ class TestBackendParity:
         maintainers["numpy"].check_invariants()
 
     def test_normalization_matches_the_scalar_reference(self):
-        np = pytest.importorskip("numpy")
+        import numpy as np
         from repro.core.kernels import get_backend
         from repro.core.kernels.python_backend import normalize_updates
 
@@ -221,7 +217,6 @@ class TestBackendParity:
     def test_normalization_rejects_ragged_rows_like_the_reference(self, bad):
         # Malformed rows must not be silently mis-parsed by the
         # vectorized fast path; both backends raise the same way.
-        pytest.importorskip("numpy")
         from repro.core.kernels import get_backend
         from repro.core.kernels.python_backend import normalize_updates
 
@@ -236,17 +231,6 @@ class TestBackendParity:
                 numpy_backend.normalize_updates_pass(bad, strict=True)
                 == expected
             )
-
-    def test_unknown_backend_falls_back_for_list_maintainers(self, monkeypatch):
-        # A maintainer whose state arrays are plain lists cannot take the
-        # numpy pass; resolution silently falls back to the scalar one.
-        import repro.dynamic.maintainer as module
-
-        monkeypatch.setattr(module, "_np", None)
-        maintainer = DynamicMISMaintainer(backend="numpy")
-        maintainer.apply_updates(insertions=[(0, 1), (1, 2)])
-        maintainer.check_invariants()
-        assert maintainer.num_edges == 2
 
 
 class TestBatchSemantics:
@@ -337,7 +321,6 @@ class TestCompaction:
     )
     @given(stream=update_streams(), backend=st.sampled_from(["python", "numpy"]))
     def test_compaction_preserves_the_solution(self, stream, backend):
-        pytest.importorskip("numpy")
         seed, updates, threshold, kind = stream
         graph = (
             gnm_graph(seed=seed % 7 + 1)
@@ -690,7 +673,6 @@ class TestStreamSession:
             )
 
     def test_batch_reports_carry_conflict_and_wave_deltas(self, stream_setup):
-        pytest.importorskip("numpy")
         graph, updates, _ = stream_setup
         session = StreamSession(
             graph, updates, batch_size=100, backend="numpy"
@@ -1036,31 +1018,15 @@ class TestStateRoundTrip:
         write_checkpoint(path, {"state": original.state_payload()})
         decoded = read_checkpoint(path)["state"]
         assert isinstance(decoded["selected_bits"], list)
-        rebuilt = DynamicMISMaintainer.from_state(
-            decoded, *original.base_arrays(), backend=backend
-        )
-        self._assert_same(rebuilt, original)
-
-    def test_list_state_matches_the_array_state(self, monkeypatch):
-        # Without NumPy the maintainer holds plain lists and packs the
-        # same payload values in pure Python.
-        import repro.dynamic.maintainer as maintainer_module
-
-        arrays = self._churned("python")
-        expected = {
-            key: value.tolist() if hasattr(value, "tolist") else value
-            for key, value in arrays.state_payload().items()
-        }
-        monkeypatch.setattr(maintainer_module, "_np", None)
-        lists = self._churned("python")
-        assert isinstance(lists._selected, list)
-        payload = lists.state_payload()
-        assert payload == expected
-        offsets, targets = lists.base_arrays()
-        rebuilt = DynamicMISMaintainer.from_state(
-            payload, offsets.tolist(), targets.tolist(), backend="python"
-        )
-        self._assert_same(rebuilt, lists)
+        offsets, targets = original.base_arrays()
+        # The base may arrive as decoded int lists too: from_state coerces
+        # it to int64 ndarrays once at the boundary.
+        for base in ((offsets, targets), (offsets.tolist(), targets.tolist())):
+            rebuilt = DynamicMISMaintainer.from_state(
+                decoded, *base, backend=backend
+            )
+            assert rebuilt.base_arrays()[0].dtype.name == "int64"
+            self._assert_same(rebuilt, original)
 
     def test_state_payload_layout(self):
         maintainer = self._churned("numpy")

@@ -20,8 +20,6 @@ import tracemalloc
 
 import pytest
 
-np = pytest.importorskip("numpy")
-
 import repro.storage.binary_format as binary_format
 import repro.storage.blocks as blocks
 import repro.storage.converters as converters

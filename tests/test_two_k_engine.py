@@ -25,8 +25,6 @@ import random
 
 import pytest
 
-np = pytest.importorskip("numpy")
-
 from repro.core.kernels import get_backend
 from repro.graphs.generators import erdos_renyi_gnm
 from repro.graphs.graph import Graph
