@@ -35,12 +35,21 @@ array, completed-stage prefix with an embedded reduce-kernel artifact):
   ndarray write is at least 2× faster.  Both timings include the
   write's ``fsync``, so this row runs at n = 10⁵ even under ``--smoke``:
   at n = 2·10⁴ the encode gap is ≈ 6 ms and a disk whose ``fsync`` costs
-  more than ≈ 4.5 ms would fail the 2× bound on latency alone.
+  more than ≈ 4.5 ms would fail the 2× bound on latency alone;
+* the *solve-boundary* row — the engine's completed-prefix encode at the
+  two stage boundaries of a numpy greedy → two-k solve of a PLRG
+  ``SEXTCSR1`` memmap (n = 10⁵, also under ``--smoke``): each boundary's
+  entry encode plus the prefix encode, either re-encoding every entry in
+  list form (sorted member lists) or extending the prefix by the new
+  array-native entry (its set one sorted int64 array).  The harness
+  asserts byte-identical sections at both boundaries and that the
+  array-native encode is at least 2× faster.  No file is written, so no
+  ``fsync`` enters the timing.
 
 Usage::
 
     python benchmarks/bench_checkpoint_size.py            # n = 1e5 and 1e6
-    python benchmarks/bench_checkpoint_size.py --smoke    # n = 2e4 (CI); solve-round at 1e5
+    python benchmarks/bench_checkpoint_size.py --smoke    # n = 2e4 (CI); solve rows at 1e5
 """
 
 from __future__ import annotations
@@ -62,10 +71,13 @@ import numpy as np
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro.core.greedy import greedy_mis  # noqa: E402
 from repro.core.kernels import get_backend  # noqa: E402
+from repro.core.two_k_swap import two_k_swap  # noqa: E402
 from repro.dynamic.maintainer import DynamicMISMaintainer  # noqa: E402
 from repro.graphs.generators import erdos_renyi_gnm  # noqa: E402
 from repro.graphs.plrg import PLRGParameters, plrg_graph  # noqa: E402
+from repro.pipeline.engine import encode_result  # noqa: E402
 from repro.pipeline.stream import batch_record  # noqa: E402
 from repro.reporting import format_bytes, format_table, print_experiment_header  # noqa: E402
 from repro.storage.adjacency_file import write_adjacency_file  # noqa: E402
@@ -73,6 +85,7 @@ from repro.storage.binary_format import MemmapAdjacencySource  # noqa: E402
 from repro.storage.checkpoint import (  # noqa: E402
     append_record,
     encode_section,
+    extend_section,
     write_checkpoint,
 )
 from repro.storage.converters import adjacency_to_binary  # noqa: E402
@@ -90,6 +103,11 @@ APPEND_SNAPSHOT_RATIO = 20
 #: and its graph size, the same under ``--smoke`` (see the module docstring).
 SOLVE_ROUND_REPEATS = 7
 SOLVE_ROUND_VERTICES = 100_000
+
+#: Graph size, two-k round cap and timed repeats of the solve-boundary row.
+SOLVE_BOUNDARY_VERTICES = 100_000
+SOLVE_BOUNDARY_ROUNDS = 2
+SOLVE_BOUNDARY_REPEATS = 7
 
 
 def _round_payload(num_vertices: int, seed: int) -> Dict[str, object]:
@@ -294,6 +312,91 @@ def measure_solve_round(num_vertices: int, seed: int = 1) -> Dict[str, object]:
     }
 
 
+def measure_solve_boundary(num_vertices: int, seed: int = 1) -> Dict[str, object]:
+    """The completed-prefix encodes of a greedy → two-k solve, both ways.
+
+    One timed pass is what the engine does at its two stage boundaries:
+    encode the finished stage's result into an entry and encode the
+    completed prefix.  The list form re-encodes every entry with sorted
+    member lists at each boundary; the array-native form encodes only
+    the new entry, its set one sorted int64 array.
+    """
+
+    graph = plrg_graph(PLRGParameters.from_vertex_count(num_vertices, 2.1), seed=seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        text = os.path.join(tmp, "g.adj")
+        binary = os.path.join(tmp, "g.csr")
+        write_adjacency_file(
+            graph, text, order=list(graph.degree_ascending_order())
+        ).close()
+        adjacency_to_binary(text, binary)
+        source = MemmapAdjacencySource(binary)
+        try:
+            greedy = greedy_mis(source, backend="numpy")
+            improved = two_k_swap(
+                source,
+                initial=greedy,
+                max_rounds=SOLVE_BOUNDARY_ROUNDS,
+                backend="numpy",
+            )
+        finally:
+            source.close()
+    stages = [("greedy", greedy), ("two_k_swap", improved)]
+
+    def list_form():
+        entries, sections = [], []
+        for index, (name, result) in enumerate(stages):
+            entries.append(
+                {
+                    "report": {"stage": name, "index": index},
+                    "result": encode_result(result),
+                }
+            )
+            sections.append(encode_section(entries))
+        return sections
+
+    def array_native():
+        section, sections = encode_section([]), []
+        for index, (name, result) in enumerate(stages):
+            entry = {
+                "report": {"stage": name, "index": index},
+                "result": encode_result(result, array_native=True),
+            }
+            section = extend_section(section, entry)
+            sections.append(section)
+        return sections
+
+    forms = {"list": list_form, "array": array_native}
+    seconds: Dict[str, List[float]] = {form: [] for form in forms}
+    built = {}
+    for _ in range(SOLVE_BOUNDARY_REPEATS):
+        for form, encode in forms.items():
+            started = time.perf_counter()
+            built[form] = encode()
+            seconds[form].append(time.perf_counter() - started)
+    for listed, extended in zip(built["list"], built["array"]):
+        assert (listed.json_bytes, listed.blob) == (
+            extended.json_bytes,
+            extended.blob,
+        ), f"solve-boundary prefix bytes differ between forms at n={num_vertices}"
+        assert listed.blob_hash.digest() == extended.blob_hash.digest()
+    list_seconds = statistics.median(seconds["list"])
+    array_seconds = statistics.median(seconds["array"])
+    assert array_seconds * 2 <= list_seconds, (
+        f"solve-boundary array-native encode regression at n={num_vertices}: "
+        f"{array_seconds:.4f}s vs {list_seconds:.4f}s re-encoding lists"
+    )
+    final = built["array"][-1]
+    return {
+        "num_vertices": num_vertices,
+        "members": [result.size for _name, result in stages],
+        "prefix_bytes": len(final.json_bytes) + len(final.blob),
+        "list_encode_seconds": round(list_seconds, 6),
+        "array_encode_seconds": round(array_seconds, 6),
+        "encode_speedup": round(list_seconds / array_seconds, 2),
+    }
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true", help="tiny run for CI")
@@ -304,6 +407,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     rows = [measure(size) for size in sizes]
     stream_rows = [measure_stream(size) for size in sizes]
     solve_round = measure_solve_round(SOLVE_ROUND_VERTICES)
+    solve_boundary = measure_solve_boundary(SOLVE_BOUNDARY_VERTICES)
 
     print_experiment_header(
         "Checkpoint format",
@@ -363,6 +467,24 @@ def main(argv: Optional[List[str]] = None) -> int:
             title="solve-round: one-k round snapshot, byte-identical forms",
         )
     )
+    print()
+    print(
+        format_table(
+            ["n", "set sizes", "prefix bytes", "list encode s", "array encode s",
+             "speedup"],
+            [
+                [
+                    solve_boundary["num_vertices"],
+                    " → ".join(str(size) for size in solve_boundary["members"]),
+                    format_bytes(solve_boundary["prefix_bytes"]),
+                    solve_boundary["list_encode_seconds"],
+                    solve_boundary["array_encode_seconds"],
+                    solve_boundary["encode_speedup"],
+                ]
+            ],
+            title="solve-boundary: completed-prefix encodes, byte-identical forms",
+        )
+    )
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             json.dump(
@@ -370,6 +492,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                     "results": rows,
                     "stream_checkpoint": stream_rows,
                     "solve_round": solve_round,
+                    "solve_boundary": solve_boundary,
                 },
                 handle,
                 indent=2,

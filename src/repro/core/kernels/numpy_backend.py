@@ -103,6 +103,24 @@ def _fingerprint(*arrays) -> bytes:
     return digest.digest()
 
 
+def _sorted_unique(values):
+    """``np.unique(values)`` of a 1-D integer array, by sort and compare.
+
+    The plain ``np.unique`` form asks ``np.ma.is_masked`` first, which
+    imports ``numpy.ma`` (about 20 ms) in every fresh or forked process
+    that reaches it; the two-k pre-swap scan would be the only thing
+    loading it in a solve or a service job.
+    """
+
+    values = np.sort(values)
+    if values.size > 1:
+        keep = np.empty(values.size, dtype=bool)
+        keep[0] = True
+        np.not_equal(values[1:], values[:-1], out=keep[1:])
+        values = values[keep]
+    return values
+
+
 def _int_bincount(values, weights, minlength: int):
     """Weighted bincount cast back to int64 (weights are small exact ints)."""
 
@@ -1314,7 +1332,7 @@ def _two_k_preswap(csr, ctx: _TwoKRound) -> None:
     # neighbour) keys.
     joined = ctx.join_vertex
     if joined.size:
-        cands = np.unique(joined)
+        cands = _sorted_unique(joined)
         recs = pos[cands]
         lens = indptr[recs + 1] - indptr[recs]
         nbr_keys = np.repeat(cands, lens) * n + indices[
@@ -1325,9 +1343,9 @@ def _two_k_preswap(csr, ctx: _TwoKRound) -> None:
         at = np.searchsorted(nbr_keys, keys)
         adjacent = at < nbr_keys.size
         adjacent[adjacent] = nbr_keys[at[adjacent]] == keys[adjacent]
-        seeds.append(pos[np.unique(joined[~adjacent])])
+        seeds.append(pos[_sorted_unique(joined[~adjacent])])
 
-    heap = np.unique(np.concatenate(seeds)).tolist()  # ascending: a valid heap
+    heap = _sorted_unique(np.concatenate(seeds)).tolist()  # ascending: a valid heap
     if not heap:
         return
     is_cand = np.zeros(n, dtype=bool)

@@ -39,9 +39,10 @@ tests and the CI resume drill.
 Two knobs keep frequent checkpointing cheap:
 
 * the encoded completed-stage prefix (including a reduce stage's kernel
-  artifact) is cached between stage boundaries as a pre-encoded
-  checkpoint section, so per-round writes only re-encode the loop
-  snapshot;
+  artifact) is kept as a pre-encoded checkpoint section: each stage
+  boundary extends it by the new stage's entry alone, whose independent
+  set is one sorted int64 array, and per-round writes splice it as-is
+  and only encode the loop snapshot;
 * ``checkpoint_every_seconds=N`` throttles *round* checkpoints to at
   most one per N seconds (measured by an injectable monotonic ``clock``)
   — stage-boundary checkpoints are always written.  Resuming from an
@@ -55,6 +56,8 @@ from __future__ import annotations
 import time
 from typing import Callable, Dict, List, Optional
 
+import numpy as np
+
 from repro.core.kernels.base import decode_rounds, encode_rounds
 from repro.core.result import MISResult
 from repro.errors import CheckpointError, PipelineInterrupted, SolverError
@@ -65,6 +68,7 @@ from repro.pipeline.stages import ARTIFACT_KEY, StageReport, get_stage
 from repro.storage.checkpoint import (
     EncodedSection,
     encode_section,
+    extend_section,
     read_checkpoint,
     write_checkpoint,
 )
@@ -74,12 +78,31 @@ from repro.validation.checks import assert_independent_set
 __all__ = ["PipelineEngine", "decode_result", "encode_result"]
 
 
-def encode_result(result: MISResult) -> Dict[str, object]:
-    """A :class:`MISResult` as a JSON-serializable dict (checkpoint form)."""
+def encode_result(
+    result: MISResult, *, array_native: bool = False
+) -> Dict[str, object]:
+    """A :class:`MISResult` as a dict of JSON data (result and checkpoint form).
 
+    ``independent_set`` is the ascending member list, so the dict renders
+    straight to JSON text; the service renders it once and writes that
+    text to both the result file and the cache entry.  With
+    ``array_native`` it is an ascending int64 array instead (one
+    ``np.fromiter`` and one sort), which a checkpoint section packs to
+    the same bytes as the list without a per-element walk.  The engine's
+    completed-stage entries take that form: each stage boundary extends
+    the encoded prefix by one entry (see
+    :func:`~repro.storage.checkpoint.encode_section`), byte-identical to
+    encoding the list form of every entry again.
+    """
+
+    members = result.independent_set
     return {
         "algorithm": result.algorithm,
-        "independent_set": sorted(result.independent_set),
+        "independent_set": (
+            np.sort(np.fromiter(members, dtype=np.int64, count=len(members)))
+            if array_native
+            else sorted(members)
+        ),
         "rounds": encode_rounds(result.rounds),
         "io": result.io.as_dict(),
         "memory_bytes": result.memory_bytes,
@@ -174,10 +197,10 @@ class PipelineEngine:
             get_stage(stage_spec.stage).check_options(stage_spec.options)
         self._checkpoint_writes = 0
         self._last_checkpoint_at: Optional[float] = None
-        # Pre-encoded completed-stage prefix, re-encoded only when the
-        # prefix grows (stage boundaries); round writes splice it as-is.
+        # Pre-encoded completed-stage prefix (set up by run()): extended
+        # by one entry at each stage boundary, spliced as-is into round
+        # writes.
         self._completed_section: Optional[EncodedSection] = None
-        self._completed_count = -1
 
     # ------------------------------------------------------------------
     # Execution
@@ -216,8 +239,7 @@ class PipelineEngine:
         )
         self._checkpoint_writes = 0
         self._last_checkpoint_at = self._clock() if self.checkpoint_path else None
-        self._completed_section = None
-        self._completed_count = -1
+        self._completed_section = encode_section([])
         ctx.finalizers = []
         origin = {
             "num_vertices": ctx.source.num_vertices,
@@ -231,7 +253,6 @@ class PipelineEngine:
         if digest is not None:
             origin["digest"] = digest
 
-        completed: List[dict] = []
         reports: List[StageReport] = []
         previous: Optional[MISResult] = None
         last_result: Optional[MISResult] = None
@@ -271,8 +292,8 @@ class PipelineEngine:
                 else:
                     previous = result
                 reports.append(report)
-                completed.append(entry)
                 last_result = result
+            self._completed_section = encode_section(payload["completed"])
             start_index = int(payload["stage_index"])
             if payload["phase"] == "round":
                 resume_loop = payload["loop_state"]
@@ -346,7 +367,6 @@ class PipelineEngine:
                         stage_index=_index,
                         loop_state=loop_state,
                         stage_io_before=_io,
-                        completed=completed,
                     )
 
             journal.emit(
@@ -414,16 +434,28 @@ class PipelineEngine:
                     seconds=round(stage_elapsed, 6),
                 )
             if self.checkpoint_path is not None:
-                # The serialized entry (sorted vertex list and all) is only
-                # needed for checkpoint payloads; skipping it keeps engine
-                # dispatch out of the hot path of plain runs.
+                # The encoded entry is only needed for checkpoint payloads;
+                # plain runs skip it.
+                encode_mark = tracer.now()
                 entry: Dict[str, object] = {
                     "report": report.summary(),
-                    "result": encode_result(result),
+                    "result": encode_result(result, array_native=True),
                 }
                 if artifact is not None:
                     entry["artifact"] = artifact
-                completed.append(entry)
+                section = extend_section(self._completed_section, entry)
+                self._completed_section = section
+                if obs_on:
+                    tracer.add_span(
+                        "checkpoint:encode",
+                        "checkpoint",
+                        encode_mark,
+                        tracer.now(),
+                        args={
+                            "entries": len(reports) + 1,
+                            "bytes": len(section.json_bytes) + len(section.blob),
+                        },
+                    )
             reports.append(report)
             last_result = result
             previous = None if stage.transforms_source else result
@@ -438,7 +470,6 @@ class PipelineEngine:
                     stage_index=index + 1,
                     loop_state=None,
                     stage_io_before=None,
-                    completed=completed,
                 )
 
         if last_result is None:  # pragma: no cover - specs are non-empty
@@ -532,14 +563,7 @@ class PipelineEngine:
         stage_index: int,
         loop_state: Optional[dict],
         stage_io_before: Optional[dict],
-        completed: List[dict],
     ) -> None:
-        if (
-            self._completed_section is None
-            or self._completed_count != len(completed)
-        ):
-            self._completed_section = encode_section(completed, base_offset=0)
-            self._completed_count = len(completed)
         payload = {
             "spec": self.spec.to_dict(),
             "max_rounds": self.max_rounds,
@@ -552,7 +576,7 @@ class PipelineEngine:
             "stage_io_before": stage_io_before,
         }
         write_mark = self.obs.tracer.now()
-        write_checkpoint(
+        written = write_checkpoint(
             self.checkpoint_path,
             payload,
             sections={"completed": self._completed_section},
@@ -563,7 +587,12 @@ class PipelineEngine:
                 "checkpoint",
                 write_mark,
                 self.obs.tracer.now(),
-                args={"phase": phase, "stage_index": stage_index},
+                args={
+                    "phase": phase,
+                    "stage_index": stage_index,
+                    "kind": "snapshot",
+                    "bytes": written.nbytes,
+                },
             )
             self.obs.registry.inc("repro_checkpoint_writes_total", phase=phase)
         self._last_checkpoint_at = self._clock()

@@ -34,16 +34,29 @@ from typing import Dict, List, Optional
 from repro.errors import ServiceError, StorageError
 from repro.pipeline.context import resolve_backend_request
 from repro.pipeline.spec import RunSpec
+from repro.storage.blocks import atomic_write
 
 __all__ = [
     "ResultCache",
     "cache_key",
+    "canonical_json",
     "file_digest",
     "input_digest",
     "spec_key_fields",
 ]
 
 _CHUNK_BYTES = 1 << 20
+
+
+def canonical_json(value) -> bytes:
+    """``value`` as canonical JSON text: sorted keys, compact separators.
+
+    The one rendering of a job's result file (``canonical_json`` of the
+    encoded result) and of the cache entry, which splices that same text
+    (see :meth:`ResultCache.put`).
+    """
+
+    return json.dumps(value, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
 def file_digest(path: str) -> str:
@@ -124,10 +137,8 @@ def spec_key_fields(spec: RunSpec, input_digest: str) -> Dict[str, object]:
 def cache_key(spec: RunSpec, input_digest: str) -> str:
     """The cache key digest for a run spec over a digested input."""
 
-    canonical = json.dumps(
-        spec_key_fields(spec, input_digest), sort_keys=True, separators=(",", ":")
-    )
-    return hashlib.blake2b(canonical.encode("utf-8"), digest_size=16).hexdigest()
+    canonical = canonical_json(spec_key_fields(spec, input_digest))
+    return hashlib.blake2b(canonical, digest_size=16).hexdigest()
 
 
 class ResultCache:
@@ -188,10 +199,14 @@ class ResultCache:
         self,
         key: str,
         key_fields: Dict[str, object],
-        encoded_result: Dict[str, object],
+        rendered_result: bytes,
     ) -> None:
-        """Store a result under ``key`` (first write wins; writes are atomic).
+        """Store a result under ``key`` (first write wins; writes are durable).
 
+        ``rendered_result`` is :func:`canonical_json` of the encoded
+        result, the text the worker also writes to the job's result file;
+        the entry splices it verbatim, so the entry is byte-identical to
+        ``canonical_json`` of the whole entry dict.
         ``key_fields`` are stored alongside the result for auditability —
         a cache entry is self-describing about what it answers.
         """
@@ -201,17 +216,17 @@ class ResultCache:
             return
         self._count("repro_cache_stores_total")
         os.makedirs(self.directory, exist_ok=True)
-        document = json.dumps(
-            {"key": key, "key_fields": key_fields, "result": encoded_result},
-            sort_keys=True,
-            separators=(",", ":"),
-        ).encode("utf-8")
-        temp_path = f"{path}.{os.getpid()}.tmp"
-        with open(temp_path, "wb") as handle:
-            handle.write(document)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(temp_path, path)
+        # The entry's keys in sorted order: "key" < "key_fields" < "result".
+        atomic_write(
+            path,
+            b'{"key":',
+            canonical_json(key),
+            b',"key_fields":',
+            canonical_json(key_fields),
+            b',"result":',
+            rendered_result,
+            b"}",
+        )
         self.evict()
 
     def evict(self, limit_bytes: Optional[int] = None) -> List[str]:

@@ -17,10 +17,12 @@ crash of any of its processes:
 A :class:`JobRecord` is the durable state-machine entry for one
 submitted run spec: ``queued → running → done | failed | cancelled``
 (plus the crash-recovery edge ``running → queued`` taken by the
-scheduler when a worker dies).  Records are written atomically (temp
-file + :func:`os.replace`) inside a checksummed envelope, so a torn
-write is detected on read instead of being half-applied, and a reader
-polling the store always observes a complete record.
+scheduler when a worker dies).  Records are written durably (fsynced
+temp file, :func:`os.replace`, directory fsync; see
+:func:`~repro.storage.blocks.atomic_write`) inside a checksummed
+envelope, so a torn write is detected on read instead of being
+half-applied, and a reader polling the store always observes a complete
+record.
 
 The store itself is deliberately dumb: it knows nothing about worker
 processes or scheduling policy.  The scheduler
@@ -49,6 +51,7 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
 
 from repro.errors import JobNotFoundError, ServiceError
 from repro.pipeline.spec import RunSpec
+from repro.storage.blocks import atomic_write
 
 __all__ = ["JOB_STATES", "JobRecord", "JobStore"]
 
@@ -297,17 +300,12 @@ class JobStore:
             "checksum": _checksum(payload),
             "record": payload,
         }
-        path = self.record_path(record.job_id)
         # The scheduler and a worker may write the same record at the same
-        # time (e.g. the pid stamp racing a fast failure); per-writer temp
-        # names keep both os.replace calls atomic and collision-free —
-        # last write wins, and readers always see a complete record.
-        temp_path = f"{path}.{os.getpid()}-{secrets.token_hex(4)}.tmp"
-        with open(temp_path, "wb") as handle:
-            handle.write(_canonical(envelope))
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(temp_path, path)
+        # time (e.g. the pid stamp racing a fast failure); atomic_write's
+        # per-writer temp names keep both renames atomic and
+        # collision-free — last write wins, and readers always see a
+        # complete record.
+        atomic_write(self.record_path(record.job_id), _canonical(envelope))
         return record
 
     def get(self, job_id: str) -> JobRecord:

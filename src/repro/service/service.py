@@ -28,7 +28,6 @@ so there is nothing to lock.
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 import os
 import time
@@ -39,8 +38,9 @@ from repro.errors import ServiceError
 from repro.obs import MetricsRegistry
 from repro.obs.journal import append_event
 from repro.service.jobstore import JobRecord, JobStore
-from repro.service.cache import ResultCache
+from repro.service.cache import ResultCache, canonical_json
 from repro.service.worker import worker_main
+from repro.storage.blocks import atomic_write
 
 __all__ = ["ServiceConfig", "SolverService"]
 
@@ -314,11 +314,7 @@ class SolverService:
         encoded = self.cache.get(record.cache_key)
         if encoded is None:
             return False
-        path = self.store.result_path(record.job_id)
-        temp_path = f"{path}.{os.getpid()}.tmp"
-        with open(temp_path, "w", encoding="utf-8") as handle:
-            json.dump(encoded, handle, sort_keys=True, separators=(",", ":"))
-        os.replace(temp_path, path)
+        atomic_write(self.store.result_path(record.job_id), canonical_json(encoded))
         extras = encoded.get("extras", {})
         # Guarded transition: a client cancel landing since the schedule
         # pass read the record must stand — terminal states never revert.

@@ -5,7 +5,10 @@ executes the pipeline through :class:`~repro.pipeline.engine.PipelineEngine`
 (or, for specs with an ``updates`` file, drains a
 :class:`~repro.pipeline.stream.StreamSession` over the maintained
 dynamic MIS) with the job's private checkpoint file, and writes the
-encoded result, the cache entry and the terminal job record.  The process boundary is
+encoded result, the cache entry and the terminal job record.  The result
+is rendered to JSON text once, and both the result file and the cache
+entry are written from that text, durably (see
+:func:`~repro.storage.blocks.atomic_write`).  The process boundary is
 the whole point — a worker that is ``kill -9``-ed (or dies with the
 machine) leaves a complete checkpoint and a ``running`` record behind,
 and the scheduler restarts the job with ``resume=True``, which the
@@ -38,8 +41,15 @@ from repro.obs import EventJournal, MetricsRegistry, Observability
 from repro.pipeline.context import ExecutionContext, resolve_backend_request
 from repro.pipeline.engine import PipelineEngine, encode_result
 from repro.pipeline.stream import StreamSession
-from repro.service.cache import ResultCache, file_digest, input_digest, spec_key_fields
+from repro.service.cache import (
+    ResultCache,
+    canonical_json,
+    file_digest,
+    input_digest,
+    spec_key_fields,
+)
 from repro.service.jobstore import JobStore
+from repro.storage.blocks import atomic_write
 from repro.storage.registry import open_adjacency_source
 from repro.storage.scan import AdjacencyScanSource
 
@@ -48,18 +58,6 @@ __all__ = ["WORKER_INTERRUPTED", "execute_job", "worker_main"]
 #: Exit status of a worker killed by the ``interrupt_after`` drill knob —
 #: mirrors the CLI's ``EXIT_INTERRUPTED`` so drills read the same either way.
 WORKER_INTERRUPTED = 3
-
-
-def _write_result(store: JobStore, job_id: str, encoded: dict) -> None:
-    import json
-
-    path = store.result_path(job_id)
-    temp_path = f"{path}.tmp"
-    with open(temp_path, "w", encoding="utf-8") as handle:
-        json.dump(encoded, handle, sort_keys=True, separators=(",", ":"))
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(temp_path, path)
 
 
 def _run_stream(spec, record, ctx, checkpoint, beat, obs) -> MISResult:
@@ -204,12 +202,14 @@ def execute_job(root: str, job_id: str) -> int:
             journal.emit("job_failed", job_id=job_id, error=str(exc))
             return 0
 
-        encoded = encode_result(result)
-        _write_result(store, job_id, encoded)
+        # One rendering; the result file and the cache entry are both
+        # written from that text.
+        rendered = canonical_json(encode_result(result))
+        atomic_write(store.result_path(job_id), rendered)
         ResultCache(store.cache_dir).put(
             record.cache_key,
             spec_key_fields(spec, record.input_digest),
-            encoded,
+            rendered,
         )
         store.update(
             job_id,

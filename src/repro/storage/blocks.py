@@ -24,7 +24,13 @@ from typing import BinaryIO, Optional, Tuple, Union
 from repro.errors import StorageError
 from repro.storage.io_stats import IOStats
 
-__all__ = ["BlockDevice", "DEFAULT_BLOCK_SIZE", "DEFAULT_BATCH_BLOCKS", "fsync_directory"]
+__all__ = [
+    "BlockDevice",
+    "DEFAULT_BLOCK_SIZE",
+    "DEFAULT_BATCH_BLOCKS",
+    "atomic_write",
+    "fsync_directory",
+]
 
 #: Default block size of 64 KiB — a typical unit of sequential disk transfer.
 DEFAULT_BLOCK_SIZE = 64 * 1024
@@ -45,6 +51,32 @@ def fsync_directory(path: str) -> None:
         os.fsync(descriptor)
     finally:
         os.close(descriptor)
+
+
+def atomic_write(path: str, *parts: bytes) -> None:
+    """Durably replace ``path`` with the concatenation of ``parts``.
+
+    The bytes go to a sibling temporary file named after this process and
+    a random token — so concurrent writers of one path never share a
+    temporary — which is fsynced and renamed over ``path``; the directory
+    is fsynced after the rename.  Readers see the old file or the new
+    one, never a partial write, and a finished write survives power loss.
+    """
+
+    temp_path = f"{path}.{os.getpid()}-{os.urandom(4).hex()}.tmp"
+    try:
+        with open(temp_path, "wb") as handle:
+            handle.writelines(parts)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(temp_path, path)
+    except BaseException:
+        try:
+            os.unlink(temp_path)
+        except OSError:
+            pass
+        raise
+    fsync_directory(path)
 
 
 class BlockDevice:

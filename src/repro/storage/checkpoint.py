@@ -55,12 +55,14 @@ one top-level payload value (JSON text plus its slice of the arrays
 section) once, and :func:`write_checkpoint` splices such
 :class:`EncodedSection` objects verbatim into the document.  The pipeline
 engine uses this for the completed-stage prefix — per-round checkpoint
-writes then only encode the loop snapshot.  A document written with
-pre-encoded sections decodes to the exact payload of one written plain
-(and is byte-identical whenever the section keys sort before the other
-array-bearing payload keys, as the engine's do).  A section encoded at
-arrays offset 0 also carries the BLAKE2b state after its blob, so a
-write hashes only the bytes that follow the spliced prefix.
+writes then only encode the loop snapshot, and each stage boundary
+encodes only the new stage's entry (:func:`extend_section`).  A document
+written with pre-encoded sections decodes to the exact payload of one
+written plain (and is byte-identical whenever the section keys sort
+before the other array-bearing payload keys, as the engine's do).  A
+section encoded at arrays offset 0 also carries the BLAKE2b state after
+its blob, so a write hashes only the bytes that follow the spliced
+prefix.
 
 Record logs
 -----------
@@ -90,7 +92,7 @@ from repro.errors import (
     CheckpointError,
     CheckpointVersionError,
 )
-from repro.storage.blocks import fsync_directory as _fsync_directory
+from repro.storage import blocks
 
 __all__ = [
     "CHECKPOINT_FORMAT",
@@ -99,6 +101,7 @@ __all__ = [
     "Written",
     "append_record",
     "encode_section",
+    "extend_section",
     "read_checkpoint",
     "read_records",
     "write_checkpoint",
@@ -289,6 +292,14 @@ def encode_section(value, base_offset: int = 0) -> EncodedSection:
     The returned section is only valid in documents that place its blob
     at ``base_offset`` of the arrays section; :func:`write_checkpoint`
     enforces this.
+
+    A list section grows without re-encoding what it holds:
+    ``extend_section(encode_section(items, o), item)`` equals
+    ``encode_section(items + [item], o)`` — the same ``json_bytes``,
+    ``blob`` and ``blob_hash`` digest — and costs only ``item``'s
+    encoding.  Payload values may hold lists or ndarrays interchangeably
+    (they pack to the same bytes), so a writer can keep array-native
+    values and still match a section encoded from their list form.
     """
 
     blob_parts: List[bytes] = []
@@ -302,6 +313,42 @@ def encode_section(value, base_offset: int = 0) -> EncodedSection:
         json_bytes=_dump_json(converted),
         blob=blob,
         base_offset=base_offset,
+        blob_hash=blob_hash,
+    )
+
+
+def extend_section(section: EncodedSection, item) -> EncodedSection:
+    """The section of a list value with ``item`` appended.
+
+    ``section`` must encode a list (see :func:`encode_section`).  Only
+    ``item`` is encoded: its arrays are packed after ``section.blob`` and
+    its JSON text spliced before the closing bracket, and the blob hash
+    of an offset-0 section resumes from the kept state.  ``item`` may not
+    be an int: an int list of :data:`ARRAY_MIN_LENGTH` or more items
+    encodes as one packed array, not item by item.
+    """
+
+    if not section.json_bytes.startswith(b"[") or not section.json_bytes.endswith(
+        b"]"
+    ):
+        raise CheckpointError("only a list checkpoint section can be extended")
+    if isinstance(item, int):
+        raise CheckpointError("a checkpoint section cannot be extended by an int")
+    blob_parts: List[bytes] = []
+    converted, _offset = _extract_arrays(
+        item, blob_parts, section.base_offset + len(section.blob)
+    )
+    tail = b"".join(blob_parts)
+    head = section.json_bytes[:-1]
+    separator = b"," if len(head) > 1 else b""
+    blob_hash = None
+    if section.blob_hash is not None:
+        blob_hash = section.blob_hash.copy()
+        blob_hash.update(tail)
+    return EncodedSection(
+        json_bytes=head + separator + _dump_json(converted) + b"]",
+        blob=section.blob + tail,
+        base_offset=section.base_offset,
         blob_hash=blob_hash,
     )
 
@@ -328,21 +375,14 @@ def write_checkpoint(
     to writing the merged plain payload (byte-identically when the
     section keys sort before every array-bearing payload key).
 
-    The write happens into a sibling temporary file first and is moved
-    over ``path`` with :func:`os.replace`, so readers never observe a
-    half-written file; the directory is fsynced after the rename, so the
-    new file also survives a power failure.  Returns the document's
-    length and payload checksum.
+    The write goes through :func:`~repro.storage.blocks.atomic_write`:
+    readers never observe a half-written file, and the new file (its
+    directory entry included) survives a power failure.  Returns the
+    document's length and payload checksum.
     """
 
     written, parts = _encode_document(payload, sections)
-    temp_path = f"{path}.tmp"
-    with open(temp_path, "wb") as handle:
-        handle.writelines(parts)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(temp_path, path)
-    _fsync_directory(path)
+    blocks.atomic_write(path, *parts)
     return written
 
 
@@ -363,7 +403,7 @@ def append_record(path: str, payload: Dict[str, object]) -> Written:
         handle.flush()
         os.fsync(handle.fileno())
     if created:
-        _fsync_directory(path)
+        blocks.fsync_directory(path)
     return written
 
 

@@ -9,7 +9,9 @@ import random
 
 import pytest
 
+from repro.storage import blocks as blocks_module
 from repro.storage import checkpoint as checkpoint_module
+from snapshot_helpers import plain
 
 from repro.errors import (
     CheckpointCorruptError,
@@ -23,6 +25,7 @@ from repro.storage.checkpoint import (
     ZLIB_LEVEL,
     append_record,
     encode_section,
+    extend_section,
     read_checkpoint,
     read_records,
     write_checkpoint,
@@ -406,6 +409,82 @@ class TestEncodedSections:
         assert encode_section(self.COMPLETED, base_offset=64).blob_hash is None
 
 
+class TestExtendSection:
+    """A list section extended entry by entry is the whole list's encoding."""
+
+    @staticmethod
+    def _entries():
+        """Engine-shaped completed-stage entries, the sets as int64 arrays."""
+
+        import numpy as np
+
+        rng = np.random.default_rng(5)
+
+        def entry(stage, members, artifact=None):
+            value = {
+                "report": {"stage": stage, "size": int(members.size)},
+                "result": {"algorithm": stage, "independent_set": members},
+            }
+            if artifact is not None:
+                value["artifact"] = artifact
+            return value
+
+        kernel = {
+            "kernel_vertices": 700,
+            "kernel_edge_sources": np.sort(rng.integers(0, 700, 900)),
+            "kernel_edge_targets": rng.integers(0, 700, 900),
+            "kernel_tokens": list(range(-20, 40)),
+        }
+        return [
+            entry("reduce", np.flatnonzero(rng.random(700) < 0.3), kernel),
+            entry("greedy", np.flatnonzero(rng.random(4000) < 0.4)),
+            entry("two_k_swap", np.flatnonzero(rng.random(4000) < 0.45)),
+        ]
+
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    @pytest.mark.parametrize("base_offset", [0, 96])
+    def test_extended_prefix_equals_the_list_form_encoding(self, count, base_offset):
+        entries = self._entries()[:count]
+        section = encode_section([], base_offset)
+        for entry in entries:
+            section = extend_section(section, entry)
+        listed = encode_section(plain(entries), base_offset)
+        assert section.json_bytes == listed.json_bytes
+        assert section.blob == listed.blob
+        assert section.base_offset == base_offset
+        if base_offset == 0:
+            assert section.blob_hash.digest() == listed.blob_hash.digest()
+            assert section.blob_hash.hexdigest() == checkpoint_module._digest(
+                section.blob
+            )
+        else:
+            assert section.blob_hash is None
+
+    def test_extending_a_decoded_prefix_matches_too(self):
+        entries = self._entries()
+        # A resumed engine re-encodes the decoded (list) prefix once, then
+        # extends it with array-native entries.
+        section = extend_section(encode_section(plain(entries[:2])), entries[2])
+        assert section == encode_section(plain(entries))
+        assert section.blob_hash.digest() == encode_section(entries).blob_hash.digest()
+
+    def test_extension_leaves_the_original_section_intact(self):
+        entries = self._entries()
+        first = extend_section(encode_section([]), entries[0])
+        before = (first.json_bytes, first.blob, first.blob_hash.digest())
+        extend_section(first, entries[1])
+        assert (first.json_bytes, first.blob, first.blob_hash.digest()) == before
+
+    def test_only_list_sections_extend_and_never_by_an_int(self):
+        with pytest.raises(CheckpointError, match="list"):
+            extend_section(encode_section({"a": 1}), {"b": 2})
+        with pytest.raises(CheckpointError, match="list"):
+            # A 32+ int list encodes as one packed array, not a list.
+            extend_section(encode_section(list(range(ARRAY_MIN_LENGTH))), {})
+        with pytest.raises(CheckpointError, match="int"):
+            extend_section(encode_section([1, 2]), 3)
+
+
 def _records(count):
     rng = random.Random(count)
     return [
@@ -434,7 +513,7 @@ class TestDurability:
     ):
         synced = []
         monkeypatch.setattr(
-            checkpoint_module, "_fsync_directory", lambda path: synced.append(path)
+            blocks_module, "fsync_directory", lambda path: synced.append(path)
         )
         path = str(tmp_path / "ck")
         write_checkpoint(path, PAYLOAD)

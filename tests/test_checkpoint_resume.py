@@ -312,29 +312,85 @@ class TestCheckpointPolicy:
             )
 
     def test_completed_prefix_encoded_once_per_boundary(self, tmp_path, monkeypatch):
-        """Round writes splice the cached prefix instead of re-encoding it."""
+        """Round writes splice the cached prefix instead of re-encoding it,
+        and each boundary encodes only the stage it completes."""
 
         import repro.pipeline.engine as engine_module
 
         calls = []
-        real = engine_module.encode_section
+        encode_calls = []
+        real_extend = engine_module.extend_section
+        real_encode = engine_module.encode_section
 
-        def counting(value, base_offset=0):
-            calls.append(len(value))
-            return real(value, base_offset)
+        def counting(section, item):
+            calls.append(item["report"]["stage"])
+            return real_extend(section, item)
 
-        monkeypatch.setattr(engine_module, "encode_section", counting)
+        def counting_encode(value, base_offset=0):
+            encode_calls.append(len(value))
+            return real_encode(value, base_offset)
+
+        monkeypatch.setattr(engine_module, "extend_section", counting)
+        monkeypatch.setattr(engine_module, "encode_section", counting_encode)
         graph = erdos_renyi_gnm(260, 800, seed=13)
         engine = PipelineEngine(
             PIPELINES["one_k_swap"], checkpoint_path=str(tmp_path / "ck")
         )
         result = engine.run(ExecutionContext.create(graph))
-        # One encode per distinct prefix length (1 then 2 completed
-        # stages), not one per checkpoint write: the one-k round writes
-        # all reuse the length-1 prefix encoded at the greedy boundary.
+        # One entry encode per stage boundary, not one per checkpoint
+        # write: the one-k round writes all reuse the prefix extended at
+        # the greedy boundary, and a fresh run encodes a whole prefix
+        # only once, for the empty start.
         assert engine._checkpoint_writes > len(calls)
-        assert calls == [1, 2]
+        assert calls == ["greedy", "one_k_swap"]
+        assert encode_calls == [0]
         assert result.num_rounds > 1
+
+
+class TestArrayNativeCheckpoints:
+    """The engine's array-native entries and extended prefix write the
+    exact bytes of re-encoding every entry in list form."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize(
+        "pipeline", ["one_k_swap", "two_k_swap", "reduce_two_k_swap"]
+    )
+    def test_round_and_boundary_writes_match_the_list_form(
+        self, tmp_path, monkeypatch, backend, pipeline
+    ):
+        import repro.pipeline.engine as engine_module
+        from snapshot_helpers import plain
+        from repro.storage.checkpoint import encode_section
+
+        listed_entries = []
+        real_extend = engine_module.extend_section
+        real_write = engine_module.write_checkpoint
+        compared = []
+
+        def extend(section, entry):
+            listed_entries.append(plain(entry))
+            return real_extend(section, entry)
+
+        def write(path, payload, sections):
+            written = real_write(path, payload, sections=sections)
+            twin = str(tmp_path / "listed.ck")
+            real_write(
+                twin,
+                plain(payload),
+                sections={"completed": encode_section(listed_entries)},
+            )
+            with open(path, "rb") as mine, open(twin, "rb") as listed:
+                assert mine.read() == listed.read()
+            compared.append(payload["phase"])
+            return written
+
+        monkeypatch.setattr(engine_module, "extend_section", extend)
+        monkeypatch.setattr(engine_module, "write_checkpoint", write)
+        graph = plrg_graph_with_vertex_count(400, 2.0, seed=13)
+        PipelineEngine(
+            PIPELINES[pipeline], checkpoint_path=str(tmp_path / "ck"), max_rounds=3
+        ).run(ExecutionContext.create(graph, backend=backend))
+        assert "round" in compared and "boundary" in compared
 
 
 class TestResumeGuards:

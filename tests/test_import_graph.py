@@ -4,7 +4,9 @@ Package ``__init__`` modules export their public names lazily
 (:mod:`repro._lazy`) and ``repro.cli`` imports per-command modules inside
 the commands, so a ``repro-mis solve`` process never compiles the service
 layer, stream sessions, comparators, reductions, graph generators or
-table formatting.  Each check runs in a fresh interpreter, since this
+table formatting.  Neither a solve nor a forked service job loads
+``numpy.ma`` (about 20 ms per process), which the plain ``np.unique``
+form would import.  Each check runs in a fresh interpreter, since this
 test process has long since imported everything.
 """
 
@@ -80,7 +82,7 @@ def _cli_modules(tmp_path, argv):
     assert child.returncode == 0, child.stderr
     loaded = json.loads(record.read_text())
     assert loaded["code"] == 0
-    return [name for name in loaded["modules"] if name.startswith("repro")]
+    return loaded["modules"]
 
 
 def _forbidden(modules):
@@ -121,6 +123,45 @@ def test_solve_loads_only_the_solve_path(graph_files, tmp_path, pipeline):
     # The python reference loads only in runs that resolve to it.
     assert "repro.core.kernels.python_backend" not in modules
     assert _forbidden(modules) == []
+    assert "numpy.ma" not in modules
+
+
+_SERVICE_JOB_MODULES = """
+import json, sys
+import repro.service.service as scheduler
+from repro.pipeline.spec import RunSpec
+from repro.service import ServiceClient, ServiceConfig, SolverService
+from repro.service.worker import execute_job
+
+def recording_worker(root, job_id):
+    code = execute_job(root, job_id)
+    with open(sys.argv[1], "w") as handle:
+        json.dump({"code": code, "modules": sorted(sys.modules)}, handle)
+    sys.exit(code)
+
+root, graph = sys.argv[2:4]
+client = ServiceClient(root)
+job = client.submit(RunSpec.from_dict({"pipeline": "two_k_swap", "input": graph}))
+# The scheduler forks this in place of worker_main.
+scheduler.worker_main = recording_worker
+service = SolverService(root, ServiceConfig(workers=1, poll_interval_seconds=0.02))
+try:
+    service.drain(timeout_seconds=120)
+finally:
+    service.stop()
+assert client.status(job.job_id).state == "done"
+"""
+
+
+def test_forked_two_k_service_job_loads_no_numpy_ma(graph_files, tmp_path):
+    _text, binary = graph_files
+    record = tmp_path / "modules.json"
+    child = _fresh(_SERVICE_JOB_MODULES, str(record), str(tmp_path / "svc"), binary)
+    assert child.returncode == 0, child.stderr
+    loaded = json.loads(record.read_text())
+    assert loaded["code"] == 0
+    assert "repro.core.kernels.numpy_backend" in loaded["modules"]
+    assert "numpy.ma" not in loaded["modules"]
 
 
 def test_convert_loads_no_solver_extras(graph_files, tmp_path):

@@ -22,6 +22,7 @@ The contracts under test:
 from __future__ import annotations
 
 import json
+import os
 import random
 import threading
 import time
@@ -322,6 +323,41 @@ class TestEngineObservability:
         assert events[0] == "run_start"
         assert events[-1] == "run_end"
         assert events.count("stage_start") == events.count("stage_end") == 2
+
+    def test_checkpoint_encode_and_write_spans(self, tmp_path):
+        """Each stage boundary's prefix encode gets its own span, sized, and
+        each write says what it wrote."""
+
+        from repro.pipeline.context import ExecutionContext
+        from repro.pipeline.engine import PipelineEngine
+        from repro.pipeline.spec import BUILTIN_PIPELINES
+
+        graph = erdos_renyi_gnm(300, 900, seed=7)
+        obs = Observability(tracer=SpanTracer())
+        checkpoint = str(tmp_path / "run.ck")
+        PipelineEngine(
+            BUILTIN_PIPELINES["two_k_swap"],
+            checkpoint_path=checkpoint,
+            max_rounds=2,
+            obs=obs,
+        ).run(ExecutionContext.create(graph))
+        document = obs.tracer.to_document()
+        assert validate_trace(document) == []
+        events = [e for e in document["traceEvents"] if e.get("ph") == "X"]
+        encodes = [e for e in events if e["name"] == "checkpoint:encode"]
+        writes = [e for e in events if e["name"] == "checkpoint:write"]
+        # One encode per stage boundary, each prefix one entry longer and
+        # larger than the last; it sits before, not inside, its write.
+        assert [e["args"]["entries"] for e in encodes] == [1, 2]
+        assert 0 < encodes[0]["args"]["bytes"] < encodes[1]["args"]["bytes"]
+        boundary = [e for e in writes if e["args"]["phase"] == "boundary"]
+        assert len(boundary) == 2
+        for encode, write in zip(encodes, boundary):
+            assert encode["ts"] + encode["dur"] <= write["ts"]
+        assert {e["args"]["kind"] for e in writes} == {"snapshot"}
+        assert all(e["args"]["bytes"] > 0 for e in writes)
+        # The last write is the file left on disk.
+        assert writes[-1]["args"]["bytes"] == os.path.getsize(checkpoint)
 
     def test_null_obs_records_nothing(self):
         graph = erdos_renyi_gnm(120, 300, seed=3)

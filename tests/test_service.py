@@ -34,7 +34,7 @@ from repro.errors import (
 from repro.graphs.generators import erdos_renyi_gnm
 from repro.graphs.plrg import plrg_graph_with_vertex_count
 from repro.pipeline.context import ExecutionContext
-from repro.pipeline.engine import PipelineEngine
+from repro.pipeline.engine import PipelineEngine, encode_result
 from repro.pipeline.spec import BUILTIN_PIPELINES, RunSpec
 from repro.service import (
     JobStore,
@@ -45,7 +45,7 @@ from repro.service import (
     cache_key,
     file_digest,
 )
-from repro.service.cache import input_digest, spec_key_fields
+from repro.service.cache import canonical_json, input_digest, spec_key_fields
 from repro.storage.adjacency_file import AdjacencyFileReader, write_adjacency_file
 
 DRAIN_TIMEOUT = 120.0
@@ -348,6 +348,104 @@ class TestServiceExecution:
         record = client.submit(make_spec(adjacency_path))
         with pytest.raises(JobStateError, match="queued"):
             client.result(record.job_id)
+
+
+class TestResultDocuments:
+    """A job's result is rendered once and written durably."""
+
+    @staticmethod
+    def _canonical(value) -> bytes:
+        return json.dumps(value, sort_keys=True, separators=(",", ":")).encode()
+
+    def test_result_file_and_cache_entry_share_one_rendering(
+        self, adjacency_path, tmp_path
+    ):
+        root = str(tmp_path / "svc")
+        client = ServiceClient(root)
+        spec = make_spec(adjacency_path)
+        original = client.submit(spec)
+        service = SolverService(root, fast_config())
+        try:
+            service.drain(timeout_seconds=DRAIN_TIMEOUT)
+            duplicate = client.submit(spec)
+            service.drain(timeout_seconds=DRAIN_TIMEOUT)
+        finally:
+            service.stop()
+        record = client.status(original.job_id)
+        assert client.status(duplicate.job_id).cache_hit
+        encoded = encode_result(client.result(original.job_id))
+        rendered = self._canonical(encoded)
+        store = client.store
+        with open(store.result_path(original.job_id), "rb") as handle:
+            assert handle.read() == rendered
+        with open(store.result_path(duplicate.job_id), "rb") as handle:
+            assert handle.read() == rendered
+        entry = ResultCache(store.cache_dir).entry_path(record.cache_key)
+        with open(entry, "rb") as handle:
+            assert handle.read() == self._canonical(
+                {
+                    "key": record.cache_key,
+                    "key_fields": spec_key_fields(spec, record.input_digest),
+                    "result": encoded,
+                }
+            )
+
+    def test_cache_entry_splices_the_rendered_result(self, tmp_path):
+        encoded = {"independent_set": [1, 5, 9], "extras": {"x": 0.25}, "io": {}}
+        fields = {"pipeline": {"name": "greedy"}, "backend": "auto"}
+        cache = ResultCache(str(tmp_path / "cache"))
+        cache.put("k", fields, canonical_json(encoded))
+        with open(cache.entry_path("k"), "rb") as handle:
+            assert handle.read() == self._canonical(
+                {"key": "k", "key_fields": fields, "result": encoded}
+            )
+        assert cache.get("k") == encoded
+
+    def test_worker_and_cache_hit_results_fsync_file_and_directory(
+        self, adjacency_path, tmp_path, monkeypatch
+    ):
+        from repro.service.worker import execute_job
+
+        synced = set()
+        real_fsync = os.fsync
+
+        def recording_fsync(descriptor):
+            info = os.fstat(descriptor)
+            synced.add((info.st_dev, info.st_ino))
+            return real_fsync(descriptor)
+
+        def durable(path):
+            return all(
+                (info.st_dev, info.st_ino) in synced
+                for info in (os.stat(path), os.stat(os.path.dirname(path)))
+            )
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        root = str(tmp_path / "svc")
+        client = ServiceClient(root)
+        store = client.store
+        spec = make_spec(adjacency_path)
+        first = client.submit(spec)
+        # The worker runs in this process, so the patched fsync sees it.
+        store.update(
+            first.job_id, expect_states=("queued",), state="running", attempts=1
+        )
+        assert execute_job(root, first.job_id) == 0
+        assert client.status(first.job_id).state == "done"
+        assert durable(store.result_path(first.job_id))
+        assert durable(ResultCache(store.cache_dir).entry_path(first.cache_key))
+        assert durable(store.record_path(first.job_id))
+
+        synced.clear()
+        duplicate = client.submit(spec)
+        service = SolverService(root, fast_config())
+        try:
+            service.run_once()  # the schedule pass serves it from the cache
+        finally:
+            service.stop()
+        assert client.status(duplicate.job_id).cache_hit
+        assert durable(store.result_path(duplicate.job_id))
+        assert durable(store.record_path(duplicate.job_id))
 
 
 # ----------------------------------------------------------------------
@@ -659,7 +757,7 @@ class TestBinaryInputs:
 class TestCacheEviction:
     def _fill(self, cache, keys, payload_bytes=200):
         for index, key in enumerate(keys):
-            cache.put(key, {"n": index}, {"pad": "x" * payload_bytes})
+            cache.put(key, {"n": index}, canonical_json({"pad": "x" * payload_bytes}))
             os.utime(cache.entry_path(key), (1_000_000 + index, 1_000_000 + index))
 
     def test_unbounded_cache_never_evicts(self, tmp_path):
@@ -688,7 +786,7 @@ class TestCacheEviction:
 
     def test_put_evicts_past_the_limit(self, tmp_path):
         cache = ResultCache(str(tmp_path / "cache"), limit_bytes=0)
-        cache.put("a", {}, {"pad": "x"})
+        cache.put("a", {}, canonical_json({"pad": "x"}))
         assert cache.size() == 0
 
     def test_total_bytes_tracks_entries(self, tmp_path):

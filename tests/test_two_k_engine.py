@@ -187,3 +187,32 @@ def test_cases_exercise_every_event(references):
     # The hub graph is the dense same-anchor / two-anchor case.
     hub, _snaps, hub_io = references("hub", "memory", 8, 64)
     assert hub[1][0].two_k_swaps > 0 and hub_io["random_vertex_lookups"] > 0
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [],
+        [7],
+        [-3, -3, -3, -3],
+        [5, -2, 9, -2, 0, 5, -(2 ** 62), 2 ** 62],
+        "random",
+    ],
+)
+def test_sorted_unique_equals_np_unique(values):
+    import numpy as np
+
+    from repro.core.kernels.numpy_backend import _sorted_unique
+
+    if values == "random":
+        rng = np.random.default_rng(17)
+        cases = [rng.integers(-50, 50, size) for size in (2, 3, 100, 5000)]
+        cases.append(rng.integers(-(2 ** 40), 2 ** 40, 2000))
+    else:
+        cases = [np.asarray(values, dtype=np.int64)]
+    for array in cases:
+        original = array.copy()
+        unique = _sorted_unique(array)
+        assert unique.dtype == np.int64
+        assert np.array_equal(unique, np.unique(array))
+        assert np.array_equal(array, original)  # the input is not sorted in place
