@@ -17,15 +17,23 @@ array, completed-stage prefix with an embedded reduce-kernel artifact):
   that re-encodes the whole payload, on a checkpoint whose prefix
   dominates (the reduce artifact case);
 * the *stream-checkpoint* row — what a durable ``watch`` session pays per
-  batch, both ways: a *snapshot* (a PLRG maintainer carrying an edge
-  overlay writes its state — selection bitmap, absent ids, overlay edges
-  — next to the spliced, pre-hashed CSR base section; ``snapshot_bytes``
-  is the file, ``state_bytes`` the file minus the base section,
-  ``snapshot_seconds`` is ``state_payload()`` plus ``write_checkpoint``)
-  and a *batch-log append* (``append_bytes``/``append_seconds``: the
-  batch's updates, selection flips and counters, appended and fsynced).
-  The harness asserts that an append is at most 1/20 of a snapshot's
-  bytes;
+  batch, all three ways: a *snapshot* with the CSR base embedded (a PLRG
+  maintainer carrying an edge overlay writes its state — selection
+  bitmap, absent ids, overlay edges — next to the spliced, pre-hashed
+  base section, as after a compaction; ``snapshot_bytes`` is the file,
+  ``state_bytes`` the file minus the base section, ``snapshot_seconds``
+  is ``state_payload()`` plus ``write_checkpoint``), the same snapshot
+  with the base *referenced* by digest, as before a session's first
+  compaction (``referenced_bytes``/``referenced_seconds``), and a
+  *batch-log append* (``append_bytes``/``append_seconds``: the batch's
+  updates, selection flips and counters, appended and fsynced).  Both
+  base sections come from the session's own
+  :func:`~repro.pipeline.stream.base_section`; ``base_encode_seconds``
+  and ``reference_encode_seconds`` are what building each once costs the
+  first snapshot.  The harness asserts that an append is at most 1/20
+  of an embedded snapshot's bytes, and that a referenced snapshot plus
+  the base bytes it leaves out is at most an embedded snapshot plus
+  1 KiB (the reference costs nothing beyond the base it replaces);
 * the *solve-round* row — a real numpy one-k round snapshot of a gnm
   ``SEXTCSR1`` memmap solve (m = 4n), written as the kernels hand it out
   (per-vertex ndarray copies) and in its ``.tolist()`` form (what the
@@ -78,7 +86,7 @@ from repro.dynamic.maintainer import DynamicMISMaintainer  # noqa: E402
 from repro.graphs.generators import erdos_renyi_gnm  # noqa: E402
 from repro.graphs.plrg import PLRGParameters, plrg_graph  # noqa: E402
 from repro.pipeline.engine import encode_result  # noqa: E402
-from repro.pipeline.stream import batch_record  # noqa: E402
+from repro.pipeline.stream import base_section, batch_record  # noqa: E402
 from repro.reporting import format_bytes, format_table, print_experiment_header  # noqa: E402
 from repro.storage.adjacency_file import write_adjacency_file  # noqa: E402
 from repro.storage.binary_format import MemmapAdjacencySource  # noqa: E402
@@ -98,6 +106,9 @@ STREAM_TIMED_BATCHES = 10
 #: A batch-log append must be at most this fraction of a snapshot's bytes
 #: (both deterministic); measured ≈ 1/380 at n = 1e5.
 APPEND_SNAPSHOT_RATIO = 20
+#: A referenced snapshot plus the base bytes it leaves out may exceed an
+#: embedded snapshot by at most this much (the reference's own JSON).
+REFERENCE_SLACK_BYTES = 1024
 
 #: Timed writes per form in the solve-round row (the median is reported),
 #: and its graph size, the same under ``--smoke`` (see the module docstring).
@@ -198,10 +209,12 @@ def _update_batch(rng: random.Random, num_vertices: int, edges) -> tuple:
 def measure_stream(num_vertices: int, seed: int = 1) -> Dict[str, object]:
     """Per-batch stream checkpoint costs of a PLRG maintainer with an overlay.
 
-    Every timed batch is made durable both ways a session can: as a
+    Every timed batch is made durable each way a session can: as a
     snapshot (``state_payload()`` + ``write_checkpoint`` with the spliced
-    base) and as a batch-log append (``batch_record`` + ``append_record``
-    of the batch's normalised updates, journal flips and counters).
+    base section), once with the base embedded and once referenced by
+    digest, and as a batch-log append (``batch_record`` +
+    ``append_record`` of the batch's normalised updates, journal flips
+    and counters).
     """
 
     graph = plrg_graph(PLRGParameters.from_vertex_count(num_vertices, 2.1), seed=seed)
@@ -210,22 +223,31 @@ def measure_stream(num_vertices: int, seed: int = 1) -> Dict[str, object]:
     rng = random.Random(seed)
     for _ in range(STREAM_WARM_BATCHES):
         maintainer.apply_updates(*_update_batch(rng, num_vertices, edges))
-    offsets, targets = maintainer.base_arrays()
-    base = encode_section({"offsets": offsets, "targets": targets}, base_offset=0)
+    sections, encode_seconds = {}, {}
+    for form, embed in (("embedded", True), ("referenced", False)):
+        started = time.perf_counter()
+        sections[form] = base_section(*maintainer.base_arrays(), embed=embed)
+        encode_seconds[form] = time.perf_counter() - started
 
-    snapshot_seconds = append_seconds = 0.0
-    snapshot_bytes = append_bytes = 0
+    snapshot_seconds = {form: 0.0 for form in sections}
+    snapshot_bytes = {form: 0 for form in sections}
+    append_seconds = 0.0
+    append_bytes = 0
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "stream.ck")
-        log = f"{path}.log"
+        log = os.path.join(tmp, "stream.ck.log")
         for cursor in range(STREAM_TIMED_BATCHES):
             del maintainer.journal[:]
             maintainer.apply_updates(*_update_batch(rng, num_vertices, edges))
-            started = time.perf_counter()
-            payload = {"cursor": cursor, "state": maintainer.state_payload()}
-            written = write_checkpoint(path, payload, sections={"base": base})
-            snapshot_seconds += time.perf_counter() - started
-            snapshot_bytes = written.nbytes
+            for form, section in sections.items():
+                started = time.perf_counter()
+                payload = {"cursor": cursor, "state": maintainer.state_payload()}
+                written = write_checkpoint(
+                    os.path.join(tmp, f"{form}.ck"),
+                    payload,
+                    sections={"base": section},
+                )
+                snapshot_seconds[form] += time.perf_counter() - started
+                snapshot_bytes[form] = written.nbytes
             started = time.perf_counter()
             record = batch_record(
                 cursor,
@@ -236,19 +258,36 @@ def measure_stream(num_vertices: int, seed: int = 1) -> Dict[str, object]:
             )
             append_bytes += append_record(log, record).nbytes
             append_seconds += time.perf_counter() - started
-    base_bytes = len(base.blob) + len(base.json_bytes)
+    embedded = sections["embedded"]
+    base_bytes = len(embedded.blob) + len(embedded.json_bytes)
     append_bytes //= STREAM_TIMED_BATCHES
-    assert append_bytes * APPEND_SNAPSHOT_RATIO <= snapshot_bytes, (
+    assert append_bytes * APPEND_SNAPSHOT_RATIO <= snapshot_bytes["embedded"], (
         f"stream batch-log regression at n={num_vertices}: {append_bytes} "
-        f"bytes per append vs a {snapshot_bytes}-byte snapshot"
+        f"bytes per append vs a {snapshot_bytes['embedded']}-byte snapshot"
+    )
+    assert (
+        snapshot_bytes["referenced"] + base_bytes
+        <= snapshot_bytes["embedded"] + REFERENCE_SLACK_BYTES
+    ), (
+        f"stream referenced-base regression at n={num_vertices}: "
+        f"{snapshot_bytes['referenced']} + {base_bytes} base bytes vs a "
+        f"{snapshot_bytes['embedded']}-byte embedded snapshot"
     )
     return {
         "num_vertices": num_vertices,
         "overlay_size": maintainer.overlay_size,
         "base_bytes": base_bytes,
-        "state_bytes": snapshot_bytes - base_bytes,
-        "snapshot_bytes": snapshot_bytes,
-        "snapshot_seconds": round(snapshot_seconds / STREAM_TIMED_BATCHES, 6),
+        "base_encode_seconds": round(encode_seconds["embedded"], 6),
+        "state_bytes": snapshot_bytes["embedded"] - base_bytes,
+        "snapshot_bytes": snapshot_bytes["embedded"],
+        "snapshot_seconds": round(
+            snapshot_seconds["embedded"] / STREAM_TIMED_BATCHES, 6
+        ),
+        "reference_encode_seconds": round(encode_seconds["referenced"], 6),
+        "referenced_bytes": snapshot_bytes["referenced"],
+        "referenced_seconds": round(
+            snapshot_seconds["referenced"] / STREAM_TIMED_BATCHES, 6
+        ),
         "append_bytes": append_bytes,
         "append_seconds": round(append_seconds / STREAM_TIMED_BATCHES, 6),
     }
@@ -434,21 +473,29 @@ def main(argv: Optional[List[str]] = None) -> int:
     print()
     print(
         format_table(
-            ["n", "overlay", "base bytes", "state bytes", "snapshot s/batch",
+            ["n", "overlay", "base bytes", "base encode s", "state bytes",
+             "snapshot s/batch", "ref. bytes", "ref. encode s", "ref. s/batch",
              "append bytes", "append s/batch"],
             [
                 [
                     row["num_vertices"],
                     row["overlay_size"],
                     format_bytes(row["base_bytes"]),
+                    row["base_encode_seconds"],
                     format_bytes(row["state_bytes"]),
                     row["snapshot_seconds"],
+                    format_bytes(row["referenced_bytes"]),
+                    row["reference_encode_seconds"],
+                    row["referenced_seconds"],
                     format_bytes(row["append_bytes"]),
                     row["append_seconds"],
                 ]
                 for row in stream_rows
             ],
-            title="stream: snapshot vs batch-log append per batch",
+            title=(
+                "stream: embedded-base snapshot, referenced-base snapshot "
+                "and batch-log append per batch"
+            ),
         )
     )
     print()

@@ -62,7 +62,6 @@ _EXPORTS = {
         "StorageError",
         "VertexError",
     ),
-    "repro.applications": ("iterated_is_coloring", "vertex_cover"),
     "repro.dynamic": ("DynamicMISMaintainer",),
     "repro.graphs": ("Graph", "GraphBuilder"),
     "repro.pipeline": (
@@ -120,12 +119,10 @@ __all__ = [
     "ServiceClient",
     "ServiceConfig",
     "SolverService",
-    # Reductions, applications and incremental maintenance
+    # Reductions and incremental maintenance
     "ReducedGraph",
     "reduce_graph",
     "reduced_mis",
-    "vertex_cover",
-    "iterated_is_coloring",
     "DynamicMISMaintainer",
     # Graphs
     "Graph",

@@ -316,7 +316,9 @@ class ReduceStage(Stage):
             independent_set=frozenset(),
             rounds=(),
             io=IOStats(),
-            memory_bytes=0,
+            memory_bytes=ctx.memory_model.reduce_bytes(
+                graph.num_vertices, graph.num_edges, reduced.overlay_edges
+            ),
             elapsed_seconds=0.0,
             initial_size=0,
             extras=extras,

@@ -26,10 +26,10 @@ session makes the batch durable through :mod:`repro.storage.checkpoint`,
 as one *snapshot* plus an append-only *batch log*:
 
 * the snapshot ``<checkpoint>`` is an atomic checkpoint document holding
-  the CSR base, the maintainer's state, the stream cursor and the pins.
-  The pins are the graph digest, the update-file digest, the batch
-  size, the pipeline and the compaction threshold, so a resumed session
-  provably continues *the same* stream — any mismatch raises
+  the CSR base section, the maintainer's state, the stream cursor and
+  the pins.  The pins are the graph digest, the update-file digest, the
+  batch size, the pipeline and the compaction threshold, so a resumed
+  session provably continues *the same* stream — any mismatch raises
   :class:`~repro.errors.StreamError`.  The snapshot's payload checksum
   is its *generation*;
 * every other batch appends one fsynced record to ``<checkpoint>.log``:
@@ -37,6 +37,18 @@ as one *snapshot* plus an append-only *batch log*:
   insertions and deletions, its selection flips (read from the
   maintainer's :attr:`journal`) and the update counters.  A record is
   about 2 KB for a 256-update batch, whatever the graph size.
+
+Until the session's first compaction the CSR base *is* the graph the
+session was opened with, and every resume opens that graph again.  So
+the snapshot holds the state, not the graph: its ``"base"`` section is
+a reference ``{"digest", "num_vertices", "num_edges"}`` (see
+:func:`base_reference`), and a resume takes the base straight from the
+session graph's CSR arrays, with no copy, after checking the digest and
+the counts.  After a compaction the base is no longer derivable from the
+input, and the snapshot embeds the ``offsets``/``targets`` arrays.
+Either section is encoded (and pre-hashed) once per base — the digest
+at the first snapshot, not when the session is constructed — and
+spliced into every snapshot verbatim.
 
 A session writes a snapshot on its first checkpoint (never while it is
 constructed), after every compaction, and whenever the log has grown
@@ -49,9 +61,7 @@ invalid record, replays the records with
 (graph edits plus the logged flips, no MIS decisions) and keeps
 appending.  Because the cursor advances in whole batches and every
 update is deterministic, a session SIGKILLed at any point resumes to a
-final set bit-identical to an uninterrupted run.  The immutable CSR base
-is pre-encoded (and pre-hashed) once per compaction and spliced into
-every snapshot verbatim.
+final set bit-identical to an uninterrupted run.
 
 The maintainer's selection-change :attr:`journal` is cleared after
 every batch, with or without a checkpoint (after the batch's record is
@@ -84,6 +94,8 @@ __all__ = [
     "STREAM_VERSION",
     "BatchReport",
     "StreamSession",
+    "base_reference",
+    "base_section",
     "batch_record",
     "load_updates",
     "updates_digest",
@@ -95,8 +107,9 @@ __all__ = [
 #: into a different stream semantics.
 #: Version 2 stores the selection as a bitmap and the overlay edges as
 #: flat int arrays (see ``DynamicMISMaintainer.state_payload``); version 3
-#: adds the ``<checkpoint>.log`` batch log after the snapshot.
-STREAM_VERSION = 3
+#: adds the ``<checkpoint>.log`` batch log after the snapshot; version 4
+#: references an uncompacted CSR base by digest instead of embedding it.
+STREAM_VERSION = 4
 
 
 def _maintainer_cls():
@@ -140,6 +153,40 @@ def batch_record(
         "flips": _np.asarray(flips, dtype=_np.int64),
         "stats": stats,
     }
+
+
+def base_reference(offsets, targets) -> Dict[str, Any]:
+    """The reference that stands in a snapshot for the CSR base it names.
+
+    ``digest`` is a BLAKE2b of the int64 ``offsets`` and ``targets``
+    bytes (little-endian); ``num_vertices`` and ``num_edges`` are the
+    counts, which also fix where the offsets end and the targets begin.
+    """
+
+    digest = hashlib.blake2b(digest_size=16)
+    for values in (offsets, targets):
+        digest.update(_np.ascontiguousarray(values, dtype="<i8"))
+    return {
+        "num_vertices": len(offsets) - 1,
+        "num_edges": len(targets) // 2,
+        "digest": digest.hexdigest(),
+    }
+
+
+def base_section(offsets, targets, *, embed: bool) -> EncodedSection:
+    """A snapshot's encoded ``"base"`` section for the CSR base ``(offsets, targets)``.
+
+    With ``embed`` the section holds both arrays; without, it holds only
+    their :func:`base_reference`, which a resume checks against the
+    session graph's own arrays.
+    """
+
+    value = (
+        {"offsets": offsets, "targets": targets}
+        if embed
+        else base_reference(offsets, targets)
+    )
+    return encode_section(value, base_offset=0)
 
 
 def _continues(generation: str, cursor: int) -> Callable[[Dict[str, Any]], bool]:
@@ -309,7 +356,7 @@ class StreamSession:
                 "digest '-' never matches a replayable stream"
             )
         if resume and checkpoint and os.path.exists(checkpoint):
-            self._maintainer = self._restore(checkpoint)
+            self._maintainer = self._restore(checkpoint, graph)
         else:
             self._maintainer = _maintainer_cls()(
                 graph,
@@ -344,12 +391,6 @@ class StreamSession:
             "compact_threshold": self._compact_threshold,
         }
 
-    def _encode_base(self) -> EncodedSection:
-        offsets, targets = self._maintainer.base_arrays()
-        return encode_section(
-            {"offsets": offsets, "targets": targets}, base_offset=0
-        )
-
     @property
     def _log_path(self) -> str:
         return f"{self._checkpoint}.log"
@@ -362,7 +403,22 @@ class StreamSession:
         ):
             kind = "snapshot"
             if self._base_section is None:
-                self._base_section = self._encode_base()
+                encode_mark = tracer.now()
+                # Before the first compaction the base is the session
+                # graph's own CSR, which a resume opens again.
+                section = base_section(
+                    *maintainer.base_arrays(),
+                    embed=maintainer.stats.compactions > 0,
+                )
+                self._base_section = section
+                if self._obs.enabled:
+                    tracer.add_span(
+                        "checkpoint:encode",
+                        "checkpoint",
+                        encode_mark,
+                        tracer.now(),
+                        args={"bytes": len(section.json_bytes) + len(section.blob)},
+                    )
             payload = {
                 "cursor": self._cursor,
                 "pins": self._pins(),
@@ -421,7 +477,7 @@ class StreamSession:
                 f"as requested; resume with the same arguments"
             )
 
-    def _restore(self, checkpoint: str) -> "DynamicMISMaintainer":
+    def _restore(self, checkpoint: str, graph) -> "DynamicMISMaintainer":
         payload, generation = read_checkpoint(checkpoint, with_checksum=True)
         pins = payload.get("pins") or {}
         if pins.get("stream_version") != STREAM_VERSION:
@@ -445,7 +501,20 @@ class StreamSession:
                     f"different stream"
                 )
         base = payload["base"]
-        offsets, targets = base["offsets"], base["targets"]
+        if "digest" in base:
+            offsets, targets = graph.csr_arrays()
+            reference = base_reference(offsets, targets)
+            for field, mine in reference.items():
+                if base.get(field) != mine:
+                    raise StreamError(
+                        f"stream checkpoint references a base graph with "
+                        f"{field}={base.get(field)!r} but this session's graph "
+                        f"has {field}={mine!r}; refusing to resume against a "
+                        f"different graph"
+                    )
+            self._base_section = encode_section(reference, base_offset=0)
+        else:
+            offsets, targets = base["offsets"], base["targets"]
         cursor = int(payload["cursor"])
         records, valid_bytes = read_records(
             self._log_path, accept=_continues(generation, cursor)
@@ -553,8 +622,8 @@ class StreamSession:
             )
             self._sync_counters()
             if compacted:
-                # The base changed; re-encode it once, reuse it until the
-                # next compaction.
+                # The base changed and no longer matches the input graph:
+                # embed it once, reuse it until the next compaction.
                 self._base_section = None
             self._cursor += 1
             if self._checkpoint:

@@ -91,6 +91,10 @@ class ReducedGraph:
         Rule-application counters.
     original_vertices:
         Vertex count of the original graph (for sanity checks).
+    overlay_edges:
+        Fold-created edges the sweep added to its overlay, a bound on the
+        overlay's peak (each is held at both ends).  Not serialized: a
+        graph restored by :meth:`from_payload` reports 0.
     """
 
     kernel: Graph
@@ -99,6 +103,7 @@ class ReducedGraph:
     folds: Tuple[_Fold, ...]
     stats: ReductionStats
     original_vertices: int
+    overlay_edges: int = 0
 
     @property
     def kernel_size(self) -> int:
@@ -231,6 +236,7 @@ def reduce_graph(graph: Graph) -> ReducedGraph:
     forced: Set[int] = set()
     folds: List[_Fold] = []
     stats = ReductionStats()
+    overlay_edges = 0
 
     def live_neighbors(vertex: int) -> List[int]:
         """Current neighbours of ``vertex`` (CSR part ascending, overlay unordered)."""
@@ -327,6 +333,7 @@ def reduce_graph(graph: Graph) -> ReducedGraph:
                     other_edges.add(folded)
                 deg[other] += 1
             deg[folded] = len(merged)
+            overlay_edges += len(merged)
             folds.append(_Fold(folded=folded, vertex=vertex, left=left, right=right))
             stats.folds += 1
             if deg[folded] <= 2:
@@ -349,6 +356,7 @@ def reduce_graph(graph: Graph) -> ReducedGraph:
         folds=tuple(folds),
         stats=stats,
         original_vertices=graph.num_vertices,
+        overlay_edges=overlay_edges,
     )
 
 

@@ -19,6 +19,11 @@ solver-relevant fields — pipeline composition, round cap, memory limit,
 requested backend — and deliberately excludes checkpoint paths and
 checkpoint cadence, which cannot change the result.
 
+A hit costs a copy of the stored result text, not a parse of it: the
+entry's layout is fixed (:meth:`ResultCache.put`), so :meth:`ResultCache.get`
+slices the ``result`` text out and decodes only ``extras.stages``,
+walking the canonical (sorted-key) JSON members in front of it.
+
 The cache can be bounded: ``ResultCache(directory, limit_bytes=...)``
 evicts least-recently-used entries (by file mtime, refreshed on every
 hit) until the directory fits the budget.
@@ -29,7 +34,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 from repro.errors import ServiceError, StorageError
 from repro.pipeline.context import resolve_backend_request
@@ -37,6 +42,7 @@ from repro.pipeline.spec import RunSpec
 from repro.storage.blocks import atomic_write
 
 __all__ = [
+    "CacheHit",
     "ResultCache",
     "cache_key",
     "canonical_json",
@@ -46,6 +52,8 @@ __all__ = [
 ]
 
 _CHUNK_BYTES = 1 << 20
+
+_DECODER = json.JSONDecoder()
 
 
 def canonical_json(value) -> bytes:
@@ -141,6 +149,67 @@ def cache_key(spec: RunSpec, input_digest: str) -> str:
     return hashlib.blake2b(canonical, digest_size=16).hexdigest()
 
 
+class CacheHit(NamedTuple):
+    """A cached result: its stored text and the stage reports inside it."""
+
+    #: :func:`canonical_json` of the encoded result, byte for byte as the
+    #: worker wrote it to the original job's result file.
+    result: bytes
+    #: The result's ``extras["stages"]`` (empty when it has none).
+    stages: list
+
+
+def _member_at(text: str, start: int, name: str) -> Optional[int]:
+    """Where the value of key ``name`` starts in the JSON object at ``text[start]``.
+
+    The object must be canonical (sorted keys, no whitespace, as
+    :func:`canonical_json` renders it): only the members sorted before
+    ``name`` are decoded, and the walk stops at the first key past it.
+    Returns ``None`` when the key is absent; raises ``ValueError`` (or
+    ``IndexError`` on truncated text) when the text is not such an object.
+    """
+
+    if text[start] != "{":
+        raise ValueError("expected a JSON object")
+    at = start + 1
+    if text[at] == "}":
+        return None
+    while True:
+        key, at = _DECODER.raw_decode(text, at)
+        if not isinstance(key, str) or text[at] != ":":
+            raise ValueError("expected an object key")
+        if key == name:
+            return at + 1
+        if key > name:
+            return None
+        _skipped, at = _DECODER.raw_decode(text, at + 1)
+        if text[at] == "}":
+            return None
+        if text[at] != ",":
+            raise ValueError("expected ',' between object members")
+        at += 1
+
+
+def _parse_entry(data: bytes) -> CacheHit:
+    """The :class:`CacheHit` in an entry as :meth:`ResultCache.put` writes it."""
+
+    # canonical_json escapes every non-ASCII character, so character and
+    # byte offsets coincide.
+    text = data.decode("ascii")
+    start = _member_at(text, 0, "result")
+    if start is None or text[start] != "{" or not text.endswith("}"):
+        raise ValueError("no result object")
+    stages: list = []
+    extras = _member_at(text, start, "extras")
+    if extras is not None:
+        at = _member_at(text, extras, "stages")
+        if at is not None:
+            stages = _DECODER.raw_decode(text, at)[0]
+            if not isinstance(stages, list):
+                raise ValueError("extras.stages is not a list")
+    return CacheHit(data[start:-1], stages)
+
+
 class ResultCache:
     """On-disk result cache: one JSON entry per cache key.
 
@@ -174,26 +243,36 @@ class ResultCache:
     def entry_path(self, key: str) -> str:
         return os.path.join(self.directory, f"{key}.json")
 
-    def get(self, key: str) -> Optional[Dict[str, object]]:
-        """The encoded ``MISResult`` stored under ``key``, or ``None``."""
+    def get(self, key: str) -> Optional[CacheHit]:
+        """The result stored under ``key``, or ``None``.
+
+        Raises :class:`ServiceError` for an entry that cannot be read or
+        is not laid out as :meth:`put` writes it.  The result text past
+        ``extras.stages`` is copied unparsed; :meth:`put` writes entries
+        atomically, so a torn entry is never observed.
+        """
 
         path = self.entry_path(key)
         try:
-            with open(path, "r", encoding="utf-8") as handle:
-                entry = json.load(handle)
+            with open(path, "rb") as handle:
+                data = handle.read()
         except FileNotFoundError:
             self._count("repro_cache_misses_total")
             return None
-        except (OSError, json.JSONDecodeError) as exc:
+        except OSError as exc:
             raise ServiceError(f"cache entry for {key!r} is unreadable: {exc}")
-        if not isinstance(entry, dict) or "result" not in entry:
-            raise ServiceError(f"cache entry for {key!r} is malformed")
+        try:
+            hit = _parse_entry(data)
+        except (ValueError, IndexError) as exc:
+            raise ServiceError(
+                f"cache entry for {key!r} is malformed: {exc}"
+            ) from None
         try:
             os.utime(path)  # mark the entry recently used
         except OSError:  # pragma: no cover - entry raced away; still a hit
             pass
         self._count("repro_cache_hits_total")
-        return entry["result"]
+        return hit
 
     def put(
         self,

@@ -38,7 +38,7 @@ from repro.errors import ServiceError
 from repro.obs import MetricsRegistry
 from repro.obs.journal import append_event
 from repro.service.jobstore import JobRecord, JobStore
-from repro.service.cache import ResultCache, canonical_json
+from repro.service.cache import ResultCache
 from repro.service.worker import worker_main
 from repro.storage.blocks import atomic_write
 
@@ -311,11 +311,10 @@ class SolverService:
             free -= 1
 
     def _serve_from_cache(self, record: JobRecord) -> bool:
-        encoded = self.cache.get(record.cache_key)
-        if encoded is None:
+        hit = self.cache.get(record.cache_key)
+        if hit is None:
             return False
-        atomic_write(self.store.result_path(record.job_id), canonical_json(encoded))
-        extras = encoded.get("extras", {})
+        atomic_write(self.store.result_path(record.job_id), hit.result)
         # Guarded transition: a client cancel landing since the schedule
         # pass read the record must stand — terminal states never revert.
         updated = self.store.update(
@@ -324,7 +323,7 @@ class SolverService:
             state="done",
             cache_hit=True,
             pid=None,
-            stages=list(extras.get("stages", [])) if isinstance(extras, dict) else [],
+            stages=hit.stages,
         )
         if updated.state == "done":
             self._journal(record.job_id, "cache_hit", cache_key=record.cache_key)

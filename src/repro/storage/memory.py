@@ -90,6 +90,22 @@ class MemoryModel:
 
         return (2 * num_edges + 2 * num_vertices) * self.word_bytes + num_vertices
 
+    def reduce_bytes(
+        self, num_vertices: int, num_edges: int, overlay_edges: int = 0
+    ) -> int:
+        """Exact reductions (the ``reduce`` stage): the whole graph in memory.
+
+        The materialised graph costs ``|V| + 1 + 2 |E|`` words (CSR).  The
+        rule sweep runs over at most ``1.5 |V|`` tokens (every fold adds
+        one and removes three vertices), each with a degree word, two
+        worklist words (the stack and its membership set) and a liveness
+        byte.  Every fold-created edge sits in the overlay at both ends.
+        """
+
+        tokens = num_vertices + num_vertices // 2 + 2
+        words = (num_vertices + 1 + 2 * num_edges) + 3 * tokens + 2 * overlay_edges
+        return words * self.word_bytes + tokens
+
     def external_mis_bytes(self, block_size: int, fan_in: int = 16) -> int:
         """STXXL-style external maximal IS: a constant number of block buffers."""
 

@@ -32,7 +32,6 @@ FORBIDDEN_PREFIXES = (
     "repro.baselines",
     "repro.reductions",
     "repro.analysis",
-    "repro.applications",
 )
 FORBIDDEN_MODULES = (
     "repro.pipeline.stream",

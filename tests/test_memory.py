@@ -24,6 +24,18 @@ class TestMemoryModel:
         with_sc = model.two_k_swap_bytes(1_000, max_sc_vertices=130)
         assert with_sc - base == 130 * 4
 
+    def test_reduce_holds_the_graph_worklist_and_overlay(self):
+        model = MemoryModel()
+        tokens = 1_000 + 500 + 2
+        graph_words = 1_001 + 2 * 3_000
+        assert model.reduce_bytes(1_000, 3_000) == (
+            (graph_words + 3 * tokens) * 4 + tokens
+        )
+        with_folds = model.reduce_bytes(1_000, 3_000, overlay_edges=10)
+        assert with_folds - model.reduce_bytes(1_000, 3_000) == 10 * 2 * 4
+        # The whole graph is resident: far above the semi-external passes.
+        assert model.reduce_bytes(1_000, 3_000) > 5 * model.two_k_swap_bytes(1_000)
+
     def test_dynamic_update_scales_with_edges(self):
         model = MemoryModel()
         sparse = model.dynamic_update_bytes(1_000, 2_000)

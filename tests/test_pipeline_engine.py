@@ -314,6 +314,20 @@ class TestReducePipeline:
         assert "__artifact__" not in reduce_extras
         assert "__artifact__" not in result.extras
 
+    def test_reduce_stage_reports_its_modeled_memory(self):
+        from repro.reductions.kernel import reduce_graph
+        from repro.storage.memory import MemoryModel
+
+        graph = erdos_renyi_gnm(300, 420, seed=2)
+        reduced = reduce_graph(graph)
+        assert reduced.overlay_edges > 0  # folds fired
+        result = solve_mis(graph, pipeline="reduce_two_k_swap")
+        report = result.extras["stages"][0]
+        assert report["stage"] == "reduce"
+        assert report["memory_bytes"] == MemoryModel().reduce_bytes(
+            graph.num_vertices, graph.num_edges, reduced.overlay_edges
+        )
+
     def test_reduce_on_star_graph_solves_exactly(self):
         graph = star_graph(12)
         result = solve_mis(graph, pipeline="reduce_two_k_swap")

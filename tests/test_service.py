@@ -399,7 +399,7 @@ class TestResultDocuments:
             assert handle.read() == self._canonical(
                 {"key": "k", "key_fields": fields, "result": encoded}
             )
-        assert cache.get("k") == encoded
+        assert cache.get("k") == (canonical_json(encoded), [])
 
     def test_worker_and_cache_hit_results_fsync_file_and_directory(
         self, adjacency_path, tmp_path, monkeypatch
@@ -446,6 +446,94 @@ class TestResultDocuments:
         assert client.status(duplicate.job_id).cache_hit
         assert durable(store.result_path(duplicate.job_id))
         assert durable(store.record_path(duplicate.job_id))
+
+
+class TestCacheHits:
+    """A hit copies the stored result text and decodes only its stages."""
+
+    STAGES = [{"stage": "greedy", "index": 0}, {"stage": "one_k_swap", "index": 1}]
+
+    def _entry(self, tmp_path, body: bytes):
+        cache = ResultCache(str(tmp_path / "cache"))
+        os.makedirs(cache.directory, exist_ok=True)
+        with open(cache.entry_path("k"), "wb") as handle:
+            handle.write(body)
+        return cache
+
+    def test_hit_returns_the_stored_text_and_the_stages(self, tmp_path):
+        encoded = {
+            "algorithm": "two_k_swap",
+            "elapsed_seconds": 0.5,
+            "extras": {"alpha": [1, 2], "stages": self.STAGES, "zeta": "z"},
+            "independent_set": list(range(0, 400, 3)),
+            "io": {"sequential_scans": 3},
+        }
+        rendered = canonical_json(encoded)
+        cache = ResultCache(str(tmp_path / "cache"))
+        cache.put("k", {"pipeline": {"name": "greedy"}, "result": 1}, rendered)
+        hit = cache.get("k")
+        assert hit.result == rendered
+        assert hit.stages == self.STAGES
+
+    def test_members_after_the_stages_are_copied_not_decoded(self, tmp_path):
+        rendered = b'{"extras":{"stages":[]},"independent_set":[1,2,3]}'
+        cache = ResultCache(str(tmp_path / "cache"))
+        cache.put("k", {}, rendered)
+        # Only the bytes in front of extras.stages are parsed: a later
+        # member that would not decode is still served verbatim.
+        with open(cache.entry_path("k"), "rb") as handle:
+            data = handle.read()
+        self._entry(tmp_path, data.replace(b"[1,2,3]", b"[1,2,oops]"))
+        hit = cache.get("k")
+        assert hit.result == rendered.replace(b"[1,2,3]", b"[1,2,oops]")
+        assert hit.stages == []
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b"",
+            b"not json",
+            b'{"key":"k","key_fields":{}}',
+            b'{"key":"k","key_fields":{},"result":[1,2]}',
+            b'{"key":"k","key_fields":{},"result":{"extras":{"stages":7}}}',
+            b'{"key":"k","key_fields":{},"result":{"extras":[]}}',
+            b'{"key":"k","key_fields":{"pipeline":',
+            b'{"key":"k","key_fields":{},"result":{"extras":{"stages":[',
+            b'{"key":"k","key_fields":{"n":"\xff"},"result":{}}',
+        ],
+    )
+    def test_malformed_entries_raise(self, tmp_path, body):
+        cache = self._entry(tmp_path, body)
+        with pytest.raises(ServiceError, match="malformed"):
+            cache.get("k")
+
+    def test_cache_hit_record_carries_the_original_stages(
+        self, adjacency_path, tmp_path
+    ):
+        from repro.service.worker import execute_job
+
+        root = str(tmp_path / "svc")
+        client = ServiceClient(root)
+        store = client.store
+        spec = make_spec(adjacency_path)
+        first = client.submit(spec)
+        store.update(
+            first.job_id, expect_states=("queued",), state="running", attempts=1
+        )
+        assert execute_job(root, first.job_id) == 0
+        duplicate = client.submit(spec)
+        service = SolverService(root, fast_config())
+        try:
+            service.run_once()
+        finally:
+            service.stop()
+        original, hit = client.status(first.job_id), client.status(duplicate.job_id)
+        assert hit.cache_hit and hit.state == "done"
+        assert hit.stages and hit.stages == original.stages
+        with open(store.result_path(first.job_id), "rb") as handle:
+            expected = handle.read()
+        with open(store.result_path(duplicate.job_id), "rb") as handle:
+            assert handle.read() == expected
 
 
 # ----------------------------------------------------------------------

@@ -26,6 +26,8 @@ from repro.obs import Observability, SpanTracer
 from repro.pipeline.stream import (
     STREAM_VERSION,
     StreamSession,
+    base_reference,
+    base_section,
     load_updates,
     updates_digest,
 )
@@ -793,14 +795,14 @@ class TestBatchLog:
         baseline = StreamSession(graph, updates, graph_digest="g", **kwargs).run()
         with pytest.raises(PipelineInterrupted):
             self._session(
-                graph, updates, checkpoint, interrupt_after=4, **kwargs
+                graph, updates, checkpoint, interrupt_after=3, **kwargs
             ).run()
         # The state one batch before the log's last record, from a
         # session that stopped there.
         reference = str(tmp_path / "reference.ck")
         with pytest.raises(PipelineInterrupted):
             self._session(
-                graph, updates, reference, interrupt_after=3, **kwargs
+                graph, updates, reference, interrupt_after=2, **kwargs
             ).run()
         expected = plain_payload(
             self._session(graph, updates, reference, resume=True, **kwargs)
@@ -808,8 +810,8 @@ class TestBatchLog:
         )
         log = f"{checkpoint}.log"
         records, _ = read_records(log)
-        assert [record["cursor"] for record in records] == [2, 3, 4]
-        _, last_start = read_records(log, accept=lambda r: r["cursor"] < 4)
+        assert [record["cursor"] for record in records] == [2, 3]
+        _, last_start = read_records(log, accept=lambda r: r["cursor"] < 3)
         with open(log, "rb") as handle:
             data = handle.read()
         for cut in range(last_start, len(data)):
@@ -818,7 +820,7 @@ class TestBatchLog:
             resumed = self._session(
                 graph, updates, checkpoint, resume=True, **kwargs
             )
-            assert resumed.cursor == 3, cut
+            assert resumed.cursor == 2, cut
             assert os.path.getsize(log) == last_start, cut
             payload = plain_payload(resumed.maintainer.state_payload())
             assert payload == expected, cut
@@ -849,12 +851,13 @@ class TestBatchLog:
         updates = write_update_file(tmp_path / "updates.txt", 5, 150, 400)
         checkpoint = str(tmp_path / "s.ck")
         with pytest.raises(PipelineInterrupted):
-            self._session(graph, updates, checkpoint, interrupt_after=4).run()
+            self._session(graph, updates, checkpoint, interrupt_after=3).run()
         log = f"{checkpoint}.log"
         records, _ = read_records(log)
+        assert [record["cursor"] for record in records] == [2, 3]
         os.remove(log)
         kept = append_record(log, records[0]).nbytes
-        append_record(log, records[2])
+        append_record(log, dict(records[1], cursor=4))
         resumed = self._session(graph, updates, checkpoint, resume=True)
         assert resumed.cursor == 2
         assert os.path.getsize(log) == kept
@@ -943,6 +946,152 @@ class TestBatchLog:
             sizes[n] = os.path.getsize(f"{checkpoint}.log")
             assert sizes[n] < os.path.getsize(checkpoint)
         assert max(sizes.values()) <= 1.5 * min(sizes.values()), sizes
+
+
+def checkpoint_encodes(tracer):
+    return [
+        event["args"]
+        for event in tracer.to_document()["traceEvents"]
+        if event["name"] == "checkpoint:encode"
+    ]
+
+
+class TestReferencedBase:
+    """Until the first compaction a snapshot names its CSR base by digest."""
+
+    @staticmethod
+    def _interrupted(graph, updates, checkpoint, **kwargs):
+        with pytest.raises(PipelineInterrupted):
+            StreamSession(graph, updates, checkpoint=checkpoint, **kwargs).run()
+
+    def test_pre_compaction_snapshot_holds_the_state_not_the_graph(
+        self, tmp_path
+    ):
+        graph = erdos_renyi_gnm(2_000, 8_000, seed=3)
+        updates = write_update_file(tmp_path / "updates.txt", 4, 2_000, 600)
+        checkpoint = str(tmp_path / "s.ck")
+        kwargs = dict(pipeline="greedy", batch_size=128)
+        self._interrupted(graph, updates, checkpoint, interrupt_after=1, **kwargs)
+        payload = read_checkpoint(checkpoint)
+        assert payload["base"] == base_reference(*graph.csr_arrays())
+        assert not {"offsets", "targets"} & set(payload["base"])
+        state_only = str(tmp_path / "state.ck")
+        del payload["base"]
+        write_checkpoint(state_only, payload)
+        assert os.path.getsize(checkpoint) <= os.path.getsize(state_only) + 1024
+        embedded = base_section(*graph.csr_arrays(), embed=True)
+        assert len(embedded.blob) > 8 * 1024  # the graph really is the bulk
+        # A resume takes the base straight from the session graph.
+        resumed = StreamSession(
+            graph, updates, checkpoint=checkpoint, resume=True, **kwargs
+        )
+        for mine, theirs in zip(
+            resumed.maintainer.base_arrays(), graph.csr_arrays()
+        ):
+            assert mine is theirs
+
+    def test_resume_refuses_a_graph_with_other_edges(self, tmp_path):
+        graph = erdos_renyi_gnm(120, 360, seed=1)
+        same_shape = erdos_renyi_gnm(120, 360, seed=2)
+        assert same_shape.csr_arrays()[1].tolist() != graph.csr_arrays()[1].tolist()
+        updates = write_update_file(tmp_path / "updates.txt", 5, 150, 400)
+        checkpoint = str(tmp_path / "s.ck")
+        kwargs = dict(batch_size=40, graph_digest=None)
+        self._interrupted(graph, updates, checkpoint, interrupt_after=2, **kwargs)
+        with pytest.raises(StreamError, match="digest="):
+            StreamSession(
+                same_shape, updates, checkpoint=checkpoint, resume=True, **kwargs
+            )
+        with pytest.raises(StreamError, match="num_edges=360"):
+            StreamSession(
+                erdos_renyi_gnm(120, 361, seed=1),
+                updates,
+                checkpoint=checkpoint,
+                resume=True,
+                **kwargs,
+            )
+        resumed = StreamSession(
+            graph, updates, checkpoint=checkpoint, resume=True, **kwargs
+        )
+        assert resumed.cursor == 2
+
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    def test_first_snapshot_after_a_compaction_embeds_the_base(
+        self, tmp_path, backend
+    ):
+        graph = gnm_graph()
+        updates = write_update_file(tmp_path / "updates.txt", 9, 150, 900)
+        kwargs = dict(
+            backend=backend, batch_size=40, compact_threshold=120, graph_digest="g"
+        )
+        uninterrupted = StreamSession(graph, updates, **kwargs)
+        reports = list(uninterrupted.process())
+        baseline = uninterrupted.result()
+        first = next(report.batch_index for report in reports if report.compacted)
+        checkpoint = str(tmp_path / "s.ck")
+        self._interrupted(
+            graph, updates, checkpoint, interrupt_after=first + 1, **kwargs
+        )
+        payload = read_checkpoint(checkpoint)
+        assert payload["cursor"] == first + 1
+        assert os.path.getsize(f"{checkpoint}.log") == 0
+        assert set(payload["base"]) == {"offsets", "targets"}
+        assert payload["base"]["targets"] != graph.csr_arrays()[1].tolist()
+        resumed = StreamSession(
+            graph, updates, checkpoint=checkpoint, resume=True, **kwargs
+        )
+        offsets, targets = resumed.maintainer.base_arrays()
+        assert offsets.tolist() == payload["base"]["offsets"]
+        assert targets.tolist() == payload["base"]["targets"]
+        result = resumed.run()
+        for key in (
+            "independent_set",
+            "set_size",
+            "stats",
+            "num_edges",
+            "batches_applied",
+        ):
+            assert result[key] == baseline[key]
+
+    def test_encode_spans_hold_the_digest_until_a_compaction(self, tmp_path):
+        graph = gnm_graph()
+        updates = write_update_file(tmp_path / "updates.txt", 9, 150, 900)
+        tracer = SpanTracer()
+        session = StreamSession(
+            graph,
+            updates,
+            batch_size=40,
+            compact_threshold=120,
+            checkpoint=str(tmp_path / "s.ck"),
+            obs=Observability(tracer=tracer),
+        )
+        reports = list(session.process())
+        encodes = checkpoint_encodes(tracer)
+        # One encode per base: the input's reference, then one embedded
+        # base per compaction (each compaction writes a snapshot).
+        assert len(encodes) == 1 + sum(report.compacted for report in reports)
+        reference = base_section(*graph.csr_arrays(), embed=False)
+        assert reference.blob == b""
+        assert encodes[0]["bytes"] == len(reference.json_bytes)
+        assert all(encode["bytes"] > encodes[0]["bytes"] for encode in encodes[1:])
+
+    def test_version_3_stream_checkpoints_are_refused(self, tmp_path):
+        graph = gnm_graph()
+        updates = write_update_file(tmp_path / "updates.txt", 5, 150, 400)
+        checkpoint = str(tmp_path / "s.ck")
+        self._interrupted(
+            graph, updates, checkpoint, batch_size=40, interrupt_after=1
+        )
+        payload = read_checkpoint(checkpoint)
+        # The version-3 layout embedded the input base in every snapshot.
+        offsets, targets = graph.csr_arrays()
+        payload["base"] = {"offsets": offsets.tolist(), "targets": targets.tolist()}
+        payload["pins"]["stream_version"] = 3
+        write_checkpoint(checkpoint, payload)
+        with pytest.raises(StreamError, match="version 3 is not supported"):
+            StreamSession(
+                graph, updates, batch_size=40, checkpoint=checkpoint, resume=True
+            )
 
 
 def _normalized_overlay(overlay):
