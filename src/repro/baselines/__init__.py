@@ -10,9 +10,8 @@
   processing, used as the external comparator.
 * :mod:`repro.baselines.exact` — exact branch-and-bound solver for small
   graphs (ground truth in the tests).
-* :mod:`repro.baselines.local_search` — an in-memory (1,2)-swap local
-  search in the style of Andrade–Resende–Werneck, an additional
-  comparator for ablations.
+* :mod:`repro.baselines.local_search` — an in-memory (1,2)-swap descent
+  to a local optimum, an additional comparator for ablations.
 """
 
 from repro.baselines.unsorted import baseline_mis

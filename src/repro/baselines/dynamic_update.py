@@ -25,7 +25,7 @@ from __future__ import annotations
 import time
 from typing import Optional
 
-from repro.core.kernels import get_backend, observe_pass
+from repro.core.kernels import get_backend
 from repro.core.result import MISResult
 from repro.errors import MemoryBudgetError
 from repro.graphs.graph import Graph
@@ -76,7 +76,6 @@ def dynamic_update_mis(
     kernel = get_backend(backend)
     selection = kernel.dynamic_update_pass(graph)
     elapsed = time.perf_counter() - started
-    observe_pass("dynamic_update", kernel.name, size=len(selection))
     return MISResult(
         algorithm="dynamic_update",
         independent_set=frozenset(selection),

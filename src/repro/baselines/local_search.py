@@ -1,10 +1,13 @@
-"""In-memory (1,2)-swap local search (Andrade–Resende–Werneck style).
+"""In-memory (1,2)-swap descent to a local optimum.
 
 The related-work section cites fast local search as the strongest
 in-memory heuristic family for MIS.  This comparator implements the core
 move of that family: repeatedly find an IS vertex ``v`` with (at least)
 two non-adjacent "free-after-removal" neighbours, replace ``v`` by two of
-them, and re-maximalise the freed neighbourhood.  Unlike the paper's
+them, and re-maximalise the freed neighbourhood, until no such move is
+left.  It is a plain descent: the Andrade–Resende–Werneck algorithm
+iterates this local search with perturbation (Dahlum et al.,
+arXiv:1602.01659), which this comparator does not do.  Unlike the paper's
 semi-external swaps it assumes random access to the whole adjacency
 structure, so it serves as an "unconstrained memory" quality reference in
 the ablation benchmarks — and, like DynamicUpdate, it reports "N/A" when
@@ -26,7 +29,7 @@ import time
 from typing import Iterable, Optional, Set, Union
 
 from repro.core.greedy import greedy_mis
-from repro.core.kernels import get_backend, observe_pass
+from repro.core.kernels import get_backend
 from repro.core.result import MISResult
 from repro.errors import MemoryBudgetError, SolverError, VertexError
 from repro.graphs.graph import Graph
@@ -110,9 +113,6 @@ def local_search_mis(
         graph, frozenset(selected), max_iterations
     )
     elapsed = time.perf_counter() - started
-    observe_pass(
-        "local_search", kernel.name, size=len(independent_set), iterations=iterations
-    )
     return MISResult(
         algorithm="local_search",
         independent_set=independent_set,

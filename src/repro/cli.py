@@ -96,11 +96,7 @@ from repro.obs import (
     SpanTracer,
     follow_journal,
 )
-from repro.pipeline.context import (
-    ExecutionContext,
-    add_execution_arguments,
-    resolve_backend_request,
-)
+from repro.pipeline.context import ExecutionContext, add_execution_arguments
 from repro.pipeline.spec import (
     BUILTIN_PIPELINES as PIPELINES,
     PipelineSpec,
@@ -792,15 +788,13 @@ def _command_watch(args: argparse.Namespace) -> int:
         # The graph digest pins the checkpoint to this input's content:
         # resuming against a different (or edited) graph is refused.
         digest = input_digest(args.input)
-        ctx = ExecutionContext.create(
-            reader, backend=resolve_backend_request(args.backend)
-        )
+        ctx = ExecutionContext.create(reader, backend=args.backend)
         session = StreamSession(
             ctx.materialize_graph(),
             args.updates,
             graph_digest=digest,
             pipeline=args.pipeline,
-            backend=resolve_backend_request(args.backend),
+            backend=args.backend,
             batch_size=args.batch_size,
             compact_threshold=args.compact_threshold,
             checkpoint=args.checkpoint,

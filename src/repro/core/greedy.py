@@ -30,7 +30,7 @@ from __future__ import annotations
 import time
 from typing import Optional, Sequence, Union
 
-from repro.core.kernels import observe_pass, resolve_backend
+from repro.core.kernels import get_backend
 from repro.core.result import MISResult
 from repro.graphs.graph import Graph
 from repro.storage.memory import MemoryModel
@@ -75,13 +75,12 @@ def greedy_mis(
     source = as_scan_source(graph_or_source, order=order)
     model = memory_model if memory_model is not None else MemoryModel()
     num_vertices = source.num_vertices
-    kernel = resolve_backend(backend, source)
+    kernel = get_backend(backend, source)
 
     started = time.perf_counter()
     before = source.stats.copy()
     independent_set = kernel.greedy_pass(source)
     elapsed = time.perf_counter() - started
-    observe_pass("greedy", kernel.name, size=len(independent_set))
 
     return MISResult(
         algorithm="greedy",

@@ -1,10 +1,10 @@
 """Pluggable kernel backends for the semi-external MIS passes.
 
-Importing this package registers the vectorized ``numpy`` backend, the
-default.  The ``python`` reference registers on the first lookup of
+Importing this package compiles the vectorized ``numpy`` backend, the
+default.  The ``python`` reference is imported on the first lookup of
 its name, so a run on the numpy backend never imports it.  See
-:mod:`repro.core.kernels.base` for the selection rules.  The other names
-load on first use (:mod:`repro._lazy`).
+:func:`repro.core.kernels.base.get_backend` for the selection rules.
+The other names load on first use (:mod:`repro._lazy`).
 """
 
 from repro._lazy import lazy_exports
@@ -21,13 +21,7 @@ _EXPORTS = {
         "KernelBackend",
         "WaveTelemetry",
         "available_backends",
-        "default_backend_name",
         "get_backend",
-        "observe_pass",
-        "register_backend",
-        "resolve_backend",
-        "set_default_backend",
-        "set_pass_observer",
     ),
     "repro.core.kernels.python_backend": ("PythonBackend",),
     "repro.core.kernels.sc_store": ("SwapCandidateStore",),
@@ -41,12 +35,7 @@ __all__ = [
     "SwapCandidateStore",
     "WaveTelemetry",
     "available_backends",
-    "default_backend_name",
     "get_backend",
-    "observe_pass",
-    "register_backend",
-    "resolve_backend",
-    "set_default_backend",
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -1,4 +1,4 @@
-"""Kernel-backend interface, registry and default selection.
+"""Kernel-backend interface and the one backend lookup.
 
 A *kernel backend* implements the hot computational passes of the three
 semi-external algorithms (Algorithm 1 greedy, Algorithm 2 one-k-swap,
@@ -19,19 +19,20 @@ Algorithms 3/4 two-k-swap) against a scan source.  Two backends ship:
   Results — independent sets, per-round telemetry and I/O counters — are
   bit-identical to the python backend.
 
-The default backend is ``numpy`` (numpy is a required dependency) and can
-be overridden with the ``REPRO_KERNEL_BACKEND`` environment variable,
-:func:`set_default_backend`, the ``backend=`` argument of the solver
-entry points, or the ``--backend`` CLI flag.
-
-Backends are *selected per call*: each backend reports through
-:meth:`KernelBackend.supports` whether it can execute against the given
-scan source, and :func:`resolve_backend` falls back to the streaming
-``python`` reference when it cannot.  The numpy backend supports
-in-memory sources and record-major ones (``csr_views``): a ``SEXTCSR1``
-memmap, or a text
+One lookup, :func:`get_backend`, picks the backend for every call.  A
+request of ``None``, ``""`` or ``"auto"`` means the
+``REPRO_KERNEL_BACKEND`` environment variable, else ``numpy``; any other
+value (the ``backend=`` argument of the solver entry points, the
+``--backend`` CLI flag, a service run spec's ``backend``) names the
+backend outright, and an unknown name raises
+:class:`~repro.errors.SolverError`.  Given the scan source, the lookup
+falls back to the streaming ``python`` reference for a source the numpy
+backend cannot read: one with neither an in-memory CSR nor record-major
+sections (``csr_views``).  Both file formats have such sections — a
+``SEXTCSR1`` memmap directly, a text
 :class:`~repro.storage.adjacency_file.AdjacencyFileReader` through its
-spill; only custom record-streaming sources still fall back.
+spill — so only custom record-streaming sources fall back.  The lookup
+holds no state: there is no registry and no process-wide default.
 """
 
 from __future__ import annotations
@@ -40,59 +41,24 @@ import abc
 import importlib
 import os
 from dataclasses import asdict, dataclass
-from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.core.result import RoundStats
 from repro.errors import SolverError
+from repro.storage.scan import InMemoryAdjacencyScan
 
 __all__ = [
+    "BACKEND_ENV_VAR",
     "KernelBackend",
     "WaveTelemetry",
     "available_backends",
     "decode_rounds",
-    "default_backend_name",
     "encode_rounds",
     "get_backend",
-    "observe_pass",
-    "register_backend",
-    "resolve_backend",
-    "set_default_backend",
-    "set_pass_observer",
 ]
 
-#: Environment variable that overrides the auto-detected default backend.
+#: Environment variable naming the backend of an unset or ``"auto"`` request.
 BACKEND_ENV_VAR = "REPRO_KERNEL_BACKEND"
-
-# ---------------------------------------------------------------------------
-# observability hooks
-#
-# Kernels are the bottom of the stack and must not depend on the obs
-# layer, so instrumentation is inverted: an observer callable is
-# installed process-wide (``repro.obs.kernel_observation``) and each
-# pass reports through ``observe_pass``.  With no observer installed
-# the cost is a single ``None`` check per *pass* (not per vertex), so
-# the hot loops stay allocation-free.
-# ---------------------------------------------------------------------------
-
-_PASS_OBSERVER: Optional[Callable[[str, str, Mapping[str, object]], None]] = None
-
-
-def set_pass_observer(
-    observer: Optional[Callable[[str, str, Mapping[str, object]], None]],
-) -> Optional[Callable[[str, str, Mapping[str, object]], None]]:
-    """Install the kernel-pass observer; returns the previous one."""
-
-    global _PASS_OBSERVER
-    previous = _PASS_OBSERVER
-    _PASS_OBSERVER = observer
-    return previous
-
-
-def observe_pass(pass_name: str, backend: str, **fields: object) -> None:
-    """Report one completed kernel pass to the installed observer."""
-
-    if _PASS_OBSERVER is not None:
-        _PASS_OBSERVER(pass_name, backend, fields)
 
 
 @dataclass
@@ -129,10 +95,9 @@ class WaveTelemetry:
     def record(self, registry) -> None:
         """Mirror the wave counters into a metrics registry.
 
-        ``registry.advance`` raises each counter to the current total,
-        so calling this at every batch boundary keeps the registry the
-        canonical surface while the dataclass stays the cheap in-loop
-        accumulator.
+        ``registry.advance`` raises each counter to the current total:
+        the dataclass is the source, and the ``repro_wave_*`` series are
+        a view of it refreshed at every batch boundary.
         """
 
         for field_name, total in asdict(self).items():
@@ -203,13 +168,8 @@ class KernelBackend(abc.ABC):
     the outcome into :class:`~repro.core.result.MISResult` objects.
     """
 
-    #: Registry key and CLI name of the backend.
+    #: Lookup key and CLI name of the backend.
     name: str = "abstract"
-
-    def supports(self, source) -> bool:
-        """Whether this backend can execute against ``source``."""
-
-        return True
 
     @abc.abstractmethod
     def greedy_pass(self, source) -> FrozenSet[int]:
@@ -340,90 +300,47 @@ class KernelBackend(abc.ABC):
         return f"<{type(self).__name__} name={self.name!r}>"
 
 
-_REGISTRY: Dict[str, KernelBackend] = {}
-_DEFAULT: Optional[str] = None
-
-#: Backends registered by importing their module on the first lookup of
-#: their name.  The numpy backend registers when :mod:`repro.core.kernels`
-#: is imported; the python reference loads only in runs that resolve to it.
-_LAZY_BACKENDS = {"python": "repro.core.kernels.python_backend"}
-
-
-def register_backend(backend: KernelBackend) -> KernelBackend:
-    """Add a backend instance to the registry (last registration wins)."""
-
-    _REGISTRY[backend.name] = backend
-    return backend
+#: Every shipped backend, by name, and the module that defines it.  A
+#: module is imported on the first lookup of its name, so a run on the
+#: numpy backend never imports the python reference.
+_BACKEND_MODULES = {
+    "numpy": "repro.core.kernels.numpy_backend",
+    "python": "repro.core.kernels.python_backend",
+}
 
 
 def available_backends() -> Tuple[str, ...]:
-    """Names of every registered backend, sorted (the python reference
-    counts as registered before its first use)."""
+    """Names of every shipped backend, sorted."""
 
-    return tuple(sorted(set(_REGISTRY) | set(_LAZY_BACKENDS)))
+    return tuple(_BACKEND_MODULES)
 
 
-def default_backend_name() -> str:
-    """The name of the backend used when no explicit choice is made.
+def get_backend(name: Optional[str] = None, source=None) -> KernelBackend:
+    """The one backend lookup: the backend that runs for ``name`` on ``source``.
 
-    Resolution order: :func:`set_default_backend` override, the
-    ``REPRO_KERNEL_BACKEND`` environment variable, then ``numpy``.
+    ``None``, ``""`` and ``"auto"`` mean the ``REPRO_KERNEL_BACKEND``
+    environment variable, else ``numpy``.  An unknown name, from the
+    argument or the environment, raises :class:`SolverError`.  When a
+    ``source`` is given and it has neither record-major sections
+    (``csr_views``) nor an in-memory CSR, the numpy choice falls back to
+    the streaming ``python`` reference.
     """
 
-    if _DEFAULT is not None:
-        return _DEFAULT
-    env = os.environ.get(BACKEND_ENV_VAR, "").strip().lower()
-    if env:
-        if env not in available_backends():
+    available = ", ".join(available_backends())
+    if not name or name == "auto":
+        name = os.environ.get(BACKEND_ENV_VAR, "").strip().lower() or "numpy"
+        if name not in _BACKEND_MODULES:
             raise SolverError(
-                f"{BACKEND_ENV_VAR}={env!r} does not name a registered kernel "
-                f"backend; available: {', '.join(available_backends())}"
+                f"{BACKEND_ENV_VAR}={name!r} does not name a kernel backend; "
+                f"available: {available}"
             )
-        return env
-    return "numpy"
-
-
-def set_default_backend(name: Optional[str]) -> None:
-    """Force the process-wide default backend (``None`` restores the default)."""
-
-    global _DEFAULT
-    if name is not None and name not in available_backends():
-        raise SolverError(
-            f"unknown kernel backend {name!r}; available: "
-            f"{', '.join(available_backends())}"
-        )
-    _DEFAULT = name
-
-
-def get_backend(name: Optional[str] = None) -> KernelBackend:
-    """Return the backend registered under ``name`` (default backend if ``None``)."""
-
-    if name is None or name == "auto":
-        name = default_backend_name()
-    if name not in _REGISTRY and name in _LAZY_BACKENDS:
-        importlib.import_module(_LAZY_BACKENDS[name])
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise SolverError(
-            f"unknown kernel backend {name!r}; available: "
-            f"{', '.join(available_backends())}"
-        ) from None
-
-
-def resolve_backend(name: Optional[str], source) -> KernelBackend:
-    """Pick the backend that will actually run against ``source``.
-
-    When the requested backend cannot execute against ``source`` (per
-    :meth:`KernelBackend.supports`), the streaming ``python`` reference is
-    used instead.  The numpy backend supports in-memory sources and
-    record-major ones (``csr_views``), which covers both file formats:
-    text inputs spill once to a private ``SEXTCSR1`` memmap; the spill is
-    not charged to ``IOStats``.  Only custom record-streaming sources
-    still fall back.
-    """
-
-    backend = get_backend(name)
-    if not backend.supports(source):
-        return get_backend("python")
-    return backend
+    elif name not in _BACKEND_MODULES:
+        raise SolverError(f"unknown kernel backend {name!r}; available: {available}")
+    if (
+        name == "numpy"
+        and source is not None
+        and not isinstance(source, InMemoryAdjacencyScan)
+        and not hasattr(source, "csr_views")
+    ):
+        name = "python"
+    return importlib.import_module(_BACKEND_MODULES[name]).BACKEND

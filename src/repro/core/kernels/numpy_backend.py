@@ -62,7 +62,6 @@ from repro.core.kernels.base import (
     decode_rounds,
     encode_history,
     encode_rounds,
-    register_backend,
 )
 from repro.core.kernels.sc_store import SwapCandidateStore
 from repro.core.result import RoundStats
@@ -1396,14 +1395,6 @@ class NumpyBackend(KernelBackend):
 
     name = "numpy"
 
-    def supports(self, source) -> bool:
-        """In-memory sources and record-major ones (``csr_views``): a
-        ``SEXTCSR1`` memmap, or a text reader through its spill."""
-
-        return isinstance(source, InMemoryAdjacencyScan) or hasattr(
-            source, "csr_views"
-        )
-
     # ------------------------------------------------------------------
     # Algorithm 1: greedy.
     # ------------------------------------------------------------------
@@ -2633,4 +2624,5 @@ def _scalar_round(batch, cursor, degree, alive, offsets, targets,
     return round_min, removed_total
 
 
-register_backend(NumpyBackend())
+#: The instance :func:`~repro.core.kernels.base.get_backend` returns.
+BACKEND = NumpyBackend()

@@ -29,7 +29,6 @@ from repro.core.kernels.base import (
     decode_rounds,
     encode_history,
     encode_rounds,
-    register_backend,
 )
 from repro.core.kernels.sc_store import SwapCandidateStore
 from repro.core.result import RoundStats
@@ -789,4 +788,5 @@ def _csr_lists(graph) -> Tuple[List[int], List[int]]:
     return offsets.tolist(), targets.tolist()
 
 
-register_backend(PythonBackend())
+#: The instance :func:`~repro.core.kernels.base.get_backend` returns.
+BACKEND = PythonBackend()

@@ -38,7 +38,7 @@ import time
 from typing import FrozenSet, Iterable, Optional, Sequence, Union
 
 from repro.core.greedy import greedy_mis
-from repro.core.kernels import observe_pass, resolve_backend
+from repro.core.kernels import get_backend
 from repro.core.result import MISResult
 from repro.errors import SolverError
 from repro.graphs.graph import Graph
@@ -120,7 +120,7 @@ def one_k_swap(
     source = as_scan_source(graph_or_source, order=order)
     model = memory_model if memory_model is not None else MemoryModel()
     num_vertices = source.num_vertices
-    kernel = resolve_backend(backend, source)
+    kernel = get_backend(backend, source)
     started = time.perf_counter()
     io_before = source.stats.copy()
 
@@ -142,9 +142,6 @@ def one_k_swap(
         source, initial_set, max_rounds, resume=resume_state, on_round=on_round
     )
     elapsed = time.perf_counter() - started
-    observe_pass(
-        "one_k_swap", kernel.name, size=len(independent_set), rounds=len(rounds)
-    )
 
     return MISResult(
         algorithm="one_k_swap",

@@ -17,6 +17,13 @@ name; execution is delegated to
 :class:`~repro.pipeline.engine.PipelineEngine`, which also provides the
 per-stage telemetry in ``result.extras["stages"]`` and — through the
 ``checkpoint_path`` / ``resume`` knobs — restartable runs.
+
+A solve holds no process-wide state.  The backend is looked up per call
+by :func:`repro.core.kernels.get_backend`, and telemetry goes only to
+the :class:`~repro.obs.Observability` bundle passed as ``obs``: each
+stage is one ``stage:*`` span (naming its backend) and one set of
+``repro_stage_*`` series, so concurrent solves never record into each
+other's bundles.
 """
 
 from __future__ import annotations
@@ -63,8 +70,8 @@ class SemiExternalMISSolver:
         switch it off).
     backend:
         Kernel backend executing the passes: ``"python"``, ``"numpy"`` or
-        ``None``/``"auto"`` for the process default (numpy when
-        available).  The numpy backend runs file-backed sources
+        ``None``/``"auto"`` for ``REPRO_KERNEL_BACKEND``, else numpy.  The
+        numpy backend runs file-backed sources
         record-major: text inputs spill once to a private ``SEXTCSR1``
         memmap; the spill is not charged to ``IOStats``.  Only custom
         streaming sources fall back to the python backend.
@@ -83,8 +90,8 @@ class SemiExternalMISSolver:
         are always written.
     obs:
         Optional :class:`~repro.obs.Observability` bundle; when set, the
-        engine records stage/round metrics, kernel passes and (with a
-        tracer) Chrome trace spans into it.  ``None`` runs with the
+        engine records stage/round metrics and (with a tracer) Chrome
+        trace spans into it.  ``None`` runs with the
         no-op bundle.
     """
 

@@ -44,7 +44,7 @@ from __future__ import annotations
 import time
 from typing import Iterable, Optional, Sequence, Union
 
-from repro.core.kernels import observe_pass, resolve_backend
+from repro.core.kernels import get_backend
 from repro.core.one_k_swap import _initial_set
 from repro.core.result import MISResult
 from repro.errors import SolverError
@@ -114,7 +114,7 @@ def two_k_swap(
     source = as_scan_source(graph_or_source, order=order)
     model = memory_model if memory_model is not None else MemoryModel()
     num_vertices = source.num_vertices
-    kernel = resolve_backend(backend, source)
+    kernel = get_backend(backend, source)
     started = time.perf_counter()
     io_before = source.stats.copy()
 
@@ -142,9 +142,6 @@ def two_k_swap(
         on_round=on_round,
     )
     elapsed = time.perf_counter() - started
-    observe_pass(
-        "two_k_swap", kernel.name, size=len(independent_set), rounds=len(rounds)
-    )
 
     extras = {"max_sc_vertices": float(max_sc_vertices)}
     if oscillation:

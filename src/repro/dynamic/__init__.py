@@ -5,7 +5,7 @@ updates" as the main direction for future work.  This sub-package provides
 that direction: :class:`DynamicMISMaintainer` keeps a maximal
 independent set valid across edge insertions/deletions, vertex arrivals
 and vertex deletions, repairing locally after each update.  Batched
-updates (``apply_updates``) dispatch through the kernel-backend registry
+updates (``apply_updates``) dispatch through the kernel-backend lookup
 — scalar python reference or conflict-free numpy waves, bit-identical —
 and the delta overlay compacts back into fresh CSR base arrays past
 ``compact_threshold``.  A ``rebuild`` hook re-runs the swap pipelines

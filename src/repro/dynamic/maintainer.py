@@ -61,7 +61,7 @@ from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 import numpy as _np
 
-from repro.core.kernels import WaveTelemetry, get_backend, observe_pass
+from repro.core.kernels import WaveTelemetry, get_backend
 from repro.core.kernels.python_backend import normalize_updates
 from repro.core.solver import solve_mis
 from repro.errors import DuplicateEdgeError, GraphError, SolverError, VertexError
@@ -548,12 +548,6 @@ class DynamicMISMaintainer:
                     raise DuplicateEdgeError(u, v)
         backend.dynamic_apply_pass(self, insertions, deletions)
         self.last_batch = (insertions, deletions)
-        observe_pass(
-            "dynamic_apply",
-            backend.name,
-            insertions=len(insertions),
-            deletions=len(deletions),
-        )
         self._trim_journal()
         self._maybe_compact()
         return self.stats

@@ -8,8 +8,8 @@ records into:
   fold-in (service children).
 * :class:`~repro.obs.trace.SpanTracer` — Chrome trace-event JSON
   (``--trace FILE``, viewable in Perfetto) with spans for pipeline
-  stages, swap rounds, kernel passes, stream batches, checkpoint
-  writes, and service job lifecycle.
+  stages (each naming the kernel backend it ran on), swap rounds,
+  stream batches, checkpoint writes, and service job lifecycle.
 * :class:`~repro.obs.journal.EventJournal` — versioned JSONL event
   records written next to job records, tailed by ``submit --follow``.
 
@@ -20,8 +20,7 @@ observability is off (``--no-obs``).
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Iterator, Mapping, Optional, Union
+from typing import Optional, Union
 
 from .journal import (
     EventJournal,
@@ -47,7 +46,6 @@ __all__ = [
     "follow_journal",
     "read_journal",
     "validate_trace",
-    "kernel_observation",
 ]
 
 
@@ -73,20 +71,6 @@ class Observability:
             self.tracer = NullTracer()
             self.journal = NullJournal()
 
-    # ------------------------------------------------------------------
-    # kernel hooks
-    # ------------------------------------------------------------------
-    def pass_observer(self, pass_name: str, backend: str, fields: Mapping[str, object]) -> None:
-        """Kernel-pass hook: count the pass and drop a trace instant."""
-
-        self.registry.inc(
-            "repro_kernel_passes_total", **{"pass": pass_name, "backend": backend}
-        )
-        if self.tracer.enabled:
-            args = {"backend": backend}
-            args.update(fields)
-            self.tracer.instant(f"pass:{pass_name}", "kernel", args=args)
-
     def close(self) -> None:
         self.journal.close()
 
@@ -94,24 +78,3 @@ class Observability:
 #: Shared disabled bundle — safe to use as a default everywhere.
 NULL_OBS = Observability(enabled=False)
 
-
-@contextmanager
-def kernel_observation(obs: Observability) -> Iterator[None]:
-    """Install ``obs`` as the process-wide kernel pass observer.
-
-    Kernel backends report passes through a module-level hook in
-    ``repro.core.kernels.base`` (one ``None`` check per pass keeps the
-    hot path lean); this context manager wires that hook to ``obs`` for
-    the duration of a run and restores the previous observer after.
-    """
-
-    if not obs.enabled:
-        yield
-        return
-    from ..core.kernels import base as kernels_base
-
-    previous_pass = kernels_base.set_pass_observer(obs.pass_observer)
-    try:
-        yield
-    finally:
-        kernels_base.set_pass_observer(previous_pass)

@@ -105,9 +105,8 @@ class MetricsRegistry:
     def advance(self, name: str, target: float, **labels: object) -> float:
         """Raise a counter to ``target`` and return the (>= 0) delta.
 
-        The stream session uses this to make the registry the canonical
-        bookkeeping surface: maintainer totals are mirrored into
-        counters and per-batch deltas fall out of the advance.
+        The stream session mirrors maintainer totals into counters with
+        it; the totals stay the source.
         """
 
         key = (name, _label_items(labels))

@@ -1,7 +1,7 @@
 """Stage-based pipeline engine.
 
 The execution spine of the system: declarative pipeline specs
-(:mod:`repro.pipeline.spec`) run as compositions of registered stages
+(:mod:`repro.pipeline.spec`) run as compositions of the built-in stages
 (:mod:`repro.pipeline.stages`) over a shared execution context
 (:mod:`repro.pipeline.context`) driven by the engine
 (:mod:`repro.pipeline.engine`), which also provides versioned
@@ -21,7 +21,6 @@ _EXPORTS = {
     "repro.pipeline.context": (
         "ExecutionContext",
         "add_execution_arguments",
-        "resolve_backend_request",
     ),
     "repro.pipeline.engine": ("PipelineEngine",),
     "repro.pipeline.spec": (
@@ -35,7 +34,6 @@ _EXPORTS = {
         "StageReport",
         "available_stages",
         "get_stage",
-        "register_stage",
     ),
     "repro.pipeline.stream": ("BatchReport", "StreamSession"),
 }
@@ -54,8 +52,6 @@ __all__ = [
     "add_execution_arguments",
     "available_stages",
     "get_stage",
-    "register_stage",
-    "resolve_backend_request",
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

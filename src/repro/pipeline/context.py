@@ -9,11 +9,11 @@ the memory model and budget, the scan order and the cumulative
 :class:`~repro.storage.io_stats.IOStats`, and every stage reads them from
 it.
 
-The module also carries the *single source of truth* for CLI backend
-resolution (``--backend`` flag / ``REPRO_KERNEL_BACKEND`` environment
-variable / auto-detection), previously repeated across
-``cli._command_solve``, ``_command_compare`` and ``_command_reduce``:
-:func:`add_execution_arguments` declares the shared flags on an argparse
+The context keeps the backend *request* as given (``None``, ``""``,
+``"auto"`` or a name) and resolves it against the active source through
+the one lookup, :func:`repro.core.kernels.get_backend`, which also
+honours ``REPRO_KERNEL_BACKEND``.  :func:`add_execution_arguments`
+declares the shared CLI flags (``--backend`` among them) on an argparse
 parser and :func:`ExecutionContext.from_args` builds the context from the
 parsed namespace.
 """
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
-from repro.core.kernels import available_backends, resolve_backend
+from repro.core.kernels import available_backends, get_backend
 from repro.errors import SolverError
 from repro.graphs.graph import Graph
 from repro.storage.io_stats import IOStats
@@ -33,24 +33,7 @@ from repro.storage.scan import (
     as_scan_source,
 )
 
-__all__ = [
-    "ExecutionContext",
-    "add_execution_arguments",
-    "resolve_backend_request",
-]
-
-
-def resolve_backend_request(value: Optional[str]) -> Optional[str]:
-    """Normalise a CLI/env-style backend choice to the library convention.
-
-    ``None``, ``""`` and ``"auto"`` all mean "use the process default"
-    (which itself honours ``REPRO_KERNEL_BACKEND``); any other value is
-    passed through as an explicit backend name.
-    """
-
-    if value is None or value == "" or value == "auto":
-        return None
-    return value
+__all__ = ["ExecutionContext", "add_execution_arguments"]
 
 
 def add_execution_arguments(parser, include_memory_limit: bool = False) -> None:
@@ -59,15 +42,15 @@ def add_execution_arguments(parser, include_memory_limit: bool = False) -> None:
     Adds ``--backend`` (every command running solver passes) and — when
     ``include_memory_limit`` — ``--memory-limit-bytes`` (commands that
     emulate a bounded-RAM machine).  Paired with
-    :meth:`ExecutionContext.from_args`, this is the one place backend
-    resolution is defined for the whole CLI.
+    :meth:`ExecutionContext.from_args`, this is the one place the CLI
+    declares its execution flags.
     """
 
     parser.add_argument(
         "--backend",
         choices=["auto"] + list(available_backends()),
         default="auto",
-        help="kernel backend; 'numpy' (the default when available) runs the "
+        help="kernel backend; 'numpy' (the default) runs the "
         "vectorized kernels — text inputs spill once to a private SEXTCSR1 "
         "memmap; the spill is not charged to IOStats — and 'python' streams "
         "records one at a time; both produce bit-identical results and I/O "
@@ -92,9 +75,9 @@ class ExecutionContext:
         The *active* adjacency scan source.  Source-transforming stages
         (``reduce``) replace it mid-run via :meth:`replace_source`.
     backend:
-        Requested kernel backend name (``None`` = process default); the
-        per-call resolution against the active source happens in
-        :meth:`resolve_kernel`.
+        Requested kernel backend: a name, or ``None``/``""``/``"auto"``
+        for ``REPRO_KERNEL_BACKEND``, else numpy.  It is resolved against
+        the active source in :meth:`resolve_kernel`.
     memory_model:
         Analytic memory model used for the reported footprints.
     memory_limit_bytes:
@@ -160,7 +143,7 @@ class ExecutionContext:
         original = graph_or_source if isinstance(graph_or_source, Graph) else None
         return cls(
             source=source,
-            backend=resolve_backend_request(backend),
+            backend=backend,
             memory_model=memory_model,
             memory_limit_bytes=memory_limit_bytes,
             order=order,
@@ -196,7 +179,7 @@ class ExecutionContext:
     def resolve_kernel(self):
         """The kernel backend that will actually run against the active source."""
 
-        return resolve_backend(self.backend, self.source)
+        return get_backend(self.backend, self.source)
 
     def materialize_graph(self) -> Graph:
         """The active source as an in-memory graph (memoised per source).

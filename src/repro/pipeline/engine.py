@@ -61,7 +61,7 @@ import numpy as np
 from repro.core.kernels.base import decode_rounds, encode_rounds
 from repro.core.result import MISResult
 from repro.errors import CheckpointError, PipelineInterrupted, SolverError
-from repro.obs import NULL_OBS, Observability, kernel_observation
+from repro.obs import NULL_OBS, Observability
 from repro.pipeline.context import ExecutionContext
 from repro.pipeline.spec import PipelineSpec
 from repro.pipeline.stages import ARTIFACT_KEY, StageReport, get_stage
@@ -134,7 +134,7 @@ class PipelineEngine:
     ----------
     spec:
         The pipeline to execute; stage names and options are validated
-        against the stage registry at construction time.
+        against the stage table at construction time.
     max_rounds:
         Fallback swap-round cap applied to swap stages whose spec entry
         does not set its own ``max_rounds`` option.
@@ -218,8 +218,7 @@ class PipelineEngine:
         saved_state = ctx.save_state()
         ctx.capture_artifacts = self.checkpoint_path is not None
         try:
-            with kernel_observation(self.obs):
-                return self._run(ctx)
+            return self._run(ctx)
         finally:
             ctx.capture_artifacts = False
             ctx.restore_state(saved_state)
@@ -375,6 +374,9 @@ class PipelineEngine:
                 index=index,
                 total=len(self.spec.stages),
             )
+            # The trace names the backend each stage ran on, resolved
+            # against the source the stage starts from.
+            stage_backend = ctx.resolve_kernel().name if obs_on else None
             stage_mark = tracer.now()
             stage_started = time.perf_counter()
             result = stage.run(
@@ -419,6 +421,7 @@ class PipelineEngine:
                     tracer.now(),
                     args={
                         "algorithm": result.algorithm,
+                        "backend": stage_backend,
                         "size": result.size,
                         "rounds": result.num_rounds,
                     },

@@ -1,6 +1,6 @@
 """Declarative pipeline and run specifications.
 
-A :class:`PipelineSpec` names an ordered list of registered stages with
+A :class:`PipelineSpec` names an ordered list of built-in stages with
 per-stage options — the declarative form of the paper's compositions
 ("One-k-swap (after Greedy)" is ``greedy → one_k_swap``), extended with
 the reduction and comparator stages so ``reduce → greedy → two_k_swap``
@@ -36,7 +36,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class StageSpec:
-    """One stage invocation: the registered stage name plus its options."""
+    """One stage invocation: the stage name plus its options."""
 
     stage: str
     options: Mapping[str, object] = field(default_factory=dict)
@@ -234,8 +234,8 @@ class RunSpec:
         if backend is not None and not isinstance(backend, str):
             raise PipelineSpecError("run spec 'backend' must be a string or null")
         if isinstance(backend, str) and backend not in ("", "auto"):
-            # Imported lazily: the kernel registry populates at package
-            # import, and spec parsing must stay importable on its own.
+            # Imported lazily: importing the kernels package compiles the
+            # numpy backend, and spec parsing must stay importable on its own.
             from repro.core.kernels import available_backends
 
             if backend not in available_backends():

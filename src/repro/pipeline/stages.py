@@ -1,10 +1,10 @@
-"""The stage registry and the built-in pipeline stages.
+"""The pipeline stages and the fixed table that names them.
 
 A *stage* is one composable step of a pipeline: it receives the shared
 :class:`~repro.pipeline.context.ExecutionContext` plus the previous
 stage's :class:`~repro.core.result.MISResult` and returns its own result.
-The registry maps the stage names used in declarative specs to stage
-objects; the built-ins cover the paper's semi-external passes
+A fixed table maps the stage names used in declarative specs to stage
+objects; the stages cover the paper's semi-external passes
 (``baseline``, ``greedy``, ``one_k_swap``, ``two_k_swap``), the exact
 kernelization (``reduce`` — promoted from a CLI-only command to a
 composable stage, so ``reduce → greedy → two_k_swap`` is a first-class
@@ -41,7 +41,6 @@ __all__ = [
     "StageReport",
     "available_stages",
     "get_stage",
-    "register_stage",
 ]
 
 #: Key under which a source-transforming stage stashes its serialized
@@ -127,7 +126,7 @@ class StageReport:
 class Stage(abc.ABC):
     """One composable pipeline step."""
 
-    #: Registry key and spec name of the stage.
+    #: Table key and spec name of the stage.
     name: str = "abstract"
 
     #: Whether the stage supports per-round checkpoint/resume.
@@ -175,33 +174,6 @@ class Stage(abc.ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} name={self.name!r}>"
-
-
-_REGISTRY: Dict[str, Stage] = {}
-
-
-def register_stage(stage: Stage) -> Stage:
-    """Add a stage instance to the registry (last registration wins)."""
-
-    _REGISTRY[stage.name] = stage
-    return stage
-
-
-def available_stages() -> Tuple[str, ...]:
-    """Names of every registered stage, sorted."""
-
-    return tuple(sorted(_REGISTRY))
-
-
-def get_stage(name: str) -> Stage:
-    """Return the stage registered under ``name``."""
-
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise PipelineSpecError(
-            f"unknown stage {name!r}; available: {', '.join(available_stages())}"
-        ) from None
 
 
 # ----------------------------------------------------------------------
@@ -376,10 +348,33 @@ class DynamicUpdateStage(Stage):
         )
 
 
-register_stage(GreedyStage())
-register_stage(BaselineStage())
-register_stage(OneKSwapStage())
-register_stage(TwoKSwapStage())
-register_stage(ReduceStage())
-register_stage(LocalSearchStage())
-register_stage(DynamicUpdateStage())
+#: Every stage, by the name specs use for it.
+_STAGES: Dict[str, Stage] = {
+    stage.name: stage
+    for stage in (
+        GreedyStage(),
+        BaselineStage(),
+        OneKSwapStage(),
+        TwoKSwapStage(),
+        ReduceStage(),
+        LocalSearchStage(),
+        DynamicUpdateStage(),
+    )
+}
+
+
+def available_stages() -> Tuple[str, ...]:
+    """Names of every stage, sorted."""
+
+    return tuple(sorted(_STAGES))
+
+
+def get_stage(name: str) -> Stage:
+    """Return the stage named ``name``."""
+
+    try:
+        return _STAGES[name]
+    except KeyError:
+        raise PipelineSpecError(
+            f"unknown stage {name!r}; available: {', '.join(available_stages())}"
+        ) from None

@@ -80,7 +80,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 import numpy as _np
 
 from repro.errors import PipelineInterrupted, StreamError
-from repro.obs import NULL_OBS, MetricsRegistry, Observability, kernel_observation
+from repro.obs import NULL_OBS, Observability
 from repro.storage.checkpoint import (
     EncodedSection,
     append_record,
@@ -320,14 +320,6 @@ class StreamSession:
         if batch_size < 1:
             raise StreamError("batch size must be at least 1")
         self._obs = obs if obs is not None else NULL_OBS
-        # The registry is the session's canonical bookkeeping surface:
-        # maintainer totals are mirrored into counters after every batch
-        # and the per-batch report deltas fall out of the mirror
-        # (``advance``).  A session without observability still needs
-        # the bookkeeping, so it gets a private registry.
-        self._metrics = (
-            self._obs.registry if self._obs.enabled else MetricsRegistry()
-        )
         self._updates = load_updates(updates_path)
         self._updates_digest = updates_digest(updates_path)
         self._graph_digest = graph_digest
@@ -364,15 +356,20 @@ class StreamSession:
                 backend=backend,
                 compact_threshold=compact_threshold,
             )
-        # Seed the mirrored counters to the maintainer's (possibly
-        # checkpoint-restored) totals, so the first batch's deltas
-        # describe that batch and not the resumed history.
-        self._sync_counters()
+        if self._obs.enabled:
+            # Seed the counters to the maintainer's (possibly
+            # checkpoint-restored) totals.
+            self._sync_counters()
 
     def _sync_counters(self) -> None:
-        """Mirror maintainer totals into the registry (monotonic advance)."""
+        """Mirror maintainer totals into the registry (monotonic advance).
 
-        registry = self._metrics
+        The maintainer's ``stats`` and ``wave`` counters are the source;
+        the ``repro_stream_*`` and ``repro_wave_*`` series are a view of
+        them, kept only when observability is on.
+        """
+
+        registry = self._obs.registry
         for field, total in asdict(self._maintainer.stats).items():
             registry.advance(f"repro_stream_{field}_total", total)
         self._maintainer.wave.record(registry)
@@ -566,7 +563,7 @@ class StreamSession:
         """
 
         maintainer = self._maintainer
-        registry = self._metrics
+        registry = self._obs.registry
         tracer = self._obs.tracer
         journal = self._obs.journal
         obs_on = self._obs.enabled
@@ -584,43 +581,25 @@ class StreamSession:
             insertions = [(u, v) for op, u, v in chunk if op == "+"]
             deletions = [(u, v) for op, u, v in chunk if op == "-"]
             batch_mark = tracer.now()
+            # The batch's deltas are the maintainer totals after the
+            # batch minus those before it.
+            stats, wave = maintainer.stats, maintainer.wave
+            before = (
+                stats.evictions,
+                stats.compactions,
+                wave.sub_waves,
+                wave.scalar_fallbacks,
+            )
             began = time.perf_counter()
-            # The observation scope is per batch, not per session: the
-            # generator can stay suspended between batches for a long
-            # time, and the process-wide kernel hooks must not stay
-            # pointed at a suspended session meanwhile.
-            with kernel_observation(self._obs):
-                maintainer.apply_updates(insertions, deletions)
+            maintainer.apply_updates(insertions, deletions)
             elapsed = time.perf_counter() - began
             self._elapsed += elapsed
-            # Advancing the mirrored counters to the new maintainer
-            # totals yields exactly this batch's deltas; the remaining
-            # series are synced below without double counting (advance
-            # is a no-op at or below the current value).
-            evictions = int(
-                registry.advance(
-                    "repro_stream_evictions_total", maintainer.stats.evictions
-                )
-            )
-            compacted = (
-                registry.advance(
-                    "repro_stream_compactions_total",
-                    maintainer.stats.compactions,
-                )
-                > 0
-            )
-            sub_waves = int(
-                registry.advance(
-                    "repro_wave_sub_waves_total", maintainer.wave.sub_waves
-                )
-            )
-            fallbacks = int(
-                registry.advance(
-                    "repro_wave_scalar_fallbacks_total",
-                    maintainer.wave.scalar_fallbacks,
-                )
-            )
-            self._sync_counters()
+            evictions = stats.evictions - before[0]
+            compacted = stats.compactions > before[1]
+            sub_waves = wave.sub_waves - before[2]
+            fallbacks = wave.scalar_fallbacks - before[3]
+            if obs_on:
+                self._sync_counters()
             if compacted:
                 # The base changed and no longer matches the input graph:
                 # embed it once, reuse it until the next compaction.

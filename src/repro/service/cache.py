@@ -37,7 +37,6 @@ import os
 from typing import Dict, List, NamedTuple, Optional
 
 from repro.errors import ServiceError, StorageError
-from repro.pipeline.context import resolve_backend_request
 from repro.pipeline.spec import RunSpec
 from repro.storage.blocks import atomic_write
 
@@ -129,7 +128,8 @@ def spec_key_fields(spec: RunSpec, input_digest: str) -> Dict[str, object]:
     """
 
     fields: Dict[str, object] = {
-        "backend": resolve_backend_request(spec.backend) or "auto",
+        # None, "" and "auto" are one request: the lookup's default.
+        "backend": spec.backend or "auto",
         "input_digest": input_digest,
         "max_rounds": spec.max_rounds,
         "memory_limit_bytes": spec.memory_limit_bytes,

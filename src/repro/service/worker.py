@@ -38,7 +38,7 @@ from typing import Optional
 from repro.core.result import MISResult
 from repro.errors import PipelineInterrupted, ReproError
 from repro.obs import EventJournal, MetricsRegistry, Observability
-from repro.pipeline.context import ExecutionContext, resolve_backend_request
+from repro.pipeline.context import ExecutionContext
 from repro.pipeline.engine import PipelineEngine, encode_result
 from repro.pipeline.stream import StreamSession
 from repro.service.cache import (
@@ -75,7 +75,7 @@ def _run_stream(spec, record, ctx, checkpoint, beat, obs) -> MISResult:
         spec.updates,
         graph_digest=record.input_digest,
         pipeline=spec.pipeline.name,
-        backend=resolve_backend_request(spec.backend),
+        backend=spec.backend,
         batch_size=spec.batch_size or 1024,
         compact_threshold=spec.compact_threshold,
         checkpoint=checkpoint,

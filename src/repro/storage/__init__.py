@@ -54,7 +54,7 @@ _EXPORTS = {
         "read_binary_header",
         "write_binary_csr",
     ),
-    "repro.storage.registry": ("open_adjacency_source", "register_scan_format"),
+    "repro.storage.registry": ("open_adjacency_source",),
     "repro.storage.external_sort": (
         "external_sort_by_degree",
         "greedy_total_io_cost",
@@ -79,7 +79,6 @@ __all__ = [
     "read_binary_header",
     "write_binary_csr",
     "open_adjacency_source",
-    "register_scan_format",
     "external_sort_by_degree",
     "greedy_total_io_cost",
     "sort_io_cost",

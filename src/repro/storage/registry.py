@@ -6,10 +6,9 @@ memory-mapped binary CSR artifact (:mod:`repro.storage.binary_format`,
 magic ``SEXTCSR1``).  ``open_adjacency_source`` sniffs the leading magic
 bytes and returns the matching scan source, so the CLI, the run-spec
 executor, :func:`repro.storage.scan.as_scan_source` and the service
-worker all accept either format through one call.
-
-New formats register through :func:`register_scan_format`; a factory
-receives ``(path, block_size, stats)`` and returns a scan source.
+worker all accept either format through one call.  The formats are a
+fixed table: magic bytes to a factory that receives
+``(path, block_size, stats)`` and returns a scan source.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from repro.storage.blocks import DEFAULT_BLOCK_SIZE
 from repro.storage.io_stats import IOStats
 from repro.storage.scan import AdjacencyScanSource
 
-__all__ = ["open_adjacency_source", "register_scan_format", "sniff_magic"]
+__all__ = ["open_adjacency_source", "sniff_magic"]
 
 _MAGIC_BYTES = 8
 
@@ -44,14 +43,6 @@ _SCAN_FORMATS: Dict[bytes, ScanFactory] = {
         path, block_size=block_size, stats=stats
     ),
 }
-
-
-def register_scan_format(magic: bytes, factory: ScanFactory) -> None:
-    """Register a scan-source factory for files starting with ``magic``."""
-
-    if len(magic) != _MAGIC_BYTES:
-        raise StorageError(f"format magic must be {_MAGIC_BYTES} bytes, got {magic!r}")
-    _SCAN_FORMATS[bytes(magic)] = factory
 
 
 def sniff_magic(path: Union[str, os.PathLike]) -> bytes:

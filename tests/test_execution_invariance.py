@@ -26,7 +26,7 @@ import os
 import pytest
 
 from repro.cli import EXIT_INTERRUPTED, build_parser, main
-from repro.core.kernels import resolve_backend
+from repro.core.kernels import get_backend
 from repro.core.solver import solve_mis
 from repro.errors import PipelineSpecError
 from repro.graphs.generators import erdos_renyi_gnm
@@ -74,7 +74,7 @@ def _open(graph_files, kind: str, source_kind: str):
 
 def _run_greedy_one_k(source, backend: str):
     try:
-        kernel = resolve_backend(backend, source)
+        kernel = get_backend(backend, source)
         initial = kernel.greedy_pass(source)
         snapshots = []
         out = kernel.one_k_swap_pass(source, initial, None, on_round=snapshots.append)
@@ -109,7 +109,7 @@ def test_backend_parity_two_k(kind):
 
     def run(backend):
         source = as_scan_source(graph)
-        kernel = resolve_backend(backend, source)
+        kernel = get_backend(backend, source)
         initial = kernel.greedy_pass(source)
         out = kernel.two_k_swap_pass(source, initial, None, 64, 256)
         return out, source.stats.as_dict()
@@ -137,20 +137,20 @@ def test_round_snapshots_independent_of_source_kind(
 def test_round_snapshot_resume_matches_uninterrupted(backend):
     graph = erdos_renyi_gnm(2_000, 6_000, seed=17)
     source = as_scan_source(graph)
-    kernel = resolve_backend(backend, source)
+    kernel = get_backend(backend, source)
     initial = kernel.greedy_pass(source)
     uninterrupted = kernel.one_k_swap_pass(source, initial, None)
 
     src = as_scan_source(graph)
     snaps = []
-    resolve_backend(backend, src).one_k_swap_pass(
+    get_backend(backend, src).one_k_swap_pass(
         src, initial, 2, on_round=snaps.append
     )
     assert len(snaps) == 2
     snapshot = json.loads(json.dumps(plain(snaps[-1])))
 
     src = as_scan_source(graph)
-    resumed = resolve_backend(backend, src).one_k_swap_pass(
+    resumed = get_backend(backend, src).one_k_swap_pass(
         src, frozenset(), None, resume=snapshot
     )
     assert resumed == uninterrupted

@@ -16,13 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import greedy_mis, one_k_swap, solve_mis, two_k_swap
-from repro.core.kernels import (
-    available_backends,
-    default_backend_name,
-    get_backend,
-    resolve_backend,
-    set_default_backend,
-)
+from repro.core.kernels import BACKEND_ENV_VAR, available_backends, get_backend
 from repro.core.solver import PIPELINES
 from repro.errors import SolverError
 from repro.graphs.cascade import cascade_initial_independent_set, cascade_swap_graph
@@ -72,46 +66,58 @@ def assert_backends_agree(graph, order="degree", initial=None, max_rounds=8):
         assert python_result.extras == numpy_result.extras, name
 
 
-class TestRegistry:
-    def test_both_backends_registered(self):
-        assert {"python", "numpy"} <= set(available_backends())
+class _RecordStreamOnly:
+    """Scan source with neither an in-memory CSR nor ``csr_views``."""
 
-    def test_default_backend_is_numpy_when_available(self):
-        assert default_backend_name() == "numpy"
+    num_vertices = 0
+    num_edges = 0
 
-    def test_get_backend_rejects_unknown_names(self):
-        with pytest.raises(SolverError):
+
+class TestBackendLookup:
+    def test_available_backends_are_fixed(self):
+        assert available_backends() == ("numpy", "python")
+
+    def test_default_is_numpy(self, monkeypatch):
+        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
+        for request in (None, "", "auto"):
+            assert get_backend(request).name == "numpy"
+
+    def test_environment_variable_is_honoured(self, monkeypatch):
+        monkeypatch.setenv(BACKEND_ENV_VAR, "python")
+        for request in (None, "", "auto"):
+            assert get_backend(request).name == "python"
+
+    def test_explicit_name_beats_environment_variable(self, monkeypatch):
+        monkeypatch.setenv(BACKEND_ENV_VAR, "python")
+        assert get_backend("numpy").name == "numpy"
+        monkeypatch.setenv(BACKEND_ENV_VAR, "numpy")
+        assert get_backend("python").name == "python"
+
+    def test_unknown_name_raises(self):
+        with pytest.raises(SolverError, match="unknown kernel backend 'fortran'"):
             get_backend("fortran")
 
-    def test_set_default_backend_round_trip(self):
-        set_default_backend("python")
-        try:
-            assert default_backend_name() == "python"
-        finally:
-            set_default_backend(None)
-        assert default_backend_name() == "numpy"
+    def test_unknown_environment_value_raises(self, monkeypatch):
+        monkeypatch.setenv(BACKEND_ENV_VAR, "fortran")
+        with pytest.raises(SolverError, match=BACKEND_ENV_VAR):
+            get_backend()
+        with pytest.raises(SolverError, match=BACKEND_ENV_VAR):
+            solve_mis(erdos_renyi_gnm(10, 12, seed=1))
 
-    def test_set_default_backend_rejects_unknown_names(self):
-        with pytest.raises(SolverError):
-            set_default_backend("fortran")
-
-    def test_numpy_backend_runs_file_sources_via_batched_scans(self):
+    def test_numpy_backend_runs_file_and_in_memory_sources(self):
         graph = erdos_renyi_gnm(30, 60, seed=5)
         device = write_adjacency_file(graph)
         reader = AdjacencyFileReader(device)
-        assert resolve_backend("numpy", reader).name == "numpy"
+        assert get_backend("numpy", reader).name == "numpy"
         source = InMemoryAdjacencyScan(graph)
-        assert resolve_backend("numpy", source).name == "numpy"
+        assert get_backend("numpy", source).name == "numpy"
         reader.close()
 
-    def test_numpy_backend_falls_back_for_sources_without_batches(self):
-        class _RecordStreamOnly:
-            """Scan source without scan_batches (custom streaming reader)."""
-
-            num_vertices = 0
-            num_edges = 0
-
-        assert resolve_backend("numpy", _RecordStreamOnly()).name == "python"
+    def test_custom_source_falls_back_to_python(self, monkeypatch):
+        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
+        assert get_backend("numpy", _RecordStreamOnly()).name == "python"
+        assert get_backend(None, _RecordStreamOnly()).name == "python"
+        assert get_backend("python", _RecordStreamOnly()).name == "python"
 
     def test_file_source_solve_matches_in_memory(self):
         graph = erdos_renyi_gnm(40, 90, seed=6)

@@ -42,7 +42,9 @@ from repro.obs import (
     read_journal,
     validate_trace,
 )
-from repro.core.solver import solve_mis
+from repro.core.solver import PIPELINES, solve_mis
+from repro.pipeline.context import ExecutionContext
+from repro.pipeline.engine import PipelineEngine
 from repro.pipeline.stream import StreamSession
 from repro.service import ServiceClient, ServiceConfig, SolverService
 from repro.service.metrics import build_service_registry
@@ -261,27 +263,14 @@ class TestEventJournal:
 # Engine + kernels wiring
 # ----------------------------------------------------------------------
 def _solver_counters(registry):
-    """Integer solver-work counters that must be backend invariant.
+    """Integer solver-work counters that must be backend invariant."""
 
-    Kernel pass counters carry a ``backend`` label; it is dropped so the
-    two backends' series line up.
-    """
-
-    counters = {}
-    for entry in registry.snapshot()["series"]:
-        name = entry["name"]
-        if entry["kind"] != "counter":
-            continue
-        if name.startswith(("repro_stage_", "repro_rounds", "repro_kernel_")):
-            labels = tuple(
-                sorted(
-                    (key, value)
-                    for key, value in entry["labels"].items()
-                    if key != "backend"
-                )
-            )
-            counters[(name, labels)] = entry["value"]
-    return counters
+    return {
+        (entry["name"], tuple(sorted(entry["labels"].items()))): entry["value"]
+        for entry in registry.snapshot()["series"]
+        if entry["kind"] == "counter"
+        and entry["name"].startswith(("repro_stage_", "repro_rounds"))
+    }
 
 
 class TestEngineObservability:
@@ -308,7 +297,22 @@ class TestEngineObservability:
         assert "stage:two_k_swap" in names
         assert any(name.startswith("round:") for name in names)
         assert "pipeline:two_k_swap" in names
-        assert any(name.startswith("pass:") for name in names)
+        # Each stage span names the backend it ran on; passes are not
+        # reported a second time.
+        stage_backends = {
+            event["name"]: event["args"]["backend"]
+            for event in document["traceEvents"]
+            if event["name"].startswith("stage:")
+        }
+        assert stage_backends == {
+            "stage:greedy": "python",
+            "stage:two_k_swap": "python",
+        }
+        assert not any(name.startswith("pass:") for name in names)
+        assert not any(
+            entry["name"] == "repro_kernel_passes_total"
+            for entry in obs.registry.snapshot()["series"]
+        )
 
         registry = obs.registry
         assert registry.value("repro_stage_runs_total", stage="greedy") == 1
@@ -380,6 +384,58 @@ class TestEngineObservability:
         assert mis == baseline_set
         assert counters == baseline_counters
 
+    def test_overlapping_runs_leave_no_hook_behind(self):
+        """Run A starts, run B starts, A finishes while B is still going,
+        then B finishes.  A later solve without observability must record
+        nothing into A's (or B's) bundle."""
+
+        graph = erdos_renyi_gnm(300, 900, seed=12)
+        spec = PIPELINES["two_k_swap"]
+        a_running = threading.Event()
+        b_running = threading.Event()
+        a_done = threading.Event()
+
+        def a_progress():
+            if not a_running.is_set():
+                a_running.set()
+                assert b_running.wait(30)
+
+        def b_progress():
+            if not b_running.is_set():
+                b_running.set()
+                assert a_done.wait(30)
+
+        bundles = {}
+        errors = []
+
+        def run(name, progress):
+            try:
+                obs = Observability(registry=MetricsRegistry())
+                bundles[name] = obs
+                engine = PipelineEngine(spec, progress=progress, obs=obs)
+                engine.run(ExecutionContext.create(graph))
+            except Exception as exc:  # surfaced in the main thread
+                errors.append(exc)
+                a_running.set()
+                b_running.set()
+                a_done.set()
+
+        thread_a = threading.Thread(target=run, args=("a", a_progress))
+        thread_b = threading.Thread(target=run, args=("b", b_progress))
+        thread_a.start()
+        assert a_running.wait(30)
+        thread_b.start()
+        thread_a.join(60)
+        a_done.set()
+        thread_b.join(60)
+        assert not errors, errors
+        assert not thread_a.is_alive() and not thread_b.is_alive()
+
+        snapshots = {name: obs.registry.snapshot() for name, obs in bundles.items()}
+        solve_mis(graph)
+        for name, obs in bundles.items():
+            assert obs.registry.snapshot() == snapshots[name], name
+
 
 # ----------------------------------------------------------------------
 # Stream wiring
@@ -430,8 +486,13 @@ class TestStreamObservability:
         assert summary["conflict_density"] == pytest.approx(
             stats.evictions / (stats.edges_inserted + stats.edges_deleted)
         )
-        # Per-batch report deltas fall out of the registry mirror.
+        # Per-batch report deltas sum to the maintainer totals.
         assert sum(report.evictions for report in reports) == stats.evictions
+        wave = session.maintainer.wave
+        assert sum(r.sub_waves for r in reports) == wave.sub_waves
+        assert sum(r.scalar_fallbacks for r in reports) == wave.scalar_fallbacks
+        for field, total in wave.snapshot().items():
+            assert registry.value(f"repro_wave_{field}_total") == total
 
         document = obs.tracer.to_document()
         assert validate_trace(document) == []
@@ -441,6 +502,26 @@ class TestStreamObservability:
         events = [record["event"] for record in read_journal(journal_path)]
         assert events[0] == "stream_start"
         assert events.count("batch") == len(reports)
+
+    def test_batch_reports_do_not_depend_on_observability(
+        self, stream_inputs, tmp_path
+    ):
+        graph, updates = stream_inputs
+
+        def reports(obs):
+            session = StreamSession(
+                graph, updates, batch_size=50, compact_threshold=40, obs=obs
+            )
+            rows = []
+            for report in session.process():
+                row = report.summary()
+                del row["elapsed_seconds"]
+                rows.append(row)
+            return rows
+
+        observed = reports(Observability(registry=MetricsRegistry()))
+        assert any(row["compacted"] for row in observed)
+        assert reports(None) == observed
 
     def test_empty_stream_guards_ratios(self, tmp_path):
         graph = erdos_renyi_gnm(50, 120, seed=2)

@@ -20,7 +20,8 @@ from repro.baselines.local_search import local_search_mis
 from repro.errors import PipelineSpecError
 from repro.graphs.generators import erdos_renyi_gnm, star_graph
 from repro.graphs.plrg import plrg_graph_with_vertex_count
-from repro.pipeline.context import ExecutionContext, resolve_backend_request
+from repro.core.kernels import BACKEND_ENV_VAR, get_backend
+from repro.pipeline.context import ExecutionContext
 from repro.pipeline.engine import PipelineEngine, decode_result, encode_result
 from repro.pipeline.spec import BUILTIN_PIPELINES, PipelineSpec, RunSpec, StageSpec
 from repro.pipeline.stages import available_stages, get_stage
@@ -199,11 +200,17 @@ class TestSpecs:
 # Execution context
 # ----------------------------------------------------------------------
 class TestExecutionContext:
-    def test_resolve_backend_request(self):
-        assert resolve_backend_request(None) is None
-        assert resolve_backend_request("auto") is None
-        assert resolve_backend_request("") is None
-        assert resolve_backend_request("python") == "python"
+    def test_resolve_kernel_uses_get_backend(self, monkeypatch):
+        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
+        graph = erdos_renyi_gnm(20, 40, seed=1)
+        for request in (None, "auto", ""):
+            ctx = ExecutionContext.create(graph, backend=request)
+            assert ctx.resolve_kernel() is get_backend(request, ctx.source)
+            assert ctx.resolve_kernel().name == "numpy"
+        monkeypatch.setenv(BACKEND_ENV_VAR, "python")
+        assert ExecutionContext.create(graph).resolve_kernel().name == "python"
+        ctx = ExecutionContext.create(graph, backend="numpy")
+        assert ctx.resolve_kernel().name == "numpy"
 
     def test_materialize_graph_caches_reader_graphs(self):
         graph = erdos_renyi_gnm(50, 120, seed=1)
