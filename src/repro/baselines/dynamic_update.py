@@ -78,7 +78,7 @@ def dynamic_update_mis(
     elapsed = time.perf_counter() - started
     return MISResult(
         algorithm="dynamic_update",
-        independent_set=frozenset(selection),
+        members=selection,
         rounds=(),
         io=IOStats(),
         memory_bytes=required,

@@ -112,7 +112,7 @@ def exact_mis(graph: Graph, max_nodes: int = 2_000_000) -> MISResult:
     elapsed = time.perf_counter() - started
     return MISResult(
         algorithm="exact",
-        independent_set=frozenset(solver.best),
+        members=solver.best,
         rounds=(),
         io=IOStats(),
         memory_bytes=0,

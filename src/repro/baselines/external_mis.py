@@ -121,11 +121,10 @@ def external_maximal_is(
                 queue.push(neighbor, vertex)
     queue.flush_accounting()
 
-    independent_set = frozenset(v for v in range(source.num_vertices) if in_set[v])
     elapsed = time.perf_counter() - started
     return MISResult(
         algorithm="external_mis",
-        independent_set=independent_set,
+        members=[v for v in range(source.num_vertices) if in_set[v]],
         rounds=(),
         io=source.stats.delta_since(io_before),
         memory_bytes=model.external_mis_bytes(block_size),

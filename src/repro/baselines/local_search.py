@@ -26,11 +26,12 @@ bit-identical sets and iteration counts.
 from __future__ import annotations
 
 import time
-from typing import Iterable, Optional, Set, Union
+from functools import partial
+from typing import Iterable, Optional, Union
 
 from repro.core.greedy import greedy_mis
 from repro.core.kernels import get_backend
-from repro.core.result import MISResult
+from repro.core.result import MISResult, initial_members
 from repro.errors import MemoryBudgetError, SolverError, VertexError
 from repro.graphs.graph import Graph
 from repro.storage.io_stats import IOStats
@@ -83,39 +84,25 @@ def local_search_mis(
 
     started = time.perf_counter()
     if initial is None:
-        selected: Set[int] = set(greedy_mis(graph, backend=backend).independent_set)
-    elif isinstance(initial, MISResult):
-        selected = set(initial.independent_set)
-    else:
-        selected = set(initial)
-    for vertex in selected:
-        if not (0 <= vertex < graph.num_vertices):
-            raise VertexError(vertex, graph.num_vertices)
-    initial_size = len(selected)
-
-    if max_iterations == 0:
-        # The safety valve bounds *all* mutation: no maximalisation, no
-        # swaps.  The result may therefore not be maximal.
-        elapsed = time.perf_counter() - started
-        return MISResult(
-            algorithm="local_search",
-            independent_set=frozenset(selected),
-            rounds=(),
-            io=IOStats(),
-            memory_bytes=required,
-            elapsed_seconds=elapsed,
-            initial_size=initial_size,
-            extras={"iterations": 0.0},
-        )
-
-    kernel = get_backend(backend)
-    independent_set, iterations = kernel.local_search_pass(
-        graph, frozenset(selected), max_iterations
+        initial = greedy_mis(graph, backend=backend)
+    members = initial_members(
+        initial,
+        graph.num_vertices,
+        partial(VertexError, num_vertices=graph.num_vertices),
     )
+    initial_size = members.size
+
+    iterations = 0
+    if max_iterations > 0:
+        # ``max_iterations == 0`` bounds *all* mutation: no maximalisation,
+        # no swaps, so the returned set may not be maximal.
+        members, iterations = get_backend(backend).local_search_pass(
+            graph, members, max_iterations
+        )
     elapsed = time.perf_counter() - started
     return MISResult(
         algorithm="local_search",
-        independent_set=independent_set,
+        members=members,
         rounds=(),
         io=IOStats(),
         memory_bytes=required,

@@ -79,12 +79,12 @@ def greedy_mis(
 
     started = time.perf_counter()
     before = source.stats.copy()
-    independent_set = kernel.greedy_pass(source)
+    members = kernel.greedy_pass(source)
     elapsed = time.perf_counter() - started
 
     return MISResult(
         algorithm="greedy",
-        independent_set=independent_set,
+        members=members,
         rounds=(),
         io=source.stats.delta_since(before),
         memory_bytes=model.greedy_bytes(num_vertices),

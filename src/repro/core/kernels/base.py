@@ -41,10 +41,12 @@ import abc
 import importlib
 import os
 from dataclasses import asdict, dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
+
+import numpy as np
 
 from repro.core.result import RoundStats
-from repro.errors import SolverError
+from repro.errors import GraphError, SolverError
 from repro.storage.scan import InMemoryAdjacencyScan
 
 __all__ = [
@@ -55,6 +57,7 @@ __all__ = [
     "decode_rounds",
     "encode_rounds",
     "get_backend",
+    "normalize_updates",
 ]
 
 #: Environment variable naming the backend of an unset or ``"auto"`` request.
@@ -159,34 +162,71 @@ def decode_history(payload) -> Optional[set]:
     return {bytes.fromhex(entry) for entry in payload}
 
 
+def normalize_updates(updates, *, strict: bool) -> List[Tuple[int, int]]:
+    """Coerce, validate and dedupe one side of an update batch.
+
+    The scalar reference behind every backend's
+    ``normalize_updates_pass``: duplicates of the same undirected edge
+    keep only the first occurrence in its original orientation
+    (orientation feeds the eviction tie-break).  ``strict`` mirrors the
+    per-edge maintainer methods — insertions raise on malformed pairs,
+    deletions drop them as no-ops.
+    """
+
+    if hasattr(updates, "tolist"):
+        updates = updates.tolist()
+    seen = set()
+    normalized: List[Tuple[int, int]] = []
+    for pair in updates:
+        u, v = int(pair[0]), int(pair[1])
+        if u == v:
+            if strict:
+                raise GraphError("self loops are not allowed")
+            continue
+        if u < 0 or v < 0:
+            if strict:
+                raise GraphError("vertex ids must be non-negative")
+            continue
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            continue
+        seen.add(key)
+        normalized.append((u, v))
+    return normalized
+
+
 class KernelBackend(abc.ABC):
     """Computational passes shared by every kernel backend.
 
     Each method receives an already-normalised scan source, performs the
     full algorithm body (including the per-sweep ``IOStats`` accounting),
-    and returns plain Python containers; the public solver functions wrap
-    the outcome into :class:`~repro.core.result.MISResult` objects.
+    and returns the outcome; the public solver functions wrap it into
+    :class:`~repro.core.result.MISResult` objects.  Sets go in and come
+    out as :attr:`~repro.core.result.MISResult.members`, an ascending
+    int64 array: the caller range-checks an initial set, and each pass
+    builds its output fresh, so the result keeps it without a copy.
     """
 
     #: Lookup key and CLI name of the backend.
     name: str = "abstract"
 
     @abc.abstractmethod
-    def greedy_pass(self, source) -> FrozenSet[int]:
-        """Algorithm 1: one sequential scan, returns the independent set."""
+    def greedy_pass(self, source) -> np.ndarray:
+        """Algorithm 1: one sequential scan, returns the set's members."""
 
     @abc.abstractmethod
     def one_k_swap_pass(
         self,
         source,
-        initial_set: FrozenSet[int],
+        initial_set: np.ndarray,
         max_rounds: Optional[int],
         resume: Optional[dict] = None,
         on_round=None,
-    ) -> Tuple[FrozenSet[int], Tuple[RoundStats, ...], bool]:
+    ) -> Tuple[np.ndarray, Tuple[RoundStats, ...], bool]:
         """Algorithm 2: 1↔k/0↔1 swap rounds until a fixpoint (or ``max_rounds``).
 
-        The final element reports whether the oscillation guard stopped a
+        Returns the members and the per-round telemetry.  The final
+        element reports whether the oscillation guard stopped a
         ``max_rounds=None`` run after detecting a repeated
         ``(state, ISN)`` configuration.
 
@@ -211,13 +251,13 @@ class KernelBackend(abc.ABC):
     def two_k_swap_pass(
         self,
         source,
-        initial_set: FrozenSet[int],
+        initial_set: np.ndarray,
         max_rounds: Optional[int],
         max_pairs_per_key: int,
         max_partner_checks: int,
         resume: Optional[dict] = None,
         on_round=None,
-    ) -> Tuple[FrozenSet[int], Tuple[RoundStats, ...], int, bool]:
+    ) -> Tuple[np.ndarray, Tuple[RoundStats, ...], int, bool]:
         """Algorithms 3/4: 2↔k swap rounds; also returns the peak SC size.
 
         The final element is the oscillation-guard flag, and ``resume`` /
@@ -228,9 +268,9 @@ class KernelBackend(abc.ABC):
     def local_search_pass(
         self,
         graph,
-        initial_set: FrozenSet[int],
+        initial_set: np.ndarray,
         max_iterations: int,
-    ) -> Tuple[FrozenSet[int], int]:
+    ) -> Tuple[np.ndarray, int]:
         """In-memory (1,2)-swap local search over the CSR arrays.
 
         Starting from ``initial_set`` the pass maximalises the set once
@@ -242,9 +282,9 @@ class KernelBackend(abc.ABC):
         re-maximalisation of the freed neighbourhood.  Sweeps repeat until
         none improves or ``max_iterations`` accepted moves were made.
 
-        Returns the final independent set and the number of accepted
-        moves.  The procedure is fully deterministic, so every backend
-        returns bit-identical results.
+        Returns the final members and the number of accepted moves.  The
+        procedure is fully deterministic, so every backend returns
+        bit-identical results.
         """
 
     @abc.abstractmethod
@@ -270,12 +310,10 @@ class KernelBackend(abc.ABC):
         occurrence in its original orientation (orientation feeds the
         eviction tie-break).  ``strict`` mirrors the per-edge methods:
         insertions raise :class:`~repro.errors.GraphError` on malformed
-        pairs, deletions drop them as no-ops.  The default is the shared
-        scalar helper; the numpy backend overrides it with a vectorized
-        sort/unique sweep producing the identical list.
+        pairs, deletions drop them as no-ops.  The default is the scalar
+        :func:`normalize_updates`; the numpy backend overrides it with a
+        vectorized sort/unique sweep producing the identical list.
         """
-
-        from repro.core.kernels.python_backend import normalize_updates
 
         return normalize_updates(updates, strict=strict)
 

@@ -52,7 +52,7 @@ import dataclasses
 import hashlib
 import heapq
 import itertools
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -62,9 +62,10 @@ from repro.core.kernels.base import (
     decode_rounds,
     encode_history,
     encode_rounds,
+    normalize_updates,
 )
 from repro.core.kernels.sc_store import SwapCandidateStore
-from repro.core.result import RoundStats
+from repro.core.result import RoundStats, as_members
 from repro.core.states import VertexState as S
 from repro.errors import GraphError
 from repro.storage.scan import InMemoryAdjacencyScan
@@ -84,15 +85,6 @@ _RET = int(S.RETROGRADE)
 _GREEDY_CHUNK = 8192
 
 
-def _scalar_normalize(updates, *, strict: bool):
-    """The scalar reference's ``normalize_updates``, imported on first use
-    (only update streams need it)."""
-
-    from repro.core.kernels.python_backend import normalize_updates
-
-    return normalize_updates(updates, strict=strict)
-
-
 def _fingerprint(*arrays) -> bytes:
     """Digest of the solver state used by the oscillation guard."""
 
@@ -100,24 +92,6 @@ def _fingerprint(*arrays) -> bytes:
     for array in arrays:
         digest.update(array.tobytes())
     return digest.digest()
-
-
-def _sorted_unique(values):
-    """``np.unique(values)`` of a 1-D integer array, by sort and compare.
-
-    The plain ``np.unique`` form asks ``np.ma.is_masked`` first, which
-    imports ``numpy.ma`` (about 20 ms) in every fresh or forked process
-    that reaches it; the two-k pre-swap scan would be the only thing
-    loading it in a solve or a service job.
-    """
-
-    values = np.sort(values)
-    if values.size > 1:
-        keep = np.empty(values.size, dtype=bool)
-        keep[0] = True
-        np.not_equal(values[1:], values[:-1], out=keep[1:])
-        values = values[keep]
-    return values
 
 
 def _int_bincount(values, weights, minlength: int):
@@ -530,7 +504,7 @@ class _SwapRounds:
         self,
         pass_name: str,
         arrays: Dict[str, np.ndarray],
-        initial_set: FrozenSet[int],
+        initial_set: np.ndarray,
         max_rounds: Optional[int],
         resume: Optional[dict],
     ) -> None:
@@ -541,15 +515,12 @@ class _SwapRounds:
         state = arrays["state"]
         if resume is None:
             state[:] = _NON
-            if initial_set:
-                state[
-                    np.fromiter(initial_set, dtype=np.int64, count=len(initial_set))
-                ] = _IS
+            state[initial_set] = _IS
             for name, array in arrays.items():
                 if name != "state":
                     array[:] = -1
             self.rounds: List[RoundStats] = []
-            self.initial_size = len(initial_set)
+            self.initial_size = initial_set.size
             self.current_size = self.initial_size
             self.can_swap = True
             self.max_sc_vertices = 0
@@ -639,26 +610,25 @@ class _SwapRounds:
                 zero_one_swaps=last.zero_one_swaps + gain,
                 is_size_after=last.is_size_after + gain,
             )
-        state = self.arrays["state"]
-        independent_set = frozenset(np.flatnonzero(state == _IS).tolist())
+        members = np.flatnonzero(self.arrays["state"] == _IS)
         if self.two_k:
             return (
-                independent_set,
+                members,
                 tuple(self.rounds),
                 self.max_sc_vertices,
                 self.oscillation,
             )
-        return independent_set, tuple(self.rounds), self.oscillation
+        return members, tuple(self.rounds), self.oscillation
 
 
 def one_k_records(
     csr,
     source,
-    initial_set: FrozenSet[int],
+    initial_set: np.ndarray,
     max_rounds: Optional[int],
     resume: Optional[dict],
     on_round,
-) -> Tuple[FrozenSet[int], Tuple[RoundStats, ...], bool]:
+) -> Tuple[np.ndarray, Tuple[RoundStats, ...], bool]:
     """Algorithm 2 over a record-major CSR — the one vectorized one-k.
 
     * the pre-swap scan runs as conflict-free waves
@@ -1162,13 +1132,13 @@ def _completion(csr, state, cnt) -> int:
 def two_k_records(
     csr,
     source,
-    initial_set: FrozenSet[int],
+    initial_set: np.ndarray,
     max_rounds: Optional[int],
     max_pairs_per_key: int,
     max_partner_checks: int,
     resume: Optional[dict],
     on_round,
-) -> Tuple[FrozenSet[int], Tuple[RoundStats, ...], int, bool]:
+) -> Tuple[np.ndarray, Tuple[RoundStats, ...], int, bool]:
     """Algorithms 3-4 over a record-major CSR — the one vectorized two-k.
 
     * the pre-swap scan decides every candidate's no-op verdict with
@@ -1331,7 +1301,7 @@ def _two_k_preswap(csr, ctx: _TwoKRound) -> None:
     # neighbour) keys.
     joined = ctx.join_vertex
     if joined.size:
-        cands = _sorted_unique(joined)
+        cands = as_members(joined)
         recs = pos[cands]
         lens = indptr[recs + 1] - indptr[recs]
         nbr_keys = np.repeat(cands, lens) * n + indices[
@@ -1342,9 +1312,9 @@ def _two_k_preswap(csr, ctx: _TwoKRound) -> None:
         at = np.searchsorted(nbr_keys, keys)
         adjacent = at < nbr_keys.size
         adjacent[adjacent] = nbr_keys[at[adjacent]] == keys[adjacent]
-        seeds.append(pos[_sorted_unique(joined[~adjacent])])
+        seeds.append(pos[as_members(joined[~adjacent])])
 
-    heap = _sorted_unique(np.concatenate(seeds)).tolist()  # ascending: a valid heap
+    heap = as_members(np.concatenate(seeds)).tolist()  # ascending: a valid heap
     if not heap:
         return
     is_cand = np.zeros(n, dtype=bool)
@@ -1398,7 +1368,7 @@ class NumpyBackend(KernelBackend):
     # ------------------------------------------------------------------
     # Algorithm 1: greedy.
     # ------------------------------------------------------------------
-    def greedy_pass(self, source) -> FrozenSet[int]:
+    def greedy_pass(self, source) -> np.ndarray:
         """One scan in chunks of ``_GREEDY_CHUNK`` records.
 
         Record ``i`` is vertex ``order[i]`` with neighbours
@@ -1430,7 +1400,7 @@ class NumpyBackend(KernelBackend):
             )
             self._greedy_commit(state, rank_of, cand[mask], lens, targets[gather])
         source.charge_scan()
-        return frozenset(np.flatnonzero(state == 1).tolist())
+        return np.flatnonzero(state == 1)
 
     @staticmethod
     def _greedy_commit(state, rank_of, cand, lens, nbrs) -> None:
@@ -1476,11 +1446,11 @@ class NumpyBackend(KernelBackend):
     def one_k_swap_pass(
         self,
         source,
-        initial_set: FrozenSet[int],
+        initial_set: np.ndarray,
         max_rounds: Optional[int],
         resume: Optional[dict] = None,
         on_round=None,
-    ) -> Tuple[FrozenSet[int], Tuple[RoundStats, ...], bool]:
+    ) -> Tuple[np.ndarray, Tuple[RoundStats, ...], bool]:
         return one_k_records(
             record_csr(source), source, initial_set, max_rounds, resume, on_round
         )
@@ -1491,13 +1461,13 @@ class NumpyBackend(KernelBackend):
     def two_k_swap_pass(
         self,
         source,
-        initial_set: FrozenSet[int],
+        initial_set: np.ndarray,
         max_rounds: Optional[int],
         max_pairs_per_key: int,
         max_partner_checks: int,
         resume: Optional[dict] = None,
         on_round=None,
-    ) -> Tuple[FrozenSet[int], Tuple[RoundStats, ...], int, bool]:
+    ) -> Tuple[np.ndarray, Tuple[RoundStats, ...], int, bool]:
         return two_k_records(
             record_csr(source),
             source,
@@ -1515,20 +1485,17 @@ class NumpyBackend(KernelBackend):
     def local_search_pass(
         self,
         graph,
-        initial_set: FrozenSet[int],
+        initial_set: np.ndarray,
         max_iterations: int,
-    ) -> Tuple[FrozenSet[int], int]:
+    ) -> Tuple[np.ndarray, int]:
         n = graph.num_vertices
         if n == 0:
-            return frozenset(), 0
+            return np.empty(0, dtype=np.int64), 0
         offsets, targets = graph.csr_arrays()
         edge_src = graph.edge_sources_array()
         degrees = graph.degrees_array()
         selected = np.zeros(n, dtype=bool)
-        if initial_set:
-            selected[
-                np.fromiter(initial_set, dtype=np.int64, count=len(initial_set))
-            ] = True
+        selected[initial_set] = True
         # tight[u] = #selected neighbours; isn_sum[u] = sum of their ids,
         # so a loose vertex (unselected, tight == 1) names its unique IS
         # neighbour in O(1) — the weighted-bincount trick of the one-k pass.
@@ -1630,8 +1597,7 @@ class NumpyBackend(KernelBackend):
                 if iterations >= max_iterations:
                     break
 
-        independent_set = frozenset(np.flatnonzero(selected).tolist())
-        return independent_set, iterations
+        return np.flatnonzero(selected), iterations
 
     def dynamic_update_pass(self, graph) -> Tuple[int, ...]:
         n = graph.num_vertices
@@ -1773,23 +1739,23 @@ class NumpyBackend(KernelBackend):
             arr = updates
         else:
             if not isinstance(updates, (list, tuple)) or len(updates) < 64:
-                return _scalar_normalize(updates, strict=strict)
+                return normalize_updates(updates, strict=strict)
             try:
                 # fromiter over a flattened chain beats np.asarray on a
                 # list of pairs by ~2x (no per-sequence type inspection).
                 # fromiter would silently truncate ragged rows, so the
                 # pair shape is checked up front.
                 if not all(len(pair) == 2 for pair in updates):
-                    return _scalar_normalize(updates, strict=strict)
+                    return normalize_updates(updates, strict=strict)
                 arr = np.fromiter(
                     itertools.chain.from_iterable(updates),
                     dtype=np.int64,
                     count=2 * len(updates),
                 ).reshape(-1, 2)
             except (TypeError, ValueError, OverflowError):
-                return _scalar_normalize(updates, strict=strict)
+                return normalize_updates(updates, strict=strict)
         if arr.ndim != 2 or arr.shape[1] != 2 or arr.dtype.kind not in "iu":
-            return _scalar_normalize(updates, strict=strict)
+            return normalize_updates(updates, strict=strict)
         arr = arr.astype(np.int64, copy=False)
         if not arr.shape[0]:
             return []
@@ -1810,7 +1776,7 @@ class NumpyBackend(KernelBackend):
         hi = np.maximum(u, v)
         span = int(hi.max()) + 1
         if span > 2**31:
-            return _scalar_normalize(updates, strict=strict)
+            return normalize_updates(updates, strict=strict)
         _, first = np.unique(lo * span + hi, return_index=True)
         if first.size == arr.shape[0]:
             kept = arr

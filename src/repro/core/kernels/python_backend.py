@@ -23,6 +23,8 @@ from bisect import bisect_left
 from collections import defaultdict
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
+import numpy as np
+
 from repro.core.kernels.base import (
     KernelBackend,
     decode_history,
@@ -33,42 +35,10 @@ from repro.core.kernels.base import (
 from repro.core.kernels.sc_store import SwapCandidateStore
 from repro.core.result import RoundStats
 from repro.core.states import VertexState as S
-from repro.errors import GraphError, SolverError
+from repro.errors import SolverError
 
-__all__ = ["PythonBackend", "normalize_updates"]
+__all__ = ["PythonBackend"]
 
-
-def normalize_updates(updates, *, strict: bool) -> List[Tuple[int, int]]:
-    """Coerce, validate and dedupe one side of an update batch.
-
-    The shared scalar reference behind every backend's
-    ``normalize_updates_pass``: duplicates of the same undirected edge
-    keep only the first occurrence in its original orientation
-    (orientation feeds the eviction tie-break).  ``strict`` mirrors the
-    per-edge maintainer methods — insertions raise on malformed pairs,
-    deletions drop them as no-ops.
-    """
-
-    if hasattr(updates, "tolist"):
-        updates = updates.tolist()
-    seen = set()
-    normalized: List[Tuple[int, int]] = []
-    for pair in updates:
-        u, v = int(pair[0]), int(pair[1])
-        if u == v:
-            if strict:
-                raise GraphError("self loops are not allowed")
-            continue
-        if u < 0 or v < 0:
-            if strict:
-                raise GraphError("vertex ids must be non-negative")
-            continue
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            continue
-        seen.add(key)
-        normalized.append((u, v))
-    return normalized
 
 # Internal compact states of the greedy bitmap-style pass.
 _INITIAL = 0
@@ -102,7 +72,7 @@ class PythonBackend(KernelBackend):
     # ------------------------------------------------------------------
     # Algorithm 1: greedy.
     # ------------------------------------------------------------------
-    def greedy_pass(self, source) -> FrozenSet[int]:
+    def greedy_pass(self, source) -> np.ndarray:
         num_vertices = source.num_vertices
         state = bytearray(num_vertices)  # all _INITIAL
 
@@ -119,7 +89,7 @@ class PythonBackend(KernelBackend):
                 if state[u] == _INITIAL:
                     state[u] = _EXCLUDED
 
-        return frozenset(v for v in range(num_vertices) if state[v] == _IN_SET)
+        return np.flatnonzero(np.frombuffer(state, dtype=np.uint8) == _IN_SET)
 
     # ------------------------------------------------------------------
     # Algorithm 2: one-k-swap.
@@ -127,15 +97,15 @@ class PythonBackend(KernelBackend):
     def one_k_swap_pass(
         self,
         source,
-        initial_set: FrozenSet[int],
+        initial_set: np.ndarray,
         max_rounds: Optional[int],
         resume: Optional[dict] = None,
         on_round=None,
-    ) -> Tuple[FrozenSet[int], Tuple[RoundStats, ...], bool]:
+    ) -> Tuple[np.ndarray, Tuple[RoundStats, ...], bool]:
         num_vertices = source.num_vertices
         if resume is None:
             state: List[S] = [S.NON_IS] * num_vertices
-            for v in initial_set:
+            for v in initial_set.tolist():
                 state[v] = S.IS
             isn: List[Optional[int]] = [None] * num_vertices
 
@@ -316,8 +286,8 @@ class PythonBackend(KernelBackend):
                 is_size_after=last.is_size_after + completion_gain,
             )
 
-        independent_set = frozenset(v for v in range(num_vertices) if state[v] is S.IS)
-        return independent_set, tuple(rounds), oscillation
+        members = np.flatnonzero([s is S.IS for s in state])
+        return members, tuple(rounds), oscillation
 
     # ------------------------------------------------------------------
     # Algorithms 3 & 4: two-k-swap.
@@ -325,13 +295,13 @@ class PythonBackend(KernelBackend):
     def two_k_swap_pass(
         self,
         source,
-        initial_set: FrozenSet[int],
+        initial_set: np.ndarray,
         max_rounds: Optional[int],
         max_pairs_per_key: int,
         max_partner_checks: int,
         resume: Optional[dict] = None,
         on_round=None,
-    ) -> Tuple[FrozenSet[int], Tuple[RoundStats, ...], int, bool]:
+    ) -> Tuple[np.ndarray, Tuple[RoundStats, ...], int, bool]:
         num_vertices = source.num_vertices
 
         def _isn_encoding() -> str:
@@ -339,7 +309,7 @@ class PythonBackend(KernelBackend):
 
         if resume is None:
             state: List[S] = [S.NON_IS] * num_vertices
-            for v in initial_set:
+            for v in initial_set.tolist():
                 state[v] = S.IS
             isn: List[Optional[FrozenSet[int]]] = [None] * num_vertices
 
@@ -625,8 +595,8 @@ class PythonBackend(KernelBackend):
                 sc_vertices=last.sc_vertices,
             )
 
-        independent_set = frozenset(v for v in range(num_vertices) if state[v] is S.IS)
-        return independent_set, tuple(rounds), max_sc_vertices, oscillation
+        members = np.flatnonzero([s is S.IS for s in state])
+        return members, tuple(rounds), max_sc_vertices, oscillation
 
     # ------------------------------------------------------------------
     # In-memory comparators (Tables 5-6).
@@ -634,17 +604,18 @@ class PythonBackend(KernelBackend):
     def local_search_pass(
         self,
         graph,
-        initial_set: FrozenSet[int],
+        initial_set: np.ndarray,
         max_iterations: int,
-    ) -> Tuple[FrozenSet[int], int]:
+    ) -> Tuple[np.ndarray, int]:
         num_vertices = graph.num_vertices
         offsets, targets = _csr_lists(graph)
+        initial = initial_set.tolist()
         selected = bytearray(num_vertices)
-        for v in initial_set:
+        for v in initial:
             selected[v] = 1
         # tight[u] = number of selected neighbours of u (0 for IS members).
         tight = [0] * num_vertices
-        for v in initial_set:
+        for v in initial:
             for u in targets[offsets[v] : offsets[v + 1]]:
                 tight[u] += 1
 
@@ -713,10 +684,7 @@ class PythonBackend(KernelBackend):
                 if iterations >= max_iterations:
                     break
 
-        independent_set = frozenset(
-            v for v in range(num_vertices) if selected[v]
-        )
-        return independent_set, iterations
+        return np.flatnonzero(np.frombuffer(selected, dtype=np.uint8)), iterations
 
     def dynamic_update_pass(self, graph) -> Tuple[int, ...]:
         num_vertices = graph.num_vertices

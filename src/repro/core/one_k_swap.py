@@ -35,11 +35,13 @@ and identical per-round telemetry.
 from __future__ import annotations
 
 import time
-from typing import FrozenSet, Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.core.greedy import greedy_mis
 from repro.core.kernels import get_backend
-from repro.core.result import MISResult
+from repro.core.result import MISResult, as_members, initial_members
 from repro.errors import SolverError
 from repro.graphs.graph import Graph
 from repro.storage.memory import MemoryModel
@@ -48,19 +50,35 @@ from repro.storage.scan import AdjacencyScanSource, as_scan_source
 __all__ = ["one_k_swap"]
 
 
+def _unknown_vertex(vertex: int) -> SolverError:
+    return SolverError(f"initial independent set contains unknown vertex {vertex}")
+
+
 def _initial_set(
     source: AdjacencyScanSource,
     initial: Union[None, MISResult, Iterable[int]],
     order: Union[str, Sequence[int]],
-    backend: Optional[str] = None,
-) -> FrozenSet[int]:
-    """Normalise the starting independent set (default: run the greedy pass)."""
+    backend: Optional[str],
+    resume_state: Optional[dict],
+    pass_name: str,
+) -> Tuple[np.ndarray, int]:
+    """The starting members (default: the greedy pass) and their count.
 
+    A resumed pass starts from its snapshot: no members, and the
+    snapshot's initial size.
+    """
+
+    if resume_state is not None:
+        snapshot_pass = resume_state.get("pass")
+        if snapshot_pass != pass_name:
+            raise SolverError(
+                f"cannot resume a {snapshot_pass!r} snapshot with {pass_name}"
+            )
+        return as_members(()), int(resume_state["initial_size"])
     if initial is None:
-        return greedy_mis(source, order=order, backend=backend).independent_set
-    if isinstance(initial, MISResult):
-        return initial.independent_set
-    return frozenset(initial)
+        initial = greedy_mis(source, order=order, backend=backend)
+    members = initial_members(initial, source.num_vertices, _unknown_vertex)
+    return members, members.size
 
 
 def one_k_swap(
@@ -124,28 +142,17 @@ def one_k_swap(
     started = time.perf_counter()
     io_before = source.stats.copy()
 
-    if resume_state is not None:
-        if resume_state.get("pass") != "one_k_swap":
-            raise SolverError(
-                f"cannot resume a {resume_state.get('pass')!r} snapshot with one_k_swap"
-            )
-        initial_set: FrozenSet[int] = frozenset()
-        initial_size = int(resume_state["initial_size"])
-    else:
-        initial_set = _initial_set(source, initial, order, backend)
-        for v in initial_set:
-            if not 0 <= v < num_vertices:
-                raise SolverError(f"initial independent set contains unknown vertex {v}")
-        initial_size = len(initial_set)
-
-    independent_set, rounds, oscillation = kernel.one_k_swap_pass(
+    initial_set, initial_size = _initial_set(
+        source, initial, order, backend, resume_state, "one_k_swap"
+    )
+    members, rounds, oscillation = kernel.one_k_swap_pass(
         source, initial_set, max_rounds, resume=resume_state, on_round=on_round
     )
     elapsed = time.perf_counter() - started
 
     return MISResult(
         algorithm="one_k_swap",
-        independent_set=independent_set,
+        members=members,
         rounds=rounds,
         io=source.stats.delta_since(io_before),
         memory_bytes=model.one_k_swap_bytes(num_vertices),

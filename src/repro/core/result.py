@@ -3,17 +3,44 @@
 A solver returns an :class:`MISResult`: the independent set itself plus
 the per-round telemetry needed to reproduce Tables 6–8 (round counts, new
 IS vertices per round, I/O counters, modeled memory) without re-running
-the algorithm.
+the algorithm.  The set has one form from the kernel pass to the result
+writer, ``MISResult.members``: an ascending, duplicate-free int64 array.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Optional, Tuple
+from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
+from typing import Callable, Dict, FrozenSet, Iterable, Tuple, Union
+
+import numpy as np
 
 from repro.storage.io_stats import IOStats
 
-__all__ = ["RoundStats", "MISResult"]
+__all__ = ["RoundStats", "MISResult", "as_members", "initial_members"]
+
+
+def as_members(vertices: Iterable[int]) -> np.ndarray:
+    """``vertices`` as an ascending, duplicate-free, 1-D int64 array.
+
+    A strictly ascending 1-D int64 array is returned as is (no copy, no
+    sort); anything else is copied, sorted and deduplicated.  Sort and
+    compare rather than ``np.unique``, which imports ``numpy.ma`` (about
+    20 ms) in every fresh or forked process that reaches it.
+    """
+
+    if not isinstance(vertices, np.ndarray):
+        vertices = np.fromiter(vertices, dtype=np.int64)
+    elif vertices.dtype == np.int64 and vertices.ndim == 1:
+        if (vertices[1:] > vertices[:-1]).all():
+            return vertices
+        vertices = vertices.copy()
+    else:
+        vertices = vertices.astype(np.int64).ravel()
+    vertices.sort()
+    keep = np.ones(vertices.size, dtype=bool)
+    np.not_equal(vertices[1:], vertices[:-1], out=keep[1:])
+    return vertices[keep]
 
 
 @dataclass(frozen=True)
@@ -50,7 +77,7 @@ class RoundStats:
     sc_vertices: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MISResult:
     """Outcome of one solver run.
 
@@ -60,8 +87,10 @@ class MISResult:
         Canonical algorithm name (``"greedy"``, ``"one_k_swap"``,
         ``"two_k_swap"``, ``"baseline"``, ``"dynamic_update"``,
         ``"external_mis"``, ``"exact"`` …).
-    independent_set:
-        The vertices of the computed independent set.
+    members:
+        The vertices of the computed independent set, normalized by
+        :func:`as_members` (a strictly ascending int64 array is kept as
+        is).  ``independent_set`` is a cached frozenset view of it.
     rounds:
         Per-round telemetry (empty for single-pass algorithms).
     io:
@@ -81,7 +110,7 @@ class MISResult:
     """
 
     algorithm: str
-    independent_set: FrozenSet[int]
+    members: np.ndarray
     rounds: Tuple[RoundStats, ...] = ()
     io: IOStats = field(default_factory=IOStats)
     memory_bytes: int = 0
@@ -89,11 +118,29 @@ class MISResult:
     initial_size: int = 0
     extras: Dict[str, float] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "members", as_members(self.members))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return np.array_equal(self.members, other.members) and all(
+            getattr(self, f.name) == getattr(other, f.name)
+            for f in fields(self)
+            if f.name != "members"
+        )
+
+    @cached_property
+    def independent_set(self) -> FrozenSet[int]:
+        """The members as a frozenset (built on first access, then cached)."""
+
+        return frozenset(self.members.tolist())
+
     @property
     def size(self) -> int:
         """Number of vertices in the independent set."""
 
-        return len(self.independent_set)
+        return self.members.size
 
     @property
     def num_rounds(self) -> int:
@@ -148,13 +195,22 @@ class MISResult:
     def with_algorithm(self, name: str) -> "MISResult":
         """Return a copy of the result relabelled with another algorithm name."""
 
-        return MISResult(
-            algorithm=name,
-            independent_set=self.independent_set,
-            rounds=self.rounds,
-            io=self.io,
-            memory_bytes=self.memory_bytes,
-            elapsed_seconds=self.elapsed_seconds,
-            initial_size=self.initial_size,
-            extras=dict(self.extras),
-        )
+        return replace(self, algorithm=name, extras=dict(self.extras))
+
+
+def initial_members(
+    initial: Union[MISResult, Iterable[int]],
+    num_vertices: int,
+    unknown_vertex: Callable[[int], Exception],
+) -> np.ndarray:
+    """A previous result or iterable of ids as members, range-checked.
+
+    The members are ascending, so their two ends decide the bounds
+    check; a vertex outside ``0 .. num_vertices - 1`` raises
+    ``unknown_vertex(v)``.
+    """
+
+    members = initial.members if isinstance(initial, MISResult) else as_members(initial)
+    if members.size and not 0 <= members[0] <= members[-1] < num_vertices:
+        raise unknown_vertex(int(members[0] if members[0] < 0 else members[-1]))
+    return members

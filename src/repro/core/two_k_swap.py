@@ -47,7 +47,6 @@ from typing import Iterable, Optional, Sequence, Union
 from repro.core.kernels import get_backend
 from repro.core.one_k_swap import _initial_set
 from repro.core.result import MISResult
-from repro.errors import SolverError
 from repro.graphs.graph import Graph
 from repro.storage.memory import MemoryModel
 from repro.storage.scan import AdjacencyScanSource, as_scan_source
@@ -118,21 +117,10 @@ def two_k_swap(
     started = time.perf_counter()
     io_before = source.stats.copy()
 
-    if resume_state is not None:
-        if resume_state.get("pass") != "two_k_swap":
-            raise SolverError(
-                f"cannot resume a {resume_state.get('pass')!r} snapshot with two_k_swap"
-            )
-        initial_set = frozenset()
-        initial_size = int(resume_state["initial_size"])
-    else:
-        initial_set = _initial_set(source, initial, order, backend)
-        for v in initial_set:
-            if not 0 <= v < num_vertices:
-                raise SolverError(f"initial independent set contains unknown vertex {v}")
-        initial_size = len(initial_set)
-
-    independent_set, rounds, max_sc_vertices, oscillation = kernel.two_k_swap_pass(
+    initial_set, initial_size = _initial_set(
+        source, initial, order, backend, resume_state, "two_k_swap"
+    )
+    members, rounds, max_sc_vertices, oscillation = kernel.two_k_swap_pass(
         source,
         initial_set,
         max_rounds,
@@ -148,7 +136,7 @@ def two_k_swap(
         extras["oscillation_guard"] = 1.0
     return MISResult(
         algorithm="two_k_swap",
-        independent_set=independent_set,
+        members=members,
         rounds=rounds,
         io=source.stats.delta_since(io_before),
         memory_bytes=model.two_k_swap_bytes(num_vertices, max_sc_vertices),

@@ -62,12 +62,16 @@ from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 import numpy as _np
 
 from repro.core.kernels import WaveTelemetry, get_backend
-from repro.core.kernels.python_backend import normalize_updates
+from repro.core.result import initial_members
 from repro.core.solver import solve_mis
 from repro.errors import DuplicateEdgeError, GraphError, SolverError, VertexError
 from repro.graphs.graph import Graph
 
 __all__ = ["UpdateStats", "DynamicMISMaintainer"]
+
+
+def _unknown_initial_vertex(vertex: int) -> SolverError:
+    return SolverError(f"initial vertex {vertex} is not in the graph")
 
 
 @dataclass
@@ -151,17 +155,13 @@ class DynamicMISMaintainer:
             self._present[: self._base_n] = True
             self._degree[: self._base_n] = _np.diff(self._base_offsets)
             if initial is None:
-                initial = solve_mis(graph, pipeline=pipeline).independent_set
-            for v in initial:
-                if not (0 <= v < self._base_n):
-                    raise SolverError(
-                        f"initial vertex {v} is not in the graph"
-                    )
-                self._selected[v] = True
+                initial = solve_mis(graph, pipeline=pipeline, backend=backend)
+            self._selected[
+                initial_members(initial, self._base_n, _unknown_initial_vertex)
+            ] = True
             self._recompute_tightness()
-            for v in self._selected_ids():
-                if self._tight[v]:
-                    raise SolverError("the initial set is not independent")
+            if self._tight[self._selected].any():
+                raise SolverError("the initial set is not independent")
             self._saturate(range(self._base_n))
             # The journal records the *update stream*; construction-time
             # saturation is part of the initial state, not an update.
@@ -250,6 +250,12 @@ class DynamicMISMaintainer:
         """The currently maintained independent set."""
 
         return frozenset(self._selected_ids())
+
+    @property
+    def members(self) -> _np.ndarray:
+        """The maintained independent set as an ascending int64 array."""
+
+        return _np.flatnonzero(self._selected)
 
     @property
     def size(self) -> int:
@@ -500,21 +506,6 @@ class DynamicMISMaintainer:
         self._saturate(neighbors)
         self._trim_journal()
 
-    @staticmethod
-    def _normalize_updates(
-        updates: Iterable[Tuple[int, int]], *, strict: bool
-    ) -> List[Tuple[int, int]]:
-        """Coerce, validate and dedupe one side of an update batch.
-
-        Duplicates of the same undirected edge keep only the first
-        occurrence in its original orientation (orientation feeds the
-        eviction tie-break).  ``strict`` mirrors the per-edge methods:
-        insertions raise on malformed pairs, deletions drop them as
-        no-ops.
-        """
-
-        return normalize_updates(updates, strict=strict)
-
     def apply_updates(
         self,
         insertions: Iterable[Tuple[int, int]] = (),
@@ -556,13 +547,14 @@ class DynamicMISMaintainer:
         """Recompute the set from scratch with a full pipeline run."""
 
         graph = self.to_graph()
-        solution = solve_mis(graph, pipeline=pipeline or self._pipeline).independent_set
+        solution = solve_mis(
+            graph, pipeline=pipeline or self._pipeline, backend=self._backend
+        ).members
         # to_graph() may contain placeholder ids for vertices that were never
         # created; keep only real vertices and re-saturate the rest.
+        solution = solution[solution < self._capacity]
         self._selected[:] = False
-        for v in solution:
-            if v < self._capacity and self._present[v]:
-                self._selected[v] = True
+        self._selected[solution[self._present[solution]]] = True
         self._recompute_tightness()
         self._saturate(self._present_ids())
         self.stats.rebuilds += 1

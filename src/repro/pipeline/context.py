@@ -20,7 +20,9 @@ parsed namespace.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.core.kernels import available_backends, get_backend
 from repro.errors import SolverError
@@ -113,7 +115,7 @@ class ExecutionContext:
         self._materialized: Dict[int, Tuple[object, Graph]] = {}
         if original_graph is not None:
             self._materialized[id(source)] = (source, original_graph)
-        self.finalizers: List[Callable[[FrozenSet[int]], FrozenSet[int]]] = []
+        self.finalizers: List[Callable[[np.ndarray], Iterable[int]]] = []
         #: Set by the engine while a checkpointing run is active; stages
         #: only build their (potentially large) serialized artifacts when
         #: a checkpoint will actually consume them.
@@ -214,10 +216,11 @@ class ExecutionContext:
 
         self.source = source
 
-    def add_finalizer(
-        self, finalizer: Callable[[FrozenSet[int]], FrozenSet[int]]
-    ) -> None:
+    def add_finalizer(self, finalizer: Callable[[np.ndarray], Iterable[int]]) -> None:
         """Register a solution lifter applied (in reverse order) to the final set.
+
+        Each lifter receives the members (an ascending int64 array) and may
+        return any iterable of vertex ids.
 
         Source-transforming stages use this to map the downstream solution
         back to the original vertex space (e.g. unwinding reduction folds).

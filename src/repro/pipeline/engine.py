@@ -54,12 +54,11 @@ Two knobs keep frequent checkpointing cheap:
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 from typing import Callable, Dict, List, Optional
 
-import numpy as np
-
 from repro.core.kernels.base import decode_rounds, encode_rounds
-from repro.core.result import MISResult
+from repro.core.result import MISResult, as_members
 from repro.errors import CheckpointError, PipelineInterrupted, SolverError
 from repro.obs import NULL_OBS, Observability
 from repro.pipeline.context import ExecutionContext
@@ -83,25 +82,22 @@ def encode_result(
 ) -> Dict[str, object]:
     """A :class:`MISResult` as a dict of JSON data (result and checkpoint form).
 
-    ``independent_set`` is the ascending member list, so the dict renders
-    straight to JSON text; the service renders it once and writes that
-    text to both the result file and the cache entry.  With
-    ``array_native`` it is an ascending int64 array instead (one
-    ``np.fromiter`` and one sort), which a checkpoint section packs to
-    the same bytes as the list without a per-element walk.  The engine's
-    completed-stage entries take that form: each stage boundary extends
-    the encoded prefix by one entry (see
-    :func:`~repro.storage.checkpoint.encode_section`), byte-identical to
-    encoding the list form of every entry again.
+    ``independent_set`` is the ascending member list
+    (``result.members.tolist()``), so the dict renders straight to JSON
+    text; the service renders it once and writes that text to both the
+    result file and the cache entry.  With ``array_native`` it is
+    ``result.members`` itself, the ascending int64 array, which a
+    checkpoint section packs to the same bytes as the list without a
+    per-element walk.  The engine's completed-stage entries take that
+    form: each stage boundary extends the encoded prefix by one entry
+    (see :func:`~repro.storage.checkpoint.encode_section`),
+    byte-identical to encoding the list form of every entry again.
     """
 
-    members = result.independent_set
     return {
         "algorithm": result.algorithm,
         "independent_set": (
-            np.sort(np.fromiter(members, dtype=np.int64, count=len(members)))
-            if array_native
-            else sorted(members)
+            result.members if array_native else result.members.tolist()
         ),
         "rounds": encode_rounds(result.rounds),
         "io": result.io.as_dict(),
@@ -117,7 +113,7 @@ def decode_result(payload: Dict[str, object]) -> MISResult:
 
     return MISResult(
         algorithm=str(payload["algorithm"]),
-        independent_set=frozenset(int(v) for v in payload["independent_set"]),
+        members=payload["independent_set"],
         rounds=tuple(decode_rounds(payload["rounds"])),
         io=IOStats(**payload["io"]),
         memory_bytes=int(payload["memory_bytes"]),
@@ -391,16 +387,7 @@ class PipelineEngine:
             extras = dict(result.extras)
             artifact = extras.pop(ARTIFACT_KEY, None)
             if artifact is not None:
-                result = MISResult(
-                    algorithm=result.algorithm,
-                    independent_set=result.independent_set,
-                    rounds=result.rounds,
-                    io=result.io,
-                    memory_bytes=result.memory_bytes,
-                    elapsed_seconds=result.elapsed_seconds,
-                    initial_size=result.initial_size,
-                    extras=extras,
-                )
+                result = replace(result, extras=extras)
             report = StageReport(
                 stage=stage.name,
                 index=index,
@@ -478,12 +465,12 @@ class PipelineEngine:
         if last_result is None:  # pragma: no cover - specs are non-empty
             raise SolverError(f"pipeline {self.spec.name!r} executed no stages")
 
-        final_set = last_result.independent_set
+        members = last_result.members
         for finalizer in reversed(ctx.finalizers):
-            final_set = finalizer(final_set)
+            members = as_members(finalizer(members))
 
         if self.validate and ctx.original_graph is not None:
-            assert_independent_set(ctx.original_graph, final_set)
+            assert_independent_set(ctx.original_graph, members.tolist())
 
         elapsed = time.perf_counter() - started
         extras = dict(last_result.extras)
@@ -493,25 +480,25 @@ class PipelineEngine:
                 "repro_run_seconds", elapsed, pipeline=self.spec.name
             )
             registry.set_gauge(
-                "repro_result_size", len(final_set), pipeline=self.spec.name
+                "repro_result_size", members.size, pipeline=self.spec.name
             )
             tracer.add_span(
                 f"pipeline:{self.spec.name}",
                 "pipeline",
                 run_mark,
                 tracer.now(),
-                args={"size": len(final_set), "stages": len(reports)},
+                args={"size": members.size, "stages": len(reports)},
             )
             journal.emit(
                 "run_end",
                 pipeline=self.spec.name,
                 algorithm=self.spec.name,
-                size=len(final_set),
+                size=members.size,
                 seconds=round(elapsed, 6),
             )
         return MISResult(
             algorithm=self.spec.name,
-            independent_set=final_set,
+            members=members,
             rounds=last_result.rounds,
             io=ctx.source.stats.copy(),
             memory_bytes=last_result.memory_bytes,

@@ -285,7 +285,7 @@ class ReduceStage(Stage):
             extras[ARTIFACT_KEY] = reduced.to_payload()
         return MISResult(
             algorithm="reduce",
-            independent_set=frozenset(),
+            members=(),
             rounds=(),
             io=IOStats(),
             memory_bytes=ctx.memory_model.reduce_bytes(

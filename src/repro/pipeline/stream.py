@@ -676,7 +676,7 @@ class StreamSession:
             "num_edges": maintainer.num_edges,
             "set_size": maintainer.size,
             "overlay_size": maintainer.overlay_size,
-            "independent_set": sorted(maintainer.independent_set),
+            "independent_set": maintainer.members.tolist(),
             "stats": asdict(stats),
             # Wave counters are process telemetry, not checkpointed
             # state: they restart at zero on resume, so consumers that

@@ -373,7 +373,7 @@ def reduced_mis(
     kernel_solver:
         Callable mapping the kernel graph to an iterable of kernel vertex
         ids; defaults to the two-k-swap pipeline.  Pass
-        ``lambda g: exact_mis(g).independent_set`` for an exact kernel
+        ``lambda g: exact_mis(g).members`` for an exact kernel
         solve on small kernels.
 
     Returns
@@ -392,7 +392,7 @@ def reduced_mis(
         from repro.core.solver import solve_mis
 
         def kernel_solver(kernel: Graph) -> Iterable[int]:
-            return solve_mis(kernel, pipeline="two_k_swap").independent_set
+            return solve_mis(kernel, pipeline="two_k_swap").members
 
     kernel_solution = (
         kernel_solver(reduced.kernel) if reduced.kernel.num_vertices else ()
@@ -401,7 +401,7 @@ def reduced_mis(
     elapsed = time.perf_counter() - started
     return MISResult(
         algorithm="reduced_mis",
-        independent_set=solution,
+        members=solution,
         rounds=(),
         io=IOStats(),
         memory_bytes=0,

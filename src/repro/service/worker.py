@@ -95,7 +95,7 @@ def _run_stream(spec, record, ctx, checkpoint, beat, obs) -> MISResult:
     )
     return MISResult(
         algorithm="stream",
-        independent_set=frozenset(summary["independent_set"]),
+        members=summary["independent_set"],
         elapsed_seconds=float(summary["elapsed_seconds"]),
         # Constructive, like dynamic_update: no improvement phase, so the
         # initial size equals the final size.
@@ -223,7 +223,7 @@ def execute_job(root: str, job_id: str) -> int:
         journal.emit(
             "job_done",
             job_id=job_id,
-            size=len(result.independent_set),
+            size=result.size,
             elapsed_seconds=round(result.elapsed_seconds, 6),
         )
         return 0

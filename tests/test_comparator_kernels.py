@@ -20,6 +20,7 @@ from repro.baselines.dynamic_update import dynamic_update_mis
 from repro.baselines.local_search import local_search_mis
 from repro.core.greedy import greedy_mis
 from repro.core.kernels import get_backend
+from repro.core.result import as_members
 from repro.errors import MemoryBudgetError, SolverError, VertexError
 from repro.graphs.cascade import cascade_initial_independent_set, cascade_swap_graph
 from repro.graphs.generators import (
@@ -34,6 +35,7 @@ from repro.graphs.generators import (
 from repro.graphs.graph import Graph
 from repro.graphs.plrg import plrg_graph_with_vertex_count
 from repro.validation.checks import is_maximal_independent_set
+from snapshot_helpers import plain
 
 
 def assert_comparators_agree(graph, initial=None, max_iterations=100_000):
@@ -48,18 +50,17 @@ def assert_comparators_agree(graph, initial=None, max_iterations=100_000):
     if graph.num_vertices:
         assert is_maximal_independent_set(graph, frozenset(python_order))
 
-    if initial is None:
-        initial = greedy_mis(graph).independent_set
+    initial = greedy_mis(graph).members if initial is None else as_members(initial)
     python_set, python_iters = python_backend.local_search_pass(
-        graph, frozenset(initial), max_iterations
+        graph, initial, max_iterations
     )
     numpy_set, numpy_iters = numpy_backend.local_search_pass(
-        graph, frozenset(initial), max_iterations
+        graph, initial, max_iterations
     )
-    assert python_set == numpy_set, "local_search set"
+    assert plain(python_set) == plain(numpy_set), "local_search set"
     assert python_iters == numpy_iters, "local_search iterations"
     if graph.num_vertices and max_iterations > 0:
-        assert is_maximal_independent_set(graph, python_set)
+        assert is_maximal_independent_set(graph, python_set.tolist())
 
 
 class TestParitySweep:

@@ -31,6 +31,26 @@ class TestInitialisation:
         with pytest.raises(SolverError):
             DynamicMISMaintainer(graph, initial={1, 2})
 
+    def test_rejects_an_out_of_range_initial_vertex(self):
+        graph = path_graph(4)
+        for vertex in (-1, 4):
+            with pytest.raises(SolverError, match=f"initial vertex {vertex} is not"):
+                DynamicMISMaintainer(graph, initial={0, vertex})
+
+    def test_seed_solve_and_rebuild_run_on_the_maintainer_backend(self, monkeypatch):
+        graph = erdos_renyi_gnm(60, 150, seed=2)
+        initial = DynamicMISMaintainer(graph, backend="python").independent_set
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "fortran")
+        with pytest.raises(SolverError, match="fortran"):
+            DynamicMISMaintainer(graph)
+        seeded = DynamicMISMaintainer(graph, backend="python")
+        assert seeded.independent_set == initial
+        maintainer = DynamicMISMaintainer(graph, initial=initial, backend="python")
+        maintainer.apply_updates([(0, 1), (2, 3)], [(4, 5)])
+        maintainer.rebuild()
+        maintainer.check_invariants()
+        assert maintainer.stats.rebuilds == 1
+
     def test_empty_maintainer_grows_from_nothing(self):
         maintainer = DynamicMISMaintainer()
         assert maintainer.num_vertices == 0

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -161,6 +162,33 @@ def test_forked_two_k_service_job_loads_no_numpy_ma(graph_files, tmp_path):
     assert loaded["code"] == 0
     assert "repro.core.kernels.numpy_backend" in loaded["modules"]
     assert "numpy.ma" not in loaded["modules"]
+
+
+def test_numpy_watch_loads_no_python_backend(graph_files, tmp_path):
+    _text, binary = graph_files
+    rng = random.Random(5)
+    lines = []
+    for _ in range(300):
+        u, v = rng.sample(range(400), 2)
+        lines.append(f"{'+' if rng.random() < 0.7 else '-'} {u} {v}")
+    updates = tmp_path / "updates.txt"
+    updates.write_text("\n".join(lines) + "\n")
+    argv = [
+        "watch",
+        binary,
+        "--updates",
+        str(updates),
+        "--backend",
+        "numpy",
+        "--batch-size",
+        "100",
+        "--quiet",
+        "--json",
+    ]
+    modules = _cli_modules(tmp_path, argv)
+    assert "repro.dynamic.maintainer" in modules
+    assert "repro.core.kernels.numpy_backend" in modules
+    assert "repro.core.kernels.python_backend" not in modules
 
 
 def test_convert_loads_no_solver_extras(graph_files, tmp_path):

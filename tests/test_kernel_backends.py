@@ -10,15 +10,19 @@ run on top of the hypothesis cases.
 
 from __future__ import annotations
 
+import re
+
+import numpy as np
 import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import greedy_mis, one_k_swap, solve_mis, two_k_swap
+from repro.baselines.local_search import local_search_mis
 from repro.core.kernels import BACKEND_ENV_VAR, available_backends, get_backend
 from repro.core.solver import PIPELINES
-from repro.errors import SolverError
+from repro.errors import SolverError, VertexError
 from repro.graphs.cascade import cascade_initial_independent_set, cascade_swap_graph
 from repro.graphs.generators import (
     complete_graph,
@@ -172,6 +176,109 @@ class TestEdgeCases:
             numpy_result = solve_mis(graph, pipeline=pipeline, backend="numpy")
             assert python_result.independent_set == numpy_result.independent_set
             assert python_result.rounds == numpy_result.rounds
+
+
+class TestMembersContract:
+    """Every pass takes and returns the set as members: a strictly
+    ascending 1-D int64 array, equal across the two backends."""
+
+    @staticmethod
+    def _passes(kernel, graph):
+        greedy = kernel.greedy_pass(InMemoryAdjacencyScan(graph))
+        one_k = kernel.one_k_swap_pass(InMemoryAdjacencyScan(graph), greedy, None)
+        two_k = kernel.two_k_swap_pass(
+            InMemoryAdjacencyScan(graph), greedy, None, 8, 64
+        )
+        local, _iterations = kernel.local_search_pass(graph, greedy, 100_000)
+        return [greedy, one_k[0], two_k[0], local]
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            plrg_graph_with_vertex_count(500, 2.1, seed=3),
+            erdos_renyi_gnm(300, 900, seed=8),
+            empty_graph(5),
+            empty_graph(0),
+        ],
+        ids=["plrg", "gnm", "isolated", "empty"],
+    )
+    def test_every_pass_returns_ascending_int64_members(self, graph):
+        outputs = {
+            name: self._passes(get_backend(name), graph)
+            for name in available_backends()
+        }
+        for arrays in outputs.values():
+            for members in arrays:
+                assert isinstance(members, np.ndarray)
+                assert members.dtype == np.int64
+                assert members.ndim == 1
+                assert (members[1:] > members[:-1]).all()
+        for python_members, numpy_members in zip(outputs["python"], outputs["numpy"]):
+            assert np.array_equal(python_members, numpy_members)
+
+    def test_results_take_the_pass_output_without_a_copy(self, monkeypatch):
+        backend = type(get_backend("numpy"))
+        original = backend.greedy_pass
+        returned = []
+
+        def recording(kernel, source):
+            returned.append(original(kernel, source))
+            return returned[-1]
+
+        monkeypatch.setattr(backend, "greedy_pass", recording)
+        result = greedy_mis(erdos_renyi_gnm(200, 500, seed=4), backend="numpy")
+        assert result.members is returned[0]
+
+
+class TestInitialSetRange:
+    """A starting set with a vertex outside ``0 .. n - 1`` is refused."""
+
+    GRAPH = erdos_renyi_gnm(30, 60, seed=1)
+
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    @pytest.mark.parametrize("solver", [one_k_swap, two_k_swap])
+    @pytest.mark.parametrize("vertex", [-1, -7, 30, 31])
+    def test_swap_passes_raise_solver_error(self, solver, backend, vertex):
+        message = f"initial independent set contains unknown vertex {vertex}"
+        with pytest.raises(SolverError, match=f"^{re.escape(message)}$"):
+            solver(self.GRAPH, initial=[0, vertex], backend=backend)
+
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    @pytest.mark.parametrize("vertex", [-1, -7, 30, 31])
+    def test_local_search_raises_vertex_error(self, backend, vertex):
+        with pytest.raises(VertexError) as caught:
+            local_search_mis(self.GRAPH, initial=[0, vertex], backend=backend)
+        assert str(caught.value) == str(VertexError(vertex, 30))
+        assert caught.value.vertex == vertex and type(caught.value.vertex) is int
+        assert caught.value.num_vertices == 30
+
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    def test_every_vertex_is_out_of_range_of_an_empty_graph(self, backend):
+        graph = empty_graph(0)
+        for solver in (one_k_swap, two_k_swap):
+            with pytest.raises(SolverError, match="unknown vertex 0$"):
+                solver(graph, initial=[0], backend=backend)
+        with pytest.raises(VertexError):
+            local_search_mis(graph, initial=[0], backend=backend)
+
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    def test_an_empty_initial_set_is_accepted(self, backend):
+        for solver in (one_k_swap, two_k_swap):
+            result = solver(self.GRAPH, initial=[], max_rounds=4, backend=backend)
+            assert result.initial_size == 0
+            reference = solver(
+                self.GRAPH, initial=set(), max_rounds=4, backend="python"
+            )
+            assert result.independent_set == reference.independent_set
+        result = local_search_mis(self.GRAPH, initial=[], backend=backend)
+        assert result.initial_size == 0
+        assert result.independent_set == local_search_mis(
+            self.GRAPH, initial=(), backend="python"
+        ).independent_set
+        for solver in (one_k_swap, two_k_swap):
+            empty = solver(empty_graph(0), initial=[], backend=backend)
+            assert empty.size == 0
+        assert local_search_mis(empty_graph(0), initial=[], backend=backend).size == 0
 
 
 class TestRandomizedParity:

@@ -25,6 +25,7 @@ import json
 import os
 import random
 
+import numpy as np
 import pytest
 
 from repro.core import one_k_swap
@@ -62,7 +63,7 @@ def _cascade_graph(groups: int = 10, size: int = 30, seed: int = 5):
     for _ in range(groups * size // 3):
         k1, k2 = rng.sample(range(groups), 2)
         edges.add((cand(k1, rng.randrange(size)), cand(k2, rng.randrange(size))))
-    return Graph(groups * (size + 1), sorted(edges)), frozenset(range(groups))
+    return Graph(groups * (size + 1), sorted(edges)), np.arange(groups, dtype=np.int64)
 
 
 @pytest.fixture(scope="module")
@@ -106,7 +107,7 @@ def _run(backend: str, source, initial, resume=None):
             resume=resume,
             on_round=lambda snapshot: snapshots.append(plain(snapshot)),
         )
-        return out, snapshots, source.stats.as_dict()
+        return plain(out), snapshots, source.stats.as_dict()
     finally:
         getattr(source, "close", lambda: None)()
 
@@ -137,7 +138,7 @@ def test_wave_window_parity_and_resume(cases, monkeypatch, window, kind, source_
     for snapshot in snaps:
         persisted = json.loads(json.dumps(snapshot))
         resumed, _, _ = _run(
-            "numpy", _open(case, source_kind), frozenset(), resume=persisted
+            "numpy", _open(case, source_kind), np.empty(0, np.int64), resume=persisted
         )
         assert resumed == result
 

@@ -61,17 +61,19 @@ def _open(files, source_kind):
 
 
 def _run(pass_name, source, initial, on_round=None, resume=None):
-    """One numpy pass; returns its (set, rounds, …) tuple."""
+    """One numpy pass; returns its (set, rounds, …) tuple as plain data."""
 
     kernel = get_backend("numpy")
     try:
         if pass_name == "one_k_swap":
-            return kernel.one_k_swap_pass(
+            out = kernel.one_k_swap_pass(
                 source, initial, None, resume=resume, on_round=on_round
             )
-        return kernel.two_k_swap_pass(
-            source, initial, None, 8, 64, resume=resume, on_round=on_round
-        )
+        else:
+            out = kernel.two_k_swap_pass(
+                source, initial, None, 8, 64, resume=resume, on_round=on_round
+            )
+        return plain(out)
     finally:
         source.close()
 
@@ -133,10 +135,11 @@ def test_resume_from_ndarray_snapshot_matches_persisted(
         write_checkpoint(path, {"loop_state": snapshot})
         persisted = read_checkpoint(path)["loop_state"]
         assert persisted == plain(snapshot)
+        empty = np.empty(0, dtype=np.int64)
         from_memory = _run(
-            pass_name, _open(files, source_kind), frozenset(), resume=snapshot
+            pass_name, _open(files, source_kind), empty, resume=snapshot
         )
         from_disk = _run(
-            pass_name, _open(files, source_kind), frozenset(), resume=persisted
+            pass_name, _open(files, source_kind), empty, resume=persisted
         )
         assert from_memory == from_disk == uninterrupted

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+
+import numpy as np
 import pytest
 
 from repro.core.result import MISResult, RoundStats
@@ -49,7 +52,7 @@ def _result_with_rounds() -> MISResult:
     )
     return MISResult(
         algorithm="one_k_swap",
-        independent_set=frozenset(range(114)),
+        members=frozenset(range(114)),
         rounds=rounds,
         io=IOStats(sequential_scans=7),
         memory_bytes=512,
@@ -78,7 +81,7 @@ class TestMISResult:
 
     def test_swap_completion_ratio_with_no_gain(self):
         result = MISResult(
-            algorithm="one_k_swap", independent_set=frozenset({1, 2}), initial_size=2
+            algorithm="one_k_swap", members=frozenset({1, 2}), initial_size=2
         )
         assert result.swap_completion_ratio(1) == 1.0
 
@@ -100,3 +103,75 @@ class TestMISResult:
         assert renamed.algorithm == "baseline"
         assert renamed.independent_set == result.independent_set
         assert renamed.rounds == result.rounds
+        assert renamed.extras is not result.extras
+
+
+class TestMembers:
+    """``members`` is the one form of the set: ascending, unique, int64."""
+
+    @staticmethod
+    def _check(result, expected):
+        assert isinstance(result.members, np.ndarray)
+        assert result.members.dtype == np.int64
+        assert result.members.ndim == 1
+        assert result.members.tolist() == expected
+
+    def test_frozenset_is_sorted(self):
+        result = MISResult(algorithm="greedy", members=frozenset({9, 2, 40, 7}))
+        self._check(result, [2, 7, 9, 40])
+
+    def test_unsorted_list_with_duplicates_is_deduplicated_and_sorted(self):
+        result = MISResult(algorithm="greedy", members=[5, 1, 5, 3, 1, 0])
+        self._check(result, [0, 1, 3, 5])
+
+    def test_empty_inputs(self):
+        self._check(MISResult(algorithm="reduce", members=()), [])
+        self._check(MISResult(algorithm="reduce", members=np.empty(0, np.int64)), [])
+
+    def test_ascending_int64_array_is_taken_without_a_copy(self):
+        members = np.array([1, 4, 6, 11], dtype=np.int64)
+        result = MISResult(algorithm="greedy", members=members)
+        assert result.members is members
+
+    def test_other_arrays_are_normalised(self):
+        unsorted = np.array([6, 1, 6, 4], dtype=np.int64)
+        result = MISResult(algorithm="greedy", members=unsorted)
+        self._check(result, [1, 4, 6])
+        assert unsorted.tolist() == [6, 1, 6, 4]
+        self._check(
+            MISResult(algorithm="greedy", members=np.array([3, 8], dtype=np.int32)),
+            [3, 8],
+        )
+
+    def test_independent_set_is_a_cached_frozenset_view(self):
+        result = MISResult(algorithm="greedy", members=[8, 2, 5])
+        assert result.independent_set == frozenset({2, 5, 8})
+        assert all(type(v) is int for v in result.independent_set)
+        assert result.independent_set is result.independent_set
+        assert result.size == 3
+        assert type(result.size) is int
+
+    def test_equality_compares_members_and_every_other_field(self):
+        first = _result_with_rounds()
+        second = _result_with_rounds()
+        assert first == second
+        assert not first != second
+        assert first != dataclasses.replace(second, members=range(113))
+        assert first != dataclasses.replace(second, elapsed_seconds=0.25)
+        assert first != dataclasses.replace(second, extras={"x": 1.0})
+        assert first != "one_k_swap"
+
+    def test_dataclasses_replace_keeps_the_members_array(self):
+        result = _result_with_rounds()
+        relabelled = dataclasses.replace(result, algorithm="baseline")
+        assert relabelled.members is result.members
+        assert relabelled.algorithm == "baseline"
+        assert relabelled.rounds == result.rounds
+        replaced = dataclasses.replace(result, members=[3, 1])
+        assert replaced.members.tolist() == [1, 3]
+        assert replaced.independent_set == frozenset({1, 3})
+
+    def test_result_is_frozen(self):
+        result = _result_with_rounds()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            result.members = np.empty(0, np.int64)

@@ -192,7 +192,7 @@ class TestBackendParity:
     def test_normalization_matches_the_scalar_reference(self):
         import numpy as np
         from repro.core.kernels import get_backend
-        from repro.core.kernels.python_backend import normalize_updates
+        from repro.core.kernels.base import normalize_updates
 
         numpy_backend = get_backend("numpy")
         rng = random.Random(9)
@@ -220,7 +220,7 @@ class TestBackendParity:
         # Malformed rows must not be silently mis-parsed by the
         # vectorized fast path; both backends raise the same way.
         from repro.core.kernels import get_backend
-        from repro.core.kernels.python_backend import normalize_updates
+        from repro.core.kernels.base import normalize_updates
 
         numpy_backend = get_backend("numpy")
         try:

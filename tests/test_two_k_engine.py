@@ -23,9 +23,11 @@ from __future__ import annotations
 import json
 import random
 
+import numpy as np
 import pytest
 
 from repro.core.kernels import get_backend
+from repro.core.result import as_members
 from repro.graphs.generators import erdos_renyi_gnm
 from repro.graphs.graph import Graph
 from repro.graphs.plrg import plrg_graph_with_vertex_count
@@ -66,7 +68,7 @@ def _hub_graph(hubs: int = 8, size: int = 30, seed: int = 7):
     for _ in range(hubs * size // 2):
         a, b = rng.sample(range(hubs, hubs * (size + 1)), 2)
         edges.add((min(a, b), max(a, b)))
-    return Graph(hubs * (size + 1), sorted(edges)), frozenset(range(hubs))
+    return Graph(hubs * (size + 1), sorted(edges)), np.arange(hubs, dtype=np.int64)
 
 
 def _build(kind: str):
@@ -77,9 +79,9 @@ def _build(kind: str):
     else:
         beta = {"plrg18": 1.8, "plrg21": 2.1, "plrg25": 2.5}[kind]
         graph = plrg_graph_with_vertex_count(700, beta, seed=4)
-    greedy = sorted(get_backend("python").greedy_pass(InMemoryAdjacencyScan(graph)))
+    greedy = get_backend("python").greedy_pass(InMemoryAdjacencyScan(graph)).tolist()
     rng = random.Random(kind)
-    return graph, frozenset(v for v in greedy if rng.random() < 0.6)
+    return graph, as_members([v for v in greedy if rng.random() < 0.6])
 
 
 @pytest.fixture(scope="module")
@@ -113,7 +115,7 @@ def _run(backend, source, initial, pairs, checks, resume=None):
             resume=resume,
             on_round=lambda snapshot: snapshots.append(plain(snapshot)),
         )
-        return out, snapshots, source.stats.as_dict()
+        return plain(out), snapshots, source.stats.as_dict()
     finally:
         getattr(source, "close", lambda: None)()
 
@@ -161,7 +163,7 @@ def test_parity_and_resume(cases, references, kind, pairs, checks, source_kind):
     for snapshot in snaps:
         persisted = json.loads(json.dumps(snapshot))
         resumed, _, _ = _run(
-            "numpy", _open(case, source_kind), frozenset(), pairs, checks,
+            "numpy", _open(case, source_kind), np.empty(0, np.int64), pairs, checks,
             resume=persisted,
         )
         assert resumed == result
@@ -200,9 +202,7 @@ def test_cases_exercise_every_event(references):
     ],
 )
 def test_sorted_unique_equals_np_unique(values):
-    import numpy as np
-
-    from repro.core.kernels.numpy_backend import _sorted_unique
+    """``as_members``, the two-k scan's dedupe, is ``np.unique`` without numpy.ma."""
 
     if values == "random":
         rng = np.random.default_rng(17)
@@ -212,7 +212,7 @@ def test_sorted_unique_equals_np_unique(values):
         cases = [np.asarray(values, dtype=np.int64)]
     for array in cases:
         original = array.copy()
-        unique = _sorted_unique(array)
+        unique = as_members(array)
         assert unique.dtype == np.int64
         assert np.array_equal(unique, np.unique(array))
         assert np.array_equal(array, original)  # the input is not sorted in place
