@@ -852,6 +852,22 @@ def _command_watch(args: argparse.Namespace) -> int:
     return 0
 
 
+def _refuse_run_spec(path: str, run_spec: RunSpec, resume: bool) -> bool:
+    """Report a spec ``run`` cannot execute; ``True`` means exit status 2."""
+
+    if run_spec.updates is not None:
+        problem = (
+            "run spec has 'updates' (a stream session); use "
+            "'repro-mis watch' or 'repro-mis submit'"
+        )
+    elif (resume or run_spec.resume) and run_spec.checkpoint is None:
+        problem = "resuming requires a 'checkpoint' path in the run spec"
+    else:
+        return False
+    print(f"{path}: {problem}", file=sys.stderr)
+    return True
+
+
 def _command_run(args: argparse.Namespace) -> int:
     if args.config_dir is not None:
         if args.resume:
@@ -863,11 +879,7 @@ def _command_run(args: argparse.Namespace) -> int:
     except PipelineSpecError as exc:
         print(f"invalid run spec: {exc}", file=sys.stderr)
         return 2
-    if (args.resume or run_spec.resume) and run_spec.checkpoint is None:
-        print(
-            "resuming requires a 'checkpoint' path in the run spec",
-            file=sys.stderr,
-        )
+    if _refuse_run_spec(args.config, run_spec, args.resume):
         return 2
     reader = _open_input(run_spec.input)
     if reader is None:
@@ -900,16 +912,12 @@ def _command_run_directory(args: argparse.Namespace) -> int:
     except PipelineSpecError as exc:
         print(f"invalid run spec: {exc}", file=sys.stderr)
         return 2
+    if any(_refuse_run_spec(path, run_spec, False) for path, run_spec in specs):
+        return 2
 
     runs: List[Dict[str, object]] = []
     aggregate: Dict[str, Dict[str, object]] = {}
     for path, run_spec in specs:
-        if run_spec.resume and run_spec.checkpoint is None:
-            print(
-                f"{path}: resuming requires a 'checkpoint' path in the run spec",
-                file=sys.stderr,
-            )
-            return 2
         try:
             reader = open_adjacency_source(run_spec.input)
         except (StorageError, OSError) as exc:

@@ -38,6 +38,7 @@ holds no state: there is no registry and no process-wide default.
 from __future__ import annotations
 
 import abc
+import hashlib
 import importlib
 import os
 from dataclasses import asdict, dataclass
@@ -58,6 +59,7 @@ __all__ = [
     "encode_rounds",
     "get_backend",
     "normalize_updates",
+    "round_fingerprint",
 ]
 
 #: Environment variable naming the backend of an unset or ``"auto"`` request.
@@ -144,6 +146,22 @@ def decode_rounds(payload) -> List[RoundStats]:
         )
         for row in payload
     ]
+
+
+def round_fingerprint(state: np.ndarray, *isn: np.ndarray) -> bytes:
+    """The oscillation guard's digest of a round-end ``(state, ISN)``: a
+    repeat proves a ``max_rounds=None`` loop would cycle forever.
+
+    BLAKE2b-16 over the uint8 ``state``, then each ISN array (``isn``, or
+    ``isn1``/``isn2``; -1 = absent) as little-endian int64 — on both
+    backends, so their guard histories and snapshots are equal.
+    """
+
+    digest = hashlib.blake2b(digest_size=16)
+    digest.update(np.ascontiguousarray(state, dtype=np.uint8))
+    for array in isn:
+        digest.update(np.ascontiguousarray(array, dtype="<i8"))
+    return digest.digest()
 
 
 def encode_history(history) -> Optional[List[str]]:
@@ -238,13 +256,10 @@ class KernelBackend(abc.ABC):
         the full loop state (vertex states, ISN entries, per-round
         telemetry, oscillation-guard fingerprints); this is the hook the
         pipeline engine uses for per-round checkpointing.  Snapshot
-        values are JSON data or 1-D integer ndarrays: the numpy backend
-        hands out copies of its per-vertex arrays, the python reference
-        keeps int lists, and both encode to the same checkpoint bytes
-        (:mod:`repro.storage.checkpoint`).  A persisted snapshot resumes
-        exactly like the in-memory one.  Snapshots are backend-specific
-        (the oscillation fingerprints hash each backend's canonical
-        encoding) and must be resumed on the backend that produced them.
+        values are JSON data or 1-D integer ndarrays (uint8 ``state``,
+        int64 ISN entries, -1 = absent).  Both backends hand out equal
+        snapshots, fingerprints included (:func:`round_fingerprint`), so
+        one resumes — in memory or persisted — on either backend.
         """
 
     @abc.abstractmethod

@@ -49,7 +49,6 @@ counters.  The property tests in ``tests/test_kernel_backends.py``,
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import heapq
 import itertools
 from typing import Dict, List, Optional, Set, Tuple
@@ -63,6 +62,7 @@ from repro.core.kernels.base import (
     encode_history,
     encode_rounds,
     normalize_updates,
+    round_fingerprint,
 )
 from repro.core.kernels.sc_store import SwapCandidateStore
 from repro.core.result import RoundStats, as_members
@@ -83,15 +83,6 @@ _RET = int(S.RETROGRADE)
 #: Chunk size of the in-memory greedy scan: vertices already excluded are
 #: skipped in bulk instead of paying one Python iteration each.
 _GREEDY_CHUNK = 8192
-
-
-def _fingerprint(*arrays) -> bytes:
-    """Digest of the solver state used by the oscillation guard."""
-
-    digest = hashlib.blake2b(digest_size=16)
-    for array in arrays:
-        digest.update(array.tobytes())
-    return digest.digest()
 
 
 def _int_bincount(values, weights, minlength: int):
@@ -543,7 +534,7 @@ class _SwapRounds:
         """Seed the guard's history once the labelling scan is done."""
 
         if self.max_rounds is None:
-            self.history = {_fingerprint(*self.arrays.values())}
+            self.history = {round_fingerprint(*self.arrays.values())}
 
     def running(self) -> bool:
         return (
@@ -567,7 +558,7 @@ class _SwapRounds:
         )
         self.current_size = new_size
         if self.history is not None and self.can_swap:
-            digest = _fingerprint(*self.arrays.values())
+            digest = round_fingerprint(*self.arrays.values())
             if digest in self.history:
                 self.oscillation = True
             else:

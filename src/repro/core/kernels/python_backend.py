@@ -18,7 +18,6 @@ these loops.
 
 from __future__ import annotations
 
-import hashlib
 from bisect import bisect_left
 from collections import defaultdict
 from typing import Dict, FrozenSet, List, Optional, Tuple
@@ -31,6 +30,7 @@ from repro.core.kernels.base import (
     decode_rounds,
     encode_history,
     encode_rounds,
+    round_fingerprint,
 )
 from repro.core.kernels.sc_store import SwapCandidateStore
 from repro.core.result import RoundStats
@@ -48,20 +48,25 @@ _EXCLUDED = 2
 _PairKey = FrozenSet[int]
 
 
-def _fingerprint(state: List[S], isn_encoding: str) -> bytes:
-    """Digest of the solver state used by the oscillation guard.
+def _ints(values) -> List[int]:
+    """A snapshot's per-vertex values (ndarray or int list) as Python ints."""
 
-    The swap loops evolve deterministically from ``(state, ISN)``, so a
-    repeated fingerprint proves the ``max_rounds=None`` loop would cycle
-    forever.  Each backend hashes its own canonical encoding; only the
-    repetition round matters for cross-backend parity, and that is fixed
-    by the (bit-identical) state evolution itself.
-    """
+    return np.asarray(values).tolist()
 
-    digest = hashlib.blake2b(digest_size=16)
-    digest.update(bytes(int(s) for s in state))
-    digest.update(isn_encoding.encode())
-    return digest.digest()
+
+def _round_arrays(state: List[S], isn: list, two_k: bool) -> Dict[str, np.ndarray]:
+    """The loop's per-vertex lists as the numpy backend's arrays — uint8
+    ``state``, int64 ISN entries (-1 = absent; two-k's low and high anchor
+    as ``isn1``/``isn2``) — which the guard hashes and snapshots hand out."""
+
+    arrays = {"state": np.fromiter(state, np.uint8, len(state))}
+    if two_k:
+        anchors = [sorted(a or ()) + [-1, -1] for a in isn]
+        arrays["isn1"] = np.array([a[0] for a in anchors], dtype=np.int64)
+        arrays["isn2"] = np.array([a[1] for a in anchors], dtype=np.int64)
+    else:
+        arrays["isn"] = np.array([-1 if a is None else a for a in isn], np.int64)
+    return arrays
 
 
 class PythonBackend(KernelBackend):
@@ -127,14 +132,16 @@ class PythonBackend(KernelBackend):
             can_swap = True
             oscillation = False
             history = (
-                {_fingerprint(state, repr(isn))} if max_rounds is None else None
+                {round_fingerprint(*_round_arrays(state, isn, False).values())}
+                if max_rounds is None
+                else None
             )
         else:
             # Restore the loop exactly where an ``on_round`` snapshot was
             # taken: the labelling scan already happened before the
             # snapshot, so the loop continues without re-reading the file.
-            state = [S(value) for value in resume["state"]]
-            isn = [None if value < 0 else value for value in resume["isn"]]
+            state = [S(value) for value in _ints(resume["state"])]
+            isn = [None if value < 0 else value for value in _ints(resume["isn"])]
             rounds = decode_rounds(resume["rounds"])
             initial_size = int(resume["initial_size"])
             current_size = int(resume["current_size"])
@@ -142,12 +149,11 @@ class PythonBackend(KernelBackend):
             oscillation = bool(resume["oscillation"])
             history = decode_history(resume["history"])
 
-        def _snapshot() -> dict:
+        def _snapshot(arrays: Dict[str, np.ndarray]) -> dict:
             return {
                 "pass": "one_k_swap",
                 "initial_size": initial_size,
-                "state": [int(s) for s in state],
-                "isn": [-1 if a is None else int(a) for a in isn],
+                **arrays,
                 "rounds": encode_rounds(rounds),
                 "current_size": current_size,
                 "can_swap": can_swap,
@@ -257,14 +263,15 @@ class PythonBackend(KernelBackend):
             )
             current_size = new_size
 
+            arrays = _round_arrays(state, isn, False)
             if history is not None and can_swap:
-                fingerprint = _fingerprint(state, repr(isn))
+                fingerprint = round_fingerprint(*arrays.values())
                 if fingerprint in history:
                     oscillation = True
                 else:
                     history.add(fingerprint)
             if on_round is not None:
-                on_round(_snapshot())
+                on_round(_snapshot(arrays))
 
         # Final 0↔1 completion pass: a swap can remove the last IS neighbour of
         # a vertex that then stays blocked behind an "A" neighbour during the
@@ -303,10 +310,6 @@ class PythonBackend(KernelBackend):
         on_round=None,
     ) -> Tuple[np.ndarray, Tuple[RoundStats, ...], int, bool]:
         num_vertices = source.num_vertices
-
-        def _isn_encoding() -> str:
-            return repr([None if a is None else tuple(sorted(a)) for a in isn])
-
         if resume is None:
             state: List[S] = [S.NON_IS] * num_vertices
             for v in initial_set.tolist():
@@ -332,18 +335,18 @@ class PythonBackend(KernelBackend):
             max_sc_vertices = 0
             oscillation = False
             history = (
-                {_fingerprint(state, _isn_encoding())} if max_rounds is None else None
+                {round_fingerprint(*_round_arrays(state, isn, True).values())}
+                if max_rounds is None
+                else None
             )
         else:
             # Restore an ``on_round`` snapshot (see one_k_swap_pass); the
-            # one-or-two ISN anchors travel as two parallel int lists with
-            # -1 marking an absent entry.
-            state = [S(value) for value in resume["state"]]
+            # one-or-two ISN anchors travel as ``isn1``/``isn2`` with -1
+            # marking an absent entry.
+            state = [S(value) for value in _ints(resume["state"])]
             isn = [
-                None
-                if first < 0
-                else (frozenset((first,)) if second < 0 else frozenset((first, second)))
-                for first, second in zip(resume["isn1"], resume["isn2"])
+                frozenset(a for a in pair if a >= 0) or None
+                for pair in zip(_ints(resume["isn1"]), _ints(resume["isn2"]))
             ]
             rounds = decode_rounds(resume["rounds"])
             initial_size = int(resume["initial_size"])
@@ -353,26 +356,11 @@ class PythonBackend(KernelBackend):
             oscillation = bool(resume["oscillation"])
             history = decode_history(resume["history"])
 
-        def _snapshot() -> dict:
-            isn1: List[int] = []
-            isn2: List[int] = []
-            for anchors in isn:
-                if not anchors:
-                    isn1.append(-1)
-                    isn2.append(-1)
-                elif len(anchors) == 1:
-                    isn1.append(next(iter(anchors)))
-                    isn2.append(-1)
-                else:
-                    low, high = sorted(anchors)
-                    isn1.append(low)
-                    isn2.append(high)
+        def _snapshot(arrays: Dict[str, np.ndarray]) -> dict:
             return {
                 "pass": "two_k_swap",
                 "initial_size": initial_size,
-                "state": [int(s) for s in state],
-                "isn1": isn1,
-                "isn2": isn2,
+                **arrays,
                 "rounds": encode_rounds(rounds),
                 "current_size": current_size,
                 "can_swap": can_swap,
@@ -567,14 +555,15 @@ class PythonBackend(KernelBackend):
             )
             current_size = new_size
 
+            arrays = _round_arrays(state, isn, True)
             if history is not None and can_swap:
-                fingerprint = _fingerprint(state, _isn_encoding())
+                fingerprint = round_fingerprint(*arrays.values())
                 if fingerprint in history:
                     oscillation = True
                 else:
                     history.add(fingerprint)
             if on_round is not None:
-                on_round(_snapshot())
+                on_round(_snapshot(arrays))
 
         # Final 0↔1 completion pass (same rationale as in one_k_swap): guarantee
         # maximality of the returned set with one extra sequential scan.

@@ -119,13 +119,13 @@ def one_k_swap(
         A round-state snapshot previously handed to an ``on_round``
         callback; the pass skips the initial labelling scan (and
         ``initial``) and continues the round loop exactly where the
-        snapshot was taken.  Must be resumed on the backend that produced
-        it — the pipeline engine enforces this for checkpoint files.
+        snapshot was taken.  Both backends hand out the same snapshots, so
+        either resumes one.
     on_round:
         Optional callback invoked after every completed swap round with a
         snapshot of the loop state (the checkpoint hook).  Its values are
-        JSON data or 1-D integer ndarrays (the numpy backend's per-vertex
-        arrays), which encode to the same checkpoint bytes; see
+        JSON data or 1-D integer ndarrays (the per-vertex arrays), which
+        encode to the checkpoint bytes of the equal int lists; see
         :meth:`repro.core.kernels.base.KernelBackend.one_k_swap_pass`.
 
     Returns

@@ -96,8 +96,9 @@ def two_k_swap(
         ``"auto"`` for the process default).
     resume_state:
         A round-state snapshot previously handed to an ``on_round``
-        callback; continues the round loop where the snapshot was taken,
-        ignoring ``initial`` (see :func:`repro.core.one_k_swap.one_k_swap`).
+        callback, from either backend; continues the round loop where the
+        snapshot was taken, ignoring ``initial`` (see
+        :func:`repro.core.one_k_swap.one_k_swap`).
     on_round:
         Optional per-round callback receiving a loop snapshot of JSON data
         and 1-D integer ndarrays (the pipeline engine's checkpoint hook;

@@ -98,14 +98,10 @@ class DynamicMISMaintainer:
         pipeline: str = "two_k_swap",
         backend: Optional[str] = None,
         compact_threshold: Optional[int] = None,
-        journal_limit: Optional[int] = None,
     ) -> None:
-        if journal_limit is not None and journal_limit < 0:
-            raise SolverError("journal_limit must be non-negative")
         self._pipeline = pipeline
         self._backend = backend
         self.compact_threshold = compact_threshold
-        self.journal_limit = journal_limit
         self.stats = UpdateStats()
         #: How the wave scheduler spent this maintainer's stream; written
         #: only by the numpy backend, zeros under the scalar reference.
@@ -115,9 +111,6 @@ class DynamicMISMaintainer:
         self._wave_state: Dict[str, int] = {}
         #: Ordered record of every selection change as ("select" |
         #: "unselect", vertex); parity tests compare it across backends.
-        #: With ``journal_limit`` set it behaves as a ring: only the most
-        #: recent ``journal_limit`` entries are retained (trimmed at
-        #: update boundaries, so a long-lived session stays bounded).
         self.journal: List[Tuple[str, int]] = []
         #: The normalised ``(insertions, deletions)`` of the latest
         #: ``apply_updates`` batch: what a batch log records for replay.
@@ -384,7 +377,6 @@ class DynamicMISMaintainer:
         self._create_vertex(vertex)
         self._select(vertex)
         self.stats.vertices_added += 1
-        self._trim_journal()
         return vertex
 
     def insert_edge(self, u: int, v: int, *, exist_ok: bool = True) -> None:
@@ -407,7 +399,6 @@ class DynamicMISMaintainer:
                 self._select(vertex)
         if self._has_edge(u, v):
             if exist_ok:
-                self._trim_journal()
                 return
             raise DuplicateEdgeError(u, v)
         self._apply_edge_insert(u, v)
@@ -418,7 +409,6 @@ class DynamicMISMaintainer:
             self._unselect(evicted)
             self.stats.evictions += 1
             self._saturate(self._neighbors(evicted) + [evicted])
-        self._trim_journal()
 
     def _apply_edge_insert(self, u: int, v: int) -> None:
         self._link(u, v)
@@ -478,7 +468,6 @@ class DynamicMISMaintainer:
             self._tight[v] -= 1
         self.stats.edges_deleted += 1
         self._saturate((u, v))
-        self._trim_journal()
 
     def delete_vertex(self, vertex: int) -> None:
         """Delete ``vertex`` and its incident edges from the graph.
@@ -504,7 +493,6 @@ class DynamicMISMaintainer:
         self.stats.edges_deleted += len(neighbors)
         self.stats.vertices_deleted += 1
         self._saturate(neighbors)
-        self._trim_journal()
 
     def apply_updates(
         self,
@@ -539,7 +527,6 @@ class DynamicMISMaintainer:
                     raise DuplicateEdgeError(u, v)
         backend.dynamic_apply_pass(self, insertions, deletions)
         self.last_batch = (insertions, deletions)
-        self._trim_journal()
         self._maybe_compact()
         return self.stats
 
@@ -651,7 +638,6 @@ class DynamicMISMaintainer:
         *,
         backend: Optional[str] = None,
         compact_threshold: Optional[int] = None,
-        journal_limit: Optional[int] = None,
         records: Iterable[Dict[str, Any]] = (),
     ) -> "DynamicMISMaintainer":
         """Rebuild a maintainer from :meth:`state_payload` + CSR base.
@@ -668,7 +654,6 @@ class DynamicMISMaintainer:
             pipeline=payload["pipeline"],
             backend=backend,
             compact_threshold=compact_threshold,
-            journal_limit=journal_limit,
         )
         base_offsets = _np.asarray(base_offsets, dtype=_np.int64)
         maintainer._base_offsets = base_offsets
@@ -744,13 +729,6 @@ class DynamicMISMaintainer:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _trim_journal(self) -> None:
-        """Drop all but the newest ``journal_limit`` entries (ring mode)."""
-
-        limit = self.journal_limit
-        if limit is not None and len(self.journal) > limit:
-            del self.journal[: len(self.journal) - limit]
-
     # The three hooks below are the bulk counterparts of ``_select`` /
     # ``_unselect`` used by the wave scheduler: a committed sub-wave
     # journals, flips selection flags and scatters tightness for many

@@ -27,9 +27,9 @@ artifacts, without re-reading the input), the cumulative I/O counters are
 reset to the snapshot, and an in-progress swap stage continues mid-round-
 loop.  The resumed run produces the bit-identical final set, round
 telemetry and cumulative ``IOStats`` of an uninterrupted run.  The
-checkpoint pins the pipeline spec, the round cap, the input shape and the
-executing kernel backend (round snapshots hash backend-specific state
-encodings), and refuses to resume under a different configuration.
+checkpoint pins the pipeline spec, the round cap and the input shape, and
+refuses to resume under a different configuration.  Both kernel backends
+write equal round snapshots, so either resumes a checkpoint of either.
 
 ``interrupt_after=N`` raises
 :class:`~repro.errors.PipelineInterrupted` right after the N-th
@@ -293,14 +293,6 @@ class PipelineEngine:
             if payload["phase"] == "round":
                 resume_loop = payload["loop_state"]
                 resumed_stage_io = IOStats(**payload["stage_io_before"])
-                resolved = ctx.resolve_kernel().name
-                if resolved != payload["backend"]:
-                    raise CheckpointError(
-                        f"checkpoint round state was written by the "
-                        f"{payload['backend']!r} kernel backend but this run "
-                        f"resolves to {resolved!r}; resume with the original "
-                        f"backend"
-                    )
 
         for index in range(start_index, len(self.spec.stages)):
             stage_spec = self.spec.stages[index]
@@ -470,7 +462,7 @@ class PipelineEngine:
             members = as_members(finalizer(members))
 
         if self.validate and ctx.original_graph is not None:
-            assert_independent_set(ctx.original_graph, members.tolist())
+            assert_independent_set(ctx.original_graph, members)
 
         elapsed = time.perf_counter() - started
         extras = dict(last_result.extras)
@@ -557,7 +549,6 @@ class PipelineEngine:
         payload = {
             "spec": self.spec.to_dict(),
             "max_rounds": self.max_rounds,
-            "backend": ctx.resolve_kernel().name,
             "source": origin,
             "io": ctx.source.stats.as_dict(),
             "phase": phase,

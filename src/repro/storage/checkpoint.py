@@ -20,12 +20,12 @@ payload keeps only a compact reference
 this shrinks round checkpoints by an order of magnitude compared to the
 version-1 JSON int lists while remaining deterministic.
 
-Payload values may be int lists (the python backend's state) or 1-D
-integer or bool NumPy arrays (the numpy backend's).  Arrays are packed
-with ``min``/``max`` + ``astype(...).tobytes()`` instead of a per-element
-Python walk, into exactly the bytes the equal int list packs to — so a document does not depend on whether its writer held lists or
-ndarrays, and it decodes to plain int lists either way (bool arrays
-decode as 0/1 ints).  Compression uses zlib level :data:`ZLIB_LEVEL`
+Payload values may be int lists or 1-D integer or bool NumPy arrays.
+Arrays are packed with ``min``/``max`` + ``astype(...).tobytes()``
+instead of a per-element Python walk, into exactly the bytes the equal
+int list packs to — so a document does not depend on whether its writer
+held lists or ndarrays, and it decodes to plain int lists either way
+(bool arrays decode as 0/1 ints).  Compression uses zlib level :data:`ZLIB_LEVEL`
 (1): the arrays are mostly small-range integers where the fastest level
 gives up well under 1% of size against the default and is several times
 faster to encode.
@@ -113,8 +113,9 @@ CHECKPOINT_FORMAT = "repro-mis-checkpoint"
 #: Current checkpoint format version.  Bump on any payload layout change;
 #: older files then fail with :class:`CheckpointVersionError` instead of
 #: being misinterpreted.  Version 2 moved large integer arrays out of the
-#: JSON payload into a compressed binary section.
-CHECKPOINT_VERSION = 2
+#: JSON payload into a compressed binary section.  Version 3 round
+#: snapshots carry one fingerprint encoding for both kernel backends.
+CHECKPOINT_VERSION = 3
 
 #: JSON key marking an arrays-section reference.  Payloads may not use it
 #: as an ordinary dict key.

@@ -1,14 +1,30 @@
-"""Shared helper for tests that compare or persist ``on_round`` snapshots.
+"""Shared helpers for tests that compare or persist ``on_round`` snapshots.
 
-The numpy kernels hand out their per-vertex arrays as 1-D integer
-ndarrays, the python reference as int lists; both encode to the same
-checkpoint bytes.  :func:`plain` turns a snapshot into plain JSON data so
-the tests can compare snapshots with ``==`` and ``json.dumps`` them.
+Both kernel backends hand out their per-vertex arrays as 1-D integer
+ndarrays, which encode to the checkpoint bytes of the equal int lists.
+:func:`plain` turns a snapshot into plain JSON data so the tests can
+compare snapshots with ``==`` and ``json.dumps`` them.
+:func:`oscillating_graph` is the instance whose unbounded swap loops only
+the oscillation guard stops.
 """
 
 from __future__ import annotations
 
+import itertools
+import random
+
 import numpy as np
+
+from repro.graphs.graph import Graph
+
+
+def oscillating_graph() -> Graph:
+    """A G(24, 236) instance whose one-k and two-k swap loops, started from
+    the greedy set in degree order, cycle forever unguarded."""
+
+    pairs = list(itertools.combinations(range(24), 2))
+    edges = random.Random(168).sample(pairs, 236)
+    return Graph(24, edges)
 
 
 def plain(value):

@@ -14,10 +14,17 @@ logical accounting.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.core.solver import PIPELINES, solve_mis
-from repro.errors import CheckpointError, PipelineInterrupted, SolverError
+from repro.errors import (
+    CheckpointError,
+    CheckpointVersionError,
+    PipelineInterrupted,
+    SolverError,
+)
 from repro.graphs.generators import erdos_renyi_gnm
 from repro.graphs.plrg import plrg_graph_with_vertex_count
 from repro.pipeline.context import ExecutionContext
@@ -25,6 +32,7 @@ from repro.pipeline.engine import PipelineEngine
 from repro.pipeline.spec import PipelineSpec
 from repro.storage.adjacency_file import AdjacencyFileReader, write_adjacency_file
 from repro.storage.io_stats import IOStats
+from snapshot_helpers import oscillating_graph
 
 BACKENDS = ("python", "numpy")
 
@@ -56,9 +64,17 @@ def _assert_identical(resumed, reference):
 
 
 def _interrupt_and_resume(
-    make_input, spec, backend, checkpoint, interrupt_after, max_rounds=None, order="degree"
+    make_input,
+    spec,
+    backend,
+    checkpoint,
+    interrupt_after,
+    max_rounds=None,
+    order="degree",
+    resume_backend=None,
 ):
-    """Run until the N-th checkpoint write, drop everything, resume fresh."""
+    """Run until the N-th checkpoint write, drop everything, resume fresh
+    (on ``resume_backend``, by default the same backend)."""
 
     ctx = ExecutionContext.create(make_input(), backend=backend, order=order)
     engine = PipelineEngine(
@@ -70,7 +86,9 @@ def _interrupt_and_resume(
     with pytest.raises(PipelineInterrupted):
         engine.run(ctx)
 
-    fresh_ctx = ExecutionContext.create(make_input(), backend=backend, order=order)
+    fresh_ctx = ExecutionContext.create(
+        make_input(), backend=resume_backend or backend, order=order
+    )
     resumed_engine = PipelineEngine(
         spec, max_rounds=max_rounds, checkpoint_path=checkpoint, resume=True
     )
@@ -434,10 +452,47 @@ class TestResumeGuards:
         with pytest.raises(CheckpointError, match="wrong input"):
             engine.run(ExecutionContext.create(other))
 
-    def test_round_state_requires_matching_backend(self, checkpoint):
+    def test_version_2_checkpoint_is_refused(self, checkpoint):
+        # Version 2 round snapshots carry the python backend's old guard
+        # fingerprints; resuming them would run a guard that never matches.
         graph, path = checkpoint
+        with open(path, "rb") as handle:
+            header_line, newline, rest = handle.read().partition(b"\n")
+        header = json.loads(header_line)
+        header["version"] = 2
+        with open(path, "wb") as handle:
+            handle.write(json.dumps(header).encode() + newline + rest)
         engine = PipelineEngine(
             PIPELINES["two_k_swap"], checkpoint_path=path, resume=True
         )
-        with pytest.raises(CheckpointError, match="kernel backend"):
-            engine.run(ExecutionContext.create(graph, backend="python"))
+        with pytest.raises(CheckpointVersionError):
+            engine.run(ExecutionContext.create(graph))
+
+
+@pytest.mark.parametrize("interrupt_after", [2, 3])
+@pytest.mark.parametrize("max_rounds", [None, 3])
+@pytest.mark.parametrize("pipeline", ["one_k_swap", "two_k_swap"])
+@pytest.mark.parametrize("graph_kind", ["gnm", "oscillating"])
+@pytest.mark.parametrize("writer, reader", [("python", "numpy"), ("numpy", "python")])
+def test_round_checkpoints_resume_on_the_other_backend(
+    writer, reader, graph_kind, pipeline, max_rounds, interrupt_after, tmp_path
+):
+    """Both backends write the same round snapshots, guard history included,
+    so a round checkpoint resumes on either backend."""
+
+    graph = GRAPHS["gnm"]() if graph_kind == "gnm" else oscillating_graph()
+    reference = solve_mis(
+        graph, pipeline=pipeline, backend=writer, max_rounds=max_rounds
+    )
+    resumed = _interrupt_and_resume(
+        lambda: graph,
+        PIPELINES[pipeline],
+        writer,
+        str(tmp_path / "ck.json"),
+        interrupt_after=interrupt_after,  # after the first or second round
+        max_rounds=max_rounds,
+        resume_backend=reader,
+    )
+    _assert_identical(resumed, reference)
+    guarded = reference.extras.get("oscillation_guard") == 1.0
+    assert guarded == (graph_kind == "oscillating" and max_rounds is None)

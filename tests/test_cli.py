@@ -417,6 +417,23 @@ class TestRunCommandErrorPaths:
         assert main(["run", "--config", str(config)]) == 2
         assert "cannot open input" in capsys.readouterr().err
 
+    def test_stream_spec_is_refused(self, tmp_path, capsys):
+        # A spec with 'updates' is a stream session; a static solve of it
+        # would silently drop the update stream.
+        config = tmp_path / "stream.json"
+        config.write_text(json.dumps({
+            "pipeline": "greedy",
+            "input": str(tmp_path / "g.adj"),
+            "updates": str(tmp_path / "u.txt"),
+            "batch_size": 2,
+        }))
+        assert main(["run", "--config", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip()
+        assert "\n" not in err
+        assert "'updates'" in err and "repro-mis watch" in err
+
 
 class TestReducePipelinePrefix:
     def test_reduce_prefixed_pipeline_not_doubled(self, tmp_path, capsys):
@@ -489,6 +506,26 @@ class TestRunConfigDir:
         (sweep_dir / "broken.json").write_text("{nope")
         assert main(["run", "--config-dir", str(sweep_dir)]) == 2
         assert "broken.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ({"updates": "u.txt"}, "'updates' (a stream session); use 'repro-mis watch'"),
+            ({"resume": True}, "resuming requires a 'checkpoint' path"),
+        ],
+        ids=["stream-spec", "resume-without-checkpoint"],
+    )
+    def test_unrunnable_spec_is_refused_before_any_run(
+        self, sweep_dir, capsys, extra, message
+    ):
+        spec = json.loads((sweep_dir / "one.json").read_text())
+        (sweep_dir / "zz_last.json").write_text(json.dumps({**spec, **extra}))
+        assert main(["run", "--config-dir", str(sweep_dir), "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip()
+        assert "\n" not in err
+        assert "zz_last.json" in err and message in err
 
     def test_resume_flag_requires_single_config(self, sweep_dir, capsys):
         assert main(["run", "--config-dir", str(sweep_dir), "--resume"]) == 2

@@ -222,6 +222,18 @@ sys.exit(1 if failures else 0)
 """
 
 
+def test_validation_checks_load_no_solver():
+    # Output checks also run in processes that never solve, such as a
+    # verifier; loading the kernel stack there costs about 8 MB of RSS.
+    child = _fresh(
+        "import sys\n"
+        "import repro.validation.checks\n"
+        "print(sorted(m for m in sys.modules if m.startswith('repro.core')))\n"
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == "[]"
+
+
 def test_lazy_exports_resolve_in_a_fresh_interpreter():
     child = _fresh(_EXPORT_CHECK, *LAZY_PACKAGES)
     assert child.returncode == 0, child.stdout + child.stderr

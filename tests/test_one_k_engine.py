@@ -5,16 +5,17 @@ segments, searched for in chunks of ``_WAVE_WINDOW`` candidates.  The
 chunk size must never change an outcome, so the engine is run with
 windows of 1, 3 and 64 candidates — every segment cut then lands at a
 different place relative to a chunk edge — over uniform (gnm), skewed
-(PLRG) and cascade graphs.  The cascade graph packs many same-anchor
-candidates into chains of adjacent candidates, with links between the
-groups, so the pointer-count fold and the dependency edges both carry
-the result.
+(PLRG), cascade and oscillating graphs.  The cascade graph packs many
+same-anchor candidates into chains of adjacent candidates, with links
+between the groups, so the pointer-count fold and the dependency edges
+both carry the result.  On the oscillating graph only the guard stops
+the unbounded loop.
 
 Each run must equal the python reference: set, round telemetry, every
-``on_round`` snapshot (except the backend-specific oscillation
-fingerprints) and modeled ``IOStats``, on in-memory and ``SEXTCSR1``
-memmap sources.  Resuming from any snapshot must finish exactly like the
-uninterrupted run.  A serial in-memory solve must not touch POSIX shared
+whole ``on_round`` snapshot (oscillation fingerprints included) and
+modeled ``IOStats``, on in-memory and ``SEXTCSR1`` memmap sources.
+Resuming from any snapshot, on either backend, must finish exactly like
+the uninterrupted run.  A serial in-memory solve must not touch POSIX shared
 memory.
 """
 
@@ -38,7 +39,9 @@ from repro.storage.adjacency_file import write_adjacency_file
 from repro.storage.binary_format import MemmapAdjacencySource
 from repro.storage.converters import adjacency_to_binary
 from repro.storage.scan import InMemoryAdjacencyScan
-from snapshot_helpers import plain
+from snapshot_helpers import oscillating_graph, plain
+
+KINDS = ("gnm", "plrg", "cascade", "oscillating")
 
 
 def _cascade_graph(groups: int = 10, size: int = 30, seed: int = 5):
@@ -71,14 +74,16 @@ def cases(tmp_path_factory):
     root = tmp_path_factory.mktemp("one-k-engine")
     python = get_backend("python")
     built = {}
-    for kind in ("gnm", "plrg", "cascade"):
+    for kind in KINDS:
         if kind == "cascade":
             graph, initial = _cascade_graph()
         else:
             if kind == "gnm":
                 graph = erdos_renyi_gnm(700, 2_100, seed=11)
-            else:
+            elif kind == "plrg":
                 graph = plrg_graph_with_vertex_count(800, 2.1, seed=4)
+            else:
+                graph = oscillating_graph()
             initial = python.greedy_pass(InMemoryAdjacencyScan(graph))
         text = str(root / f"{kind}.adj")
         write_adjacency_file(
@@ -112,12 +117,8 @@ def _run(backend: str, source, initial, resume=None):
         getattr(source, "close", lambda: None)()
 
 
-def _without_history(snapshot: dict) -> dict:
-    return {key: value for key, value in snapshot.items() if key != "history"}
-
-
 @pytest.mark.parametrize("source_kind", ["memory", "memmap"])
-@pytest.mark.parametrize("kind", ["gnm", "plrg", "cascade"])
+@pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("window", [1, 3, 64])
 def test_wave_window_parity_and_resume(cases, monkeypatch, window, kind, source_kind):
     case = cases[kind]
@@ -128,19 +129,21 @@ def test_wave_window_parity_and_resume(cases, monkeypatch, window, kind, source_
     result, snaps, io = _run("numpy", _open(case, source_kind), initial)
 
     assert result == reference
-    assert [_without_history(s) for s in snaps] == [
-        _without_history(s) for s in ref_snaps
-    ]
+    assert snaps == ref_snaps
     assert io == ref_io
     if kind == "cascade":
         assert reference[1][0].one_k_swaps > 0, "cascade must exercise 1-k swaps"
+    assert reference[2] == (kind == "oscillating")
 
+    # The snapshots are the same on both backends, so each resumes on either.
     for snapshot in snaps:
         persisted = json.loads(json.dumps(snapshot))
-        resumed, _, _ = _run(
-            "numpy", _open(case, source_kind), np.empty(0, np.int64), resume=persisted
-        )
-        assert resumed == result
+        for backend in ("numpy", "python"):
+            resumed, _, _ = _run(
+                backend, _open(case, source_kind), np.empty(0, np.int64),
+                resume=persisted,
+            )
+            assert resumed == result
 
 
 def test_serial_in_memory_solve_creates_no_shared_memory(monkeypatch):

@@ -18,7 +18,6 @@ Three claim groups are pinned here:
 
 from __future__ import annotations
 
-import itertools
 import random
 
 import pytest
@@ -37,10 +36,10 @@ from repro.graphs.generators import (
     erdos_renyi_gnm,
     star_graph,
 )
-from repro.graphs.graph import Graph
 from repro.graphs.plrg import plrg_graph_with_vertex_count
 from repro.storage.adjacency_file import AdjacencyFileReader, write_adjacency_file
 from repro.storage.io_stats import IOStats
+from snapshot_helpers import oscillating_graph
 
 
 def _fresh_reader(graph, block_size=4096, order=None):
@@ -275,17 +274,9 @@ class TestVectorizedMembershipJoin:
         assert ctx.single_count.tolist() == expected.tolist()
 
 
-def _oscillating_graph():
-    """A G(24, 236) instance whose one-k-swap loop cycles forever unguarded."""
-
-    pairs = list(itertools.combinations(range(24), 2))
-    edges = random.Random(168).sample(pairs, 236)
-    return Graph(24, edges)
-
-
 class TestOscillationGuard:
     def test_unbounded_one_k_swap_terminates_with_flag(self):
-        graph = _oscillating_graph()
+        graph = oscillating_graph()
         results = {}
         for backend in ("python", "numpy"):
             result = one_k_swap(
@@ -305,7 +296,7 @@ class TestOscillationGuard:
         assert "oscillation_guard" not in two_k.extras
 
     def test_bounded_runs_never_engage_the_guard(self):
-        graph = _oscillating_graph()
+        graph = oscillating_graph()
         for backend in ("python", "numpy"):
             result = one_k_swap(graph, order="degree", max_rounds=12, backend=backend)
             assert result.num_rounds == 12

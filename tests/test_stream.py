@@ -1221,28 +1221,6 @@ class TestOverlayCounter:
             maintainer.check_invariants()
 
 
-class TestJournalRing:
-    def test_journal_limit_keeps_only_the_newest_entries(self):
-        full = DynamicMISMaintainer(gnm_graph())
-        ring = DynamicMISMaintainer(gnm_graph(), journal_limit=5)
-        rng = random.Random(31)
-        insertions, deletions = random_stream(rng, 140, 300)
-        full.apply_updates(insertions, deletions)
-        ring.apply_updates(insertions, deletions)
-        assert len(full.journal) > 5
-        assert len(ring.journal) == 5
-        assert ring.journal == full.journal[-5:]
-        ring.check_invariants()
-
-    def test_journal_limit_zero_disables_journalling(self):
-        ring = DynamicMISMaintainer(gnm_graph(), journal_limit=0)
-        rng = random.Random(32)
-        insertions, deletions = random_stream(rng, 140, 200)
-        ring.apply_updates(insertions, deletions)
-        assert ring.journal == []
-        ring.check_invariants()
-
-
 class TestWatchCommand:
     def write_graph(self, tmp_path):
         from repro.storage.adjacency_file import write_adjacency_file

@@ -9,13 +9,14 @@ reference over uniform (gnm), skewed (PLRG, three exponents) and hub
 graphs, every combination of the ``max_pairs_per_key`` and
 ``max_partner_checks`` caps, and initial sets that are random subsets of
 the greedy set — a maximal start almost never reaches the post-swap 0-1
-insertions.
+insertions.  The oscillating graph starts from the whole greedy set, and
+only the guard stops its unbounded loop.
 
 Each run must equal the reference on the set, round telemetry, extras,
-modeled ``IOStats`` and every ``on_round`` snapshot (bar the
-backend-specific oscillation fingerprints), on in-memory and ``SEXTCSR1``
-memmap sources; resuming from any snapshot must finish exactly like the
-uninterrupted run.
+modeled ``IOStats`` and every whole ``on_round`` snapshot (oscillation
+fingerprints included), on in-memory and ``SEXTCSR1`` memmap sources;
+resuming from any snapshot, on either backend, must finish exactly like
+the uninterrupted run.
 """
 
 from __future__ import annotations
@@ -35,9 +36,9 @@ from repro.storage.adjacency_file import write_adjacency_file
 from repro.storage.binary_format import MemmapAdjacencySource
 from repro.storage.converters import adjacency_to_binary
 from repro.storage.scan import InMemoryAdjacencyScan
-from snapshot_helpers import plain
+from snapshot_helpers import oscillating_graph, plain
 
-KINDS = ("gnm", "plrg18", "plrg21", "plrg25", "hub")
+KINDS = ("gnm", "plrg18", "plrg21", "plrg25", "hub", "oscillating")
 
 
 def _hub_graph(hubs: int = 8, size: int = 30, seed: int = 7):
@@ -74,6 +75,9 @@ def _hub_graph(hubs: int = 8, size: int = 30, seed: int = 7):
 def _build(kind: str):
     if kind == "hub":
         return _hub_graph()
+    if kind == "oscillating":
+        graph = oscillating_graph()
+        return graph, get_backend("python").greedy_pass(InMemoryAdjacencyScan(graph))
     if kind == "gnm":
         graph = erdos_renyi_gnm(600, 1_800, seed=11)
     else:
@@ -120,10 +124,6 @@ def _run(backend, source, initial, pairs, checks, resume=None):
         getattr(source, "close", lambda: None)()
 
 
-def _without_history(snapshot: dict) -> dict:
-    return {key: value for key, value in snapshot.items() if key != "history"}
-
-
 @pytest.fixture(scope="module")
 def references(cases):
     """Python reference runs, memoised per (kind, source, caps)."""
@@ -155,18 +155,18 @@ def test_parity_and_resume(cases, references, kind, pairs, checks, source_kind):
 
     # (set, RoundStats, max_sc_vertices, oscillation flag)
     assert result == reference
-    assert [_without_history(s) for s in snaps] == [
-        _without_history(s) for s in ref_snaps
-    ]
+    assert snaps == ref_snaps
     assert io == ref_io
 
+    # The snapshots are the same on both backends, so each resumes on either.
     for snapshot in snaps:
         persisted = json.loads(json.dumps(snapshot))
-        resumed, _, _ = _run(
-            "numpy", _open(case, source_kind), np.empty(0, np.int64), pairs, checks,
-            resume=persisted,
-        )
-        assert resumed == result
+        for backend in ("numpy", "python"):
+            resumed, _, _ = _run(
+                backend, _open(case, source_kind), np.empty(0, np.int64), pairs,
+                checks, resume=persisted,
+            )
+            assert resumed == result
 
 
 def test_cases_exercise_every_event(references):
@@ -189,6 +189,16 @@ def test_cases_exercise_every_event(references):
     # The hub graph is the dense same-anchor / two-anchor case.
     hub, _snaps, hub_io = references("hub", "memory", 8, 64)
     assert hub[1][0].two_k_swaps > 0 and hub_io["random_vertex_lookups"] > 0
+    # Only the oscillating graph engages the guard.
+    fired = {
+        kind: any(
+            references(kind, "memory", pairs, checks)[0][3]
+            for pairs in (1, 2, 8)
+            for checks in (1, 3, 64)
+        )
+        for kind in KINDS
+    }
+    assert fired == {kind: kind == "oscillating" for kind in KINDS}
 
 
 @pytest.mark.parametrize(

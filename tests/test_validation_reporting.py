@@ -2,10 +2,18 @@
 
 from __future__ import annotations
 
+import random
+
+import numpy as np
 import pytest
 
-from repro.errors import InvalidIndependentSetError
-from repro.graphs.generators import cycle_graph, path_graph, star_graph
+from repro.errors import InvalidIndependentSetError, VertexError
+from repro.graphs.generators import (
+    cycle_graph,
+    erdos_renyi_gnm,
+    path_graph,
+    star_graph,
+)
 from repro.graphs.graph import Graph
 from repro.reporting import format_number, format_table, print_experiment_header
 from repro.validation.checks import (
@@ -52,6 +60,59 @@ class TestValidation:
         assert is_maximal_independent_set(graph, {0, 1})
         assert is_maximal_independent_set(graph, {1, 2, 3, 4})
         assert not is_independent_set(graph, {0, 2})
+
+
+def _scalar_violating_edge(graph, vertices):
+    """The scalar reference: ascending members, sorted neighbour lists."""
+
+    selected = set(vertices)
+    for u in sorted(selected):
+        for w in graph.neighbors(u):
+            if w in selected and u < w:
+                return (u, w)
+    return None
+
+
+def _scalar_uncovered(graph, vertices):
+    selected = set(vertices)
+    return [
+        v
+        for v in graph.vertices()
+        if v not in selected and not any(w in selected for w in graph.neighbors(v))
+    ]
+
+
+class TestVectorizedChecks:
+    """The mask-based checks equal the scalar per-neighbour loops."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_match_scalar_reference(self, seed):
+        rng = random.Random(seed)
+        n = rng.randrange(1, 80)
+        m = rng.randrange(0, min(3 * n, n * (n - 1) // 2) + 1)
+        graph = erdos_renyi_gnm(n, m, seed=seed)
+        for density in (0.0, 0.1, 0.3, 0.6, 1.0):
+            chosen = [v for v in range(n) if rng.random() < density]
+            for form in (set(chosen), list(reversed(chosen)), np.array(chosen)):
+                edge = find_violating_edge(graph, form)
+                assert edge == _scalar_violating_edge(graph, chosen)
+                assert edge is None or all(type(x) is int for x in edge)
+                assert uncovered_vertices(graph, form) == _scalar_uncovered(
+                    graph, chosen
+                )
+            # Ids outside the graph are ignored by the maximality check...
+            assert uncovered_vertices(graph, chosen + [-1, n, n + 5]) == (
+                _scalar_uncovered(graph, chosen)
+            )
+            # ...and rejected by the independence check.
+            for outside in (-1, n):
+                with pytest.raises(VertexError):
+                    find_violating_edge(graph, chosen + [outside])
+
+    def test_generator_input_is_read_once(self):
+        graph = path_graph(5)
+        assert is_maximal_independent_set(graph, (v for v in (0, 2, 4)))
+        assert find_violating_edge(graph, (v for v in (3, 2, 1))) == (1, 2)
 
 
 class TestReporting:
