@@ -508,8 +508,8 @@ def _add_obs_arguments(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="FILE",
         help="write a Chrome trace-event JSON file (open in Perfetto or "
-        "chrome://tracing) with spans for stages, swap rounds, kernel "
-        "passes, stream batches and checkpoint writes",
+        "chrome://tracing) with spans for stages, swap rounds, "
+        "stream batches and checkpoint writes",
     )
     group.add_argument(
         "--metrics-out",
@@ -553,9 +553,10 @@ def _finish_obs(args: argparse.Namespace, obs: Observability) -> None:
     if args.trace:
         obs.tracer.write(args.trace)
     if args.metrics_out:
-        with open(args.metrics_out, "w", encoding="utf-8") as handle:
-            json.dump(obs.registry.snapshot(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        from repro.storage.blocks import atomic_write
+
+        snapshot = json.dumps(obs.registry.snapshot(), indent=2, sort_keys=True)
+        atomic_write(args.metrics_out, snapshot.encode("utf-8"), b"\n")
 
 
 def _generate_graph(args: argparse.Namespace) -> Graph:

@@ -155,7 +155,7 @@ class DynamicMISMaintainer:
             self._recompute_tightness()
             if self._tight[self._selected].any():
                 raise SolverError("the initial set is not independent")
-            self._saturate(range(self._base_n))
+            self._saturate(self._uncovered_ids())
             # The journal records the *update stream*; construction-time
             # saturation is part of the initial state, not an update.
             self.journal.clear()
@@ -181,6 +181,18 @@ class DynamicMISMaintainer:
 
     def _present_ids(self) -> List[int]:
         return _np.flatnonzero(self._present).tolist()
+
+    def _uncovered_ids(self) -> List[int]:
+        """Present vertices that are neither selected nor tight, ascending.
+
+        Whole-graph saturation needs only these: saturating selects and
+        never unselects, so a vertex outside this mask stays selected or
+        tight and the ``_saturate`` loop would skip it anyway.
+        """
+
+        return _np.flatnonzero(
+            self._present & ~self._selected & (self._tight == 0)
+        ).tolist()
 
     # ------------------------------------------------------------------
     # Adjacency (CSR base + deltas)
@@ -332,11 +344,11 @@ class DynamicMISMaintainer:
                     raise SolverError(
                         f"selected vertices {u} and {conflict} are adjacent"
                     )
-            for v in self._present_ids():
-                if not self._selected[v] and not self._tight[v]:
-                    raise SolverError(
-                        f"vertex {v} is uncovered: the set is not maximal"
-                    )
+            uncovered = self._uncovered_ids()
+            if uncovered:
+                raise SolverError(
+                    f"vertex {uncovered[0]} is uncovered: the set is not maximal"
+                )
             if (maintained != self._tight).any():
                 raise SolverError("the maintained tightness counters drifted")
             if self._overlay_entries != self._count_overlay():
@@ -543,7 +555,7 @@ class DynamicMISMaintainer:
         self._selected[:] = False
         self._selected[solution[self._present[solution]]] = True
         self._recompute_tightness()
-        self._saturate(self._present_ids())
+        self._saturate(self._uncovered_ids())
         self.stats.rebuilds += 1
 
     # ------------------------------------------------------------------

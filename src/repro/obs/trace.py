@@ -110,11 +110,10 @@ class SpanTracer:
         return {"traceEvents": list(self._events), "displayTimeUnit": "ms"}
 
     def write(self, path: str) -> None:
-        tmp = f"{path}.tmp"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(self.to_document(), handle, separators=(",", ":"))
-            handle.write("\n")
-        os.replace(tmp, path)
+        from repro.storage.blocks import atomic_write
+
+        document = json.dumps(self.to_document(), separators=(",", ":"))
+        atomic_write(path, document.encode("utf-8"), b"\n")
 
 
 class NullTracer:

@@ -200,6 +200,57 @@ class TestSpanTracer:
         assert loaded == document
         assert loaded["displayTimeUnit"] == "ms"
 
+    def test_concurrent_writers_of_one_path_leave_a_valid_document(self, tmp_path):
+        path = tmp_path / "trace.json"
+        tracers = []
+        for index in range(2):
+            tracer = SpanTracer()
+            tracer.add_span(f"stage:{index}", "stage", 0.0, 1.0)
+            tracers.append(tracer)
+        barrier = threading.Barrier(len(tracers))
+        errors = []
+
+        def write_often(tracer):
+            barrier.wait()
+            try:
+                for _ in range(25):
+                    tracer.write(str(path))
+            except Exception as exc:  # pragma: no cover - the failure mode
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=write_often, args=(tracer,)) for tracer in tracers
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert errors == []
+        loaded = json.loads(path.read_text())
+        assert loaded in [tracer.to_document() for tracer in tracers]
+        assert sorted(os.listdir(tmp_path)) == ["trace.json"]
+
+    def test_cli_trace_and_metrics_files_are_written_whole(self, tmp_path, capsys):
+        graph_path = tmp_path / "toy.adj"
+        trace_path = tmp_path / "run.trace.json"
+        metrics_path = tmp_path / "run.metrics.json"
+        assert main([
+            "generate", str(graph_path), "--model", "gnm",
+            "--vertices", "200", "--edges", "500", "--seed", "3",
+        ]) == 0
+        assert main([
+            "solve", str(graph_path), "--pipeline", "two_k_swap",
+            "--trace", str(trace_path), "--metrics-out", str(metrics_path),
+        ]) == 0
+        capsys.readouterr()
+        assert validate_trace(json.loads(trace_path.read_text())) == []
+        assert isinstance(json.loads(metrics_path.read_text()), dict)
+        assert metrics_path.read_text().endswith("}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            [graph_path.name, trace_path.name, metrics_path.name]
+        )
+
     def test_validate_trace_flags_malformed_events(self):
         assert validate_trace({}) == ["traceEvents missing or not a list"]
         problems = validate_trace(
