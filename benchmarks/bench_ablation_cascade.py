@@ -15,7 +15,7 @@ measures both claims side by side:
 from __future__ import annotations
 
 from repro.core.greedy import greedy_mis
-from repro.core.one_k_swap import one_k_swap
+from repro.core.one_k import one_k_swap
 from repro.graphs.cascade import (
     cascade_initial_independent_set,
     cascade_optimal_size,

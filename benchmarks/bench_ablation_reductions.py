@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 from repro.core.greedy import greedy_mis
-from repro.core.two_k_swap import two_k_swap
+from repro.core.two_k import two_k_swap
 from repro.graphs.plrg import PLRGParameters, plrg_graph
 from repro.reductions.kernel import reduce_graph, reduced_mis
 from repro.reporting import format_table, print_experiment_header

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 from repro.core.greedy import greedy_mis
-from repro.core.one_k_swap import one_k_swap
+from repro.core.one_k import one_k_swap
 from repro.graphs.plrg import PLRGParameters, plrg_graph
 from repro.reporting import format_table, print_experiment_header
 

@@ -36,14 +36,13 @@ array, completed-stage prefix with an embedded reduce-kernel artifact):
   1 KiB (the reference costs nothing beyond the base it replaces);
 * the *solve-round* row — a real numpy one-k round snapshot of a gnm
   ``SEXTCSR1`` memmap solve (m = 4n), written as the kernels hand it out
-  (per-vertex ndarray copies) and in its ``.tolist()`` form (what the
-  snapshot cost before it went array-native).  Each timing includes
-  building the snapshot's arrays (``copy()`` vs ``tolist()``).  The
-  harness asserts that both files are byte-identical and that the
-  ndarray write is at least 2× faster.  Both timings include the
-  write's ``fsync``, so this row runs at n = 10⁵ even under ``--smoke``:
-  at n = 2·10⁴ the encode gap is ≈ 6 ms and a disk whose ``fsync`` costs
-  more than ≈ 4.5 ms would fail the 2× bound on latency alone;
+  since checkpoint version 4 (each per-vertex array a sparse overlay on
+  the pass's labelled start) and in the dense version-3 form (each
+  array a full copy).  Each timing includes building the snapshot's
+  arrays (the overlay compare and gathers vs ``copy()``).  The harness
+  asserts that the sparse file is smaller and its write faster.  Both
+  timings include the write's ``fsync``, so this row runs at n = 10⁵
+  even under ``--smoke``;
 * the *solve-boundary* row — the engine's completed-prefix encode at the
   two stage boundaries of a numpy greedy → two-k solve of a PLRG
   ``SEXTCSR1`` memmap (n = 10⁵, also under ``--smoke``): each boundary's
@@ -74,14 +73,12 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import Dict, List, Optional
 
-import numpy as np
-
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.core.greedy import greedy_mis  # noqa: E402
-from repro.core.kernels import get_backend  # noqa: E402
-from repro.core.two_k_swap import two_k_swap  # noqa: E402
+from repro.core.kernels import get_backend, numpy_backend  # noqa: E402
+from repro.core.two_k import two_k_swap  # noqa: E402
 from repro.dynamic.maintainer import DynamicMISMaintainer  # noqa: E402
 from repro.graphs.generators import erdos_renyi_gnm  # noqa: E402
 from repro.graphs.plrg import PLRGParameters, plrg_graph  # noqa: E402
@@ -294,11 +291,20 @@ def measure_stream(num_vertices: int, seed: int = 1) -> Dict[str, object]:
 
 
 def measure_solve_round(num_vertices: int, seed: int = 1) -> Dict[str, object]:
-    """One real one-k round checkpoint, written from ndarrays and from lists."""
+    """One real one-k round checkpoint, written sparse (v4) and dense (v3)."""
 
     graph = erdos_renyi_gnm(num_vertices, 4 * num_vertices, seed=seed)
     numpy = get_backend("numpy")
     snapshots: List[dict] = []
+    # The live arrays and the labelled start behind each overlay of the
+    # first snapshot, kept by wrapping the kernel's overlay builder.
+    live: List[tuple] = []
+    overlay = numpy_backend.round_overlay
+
+    def keep_live(array, base):
+        live.append((array.copy(), base))
+        return overlay(array, base)
+
     with tempfile.TemporaryDirectory() as tmp:
         text = os.path.join(tmp, "g.adj")
         binary = os.path.join(tmp, "g.csr")
@@ -307,47 +313,53 @@ def measure_solve_round(num_vertices: int, seed: int = 1) -> Dict[str, object]:
         ).close()
         adjacency_to_binary(text, binary)
         source = MemmapAdjacencySource(binary)
+        numpy_backend.round_overlay = keep_live
         try:
             initial = numpy.greedy_pass(source)
             numpy.one_k_swap_pass(source, initial, 1, on_round=snapshots.append)
         finally:
+            numpy_backend.round_overlay = overlay
             source.close()
         snapshot = snapshots[0]
+        names = [key for key, value in snapshot.items() if isinstance(value, dict)]
+        arrays = dict(zip(names, live))
+        changed = sum(snapshot[name]["index"].size for name in names)
 
-        def build(convert):
-            return {
-                key: convert(value) if isinstance(value, np.ndarray) else value
-                for key, value in snapshot.items()
-            }
+        def build(form):
+            built = dict(snapshot)
+            for name, (array, base) in arrays.items():
+                built[name] = overlay(array, base) if form == "v4" else array.copy()
+            return built
 
-        forms = {"ndarray": np.ndarray.copy, "list": np.ndarray.tolist}
+        forms = ("v4", "v3")
         paths = {form: os.path.join(tmp, f"{form}.ck") for form in forms}
         seconds: Dict[str, List[float]] = {form: [] for form in forms}
         for _ in range(SOLVE_ROUND_REPEATS):
-            for form, convert in forms.items():
+            for form in forms:
                 started = time.perf_counter()
-                write_checkpoint(paths[form], {"loop_state": build(convert)})
+                write_checkpoint(paths[form], {"loop_state": build(form)})
                 seconds[form].append(time.perf_counter() - started)
-        contents = {}
-        for form, path in paths.items():
-            with open(path, "rb") as handle:
-                contents[form] = handle.read()
+        sizes = {form: os.path.getsize(path) for form, path in paths.items()}
 
-    assert contents["ndarray"] == contents["list"], (
-        f"solve-round checkpoint bytes differ between forms at n={num_vertices}"
+    sparse_seconds = statistics.median(seconds["v4"])
+    dense_seconds = statistics.median(seconds["v3"])
+    assert sizes["v4"] < sizes["v3"], (
+        f"solve-round sparse checkpoint regression at n={num_vertices}: "
+        f"{sizes['v4']} bytes vs {sizes['v3']} dense"
     )
-    ndarray_seconds = statistics.median(seconds["ndarray"])
-    list_seconds = statistics.median(seconds["list"])
-    assert ndarray_seconds * 2 <= list_seconds, (
-        f"solve-round ndarray write regression at n={num_vertices}: "
-        f"{ndarray_seconds:.4f}s vs {list_seconds:.4f}s from lists"
+    assert sparse_seconds < dense_seconds, (
+        f"solve-round sparse write regression at n={num_vertices}: "
+        f"{sparse_seconds:.4f}s vs {dense_seconds:.4f}s dense"
     )
     return {
         "num_vertices": num_vertices,
-        "checkpoint_bytes": len(contents["ndarray"]),
-        "ndarray_write_seconds": round(ndarray_seconds, 6),
-        "list_write_seconds": round(list_seconds, 6),
-        "write_speedup": round(list_seconds / ndarray_seconds, 2),
+        "changed_entries": changed,
+        "v4_bytes": sizes["v4"],
+        "v3_bytes": sizes["v3"],
+        "size_ratio": round(sizes["v3"] / sizes["v4"], 2),
+        "v4_write_seconds": round(sparse_seconds, 6),
+        "v3_write_seconds": round(dense_seconds, 6),
+        "write_speedup": round(dense_seconds / sparse_seconds, 2),
     }
 
 
@@ -501,17 +513,21 @@ def main(argv: Optional[List[str]] = None) -> int:
     print()
     print(
         format_table(
-            ["n", "checkpoint bytes", "ndarray write s", "list write s", "speedup"],
+            ["n", "changed", "v4 bytes", "v3 bytes", "ratio", "v4 write s",
+             "v3 write s", "speedup"],
             [
                 [
                     solve_round["num_vertices"],
-                    format_bytes(solve_round["checkpoint_bytes"]),
-                    solve_round["ndarray_write_seconds"],
-                    solve_round["list_write_seconds"],
+                    solve_round["changed_entries"],
+                    format_bytes(solve_round["v4_bytes"]),
+                    format_bytes(solve_round["v3_bytes"]),
+                    solve_round["size_ratio"],
+                    solve_round["v4_write_seconds"],
+                    solve_round["v3_write_seconds"],
                     solve_round["write_speedup"],
                 ]
             ],
-            title="solve-round: one-k round snapshot, byte-identical forms",
+            title="solve-round: one-k round snapshot, sparse v4 vs dense v3",
         )
     )
     print()

@@ -17,7 +17,7 @@ from typing import Dict, Tuple
 
 from repro.analysis.plrg_theory import PLRGTheory
 from repro.core.greedy import greedy_mis
-from repro.core.two_k_swap import two_k_swap
+from repro.core.two_k import two_k_swap
 from repro.graphs.plrg import PLRGParameters, plrg_graph
 from repro.reporting import format_table, print_experiment_header
 

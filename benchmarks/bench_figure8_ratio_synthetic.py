@@ -16,8 +16,8 @@ from typing import Dict, Tuple
 
 from repro.analysis.upper_bound import independence_upper_bound
 from repro.core.greedy import greedy_mis
-from repro.core.one_k_swap import one_k_swap
-from repro.core.two_k_swap import two_k_swap
+from repro.core.one_k import one_k_swap
+from repro.core.two_k import two_k_swap
 from repro.graphs.plrg import PLRGParameters, plrg_graph
 from repro.reporting import format_table, print_experiment_header
 

@@ -15,7 +15,7 @@ from typing import Dict, Tuple
 
 from repro.analysis.upper_bound import independence_upper_bound
 from repro.core.greedy import greedy_mis
-from repro.core.two_k_swap import two_k_swap
+from repro.core.two_k import two_k_swap
 from repro.graphs.graph import Graph
 from repro.reporting import format_table, print_experiment_header
 

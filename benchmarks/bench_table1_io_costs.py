@@ -16,7 +16,7 @@ formulas:
 from __future__ import annotations
 
 from repro.core.greedy import greedy_mis
-from repro.core.one_k_swap import one_k_swap
+from repro.core.one_k import one_k_swap
 from repro.graphs.plrg import plrg_graph_with_vertex_count
 from repro.reporting import format_table, print_experiment_header
 from repro.storage.adjacency_file import AdjacencyFileReader, write_adjacency_file

@@ -23,8 +23,8 @@ from typing import Dict
 from repro.baselines.dynamic_update import dynamic_update_mis
 from repro.baselines.external_mis import external_maximal_is
 from repro.core.greedy import greedy_mis
-from repro.core.one_k_swap import one_k_swap
-from repro.core.two_k_swap import two_k_swap
+from repro.core.one_k import one_k_swap
+from repro.core.two_k import two_k_swap
 from repro.graphs.graph import Graph
 from repro.reporting import format_table, print_experiment_header
 from repro.storage.memory import MemoryModel

@@ -74,8 +74,6 @@ import os
 import sys
 from typing import TYPE_CHECKING, Dict, List, Optional
 
-from repro import __version__
-from repro.core.result import MISResult
 from repro.errors import (
     CheckpointError,
     GraphError,
@@ -89,29 +87,24 @@ from repro.errors import (
     StorageError,
     StreamError,
 )
-from repro.obs import (
-    MetricsRegistry,
-    NULL_OBS,
-    Observability,
-    SpanTracer,
-    follow_journal,
-)
-from repro.pipeline.context import ExecutionContext, add_execution_arguments
 from repro.pipeline.spec import (
     BUILTIN_PIPELINES as PIPELINES,
     PipelineSpec,
     RunSpec,
     StageSpec,
+    add_execution_arguments,
     iter_run_specs,
 )
-from repro.graphs.graph import Graph
-from repro.storage.registry import open_adjacency_source
-from repro.storage.scan import AdjacencyScanSource
 
-# Modules only some commands need are imported inside those commands, so
-# a ``solve`` process compiles only the modules it runs.
+# Every other module is imported inside the command that uses it, so a
+# process compiles only what its command runs: ``import repro.cli`` loads
+# no numpy, and a ``convert`` no kernel.
 if TYPE_CHECKING:
+    from repro.core.result import MISResult
+    from repro.graphs.graph import Graph
+    from repro.obs import Observability
     from repro.service import ServiceClient
+    from repro.storage.scan import AdjacencyScanSource
 
 __all__ = ["main", "build_parser"]
 
@@ -127,6 +120,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro-mis",
         description="Semi-external maximum independent set toolkit (VLDB 2015 reproduction).",
     )
+    from repro import __version__
+
     parser.add_argument("--version", action="version", version=f"repro {__version__}")
     subparsers = parser.add_subparsers(dest="command", required=True)
 
@@ -533,6 +528,8 @@ def _build_obs(args: argparse.Namespace) -> Observability:
     :func:`_check_obs_flags` before any file is opened.
     """
 
+    from repro.obs import NULL_OBS, MetricsRegistry, Observability, SpanTracer
+
     if args.no_obs:
         return NULL_OBS
     tracer = SpanTracer() if args.trace else None
@@ -638,6 +635,7 @@ def _execute_engine(
 ) -> MISResult:
     """Build the context and run the engine — shared by solve/run/sweep."""
 
+    from repro.pipeline.context import ExecutionContext
     from repro.pipeline.engine import PipelineEngine
 
     ctx = ExecutionContext.from_args(args, reader)
@@ -694,6 +692,8 @@ def _run_engine_command(
 
 def _open_input(path: str):
     """Open ``path`` as a scan source, or report why not and return ``None``."""
+
+    from repro.storage.registry import open_adjacency_source
 
     try:
         return open_adjacency_source(path)
@@ -752,6 +752,7 @@ def _command_solve(args: argparse.Namespace) -> int:
 
 
 def _command_watch(args: argparse.Namespace) -> int:
+    from repro.pipeline.context import ExecutionContext
     from repro.pipeline.stream import StreamSession
     from repro.service.cache import input_digest
 
@@ -907,6 +908,7 @@ def _command_run_directory(args: argparse.Namespace) -> int:
     """Scenario sweep: run every spec in a directory, aggregate telemetry."""
 
     from repro.reporting import format_table
+    from repro.storage.registry import open_adjacency_source
 
     try:
         specs = iter_run_specs(args.config_dir)
@@ -1037,6 +1039,7 @@ COMPARATORS = ("local_search", "dynamic_update")
 
 
 def _command_compare(args: argparse.Namespace) -> int:
+    from repro.pipeline.context import ExecutionContext
     from repro.pipeline.engine import PipelineEngine
     from repro.reporting import format_table
 
@@ -1208,6 +1211,8 @@ def _follow_job(client: ServiceClient, job_id: str, timeout: float) -> int:
     without polling or parsing worker logs.
     """
 
+    from repro.obs import follow_journal
+
     path = client.store.journal_path(job_id)
     terminal_polls = []
 
@@ -1317,6 +1322,7 @@ def _command_status(args: argparse.Namespace) -> int:
 def _command_metrics(args: argparse.Namespace) -> int:
     """Render metrics from a service directory or a saved snapshot file."""
 
+    from repro.obs import MetricsRegistry
     from repro.reporting import format_table
     from repro.service.jobstore import JobStore
     from repro.service.metrics import build_service_registry
@@ -1444,6 +1450,7 @@ def _command_convert(args: argparse.Namespace) -> int:
 
 
 def _command_reduce(args: argparse.Namespace) -> int:
+    from repro.pipeline.context import ExecutionContext
     from repro.pipeline.engine import PipelineEngine
     from repro.reporting import format_table
 

@@ -48,18 +48,22 @@ import numpy as np
 
 from repro.core.result import RoundStats
 from repro.errors import GraphError, SolverError
+from repro.pipeline.spec import KERNEL_BACKENDS
 from repro.storage.scan import InMemoryAdjacencyScan
 
 __all__ = [
     "BACKEND_ENV_VAR",
     "KernelBackend",
     "WaveTelemetry",
+    "apply_overlays",
     "available_backends",
     "decode_rounds",
     "encode_rounds",
     "get_backend",
+    "initial_digest",
     "normalize_updates",
     "round_fingerprint",
+    "round_overlay",
 ]
 
 #: Environment variable naming the backend of an unset or ``"auto"`` request.
@@ -180,6 +184,52 @@ def decode_history(payload) -> Optional[set]:
     return {bytes.fromhex(entry) for entry in payload}
 
 
+def initial_digest(initial_set: np.ndarray) -> str:
+    """The pin of a round snapshot: hex BLAKE2b-16 of the pass's initial
+    members as ascending little-endian int64.
+
+    A snapshot stores its per-vertex arrays as overlays on the labelled
+    start, which a resume rebuilds from the initial set; the digest
+    makes a resume from any other set fail instead of diverging.
+    """
+
+    members = np.ascontiguousarray(initial_set, dtype="<i8")
+    return hashlib.blake2b(members, digest_size=16).hexdigest()
+
+
+def round_overlay(array: np.ndarray, base: np.ndarray) -> Dict[str, np.ndarray]:
+    """The entries of ``array`` that differ from the labelled start ``base``.
+
+    ``index`` holds their ascending positions and ``value`` their current
+    values (in ``array``'s dtype): one vectorized compare, no per-element
+    Python.  :func:`apply_overlays` is the inverse.
+    """
+
+    index = np.flatnonzero(array != base)
+    return {"index": index, "value": array[index]}
+
+
+def apply_overlays(
+    resume: dict, arrays: Dict[str, np.ndarray], initial_set: np.ndarray
+) -> None:
+    """Restore a round snapshot's arrays onto the labelled start, in place.
+
+    ``arrays`` maps snapshot names to the labelled-start arrays the pass
+    rebuilt from ``initial_set``.  Raises :class:`SolverError` when the
+    snapshot was taken from a different initial set.
+    """
+
+    if resume.get("initial_digest") != initial_digest(initial_set):
+        raise SolverError(
+            "the round snapshot was taken from a different initial independent "
+            "set; resume the pass from the set it started from"
+        )
+    for name, array in arrays.items():
+        overlay = resume[name]
+        index = np.asarray(overlay["index"], dtype=np.int64)
+        array[index] = np.asarray(overlay["value"], dtype=array.dtype)
+
+
 def normalize_updates(updates, *, strict: bool) -> List[Tuple[int, int]]:
     """Coerce, validate and dedupe one side of an update batch.
 
@@ -248,18 +298,25 @@ class KernelBackend(abc.ABC):
         ``max_rounds=None`` run after detecting a repeated
         ``(state, ISN)`` configuration.
 
-        ``resume`` restores a round-state snapshot previously emitted to an
-        ``on_round`` callback: the initial labelling scan is skipped and
-        the round loop continues exactly where the snapshot was taken
-        (``initial_set`` is ignored).  ``on_round`` — when given — is
-        called after every completed swap round with a snapshot dict of
-        the full loop state (vertex states, ISN entries, per-round
-        telemetry, oscillation-guard fingerprints); this is the hook the
-        pipeline engine uses for per-round checkpointing.  Snapshot
-        values are JSON data or 1-D integer ndarrays (uint8 ``state``,
-        int64 ISN entries, -1 = absent).  Both backends hand out equal
-        snapshots, fingerprints included (:func:`round_fingerprint`), so
-        one resumes — in memory or persisted — on either backend.
+        ``on_round`` — when given — is called after every completed swap
+        round with a snapshot dict of the full loop state (vertex states,
+        ISN entries, per-round telemetry, oscillation-guard fingerprints);
+        this is the hook the pipeline engine uses for per-round
+        checkpointing.  Each per-vertex array (uint8 ``state``, int64 ISN
+        entries, -1 = absent) is stored as a :func:`round_overlay` on the
+        *labelled start* — the arrays right after the labelling scan,
+        which depend only on ``initial_set`` and the graph — and
+        ``initial_digest`` pins that set (:func:`initial_digest`).
+        Snapshot values are JSON data or 1-D integer ndarrays.
+
+        ``resume`` restores such a snapshot: the pass labels
+        ``initial_set`` again without charging the scan, applies the
+        overlays (:func:`apply_overlays`, which refuses another initial
+        set) and continues the round loop exactly where the snapshot was
+        taken.  Both backends hand out equal snapshots, fingerprints
+        included (:func:`round_fingerprint`, always over the full
+        arrays), so one resumes — in memory or persisted — on either
+        backend.
         """
 
     @abc.abstractmethod
@@ -353,19 +410,15 @@ class KernelBackend(abc.ABC):
         return f"<{type(self).__name__} name={self.name!r}>"
 
 
-#: Every shipped backend, by name, and the module that defines it.  A
-#: module is imported on the first lookup of its name, so a run on the
-#: numpy backend never imports the python reference.
-_BACKEND_MODULES = {
-    "numpy": "repro.core.kernels.numpy_backend",
-    "python": "repro.core.kernels.python_backend",
-}
-
-
 def available_backends() -> Tuple[str, ...]:
-    """Names of every shipped backend, sorted."""
+    """Names of every shipped backend, sorted.
 
-    return tuple(_BACKEND_MODULES)
+    A backend's module (:data:`repro.pipeline.spec.KERNEL_BACKENDS`) is
+    imported on the first lookup of its name, so a run on the numpy
+    backend never imports the python reference.
+    """
+
+    return tuple(KERNEL_BACKENDS)
 
 
 def get_backend(name: Optional[str] = None, source=None) -> KernelBackend:
@@ -382,12 +435,12 @@ def get_backend(name: Optional[str] = None, source=None) -> KernelBackend:
     available = ", ".join(available_backends())
     if not name or name == "auto":
         name = os.environ.get(BACKEND_ENV_VAR, "").strip().lower() or "numpy"
-        if name not in _BACKEND_MODULES:
+        if name not in KERNEL_BACKENDS:
             raise SolverError(
                 f"{BACKEND_ENV_VAR}={name!r} does not name a kernel backend; "
                 f"available: {available}"
             )
-    elif name not in _BACKEND_MODULES:
+    elif name not in KERNEL_BACKENDS:
         raise SolverError(f"unknown kernel backend {name!r}; available: {available}")
     if (
         name == "numpy"
@@ -396,4 +449,4 @@ def get_backend(name: Optional[str] = None, source=None) -> KernelBackend:
         and not hasattr(source, "csr_views")
     ):
         name = "python"
-    return importlib.import_module(_BACKEND_MODULES[name]).BACKEND
+    return importlib.import_module(KERNEL_BACKENDS[name]).BACKEND

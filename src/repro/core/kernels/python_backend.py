@@ -26,11 +26,14 @@ import numpy as np
 
 from repro.core.kernels.base import (
     KernelBackend,
+    apply_overlays,
     decode_history,
     decode_rounds,
     encode_history,
     encode_rounds,
+    initial_digest,
     round_fingerprint,
+    round_overlay,
 )
 from repro.core.kernels.sc_store import SwapCandidateStore
 from repro.core.result import RoundStats
@@ -48,10 +51,22 @@ _EXCLUDED = 2
 _PairKey = FrozenSet[int]
 
 
-def _ints(values) -> List[int]:
-    """A snapshot's per-vertex values (ndarray or int list) as Python ints."""
+def _overlays(
+    arrays: Dict[str, np.ndarray], base: Dict[str, np.ndarray]
+) -> Dict[str, Dict[str, np.ndarray]]:
+    """Each round array as a snapshot overlay on the labelled start."""
 
-    return np.asarray(values).tolist()
+    return {name: round_overlay(array, base[name]) for name, array in arrays.items()}
+
+
+def _restored_lists(
+    resume: dict, base: Dict[str, np.ndarray], initial_set: np.ndarray
+) -> Dict[str, List[int]]:
+    """A snapshot's round arrays, rebuilt over the labelled start, as int lists."""
+
+    arrays = {name: array.copy() for name, array in base.items()}
+    apply_overlays(resume, arrays, initial_set)
+    return {name: array.tolist() for name, array in arrays.items()}
 
 
 def _round_arrays(state: List[S], isn: list, two_k: bool) -> Dict[str, np.ndarray]:
@@ -108,52 +123,50 @@ class PythonBackend(KernelBackend):
         on_round=None,
     ) -> Tuple[np.ndarray, Tuple[RoundStats, ...], bool]:
         num_vertices = source.num_vertices
-        if resume is None:
-            state: List[S] = [S.NON_IS] * num_vertices
-            for v in initial_set.tolist():
-                state[v] = S.IS
-            isn: List[Optional[int]] = [None] * num_vertices
+        state: List[S] = [S.NON_IS] * num_vertices
+        for v in initial_set.tolist():
+            state[v] = S.IS
+        isn: List[Optional[int]] = [None] * num_vertices
 
-            # ----------------------------------------------------------
-            # Lines 1-3: find the adjacent ("A") vertices and their IS
-            # neighbour.
-            # ----------------------------------------------------------
-            for vertex, neighbors in source.scan():
-                if state[vertex] is S.IS:
-                    continue
-                is_neighbors = [u for u in neighbors if state[u] is S.IS]
-                if len(is_neighbors) == 1:
-                    state[vertex] = S.ADJACENT
-                    isn[vertex] = is_neighbors[0]
+        # --------------------------------------------------------------
+        # Lines 1-3: find the adjacent ("A") vertices and their IS
+        # neighbour.  A resume replays this scan uncharged: it rebuilds
+        # the labelled start the snapshot's overlays apply to.
+        # --------------------------------------------------------------
+        io_before = source.stats.copy()
+        for vertex, neighbors in source.scan():
+            if state[vertex] is S.IS:
+                continue
+            is_neighbors = [u for u in neighbors if state[u] is S.IS]
+            if len(is_neighbors) == 1:
+                state[vertex] = S.ADJACENT
+                isn[vertex] = is_neighbors[0]
 
-            rounds: List[RoundStats] = []
-            initial_size = len(initial_set)
-            current_size = initial_size
-            can_swap = True
-            oscillation = False
-            history = (
-                {round_fingerprint(*_round_arrays(state, isn, False).values())}
-                if max_rounds is None
-                else None
-            )
-        else:
-            # Restore the loop exactly where an ``on_round`` snapshot was
-            # taken: the labelling scan already happened before the
-            # snapshot, so the loop continues without re-reading the file.
-            state = [S(value) for value in _ints(resume["state"])]
-            isn = [None if value < 0 else value for value in _ints(resume["isn"])]
+        base = _round_arrays(state, isn, False)
+        rounds: List[RoundStats] = []
+        current_size = len(initial_set)
+        can_swap = True
+        oscillation = False
+        history = {round_fingerprint(*base.values())} if max_rounds is None else None
+        if resume is not None:
+            # Continue the loop exactly where an ``on_round`` snapshot was
+            # taken, from its overlays on the labelled start.
+            source.stats.reset_to(io_before)
+            restored = _restored_lists(resume, base, initial_set)
+            state = [S(value) for value in restored["state"]]
+            isn = [None if value < 0 else value for value in restored["isn"]]
             rounds = decode_rounds(resume["rounds"])
-            initial_size = int(resume["initial_size"])
             current_size = int(resume["current_size"])
             can_swap = bool(resume["can_swap"])
             oscillation = bool(resume["oscillation"])
             history = decode_history(resume["history"])
+        digest = initial_digest(initial_set) if on_round is not None else None
 
         def _snapshot(arrays: Dict[str, np.ndarray]) -> dict:
             return {
                 "pass": "one_k_swap",
-                "initial_size": initial_size,
-                **arrays,
+                "initial_digest": digest,
+                **_overlays(arrays, base),
                 "rounds": encode_rounds(rounds),
                 "current_size": current_size,
                 "can_swap": can_swap,
@@ -310,57 +323,55 @@ class PythonBackend(KernelBackend):
         on_round=None,
     ) -> Tuple[np.ndarray, Tuple[RoundStats, ...], int, bool]:
         num_vertices = source.num_vertices
-        if resume is None:
-            state: List[S] = [S.NON_IS] * num_vertices
-            for v in initial_set.tolist():
-                state[v] = S.IS
-            isn: List[Optional[FrozenSet[int]]] = [None] * num_vertices
+        state: List[S] = [S.NON_IS] * num_vertices
+        for v in initial_set.tolist():
+            state[v] = S.IS
+        isn: List[Optional[FrozenSet[int]]] = [None] * num_vertices
 
-            # ----------------------------------------------------------
-            # Lines 1-3: adjacent vertices now have one *or two* IS
-            # neighbours.
-            # ----------------------------------------------------------
-            for vertex, neighbors in source.scan():
-                if state[vertex] is S.IS:
-                    continue
-                is_neighbors = [u for u in neighbors if state[u] is S.IS]
-                if 1 <= len(is_neighbors) <= 2:
-                    state[vertex] = S.ADJACENT
-                    isn[vertex] = frozenset(is_neighbors)
+        # --------------------------------------------------------------
+        # Lines 1-3: adjacent vertices now have one *or two* IS
+        # neighbours (replayed uncharged on resume, see one_k_swap_pass).
+        # --------------------------------------------------------------
+        io_before = source.stats.copy()
+        for vertex, neighbors in source.scan():
+            if state[vertex] is S.IS:
+                continue
+            is_neighbors = [u for u in neighbors if state[u] is S.IS]
+            if 1 <= len(is_neighbors) <= 2:
+                state[vertex] = S.ADJACENT
+                isn[vertex] = frozenset(is_neighbors)
 
-            rounds: List[RoundStats] = []
-            initial_size = len(initial_set)
-            current_size = initial_size
-            can_swap = True
-            max_sc_vertices = 0
-            oscillation = False
-            history = (
-                {round_fingerprint(*_round_arrays(state, isn, True).values())}
-                if max_rounds is None
-                else None
-            )
-        else:
+        base = _round_arrays(state, isn, True)
+        rounds: List[RoundStats] = []
+        current_size = len(initial_set)
+        can_swap = True
+        max_sc_vertices = 0
+        oscillation = False
+        history = {round_fingerprint(*base.values())} if max_rounds is None else None
+        if resume is not None:
             # Restore an ``on_round`` snapshot (see one_k_swap_pass); the
             # one-or-two ISN anchors travel as ``isn1``/``isn2`` with -1
             # marking an absent entry.
-            state = [S(value) for value in _ints(resume["state"])]
+            source.stats.reset_to(io_before)
+            restored = _restored_lists(resume, base, initial_set)
+            state = [S(value) for value in restored["state"]]
             isn = [
                 frozenset(a for a in pair if a >= 0) or None
-                for pair in zip(_ints(resume["isn1"]), _ints(resume["isn2"]))
+                for pair in zip(restored["isn1"], restored["isn2"])
             ]
             rounds = decode_rounds(resume["rounds"])
-            initial_size = int(resume["initial_size"])
             current_size = int(resume["current_size"])
             can_swap = bool(resume["can_swap"])
             max_sc_vertices = int(resume["max_sc_vertices"])
             oscillation = bool(resume["oscillation"])
             history = decode_history(resume["history"])
+        digest = initial_digest(initial_set) if on_round is not None else None
 
         def _snapshot(arrays: Dict[str, np.ndarray]) -> dict:
             return {
                 "pass": "two_k_swap",
-                "initial_size": initial_size,
-                **arrays,
+                "initial_digest": digest,
+                **_overlays(arrays, base),
                 "rounds": encode_rounds(rounds),
                 "current_size": current_size,
                 "can_swap": can_swap,

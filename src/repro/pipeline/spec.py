@@ -27,11 +27,23 @@ from repro.errors import PipelineSpecError
 
 __all__ = [
     "BUILTIN_PIPELINES",
+    "KERNEL_BACKENDS",
     "PipelineSpec",
     "RunSpec",
     "StageSpec",
+    "add_execution_arguments",
     "iter_run_specs",
 ]
+
+#: Every shipped kernel backend, by the name specs and ``--backend``
+#: use, and the module that defines it.  The table is plain data, so
+#: parsing a spec or building the CLI parser loads no kernel;
+#: :func:`repro.core.kernels.base.get_backend` imports a backend's module
+#: on the first lookup of its name.
+KERNEL_BACKENDS: Dict[str, str] = {
+    "numpy": "repro.core.kernels.numpy_backend",
+    "python": "repro.core.kernels.python_backend",
+}
 
 
 @dataclass(frozen=True)
@@ -234,14 +246,10 @@ class RunSpec:
         if backend is not None and not isinstance(backend, str):
             raise PipelineSpecError("run spec 'backend' must be a string or null")
         if isinstance(backend, str) and backend not in ("", "auto"):
-            # Imported lazily: importing the kernels package compiles the
-            # numpy backend, and spec parsing must stay importable on its own.
-            from repro.core.kernels import available_backends
-
-            if backend not in available_backends():
+            if backend not in KERNEL_BACKENDS:
                 raise PipelineSpecError(
                     f"run spec 'backend' {backend!r} is not a registered kernel "
-                    f"backend; available: {', '.join(available_backends())} "
+                    f"backend; available: {', '.join(KERNEL_BACKENDS)} "
                     f"(or 'auto')"
                 )
         checkpoint = payload.get("checkpoint")
@@ -395,3 +403,35 @@ def iter_run_specs(config_dir: str) -> List[Tuple[str, RunSpec]]:
         except PipelineSpecError as exc:
             raise PipelineSpecError(f"{path}: {exc}") from None
     return specs
+
+
+def add_execution_arguments(parser, include_memory_limit: bool = False) -> None:
+    """Declare the shared execution flags on an argparse (sub)parser.
+
+    Adds ``--backend`` (every command running solver passes) and — when
+    ``include_memory_limit`` — ``--memory-limit-bytes`` (commands that
+    emulate a bounded-RAM machine).  Paired with
+    :meth:`~repro.pipeline.context.ExecutionContext.from_args`, this is
+    the one place the CLI declares its execution flags.  The backend
+    choices come from :data:`KERNEL_BACKENDS`, so building a parser loads
+    no kernel.
+    """
+
+    parser.add_argument(
+        "--backend",
+        choices=["auto"] + list(KERNEL_BACKENDS),
+        default="auto",
+        help="kernel backend; 'numpy' (the default) runs the "
+        "vectorized kernels — text inputs spill once to a private SEXTCSR1 "
+        "memmap; the spill is not charged to IOStats — and 'python' streams "
+        "records one at a time; both produce bit-identical results and I/O "
+        "counters",
+    )
+    if include_memory_limit:
+        parser.add_argument(
+            "--memory-limit-bytes",
+            type=int,
+            default=None,
+            help="emulate a machine with this much RAM: in-memory stages "
+            "whose modeled footprint exceeds it report N/A (Table 6)",
+        )

@@ -25,9 +25,9 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Mapping, Optional, Tuple
 
 from repro.core.greedy import greedy_mis
-from repro.core.one_k_swap import one_k_swap
+from repro.core.one_k import one_k_swap
 from repro.core.result import MISResult
-from repro.core.two_k_swap import two_k_swap
+from repro.core.two_k import two_k_swap
 from repro.errors import PipelineSpecError
 from repro.pipeline.context import ExecutionContext
 from repro.storage.io_stats import IOStats

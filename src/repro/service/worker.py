@@ -35,6 +35,9 @@ import os
 import sys
 from typing import Optional
 
+# The default backend compiles in the daemon, which imports this module
+# before it forks: a job then imports no kernel module of its own.
+import repro.core.kernels.numpy_backend  # noqa: F401
 from repro.core.result import MISResult
 from repro.errors import PipelineInterrupted, ReproError
 from repro.obs import EventJournal, MetricsRegistry, Observability

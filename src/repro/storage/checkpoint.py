@@ -115,7 +115,9 @@ CHECKPOINT_FORMAT = "repro-mis-checkpoint"
 #: being misinterpreted.  Version 2 moved large integer arrays out of the
 #: JSON payload into a compressed binary section.  Version 3 round
 #: snapshots carry one fingerprint encoding for both kernel backends.
-CHECKPOINT_VERSION = 3
+#: Version 4 round snapshots store each per-vertex array as a sparse
+#: overlay on the pass's labelled start, pinned to its initial set.
+CHECKPOINT_VERSION = 4
 
 #: JSON key marking an arrays-section reference.  Payloads may not use it
 #: as an ordinary dict key.

@@ -35,7 +35,7 @@ class IOStats:
     random_vertex_lookups:
         Number of single-vertex adjacency lookups requested by a solver
         outside a sequential scan (used only for skeleton re-verification;
-        see ``core/two_k_swap.py``).
+        see ``core/two_k.py``).
     """
 
     bytes_read: int = 0
@@ -86,6 +86,15 @@ class IOStats:
         self.sequential_scans += other.sequential_scans
         self.random_seeks += other.random_seeks
         self.random_vertex_lookups += other.random_vertex_lookups
+
+    def reset_to(self, snapshot: "IOStats") -> None:
+        """Set every counter back to ``snapshot``'s value, in place.
+
+        Undoes I/O a run must not be charged for — a resume's replay of
+        work the checkpointed run already counted.
+        """
+
+        self.merge(snapshot.delta_since(self))
 
     def __add__(self, other: "IOStats") -> "IOStats":
         combined = IOStats()

@@ -69,6 +69,20 @@ class MemoryModel:
         base = num_vertices * (1 + 2 * self.word_bytes)
         return base + max_sc_vertices * self.word_bytes
 
+    def labelled_start_bytes(self, num_vertices: int, isn_entries: int) -> int:
+        """The labelled start a swap pass keeps besides its live arrays.
+
+        Round snapshots store each per-vertex array as the entries that
+        differ from the state right after labelling (Algorithm 2/3 lines
+        1-3), so the pass holds that start once: a state byte plus
+        ``isn_entries`` words per vertex (one for one-k, two for two-k).
+        It is not part of the paper's ``2 |V|`` accounting
+        (:meth:`one_k_swap_bytes`, :meth:`two_k_swap_bytes`); the passes
+        add it to their modeled bytes.
+        """
+
+        return num_vertices * (1 + isn_entries * self.word_bytes)
+
     def dynamic_update_bytes(self, num_vertices: int, num_edges: int) -> int:
         """In-memory DynamicUpdate baseline: the whole graph plus bookkeeping.
 

@@ -1,6 +1,7 @@
 """Shared helpers for tests that compare or persist ``on_round`` snapshots.
 
-Both kernel backends hand out their per-vertex arrays as 1-D integer
+Both kernel backends hand out each per-vertex array as an overlay on the
+labelled start (``{"index": ..., "value": ...}``) of 1-D integer
 ndarrays, which encode to the checkpoint bytes of the equal int lists.
 :func:`plain` turns a snapshot into plain JSON data so the tests can
 compare snapshots with ``==`` and ``json.dumps`` them.
@@ -25,6 +26,16 @@ def oscillating_graph() -> Graph:
     pairs = list(itertools.combinations(range(24), 2))
     edges = random.Random(168).sample(pairs, 236)
     return Graph(24, edges)
+
+
+def snapshot_arrays(snapshot):
+    """Every ndarray of a snapshot: the overlays' indices and values."""
+
+    arrays = []
+    for value in snapshot.values():
+        if isinstance(value, dict):
+            arrays.extend(v for v in value.values() if isinstance(v, np.ndarray))
+    return arrays
 
 
 def plain(value):

@@ -152,7 +152,7 @@ def test_round_snapshot_resume_matches_uninterrupted(backend):
 
     src = as_scan_source(graph)
     resumed = get_backend(backend, src).one_k_swap_pass(
-        src, np.empty(0, dtype=np.int64), None, resume=snapshot
+        src, initial, None, resume=snapshot
     )
     assert plain(resumed) == plain(uninterrupted)
 

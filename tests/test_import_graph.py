@@ -1,13 +1,18 @@
-"""Import-graph guard: a solve or a convert loads only what it runs.
+"""Import-graph guard: a process loads only what its command runs.
 
 Package ``__init__`` modules export their public names lazily
-(:mod:`repro._lazy`) and ``repro.cli`` imports per-command modules inside
-the commands, so a ``repro-mis solve`` process never compiles the service
-layer, stream sessions, comparators, reductions, graph generators or
-table formatting.  Neither a solve nor a forked service job loads
-``numpy.ma`` (about 20 ms per process), which the plain ``np.unique``
-form would import.  Each check runs in a fresh interpreter, since this
-test process has long since imported everything.
+(:mod:`repro._lazy`) and ``repro.cli`` imports at its top only the
+stdlib, :mod:`repro.errors` and :mod:`repro.pipeline.spec` — every other
+module inside the command that uses it.  So ``import repro.cli`` loads
+no numpy, a ``convert`` no kernel, and a ``repro-mis solve`` never
+compiles the service layer, stream sessions, comparators, the stream
+wave kernel, reductions, graph generators or table formatting.  Neither
+a solve nor a forked service job loads ``numpy.ma`` (about 20 ms per
+process), which the plain ``np.unique`` form would import.  Work that
+is timed imports nothing: a forked service job runs on what the daemon
+preloaded, and a stream batch on what the session's construction
+loaded.  Each check runs in a fresh interpreter, since this test process
+has long since imported everything.
 """
 
 from __future__ import annotations
@@ -124,6 +129,33 @@ def test_solve_loads_only_the_solve_path(graph_files, tmp_path, pipeline):
     assert "repro.core.kernels.python_backend" not in modules
     assert _forbidden(modules) == []
     assert "numpy.ma" not in modules
+    # The comparators and the stream wave kernel are modules of their own.
+    assert "repro.core.kernels.numpy_comparators" not in modules
+    assert "repro.core.kernels.numpy_waves" not in modules
+
+
+def test_importing_the_cli_loads_no_numpy():
+    child = _fresh(
+        "import sys\n"
+        "import repro.cli\n"
+        "print(sorted(m for m in sys.modules if m == 'numpy'"
+        " or m.startswith(('numpy.', 'repro.')) and m not in"
+        " ('repro._lazy', 'repro.pipeline')))\n"
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == str(
+        ["repro.cli", "repro.errors", "repro.pipeline.spec"]
+    )
+
+
+def test_importing_the_result_type_loads_no_kernels():
+    child = _fresh(
+        "import sys\n"
+        "import repro.core.result\n"
+        "print(sorted(m for m in sys.modules if m.startswith('repro.core')))\n"
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == str(["repro.core", "repro.core.result"])
 
 
 _SERVICE_JOB_MODULES = """
@@ -134,9 +166,17 @@ from repro.service import ServiceClient, ServiceConfig, SolverService
 from repro.service.worker import execute_job
 
 def recording_worker(root, job_id):
+    preloaded = set(sys.modules)
     code = execute_job(root, job_id)
     with open(sys.argv[1], "w") as handle:
-        json.dump({"code": code, "modules": sorted(sys.modules)}, handle)
+        json.dump(
+            {
+                "code": code,
+                "modules": sorted(sys.modules),
+                "imported": sorted(set(sys.modules) - preloaded),
+            },
+            handle,
+        )
     sys.exit(code)
 
 root, graph = sys.argv[2:4]
@@ -162,6 +202,56 @@ def test_forked_two_k_service_job_loads_no_numpy_ma(graph_files, tmp_path):
     assert loaded["code"] == 0
     assert "repro.core.kernels.numpy_backend" in loaded["modules"]
     assert "numpy.ma" not in loaded["modules"]
+    # The daemon preloads everything a solve job runs, so the job's fork
+    # compiles no module of its own.
+    assert [m for m in loaded["imported"] if m.startswith("repro.")] == []
+
+
+_STREAM_BATCH_MODULES = """
+import json, sys
+from repro.pipeline.stream import StreamSession
+from repro.storage.binary_format import MemmapAdjacencySource
+
+graph_path, updates, checkpoint, out = sys.argv[1:5]
+source = MemmapAdjacencySource(graph_path)
+graph = source.to_graph()
+source.close()
+session = StreamSession(
+    graph, updates, pipeline="greedy", batch_size=64, checkpoint=checkpoint
+)
+imported = []
+before = set(sys.modules)
+for _report in session.process():
+    imported.extend(sorted(set(sys.modules) - before))
+    before = set(sys.modules)
+with open(out, "w") as handle:
+    json.dump({"batches": session.total_batches, "imported": imported}, handle)
+"""
+
+
+@pytest.mark.parametrize("backend", ["numpy", "python"])
+def test_stream_batches_import_no_module(graph_files, tmp_path, backend, monkeypatch):
+    _text, binary = graph_files
+    rng = random.Random(11)
+    lines = []
+    for _ in range(400):
+        u, v = rng.sample(range(400), 2)
+        lines.append(f"{'+' if rng.random() < 0.7 else '-'} {u} {v}")
+    updates = tmp_path / "updates.txt"
+    updates.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "batches.json"
+    monkeypatch.setenv("REPRO_KERNEL_BACKEND", backend)
+    child = _fresh(
+        _STREAM_BATCH_MODULES,
+        binary,
+        str(updates),
+        str(tmp_path / "session.ck"),
+        str(out),
+    )
+    assert child.returncode == 0, child.stderr
+    loaded = json.loads(out.read_text())
+    assert loaded["batches"] > 1
+    assert loaded["imported"] == []
 
 
 def test_numpy_watch_loads_no_python_backend(graph_files, tmp_path):
@@ -196,7 +286,13 @@ def test_convert_loads_no_solver_extras(graph_files, tmp_path):
     argv = ["convert", text, str(tmp_path / "out.csr"), "--to-binary"]
     modules = _cli_modules(tmp_path, argv)
     assert _forbidden(modules) == []
-    assert "repro.pipeline.engine" not in modules
+    solver_side = [
+        name
+        for name in modules
+        if name.startswith(("repro.core", "repro.obs", "repro.pipeline"))
+        and name != "repro.pipeline.spec"
+    ]
+    assert solver_side == ["repro.pipeline"]  # the lazy package of spec
 
 
 _EXPORT_CHECK = """

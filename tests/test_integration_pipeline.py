@@ -13,8 +13,8 @@ import pytest
 from repro.analysis.upper_bound import independence_upper_bound
 from repro.baselines.external_mis import external_maximal_is
 from repro.core.greedy import greedy_mis
-from repro.core.one_k_swap import one_k_swap
-from repro.core.two_k_swap import two_k_swap
+from repro.core.one_k import one_k_swap
+from repro.core.two_k import two_k_swap
 from repro.graphs.datasets import load_dataset
 from repro.graphs.plrg import plrg_graph_with_vertex_count
 from repro.storage.adjacency_file import AdjacencyFileReader, write_adjacency_file

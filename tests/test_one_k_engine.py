@@ -140,8 +140,7 @@ def test_wave_window_parity_and_resume(cases, monkeypatch, window, kind, source_
         persisted = json.loads(json.dumps(snapshot))
         for backend in ("numpy", "python"):
             resumed, _, _ = _run(
-                backend, _open(case, source_kind), np.empty(0, np.int64),
-                resume=persisted,
+                backend, _open(case, source_kind), initial, resume=persisted,
             )
             assert resumed == result
 

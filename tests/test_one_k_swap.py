@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.greedy import greedy_mis
-from repro.core.one_k_swap import one_k_swap
+from repro.core.one_k import one_k_swap
 from repro.errors import SolverError
 from repro.graphs.cascade import cascade_initial_independent_set, cascade_swap_graph
 from repro.graphs.generators import (
@@ -134,10 +134,12 @@ class TestOneKSwapTelemetry:
         result = one_k_swap(graph)
         assert result.io.random_vertex_lookups == 0
 
-    def test_memory_model_is_two_words_per_vertex(self):
+    def test_memory_model_is_two_words_per_vertex_plus_labelled_start(self):
         graph = erdos_renyi_gnm(100, 200, seed=12)
         result = one_k_swap(graph)
-        assert result.memory_bytes == graph.num_vertices * 5
+        # The paper's state byte + ISN word, and the labelled start the
+        # round snapshots are overlays on (the same again).
+        assert result.memory_bytes == graph.num_vertices * 5 * 2
 
     def test_runs_from_file_reader(self):
         graph = erdos_renyi_gnm(150, 500, seed=13)

@@ -15,8 +15,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core.greedy import greedy_mis
-from repro.core.one_k_swap import one_k_swap
-from repro.core.two_k_swap import two_k_swap
+from repro.core.one_k import one_k_swap
+from repro.core.two_k import two_k_swap
 from repro.graphs.cascade import (
     cascade_initial_independent_set,
     cascade_optimal_size,

@@ -12,9 +12,9 @@ import json
 import pytest
 
 from repro.core.greedy import greedy_mis
-from repro.core.one_k_swap import one_k_swap
+from repro.core.one_k import one_k_swap
 from repro.core.solver import PIPELINES, solve_mis
-from repro.core.two_k_swap import two_k_swap
+from repro.core.two_k import two_k_swap
 from repro.baselines.dynamic_update import dynamic_update_mis
 from repro.baselines.local_search import local_search_mis
 from repro.errors import PipelineSpecError

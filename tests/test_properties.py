@@ -21,8 +21,8 @@ from repro.baselines.dynamic_update import dynamic_update_mis
 from repro.baselines.exact import independence_number
 from repro.baselines.external_mis import external_maximal_is
 from repro.core.greedy import greedy_mis
-from repro.core.one_k_swap import one_k_swap
-from repro.core.two_k_swap import two_k_swap
+from repro.core.one_k import one_k_swap
+from repro.core.two_k import two_k_swap
 from repro.graphs.graph import Graph
 from repro.storage.adjacency_file import AdjacencyFileReader, write_adjacency_file
 from repro.storage.external_sort import external_sort_by_degree

@@ -1,7 +1,9 @@
 """The numpy kernels' ``on_round`` snapshots as checkpoint payloads.
 
-The numpy swap passes hand out their per-vertex arrays as 1-D integer
-ndarray copies instead of int lists.  These tests pin that contract down:
+The numpy swap passes hand out each per-vertex array as an overlay on
+the labelled start — its changed indices and their values as fresh 1-D
+integer ndarrays instead of int lists.  These tests pin that contract
+down:
 
 * each snapshot writes exactly the checkpoint bytes of its ``.tolist()``
   twin, for one-k and two-k, on gnm and PLRG graphs, from memmap and text
@@ -28,7 +30,7 @@ from repro.storage.binary_format import MemmapAdjacencySource  # noqa: E402
 from repro.storage.checkpoint import read_checkpoint, write_checkpoint  # noqa: E402
 from repro.storage.converters import adjacency_to_binary  # noqa: E402
 from repro.storage.scan import InMemoryAdjacencyScan  # noqa: E402
-from snapshot_helpers import plain  # noqa: E402
+from snapshot_helpers import plain, snapshot_arrays  # noqa: E402
 
 PASSES = ("one_k_swap", "two_k_swap")
 
@@ -100,8 +102,8 @@ def test_snapshot_checkpoint_bytes_match_list_twin(
 ):
     _out, raw, _ = _snapshots(graph_files[kind], pass_name, source_kind)
     for index, snapshot in enumerate(raw):
-        arrays = [v for v in snapshot.values() if isinstance(v, np.ndarray)]
-        assert arrays, "numpy snapshots carry their per-vertex arrays as ndarrays"
+        arrays = snapshot_arrays(snapshot)
+        assert arrays, "numpy snapshots carry their overlays as ndarrays"
         as_arrays = str(tmp_path / f"arrays-{index}.ck")
         as_lists = str(tmp_path / f"lists-{index}.ck")
         write_checkpoint(as_arrays, {"loop_state": snapshot, "stage_index": 1})
@@ -117,7 +119,7 @@ def test_kept_snapshots_do_not_change_in_later_rounds(
 ):
     _out, raw, at_delivery = _snapshots(graph_files["plrg"], pass_name, source_kind)
     assert [plain(snapshot) for snapshot in raw] == at_delivery
-    arrays = [v for s in raw for v in s.values() if isinstance(v, np.ndarray)]
+    arrays = [array for snapshot in raw for array in snapshot_arrays(snapshot)]
     for i, first in enumerate(arrays):
         for second in arrays[i + 1 :]:
             assert not np.shares_memory(first, second)
@@ -135,11 +137,11 @@ def test_resume_from_ndarray_snapshot_matches_persisted(
         write_checkpoint(path, {"loop_state": snapshot})
         persisted = read_checkpoint(path)["loop_state"]
         assert persisted == plain(snapshot)
-        empty = np.empty(0, dtype=np.int64)
+        initial = files["initial"]
         from_memory = _run(
-            pass_name, _open(files, source_kind), empty, resume=snapshot
+            pass_name, _open(files, source_kind), initial, resume=snapshot
         )
         from_disk = _run(
-            pass_name, _open(files, source_kind), empty, resume=persisted
+            pass_name, _open(files, source_kind), initial, resume=persisted
         )
         assert from_memory == from_disk == uninterrupted

@@ -163,8 +163,8 @@ def test_parity_and_resume(cases, references, kind, pairs, checks, source_kind):
         persisted = json.loads(json.dumps(snapshot))
         for backend in ("numpy", "python"):
             resumed, _, _ = _run(
-                backend, _open(case, source_kind), np.empty(0, np.int64), pairs,
-                checks, resume=persisted,
+                backend, _open(case, source_kind), case[1], pairs, checks,
+                resume=persisted,
             )
             assert resumed == result
 

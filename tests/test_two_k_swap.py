@@ -5,8 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core.greedy import greedy_mis
-from repro.core.one_k_swap import one_k_swap
-from repro.core.two_k_swap import two_k_swap
+from repro.core.one_k import one_k_swap
+from repro.core.two_k import two_k_swap
 from repro.errors import SolverError
 from repro.graphs.generators import (
     complete_bipartite_graph,
@@ -123,7 +123,9 @@ class TestTwoKSwapTelemetry:
     def test_memory_model_includes_sc(self):
         graph = erdos_renyi_gnm(100, 250, seed=22)
         result = two_k_swap(graph)
-        expected = 100 * (1 + 8) + int(result.extras["max_sc_vertices"]) * 4
+        # State + two ISN words + SC entries, and the labelled start
+        # (state + two ISN words) the round snapshots are overlays on.
+        expected = 100 * (1 + 8) * 2 + int(result.extras["max_sc_vertices"]) * 4
         assert result.memory_bytes == expected
 
     def test_max_rounds_limits_rounds(self):

@@ -8,7 +8,7 @@ from repro.analysis.ratios import approximation_ratio, ratio_table
 from repro.analysis.upper_bound import independence_upper_bound
 from repro.baselines.exact import independence_number
 from repro.core.greedy import greedy_mis
-from repro.core.two_k_swap import two_k_swap
+from repro.core.two_k import two_k_swap
 from repro.errors import AnalysisError
 from repro.graphs.generators import (
     complete_bipartite_graph,
